@@ -25,7 +25,8 @@ race-kernels:
 		echo "== REPRO_KERNEL=$$k =="; \
 		REPRO_KERNEL=$$k $(GO) test -race \
 			./internal/kernel ./internal/field ./internal/hash \
-			./internal/prng ./internal/sparse ./internal/engine || exit 1; \
+			./internal/prng ./internal/sparse ./internal/countsketch \
+			./internal/engine || exit 1; \
 	done
 
 # Chaos leg: the deterministic fault-injection property suites under -race.
@@ -102,13 +103,15 @@ bench-l0:
 	$(GO) test -run '^$$' -bench 'ProcessBatchS10|ProcessScalarS10' -benchtime 2000x ./internal/sparse
 	$(GO) test -run '^$$' -bench 'GraphIngest' -benchtime 20x ./internal/graphsketch
 
-# Query-side benchmarks (the PR-4 headline): memoized vs dirty L0 sampling,
-# the finite-difference recovery scan, and the end-to-end graphsketch
-# connectivity and duplicates queries built on top (the root BenchmarkQuery*
-# suite).
+# Query-side benchmarks (the PR-4 and PR-13 headlines): memoized vs dirty L0
+# and Lp sampling, the finite-difference recovery scan, the blocked
+# count-sketch decode and pruned top-m, and the end-to-end graphsketch
+# connectivity, Lp sample and duplicates queries built on top (the root
+# BenchmarkQuery* suite).
 bench-query:
-	$(GO) test -run '^$$' -bench 'L0SamplerSample' -benchtime 200x ./internal/core
+	$(GO) test -run '^$$' -bench 'L0SamplerSample|LpSamplerSample' -benchtime 200x ./internal/core
 	$(GO) test -run '^$$' -bench 'RecoverScan|RecoverS8N4096' -benchtime 200x ./internal/sparse
+	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$|BenchmarkTop$$' -benchtime 200x ./internal/countsketch
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchtime 20x .
 
 # Benchmark regression gate (the CI bench-gate job): run the headline

@@ -270,6 +270,37 @@ func BenchmarkQueryDuplicatesFind(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryLpSample is a dirty Theorem 1 query at the lp_stream shape of
+// bench/ (p = 1, n = 2^14, ε = 0.25, δ = 0.2, signed Zipf updates): a
+// zero-delta update drops the memo without moving the state, so every
+// iteration pays the full recovery stage — the blocked count-sketch scan and
+// the s-test in each of the 13 repetitions.
+func BenchmarkQueryLpSample(b *testing.B) {
+	const n = 1 << 14
+	sk := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.25, Delta: 0.2}, rand.New(rand.NewPCG(7, 11)))
+	stream.ZipfSigned(n, 1.1, 60_000, rand.New(rand.NewPCG(17, 29))).FeedBatch(2048, sk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk.Process(stream.Update{Index: i % n, Delta: 0})
+		sk.Sample()
+	}
+}
+
+// BenchmarkQueryDuplicateFinderFind is the Theorem 3 query at dup_stream's
+// size: n = 2^16, a permutation of the letters plus one repeat, and a dirty
+// Find() per iteration (the same recovery stage over four times the keys).
+func BenchmarkQueryDuplicateFinderFind(b *testing.B) {
+	const n = 1 << 16
+	r := rand.New(rand.NewPCG(31, 32))
+	f := duplicates.NewFinder(n, 0.2, r)
+	f.ProcessItems(stream.DuplicateItems(n, r.IntN(n), r))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Process(stream.Update{Index: i % n, Delta: 0})
+		f.Find()
+	}
+}
+
 func BenchmarkE1LpSamplerTV(b *testing.B)         { benchExperiment(b, "E1") }
 func BenchmarkE2SpaceScaling(b *testing.B)        { benchExperiment(b, "E2") }
 func BenchmarkE3L0Sampler(b *testing.B)           { benchExperiment(b, "E3") }

@@ -37,6 +37,7 @@ import (
 const defaultBench = "^(BenchmarkIngestSerial|BenchmarkIngestSerialBatched|BenchmarkIngestEngine|" +
 	"BenchmarkIngestL0Serial|BenchmarkIngestL0Engine|BenchmarkQueryL0Sample|" +
 	"BenchmarkQueryGraphConnectivity|BenchmarkQueryDuplicatesFind|" +
+	"BenchmarkQueryLpSample|BenchmarkQueryDuplicateFinderFind|" +
 	"BenchmarkServeIngestRaw|BenchmarkServeIngestSketch)$"
 
 func main() {

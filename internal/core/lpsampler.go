@@ -23,6 +23,18 @@
 // In both modes membership is decided by integer threshold compares on raw
 // 61-bit blocks fetched through the PRG's prefix-sharing batch kernel — the
 // L0 ingestion fast path.
+//
+// # The Lp recovery stage
+//
+// A dirty LpSampler query runs the recovery stage of Figure 1 once per
+// repetition: z* and its best m-sparse approximation ẑ come from the
+// count-sketch's blocked, threshold-pruned scan (countsketch.TopWith), the
+// s-test subtracts ẑ from the AMS sketch entry by entry in ẑ's rank order (a
+// fixed order: the subtraction cancels heavily, so its rounding depends on
+// it), and the top coordinate is emitted if it clears ε^{-1/p}·r. All
+// repetitions share one scan scratch and one ẑ buffer owned by the sampler,
+// so a query allocates nothing proportional to n — and is, like an update,
+// single-goroutine.
 package core
 
 import (
@@ -118,6 +130,14 @@ type LpSampler struct {
 	queryValid bool
 	cachedAll  []Sample
 	cachedDiag Diagnostics
+
+	// Recovery-stage scratch, shared by all repetitions: the block buffers
+	// of the count-sketch scan, ẑ as Top returns it, and ẑ again as the
+	// ordered sparse vector the AMS sketch subtracts. A query allocates
+	// nothing proportional to n.
+	scan countsketch.Scratch
+	top  []countsketch.TopEntry
+	zhat []norm.Entry
 }
 
 // Diagnostics returns the per-repetition outcome counts of the most recent
@@ -339,7 +359,8 @@ func (s *LpSampler) Sample() (Sample, bool) {
 // Results are memoized: repeated calls on an unchanged sketch return the
 // cached outputs (and restore the matching Diagnostics) without re-running
 // recovery. The returned slice is owned by the sampler and valid until the
-// next mutating call — callers must not modify it.
+// next mutating call — callers must not modify it. Recovery runs over
+// scratch the sampler owns, so queries (like updates) are single-goroutine.
 func (s *LpSampler) SampleAll() []Sample {
 	if s.queryValid {
 		s.diag = s.cachedDiag
@@ -368,19 +389,19 @@ func (s *LpSampler) sampleAll() []Sample {
 			s.diag.Guarded++
 			continue
 		}
-		// z* and its best m-sparse approximation ẑ.
-		top := c.cs.Top(s.cfg.N, s.m)
+		// z* and its best m-sparse approximation ẑ, in rank order.
+		s.top = c.cs.TopWith(&s.scan, s.cfg.N, s.m, s.top)
+		top := s.top
 		if len(top) == 0 {
 			s.diag.ThresholdFails++
 			continue
 		}
-		zhat := make(map[uint64]float64, len(top))
-		for _, e := range top {
-			zhat[uint64(e.Index)] = e.Estimate
-		}
 		if !s.cfg.DisableSTest {
-			sEst := c.ams.UpperEstimate(zhat)
-			if sEst > sBound {
+			s.zhat = s.zhat[:0]
+			for _, e := range top {
+				s.zhat = append(s.zhat, norm.Entry{Index: uint64(e.Index), Value: e.Estimate})
+			}
+			if c.ams.UpperEstimate(s.zhat) > sBound {
 				s.diag.STestAborts++
 				continue // FAIL: tail too heavy (Lemma 3 event)
 			}

@@ -254,6 +254,23 @@ func BenchmarkLpSamplerSample(b *testing.B) {
 	}
 }
 
+// BenchmarkLpSamplerSampleDirty measures the recovery stage itself: a
+// zero-delta update drops the memo and leaves the state exactly as it was, so
+// every Sample re-runs the scan and the s-test in all 8 repetitions.
+func BenchmarkLpSamplerSampleDirty(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 1))
+	const n = 1 << 12
+	s := NewLpSampler(LpConfig{P: 1, N: n, Eps: 0.3, Delta: 0.2, Copies: 8}, r)
+	st := stream.ZipfSigned(n, 1.0, 100000, r)
+	st.FeedBatch(2048, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Process(stream.Update{Index: 0, Delta: 0})
+		s.Sample()
+	}
+}
+
 func TestLpSamplerMergeMatchesSerial(t *testing.T) {
 	// Same-seed Lp samplers over two stream halves merge into a sampler
 	// whose recovery output matches the serial one: identical sampled

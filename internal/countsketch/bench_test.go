@@ -103,3 +103,36 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 		t.Errorf("Estimate allocates %v times per call, want 0", n)
 	}
 }
+
+// benchDecodeSketch is one repetition of the lp_stream sampler: m = 32,
+// 18 rows, n = 2^14, fed a signed heavy-tailed vector.
+func benchDecodeSketch() (*Sketch, int) {
+	const n = 1 << 14
+	r := rand.New(rand.NewPCG(3, 5))
+	s := New(32, 18, r)
+	for i := 0; i < n; i++ {
+		s.Add(uint64(i), float64(1+r.IntN(100))/r.Float64())
+	}
+	return s, n
+}
+
+// BenchmarkDecode is the full blocked decode, every median taken.
+func BenchmarkDecode(b *testing.B) {
+	s, n := benchDecodeSketch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Decode(n)
+	}
+}
+
+// BenchmarkTop is the recovery stage's scan: the blocked decode with the
+// threshold-pruned top-m, what each repetition of an Lp query pays.
+func BenchmarkTop(b *testing.B) {
+	s, n := benchDecodeSketch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Top(n, 32)
+	}
+}

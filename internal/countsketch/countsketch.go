@@ -21,12 +21,20 @@
 // batched hot paths drive the fused hash.BucketSignBatch kernel row-major
 // with per-sketch scratch buffers: steady-state ProcessBatch/AddBatch calls
 // allocate nothing.
+//
+// The query side (decode.go) is blocked the same way: Decode, Top and AtLeast
+// walk [0, n) in blocks of 512 consecutive keys, run each row's fused kernel
+// over the whole block, and gather sign·cell into a block×rows matrix, so a
+// key's median reads one contiguous run. Top keeps a bounded m-entry heap and,
+// once it is full, rejects a key before its median is taken by counting how
+// many of its row values reach the heap's minimum magnitude — an exact rule,
+// so the entries are those of a full decode and sort. Estimate(i) stays the
+// scalar per-key path, and the reference the blocked scan is tested against.
 package countsketch
 
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/hash"
@@ -57,6 +65,9 @@ type Sketch struct {
 	scratchSgn []float64
 	scratchSD  []float64
 	scatter    kernel.ScatterScratch
+
+	// Block buffers of Decode/Top/AtLeast (see decode.go), same contract.
+	decode Scratch
 }
 
 // New creates a count-sketch with parameter m and the given number of rows
@@ -190,51 +201,6 @@ func (s *Sketch) Estimate(i uint64) float64 {
 // estimateStackRows bounds the stack-resident estimate buffer; rows is
 // l = O(log n), so 64 covers any input a 64-bit index can address.
 const estimateStackRows = 64
-
-// Decode returns the full estimate vector x* for coordinates [0, n).
-func (s *Sketch) Decode(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Estimate(uint64(i))
-	}
-	return out
-}
-
-// TopEntry is one coordinate of a sparse approximation.
-type TopEntry struct {
-	Index    int
-	Estimate float64
-}
-
-// Top returns the entries of the best m-sparse approximation xhat of the
-// decoded vector: the m coordinates of largest |x*_i| (all of them if fewer
-// than m are nonzero), sorted by decreasing magnitude.
-func (s *Sketch) Top(n, m int) []TopEntry {
-	ests := s.Decode(n)
-	entries := make([]TopEntry, 0, n)
-	for i, e := range ests {
-		if e != 0 {
-			entries = append(entries, TopEntry{i, e})
-		}
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		ea, eb := entries[a].Estimate, entries[b].Estimate
-		if ea < 0 {
-			ea = -ea
-		}
-		if eb < 0 {
-			eb = -eb
-		}
-		if ea != eb {
-			return ea > eb
-		}
-		return entries[a].Index < entries[b].Index
-	})
-	if len(entries) > m {
-		entries = entries[:m]
-	}
-	return entries
-}
 
 // SpaceBits reports cells plus hash seeds at 64 bits per word, matching the
 // paper's O(m log n)-counters => O(m log^2 n)-bits accounting.

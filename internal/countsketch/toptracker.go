@@ -77,19 +77,7 @@ func (t *TopTracker) estimateCandidates() []TopEntry {
 			entries = append(entries, TopEntry{Index: int(i), Estimate: est})
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		ea, eb := entries[a].Estimate, entries[b].Estimate
-		if ea < 0 {
-			ea = -ea
-		}
-		if eb < 0 {
-			eb = -eb
-		}
-		if ea != eb {
-			return ea > eb
-		}
-		return entries[a].Index < entries[b].Index
-	})
+	sort.Slice(entries, func(a, b int) bool { return ranksBefore(entries[a], entries[b]) })
 	return entries
 }
 

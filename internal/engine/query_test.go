@@ -98,3 +98,29 @@ func TestQueryPathZeroAlloc(t *testing.T) {
 		t.Errorf("LpSampler.SampleAll allocates %v times per call on a clean sketch, want 0", got)
 	}
 }
+
+// TestLpDirtyQueryAllocBudget: a dirty Lp query re-runs the whole recovery
+// stage, and what it allocates is a small constant — the output list and the
+// norm sketches' median buffers — that does not grow with the dimension: the
+// scan's block buffers, ẑ and its sparse-vector form are scratch the sampler
+// keeps. (Before PR 13 every repetition allocated n floats, n entries and a
+// map: about 5 MB per query at n = 2^14.)
+func TestLpDirtyQueryAllocBudget(t *testing.T) {
+	const copies = 5
+	allocs := func(n int) float64 {
+		lp := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.3, Delta: 0.3, Copies: copies}, seeded(25))
+		stream.ZipfSigned(n, 1.1, 4000, seeded(26)).FeedBatch(512, lp)
+		lp.SampleAll() // grow the scratch
+		return testing.AllocsPerRun(5, func() {
+			lp.Process(stream.Update{Index: 1, Delta: 0}) // drops the memo, keeps the state
+			lp.SampleAll()
+		})
+	}
+	small, large := allocs(1<<10), allocs(1<<16)
+	if budget := float64(2*copies + 6); small > budget || large > budget {
+		t.Errorf("dirty SampleAll allocates %v times at n=2^10 and %v at n=2^16, budget %v", small, large, budget)
+	}
+	if large > small+copies {
+		t.Errorf("allocations grow with n: %v at n=2^10, %v at n=2^16", small, large)
+	}
+}

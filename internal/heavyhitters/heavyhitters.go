@@ -117,7 +117,9 @@ func (s *Sketch) Merge(other *Sketch) error {
 }
 
 // HeavyHitters returns the reported set S: every coordinate whose count-
-// sketch estimate reaches 0.75·φ·r̂ where r̂ ≈ ‖x‖_p.
+// sketch estimate reaches 0.75·φ·r̂ where r̂ ≈ ‖x‖_p, in increasing order. It
+// runs the count-sketch's blocked threshold scan over scratch the sketch
+// owns, so queries (like updates) are single-goroutine.
 func (s *Sketch) HeavyHitters() []int {
 	// The norm estimator is centred (Estimate, not UpperEstimate): the
 	// threshold argument needs r̂ within ±10% of ‖x‖_p, not a factor-2 band.
@@ -128,15 +130,7 @@ func (s *Sketch) HeavyHitters() []int {
 		// every zero estimate would pass the >= test.
 		return nil
 	}
-	thresh := 0.75 * s.cfg.Phi * rhat
-	var out []int
-	for i := 0; i < s.cfg.N; i++ {
-		est := s.cs.Estimate(uint64(i))
-		if math.Abs(est) >= thresh {
-			out = append(out, i)
-		}
-	}
-	return out
+	return s.cs.AtLeast(s.cfg.N, 0.75*s.cfg.Phi*rhat)
 }
 
 // SpaceBits reports count-sketch plus norm estimator state — the

@@ -1,6 +1,7 @@
 package heavyhitters
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -189,5 +190,65 @@ func TestMergeMatchesSerialAndRejectsMismatch(t *testing.T) {
 	cfg2.Phi = 0.5
 	if err := a.Merge(New(cfg2, rand.New(rand.NewPCG(7, 8)))); err == nil {
 		t.Fatal("expected error merging sketches of different configurations")
+	}
+}
+
+// referenceHeavyHitters is the pre-PR-13 query verbatim: one scalar Estimate
+// per coordinate against the threshold.
+func referenceHeavyHitters(s *Sketch) []int {
+	rhat := s.nrm.Estimate(nil)
+	if rhat <= 0 {
+		return nil
+	}
+	thresh := 0.75 * s.cfg.Phi * rhat
+	var out []int
+	for i := 0; i < s.cfg.N; i++ {
+		est := s.cs.Estimate(uint64(i))
+		if math.Abs(est) >= thresh {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestHeavyHittersMatchesPerKeyEstimate: on this file's fixtures — planted
+// heavies over noise for every p, a strict-turnstile stream, the uniform
+// vector and the zero vector — the blocked threshold scan reports exactly the
+// set the per-key loop reports, in the same order.
+func TestHeavyHittersMatchesPerKeyEstimate(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 1))
+	const n = 700 // not a multiple of the decode block
+	planted := stream.Stream{{Index: 17, Delta: 4000}, {Index: 330, Delta: -3500}, {Index: n - 1, Delta: 3900}}
+	var noise, uniform stream.Stream
+	for i := 0; i < n; i++ {
+		noise = append(noise, stream.Update{Index: i, Delta: int64(1 + r.IntN(3))})
+		uniform = append(uniform, stream.Update{Index: i, Delta: 5})
+	}
+	fixtures := []struct {
+		name string
+		st   stream.Stream
+	}{
+		{"planted", append(noise, planted...)},
+		{"strict", append(stream.StrictTurnstile(n, 3000, 10, r), stream.Update{Index: 99, Delta: 100000})},
+		{"uniform", uniform},
+		{"zero", nil},
+	}
+	for _, f := range fixtures {
+		name, st := f.name, f.st
+		for _, p := range []float64{0.5, 1, 1.5, 2} {
+			for _, phi := range []float64{0.3, 0.02} {
+				s := New(Config{P: p, Phi: phi, N: n}, r)
+				st.Feed(s)
+				got, want := s.HeavyHitters(), referenceHeavyHitters(s)
+				if len(got) != len(want) {
+					t.Fatalf("%s p=%v phi=%v: %d reported %v, per-key loop %d %v", name, p, phi, len(got), got, len(want), want)
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("%s p=%v phi=%v: entry %d = %d, per-key loop %d", name, p, phi, k, got[k], want[k])
+					}
+				}
+			}
+		}
 	}
 }

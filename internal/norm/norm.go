@@ -36,6 +36,12 @@ import (
 	"repro/internal/stream"
 )
 
+// Entry is one coordinate of an explicit sparse vector.
+type Entry struct {
+	Index uint64
+	Value float64
+}
+
 // Estimator is the common interface of the two norm sketches.
 type Estimator interface {
 	stream.BatchSink
@@ -44,11 +50,14 @@ type Estimator interface {
 	// counter-major fast path; equivalent to repeated AddFloat calls.
 	AddFloatBatch(indices []uint64, deltas []float64)
 	// Estimate returns the norm estimate after subtracting the explicit
-	// sparse vector `subtract` (pass nil to estimate ||x|| itself).
-	Estimate(subtract map[uint64]float64) float64
+	// sparse vector `subtract` (pass nil to estimate ||x|| itself). The
+	// entries are subtracted in slice order — the subtraction cancels
+	// heavily, so the order is part of the result, and a fixed order makes
+	// repeated calls on unchanged state bit-equal.
+	Estimate(subtract []Entry) float64
 	// UpperEstimate returns r calibrated so that ||x||_p <= r <= 2||x||_p
 	// holds with high probability (Lemma 2's interface).
-	UpperEstimate(subtract map[uint64]float64) float64
+	UpperEstimate(subtract []Entry) float64
 	// Merge adds another estimator's counters (sketch linearity); it errors
 	// unless other is a same-seed replica of the same concrete type.
 	Merge(other Estimator) error
@@ -165,15 +174,15 @@ func (a *AMS) Merge(other Estimator) error {
 }
 
 // Estimate returns the median-of-means estimate of ||x - subtract||_2.
-func (a *AMS) Estimate(subtract map[uint64]float64) float64 {
+func (a *AMS) Estimate(subtract []Entry) float64 {
 	means := make([]float64, a.groups)
 	for gi := 0; gi < a.groups; gi++ {
 		var sum float64
 		for k := 0; k < a.perGroup; k++ {
 			j := gi*a.perGroup + k
 			c := a.counters[j]
-			for i, v := range subtract {
-				c -= float64(a.signs.Sign(j, i)) * v
+			for _, e := range subtract {
+				c -= float64(a.signs.Sign(j, e.Index)) * e.Value
 			}
 			sum += c * c
 		}
@@ -192,7 +201,7 @@ func (a *AMS) Estimate(subtract map[uint64]float64) float64 {
 // UpperEstimate returns 4/3 * Estimate: the median-of-means concentrates
 // within ±25% of the truth w.h.p., so the scaled value lands in
 // [||x||, 2||x||] w.h.p.
-func (a *AMS) UpperEstimate(subtract map[uint64]float64) float64 {
+func (a *AMS) UpperEstimate(subtract []Entry) float64 {
 	return a.Estimate(subtract) * 4 / 3
 }
 
@@ -363,12 +372,12 @@ func (s *Stable) Merge(other Estimator) error {
 
 // Estimate returns median_j |y_j| / median(|Stable_p|), the classical Indyk
 // estimator of ||x - subtract||_p.
-func (s *Stable) Estimate(subtract map[uint64]float64) float64 {
+func (s *Stable) Estimate(subtract []Entry) float64 {
 	abs := make([]float64, len(s.counters))
 	for j := range s.counters {
 		c := s.counters[j]
-		for i, v := range subtract {
-			c -= s.stableAt(j, i) * v
+		for _, e := range subtract {
+			c -= s.stableAt(j, e.Index) * e.Value
 		}
 		abs[j] = math.Abs(c)
 	}
@@ -385,7 +394,7 @@ func (s *Stable) Estimate(subtract map[uint64]float64) float64 {
 
 // UpperEstimate returns 4/3 * Estimate, landing in [||x||_p, 2||x||_p] w.h.p.
 // for Theta(log n) counters.
-func (s *Stable) UpperEstimate(subtract map[uint64]float64) float64 {
+func (s *Stable) UpperEstimate(subtract []Entry) float64 {
 	return s.Estimate(subtract) * 4 / 3
 }
 

@@ -61,7 +61,7 @@ func TestAMSSubtraction(t *testing.T) {
 	}
 	a.AddFloat(7, 999)
 	withHeavy := a.Estimate(nil)
-	residual := a.Estimate(map[uint64]float64{7: 1000})
+	residual := a.Estimate([]Entry{{Index: 7, Value: 1000}})
 	if withHeavy < 500 {
 		t.Fatalf("estimate with heavy coordinate too small: %g", withHeavy)
 	}
@@ -243,5 +243,29 @@ func TestMergeSameSeedMatchesSerial(t *testing.T) {
 	stb := NewStable(1.2, 40, rand.New(rand.NewPCG(65, 66)))
 	if err := ams.Merge(stb); err == nil {
 		t.Fatal("expected error merging AMS with Stable")
+	}
+}
+
+// TestSubtractionOrderIsDeterministic: the explicit vector is subtracted in
+// slice order, so repeated estimates of one unchanged sketch are bit-equal.
+// (The subtraction cancels heavily; when the vector was a map, Go's random
+// iteration order made every call round differently.)
+func TestSubtractionOrderIsDeterministic(t *testing.T) {
+	r := rand.New(rand.NewPCG(81, 82))
+	zhat := make([]Entry, 32)
+	ams, stable := NewAMS(9, 6, r), NewStable(1, 40, r)
+	for k := range zhat {
+		i, v := uint64(r.IntN(1<<14)), (r.Float64()-0.5)*math.Exp(20*r.Float64())
+		ams.AddFloat(i, v)
+		stable.AddFloat(i, v)
+		zhat[k] = Entry{Index: i, Value: v * (1 + 1e-9*r.Float64())}
+	}
+	for _, est := range []Estimator{ams, stable} {
+		first := est.UpperEstimate(zhat)
+		for k := 0; k < 100; k++ {
+			if again := est.UpperEstimate(zhat); math.Float64bits(again) != math.Float64bits(first) {
+				t.Fatalf("%T: call %d returned %v, first call %v", est, k, again, first)
+			}
+		}
 	}
 }

@@ -41,14 +41,17 @@ func TestPropertyAMSSubtractionExact(t *testing.T) {
 	f := func(seed uint64, raw []int16) bool {
 		const n = 32
 		a := NewAMS(5, 4, rand.New(rand.NewPCG(seed, 7)))
-		total := map[uint64]float64{}
+		total := make([]Entry, n)
+		for i := range total {
+			total[i].Index = uint64(i)
+		}
 		for k, v := range raw {
 			if v == 0 {
 				continue
 			}
 			i := uint64(k % n)
 			a.AddFloat(i, float64(v))
-			total[i] += float64(v)
+			total[i].Value += float64(v)
 		}
 		res := a.Estimate(total)
 		return res < 1e-6
@@ -63,14 +66,17 @@ func TestPropertyStableSubtractionExact(t *testing.T) {
 	f := func(seed uint64, raw []int16) bool {
 		const n = 32
 		s := NewStable(1.3, 15, rand.New(rand.NewPCG(seed, 11)))
-		total := map[uint64]float64{}
+		total := make([]Entry, n)
+		for i := range total {
+			total[i].Index = uint64(i)
+		}
 		for k, v := range raw {
 			if v == 0 {
 				continue
 			}
 			i := uint64(k % n)
 			s.AddFloat(i, float64(v))
-			total[i] += float64(v)
+			total[i].Value += float64(v)
 		}
 		return s.Estimate(total) < 1e-6
 	}

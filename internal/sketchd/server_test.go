@@ -7,6 +7,8 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 
 	streamsample "repro"
@@ -370,4 +372,50 @@ func TestServerDurableRecovery(t *testing.T) {
 		t.Fatalf("recovered counter = %d, want 1", st2.Registry.Recovered)
 	}
 	reg2.Drain() //nolint:errcheck // teardown
+}
+
+// TestServerConcurrentSamples: the Lp recovery stage and the heavy-hitters
+// scan run over scratch the sketch owns, so a query is single-goroutine; the
+// server stays correct under concurrent /sample requests because each one
+// queries its private Merged copy. Run under -race, concurrent queries on one
+// sketch must be clean and must all return the same answer.
+func TestServerConcurrentSamples(t *testing.T) {
+	const n = 2048
+	_, c := newTestServer(t, RegistryConfig{Shards: 2})
+	ctx := context.Background()
+	for name, spec := range map[string]Spec{
+		"lp": {Kind: "lp", N: n, P: 1, Eps: 0.3, Delta: 0.3, Seed: 5},
+		"hh": {Kind: "hh", N: n, P: 1, Phi: 0.2, Seed: 5},
+	} {
+		if err := c.Create(ctx, "t", name, spec); err != nil {
+			t.Fatal(err)
+		}
+		st := append(testStream(n, 4000, 9), stream.Update{Index: 77, Delta: 1 << 20})
+		if _, err := c.PushUpdates(ctx, "t", name, st); err != nil {
+			t.Fatal(err)
+		}
+		const clients = 4
+		results := make([]SampleResult, clients)
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for g := 0; g < clients; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[g], errs[g] = c.Sample(ctx, "t", name)
+			}()
+		}
+		wg.Wait()
+		for g := range results {
+			if errs[g] != nil {
+				t.Fatalf("%s client %d: %v", name, g, errs[g])
+			}
+			if !reflect.DeepEqual(results[g], results[0]) {
+				t.Fatalf("%s client %d answered %+v, client 0 %+v", name, g, results[g], results[0])
+			}
+		}
+		if !results[0].Ok {
+			t.Fatalf("%s: no answer on a stream with one dominant coordinate: %+v", name, results[0])
+		}
+	}
 }
