@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-kernels chaos bench microbench bench-codec bench-l0 bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
+.PHONY: build test race race-kernels chaos bench microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
 
 build:
 	$(GO) build ./...
@@ -20,12 +20,16 @@ race:
 # variant. REPRO_KERNEL names a variant the machine may not have (e.g. neon
 # on amd64) — dispatch then falls back to scalar, so every leg is valid
 # everywhere and the sweep additionally exercises that fallback under -race.
+# -count 1: the variant is chosen in a package init, before the test cache
+# starts watching the environment, so a cached result would stand in for a
+# variant that never ran.
 race-kernels:
 	for k in scalar avx2 avx512 neon; do \
 		echo "== REPRO_KERNEL=$$k =="; \
-		REPRO_KERNEL=$$k $(GO) test -race \
+		REPRO_KERNEL=$$k $(GO) test -race -count 1 \
 			./internal/kernel ./internal/field ./internal/hash \
 			./internal/prng ./internal/sparse ./internal/countsketch \
+			./internal/norm ./internal/core ./internal/duplicates \
 			./internal/engine || exit 1; \
 	done
 
@@ -54,9 +58,9 @@ bench:
 # large enough to be meaningful in CI; the zero-allocation contract is
 # enforced by the accompanying tests, the numbers land in the job log.
 # BENCH_PR2.json / BENCH_PR3.json / BENCH_PR4.json hold the committed
-# baseline-vs-after snapshots. bench-query (the PR-4 query-side suite) is
-# part of the umbrella.
-microbench: bench-query bench-codec bench-serve
+# baseline-vs-after snapshots. bench-query (the PR-4 query-side suite) and
+# bench-lp (the PR-14 Lp update path) are part of the umbrella.
+microbench: bench-query bench-lp bench-codec bench-serve
 	$(GO) test -run '^$$' -bench 'Mul$$|Pow|Eval|Scalar|Batch|Block' -benchtime 1000x \
 		./internal/field ./internal/hash ./internal/countsketch \
 		./internal/prng ./internal/sparse
@@ -102,6 +106,18 @@ bench-l0:
 	$(GO) test -run '^$$' -bench 'Block' -benchtime 100000x ./internal/prng
 	$(GO) test -run '^$$' -bench 'ProcessBatchS10|ProcessScalarS10' -benchtime 2000x ./internal/sparse
 	$(GO) test -run '^$$' -bench 'GraphIngest' -benchtime 20x ./internal/graphsketch
+
+# The Lp update path (the PR-14 headline), both shapes beside the per-row
+# scalar loops they replaced: one k-wise row over a batch of keys (SIMD key
+# lanes) and one key over all rows (lazy-reduction dot products) in hash, the
+# AMS and p-stable sketches on top in norm, the whole sampler in core, and the
+# end-to-end Theorem 1 batch ingest and Theorem 3 Observe at the root.
+bench-lp:
+	$(GO) test -run '^$$' -bench 'SignBatchK4|ScalarSignK4|Float64BatchK8|ScalarFloat64K8|EvalRowsK' -benchtime 20000x ./internal/hash
+	$(GO) test -run '^$$' -bench 'StableAdd|AMSAdd' -benchtime 2000x ./internal/norm
+	$(GO) test -run '^$$' -bench 'LpSamplerProcess' -benchtime 200x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkIngestLpSerialBatched' -benchtime 5x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIngestDuplicateFinderObserve' -benchtime 20000x .
 
 # Query-side benchmarks (the PR-4 and PR-13 headlines): memoized vs dirty L0
 # and Lp sampling, the finite-difference recovery scan, the blocked

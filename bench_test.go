@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	streamsample "repro"
 	"repro/internal/core"
 	"repro/internal/countsketch"
 	"repro/internal/duplicates"
@@ -203,6 +204,39 @@ func BenchmarkIngestEngineSkew(b *testing.B) {
 		}
 	}
 	reportThroughput(b, len(skewStream))
+}
+
+// BenchmarkIngestLpSerialBatched is Theorem 1's update path at the lp_stream
+// shape of bench/ (p = 1, n = 2^14, ε = 0.25, δ = 0.2, signed Zipf updates in
+// 2048-update batches): per batch, the shared Cauchy sketch and each of the 13
+// repetitions' scaling row, count-sketch and AMS sketch, all through the SIMD
+// k-wise kernels. One op is eight batches.
+func BenchmarkIngestLpSerialBatched(b *testing.B) {
+	const n = 1 << 14
+	sk := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.25, Delta: 0.2}, rand.New(rand.NewPCG(7, 11)))
+	st := stream.ZipfSigned(n, 1.1, 8*2048, rand.New(rand.NewPCG(17, 29)))
+	st.FeedBatch(2048, sk) // grow the batch scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.FeedBatch(2048, sk)
+	}
+	reportThroughput(b, len(st))
+}
+
+// BenchmarkIngestDuplicateFinderObserve is Theorem 3's update path at
+// dup_stream's size (n = 2^16), one Observe per op: the one-key→all-rows
+// scalar path of the same sketches.
+func BenchmarkIngestDuplicateFinderObserve(b *testing.B) {
+	const n = 1 << 16
+	d := streamsample.NewDuplicateFinder(n, streamsample.WithSeed(31))
+	letters := stream.DuplicateItems(n, 5, rand.New(rand.NewPCG(31, 32)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Observe(letters[i%len(letters)])
+	}
+	reportThroughput(b, 1)
 }
 
 // ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ import (
 // defaultBench anchors each name so satellites like BenchmarkIngestEngineSkew
 // never drift into the gate set unrefreshed.
 const defaultBench = "^(BenchmarkIngestSerial|BenchmarkIngestSerialBatched|BenchmarkIngestEngine|" +
-	"BenchmarkIngestL0Serial|BenchmarkIngestL0Engine|BenchmarkQueryL0Sample|" +
+	"BenchmarkIngestL0Serial|BenchmarkIngestL0Engine|" +
+	"BenchmarkIngestLpSerialBatched|BenchmarkIngestDuplicateFinderObserve|BenchmarkQueryL0Sample|" +
 	"BenchmarkQueryGraphConnectivity|BenchmarkQueryDuplicatesFind|" +
 	"BenchmarkQueryLpSample|BenchmarkQueryDuplicateFinderFind|" +
 	"BenchmarkServeIngestRaw|BenchmarkServeIngestSketch)$"

@@ -24,6 +24,17 @@
 // 61-bit blocks fetched through the PRG's prefix-sharing batch kernel — the
 // L0 ingestion fast path.
 //
+// # The Lp update path
+//
+// An update reaches the shared p-stable sketch and, scaled by t_i^{-1/p}, each
+// repetition's count-sketch and AMS sketch. Process evaluates the repetitions'
+// scaling hashes at its one key together (one all-rows evaluation of the
+// stacked family) and the norm sketches do the same for their counters;
+// ProcessBatch runs every k-wise row over the keys through the SIMD kernel.
+// It folds its input batchBlock updates at a time, so the batch scratch the
+// sampler and its sub-sketches retain is bounded by the block, whatever batch
+// sizes callers use. Both paths leave bit-identical state.
+//
 // # The Lp recovery stage
 //
 // A dirty LpSampler query runs the recovery stage of Figure 1 once per
@@ -115,10 +126,17 @@ type LpSampler struct {
 	rNorm  *norm.Stable // shared sketch estimating ||x||_p
 	diag   Diagnostics
 
-	// Scratch buffers for ProcessBatch, grown on demand and reused forever:
-	// the batch's key view, the per-copy scaling factors t_i from the k-wise
-	// Float64Batch kernel, and the guard-filtered scaled batch (z-space)
-	// shared by count-sketch and AMS. Steady-state calls allocate nothing.
+	// ts stacks the repetitions' scaling hashes (row c is copies[c].t, same
+	// storage) so Process evaluates all of them at its one key together, into
+	// rowT.
+	ts   *hash.FlatFamily
+	rowT []float64
+
+	// Scratch buffers for ProcessBatch, grown on demand to at most batchBlock
+	// and reused forever: the block's key view, the per-copy scaling factors
+	// t_i from the k-wise Float64Batch kernel, and the guard-filtered scaled
+	// block (z-space) shared by count-sketch and AMS. Steady-state calls
+	// allocate nothing.
 	scratchKey []uint64
 	scratchT   []float64
 	scratchIdx []uint64
@@ -227,13 +245,17 @@ func NewLpSampler(cfg LpConfig, r *rand.Rand) *LpSampler {
 		copies: make([]*lpCopy, copies),
 		rNorm:  norm.NewStable(p, normCounters, r),
 	}
+	ts := make([]*hash.KWise, copies)
 	for c := range s.copies {
 		s.copies[c] = &lpCopy{
 			t:   hash.NewKWise(k, r),
 			cs:  countsketch.New(m, rows, r),
 			ams: norm.NewAMS(9, 6, r),
 		}
+		ts[c] = s.copies[c].t
 	}
+	s.ts = hash.Stack(ts)
+	s.rowT = make([]float64, copies)
 	return s
 }
 
@@ -247,15 +269,17 @@ func (s *LpSampler) M() int { return s.m }
 func (s *LpSampler) Copies() int { return len(s.copies) }
 
 // Process implements stream.Sink: it feeds the update to every repetition
-// (scaled by t_i^{-1/p}) and to the shared norm sketch.
+// (scaled by t_i^{-1/p}) and to the shared norm sketch. The repetitions'
+// scaling factors at the update's key come from one all-rows evaluation.
 func (s *LpSampler) Process(u stream.Update) {
 	s.queryValid = false
 	i := uint64(u.Index)
 	d := float64(u.Delta)
 	s.rNorm.Process(u)
 	invP := 1 / s.cfg.P
-	for _, c := range s.copies {
-		ti := c.t.Float64(i)
+	s.ts.Float64Rows(i, s.rowT)
+	for ci, c := range s.copies {
+		ti := s.rowT[ci]
 		if ti < s.tMin {
 			// Paper, Theorem 1 proof: "we can safely declare failure if
 			// t_i^{-1} > n^c for some i" — a low-probability event.
@@ -269,16 +293,29 @@ func (s *LpSampler) Process(u stream.Update) {
 	}
 }
 
-// ProcessBatch implements stream.BatchSink. The batch's keys are extracted
-// once; each repetition then evaluates its k-wise scaling row through the
-// flat Float64Batch kernel (all k coefficients stay hot for the whole batch),
-// builds the guard-filtered scaled z-batch, and feeds it through the batched
-// count-sketch and AMS hot paths. The resulting state matches repeated
-// Process calls; steady-state calls allocate nothing.
+// batchBlock is how many updates ProcessBatch folds at a time — the engine's
+// default BatchSize. Every sub-sketch grows its batch scratch to the largest
+// batch it is handed, so walking a large input in blocks keeps the scratch
+// the sampler retains O(batchBlock) instead of O(largest batch ever seen)
+// (the duplicate finders feed an n-letter prefix at construction).
+const batchBlock = 2048
+
+// ProcessBatch implements stream.BatchSink, folding the batch block by block.
+// The resulting state matches repeated Process calls; steady-state calls
+// allocate nothing.
 func (s *LpSampler) ProcessBatch(batch []stream.Update) {
-	if len(batch) == 0 {
-		return
+	for len(batch) > 0 {
+		n := min(len(batch), batchBlock)
+		s.processBlock(batch[:n])
+		batch = batch[n:]
 	}
+}
+
+// processBlock folds one block of at most batchBlock updates. The block's
+// keys are extracted once; each repetition then evaluates its k-wise scaling
+// row through the SIMD Float64Batch kernel, builds the guard-filtered scaled
+// z-block, and feeds it through the batched count-sketch and AMS hot paths.
+func (s *LpSampler) processBlock(batch []stream.Update) {
 	s.queryValid = false
 	s.rNorm.ProcessBatch(batch)
 	invP := 1 / s.cfg.P

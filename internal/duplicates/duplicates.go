@@ -144,6 +144,30 @@ func itemsToUpdates(letters []int, buf *[]stream.Update) []stream.Update {
 	return b
 }
 
+// prefixBlock is how many letters feedLetters sends per ProcessBatch call.
+const prefixBlock = 2048
+
+// feedLetters applies (i, delta) for every letter i in [n] to each sink's
+// batched path, prefixBlock letters at a time through the reusable *buf: the
+// pigeonhole prefix (delta = -1) the constructors feed and its compensation
+// (+1) after a merge, without an n-entry slice.
+func feedLetters(n int, delta int64, buf *[]stream.Update, sinks ...stream.BatchSink) {
+	b := *buf
+	if block := min(n, prefixBlock); cap(b) < block {
+		b = make([]stream.Update, 0, block)
+	}
+	for lo := 0; lo < n; lo += prefixBlock {
+		b = b[:0]
+		for i := lo; i < min(lo+prefixBlock, n); i++ {
+			b = append(b, stream.Update{Index: i, Delta: delta})
+		}
+		for _, s := range sinks {
+			s.ProcessBatch(b)
+		}
+	}
+	*buf = b[:0]
+}
+
 // Finder is the Theorem 3 algorithm for item streams of length n+1 over [n].
 type Finder struct {
 	n   int
@@ -155,7 +179,7 @@ type Finder struct {
 // every letter, so x_i counts occurrences minus one from the start.
 func NewFinder(n int, delta float64, r *rand.Rand) *Finder {
 	f := NewFinderForRestore(n, delta, r)
-	f.pf.ProcessBatch(stream.DecrementAll(n))
+	feedLetters(n, -1, &f.buf, f.pf)
 	return f
 }
 
@@ -201,7 +225,7 @@ func (f *Finder) Merge(other *Finder) error {
 	if err := f.pf.Merge(other.pf); err != nil {
 		return err
 	}
-	f.pf.ProcessBatch(stream.IncrementAll(f.n))
+	feedLetters(f.n, 1, &f.buf, f.pf)
 	return nil
 }
 
@@ -248,9 +272,7 @@ func NewShortFinder(n, s int, delta float64, r *rand.Rand) *ShortFinder {
 		rec: sparse.New(n, budget, r),
 		pf:  NewPositiveFinder(n, delta, r),
 	}
-	prefix := stream.DecrementAll(n)
-	sf.rec.ProcessBatch(prefix)
-	sf.pf.ProcessBatch(prefix)
+	feedLetters(n, -1, &sf.buf, sf.rec, sf.pf)
 	return sf
 }
 
@@ -303,9 +325,7 @@ func (sf *ShortFinder) Merge(other *ShortFinder) error {
 	if err := sf.rec.Merge(other.rec); err != nil {
 		return err
 	}
-	inc := stream.IncrementAll(sf.n)
-	sf.rec.ProcessBatch(inc)
-	sf.pf.ProcessBatch(inc)
+	feedLetters(sf.n, 1, &sf.buf, sf.rec, sf.pf)
 	return nil
 }
 
@@ -377,9 +397,7 @@ func NewLongFinder(n, s int, delta float64, force int, r *rand.Rand) *LongFinder
 	lf := &LongFinder{useSampler: useSampler}
 	if useSampler {
 		pf := NewPositiveFinder(n, delta, r)
-		for _, u := range stream.DecrementAll(n) {
-			pf.Process(u)
-		}
+		feedLetters(n, -1, &lf.buf, pf)
 		lf.finder = &positiveItemFinder{pf: pf}
 	} else {
 		k := 4 * int(math.Ceil(float64(n)/float64(s)))

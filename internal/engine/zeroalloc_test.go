@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
+	streamsample "repro"
 	"repro/internal/core"
 	"repro/internal/countmin"
 	"repro/internal/countsketch"
@@ -42,6 +44,62 @@ func TestBatchedHotPathsZeroAlloc(t *testing.T) {
 		if got := testing.AllocsPerRun(5, func() { tc.sink.ProcessBatch(st) }); got != 0 {
 			t.Errorf("%s: ProcessBatch allocates %v times per call, want 0", tc.name, got)
 		}
+	}
+}
+
+// TestScalarHotPathsZeroAlloc is the same contract on the one-update-at-a-time
+// Lp path — LpSampler.Process and, through it, every DuplicateFinder.Observe:
+// the all-rows hash evaluators write into scratch the sketches own, so a
+// steady-state update allocates nothing. (A buffer handed to a dispatched
+// kernel call escapes to the heap; nothing on this path may do that.)
+func TestScalarHotPathsZeroAlloc(t *testing.T) {
+	const n = 1 << 10
+	u := stream.Update{Index: 77, Delta: 3}
+	ams := norm.NewAMS(9, 6, seeded(11))
+	cauchy := norm.NewStable(1, 80, seeded(12))
+	stable := norm.NewStable(1.4, 20, seeded(13))
+	lp1 := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.3, Delta: 0.3, Copies: 3}, seeded(14))
+	lp := core.NewLpSampler(core.LpConfig{P: 1.2, N: n, Eps: 0.3, Delta: 0.3, Copies: 3}, seeded(15))
+	dup := streamsample.NewDuplicateFinder(n, streamsample.WithSeed(16))
+	paths := []struct {
+		name string
+		fn   func()
+	}{
+		{"AMS.AddFloat", func() { ams.AddFloat(77, 1.5) }},
+		{"Stable.AddFloat p=1", func() { cauchy.AddFloat(77, 1.5) }},
+		{"Stable.AddFloat p=1.4", func() { stable.AddFloat(77, 1.5) }},
+		{"LpSampler.Process p=1", func() { lp1.Process(u) }},
+		{"LpSampler.Process p=1.2", func() { lp.Process(u) }},
+		{"DuplicateFinder.Observe", func() { dup.Observe(77) }},
+	}
+	for _, tc := range paths {
+		tc.fn()
+		if got := testing.AllocsPerRun(20, tc.fn); got != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", tc.name, got)
+		}
+	}
+}
+
+// TestDuplicateFinderRetainsNoPrefixScratch: the constructor feeds the
+// n-letter pigeonhole prefix, and every sketch under the finder keeps batch
+// scratch sized to the largest batch it has been handed. Fed as one batch, the
+// prefix left 31 MiB of scratch behind a 237 KB sketch at n = 2^16; fed in
+// blocks it leaves about 1 MiB.
+func TestDuplicateFinderRetainsNoPrefixScratch(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	d := streamsample.NewDuplicateFinder(1<<16, streamsample.WithSeed(17))
+	after := heap()
+	runtime.KeepAlive(d)
+	const budget = 4 << 20
+	if after > before && after-before > budget {
+		t.Errorf("NewDuplicateFinder(2^16) retains %.1f MiB after GC, budget %d MiB",
+			float64(after-before)/(1<<20), budget>>20)
 	}
 }
 

@@ -1,6 +1,7 @@
 package hash
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -53,6 +54,46 @@ func TestBatchVariantsMatchScalar(t *testing.T) {
 					}
 					if want := float64(g.Sign(j, x)); fs[i] != want {
 						t.Fatalf("k=%d row %d: signs[%d] = %v, Sign = %v", k, j, i, fs[i], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFloatBatchVariantsMatchScalar pins the two batch evaluators that park
+// the kernel's field values in the float output slice and convert in place —
+// SignBatch and Float64Batch — and EvalBatch beside them, to the per-key
+// scalar API: the k-wise rows of the Lp update path (4-wise signs, 8-wise
+// p-stable uniforms, the k = 10 scaling factors) at lengths around the
+// kernels' 4- and 8-lane blocks and one past a 2048-update block.
+func TestFloatBatchVariantsMatchScalar(t *testing.T) {
+	r := rand.New(rand.NewPCG(54, 1))
+	all := make([]uint64, 2048+3)
+	for i := range all {
+		all[i] = r.Uint64()
+	}
+	copy(all, []uint64{0, 1, field.Modulus - 1, field.Modulus, math.MaxUint64})
+	for _, k := range []int{2, 4, 8, 10} {
+		f := NewFlatFamily(2, k, rand.New(rand.NewPCG(55, uint64(k))))
+		sweepVariants(t, func(t *testing.T) {
+			for _, n := range []int{0, 1, 7, 8, 9, len(all)} {
+				keys := all[:n]
+				vals := make([]field.Elem, n)
+				signs := make([]float64, n)
+				units := make([]float64, n)
+				f.EvalBatch(1, keys, vals)
+				f.SignBatch(1, keys, signs)
+				f.Float64Batch(1, keys, units)
+				for i, x := range keys {
+					if want := f.Eval(1, x); vals[i] != want {
+						t.Fatalf("k=%d n=%d: EvalBatch[%d] = %#x, Eval = %#x", k, n, i, vals[i], want)
+					}
+					if want := float64(f.Sign(1, x)); signs[i] != want {
+						t.Fatalf("k=%d n=%d: SignBatch[%d] = %v, Sign = %v", k, n, i, signs[i], want)
+					}
+					if want := f.Float64(1, x); math.Float64bits(units[i]) != math.Float64bits(want) {
+						t.Fatalf("k=%d n=%d: Float64Batch[%d] = %v, Float64 = %v", k, n, i, units[i], want)
 					}
 				}
 			}

@@ -19,6 +19,18 @@
 // calibrate it once per p by a fixed-seed Monte-Carlo quantile (documented
 // substitution #3 in DESIGN.md).
 //
+// For p = 1 the transform is the Cauchy tan(π(u₁-½)) and does not depend on
+// the second uniform, so a p = 1 sketch derives only the first: half the hash
+// work, and no logarithm.
+//
+// Neither update path evaluates one hash row at one key. AddFloat evaluates
+// all counters' rows at the update's key together (hash.SignRows /
+// Float64Rows) into a row buffer the sketch owns; AddFloatBatch runs each
+// counter's row over the whole batch through the SIMD kernel (hash.SignBatch
+// / Float64Batch). Both then fold `counter += coefficient * delta` per
+// counter in update order — the same expression in both, so the two paths
+// (and any split of a stream into batches) leave bit-identical counters.
+//
 // Both sketches are linear, so callers may estimate ||x - v||, for a sparse v
 // they know explicitly, by subtracting the sketch of v — exactly how the
 // recovery stage of Figure 1 estimates s ~ ||z - zhat||_2 from L'(z)-L'(zhat).
@@ -83,6 +95,9 @@ type AMS struct {
 	signs    *hash.FlatFamily // one 4-wise sign row per counter
 	counters []float64
 
+	// rowSgn holds every counter's sign at the one key of an AddFloat.
+	rowSgn []float64
+
 	// Batch scratch (key/delta views of the batch, per-counter kernel signs),
 	// grown on demand: steady-state batched calls allocate nothing.
 	scratchIdx []uint64
@@ -106,13 +121,16 @@ func NewAMS(groups, perGroup int, r *rand.Rand) *AMS {
 		perGroup: perGroup,
 		signs:    hash.NewFlatFamily(n, 4, r),
 		counters: make([]float64, n),
+		rowSgn:   make([]float64, n),
 	}
 }
 
-// AddFloat applies x_i += delta.
+// AddFloat applies x_i += delta: all counters' sign rows are evaluated at the
+// one key together (hash.SignRows), then the delta folds in.
 func (a *AMS) AddFloat(i uint64, delta float64) {
-	for j := range a.counters {
-		a.counters[j] += float64(a.signs.Sign(j, i)) * delta
+	a.signs.SignRows(i, a.rowSgn)
+	for j, g := range a.rowSgn {
+		a.counters[j] += g * delta
 	}
 }
 
@@ -124,7 +142,7 @@ func (a *AMS) growSigns(n int) {
 }
 
 // AddFloatBatch applies the batch counter-major: each counter's 4-wise sign
-// row runs once through the flat SignBatch kernel, then the deltas fold in.
+// row runs once through the SIMD SignBatch kernel, then the deltas fold in.
 // Per-counter accumulation order matches repeated AddFloat calls, so the
 // resulting state is bit-identical; steady-state calls allocate nothing.
 func (a *AMS) AddFloatBatch(indices []uint64, deltas []float64) {
@@ -238,9 +256,14 @@ type Stable struct {
 	seeds    *hash.FlatFamily // one k-wise hash row per counter, yields 2 uniforms per key
 	scale    float64          // median of |Stable_p|
 
+	// rowU1/rowU2 hold every counter's CMS uniforms at the one coordinate of
+	// an AddFloat (rowU2 is nil at p = 1, which needs no second uniform).
+	rowU1 []float64
+	rowU2 []float64
+
 	// Batch scratch (index/delta views of the batch, doubled key views
 	// 2i/2i+1, per-counter uniforms), grown on demand: steady-state batched
-	// calls allocate nothing.
+	// calls allocate nothing. At p = 1 the 2i+1 views stay empty.
 	scratchIdx []uint64
 	scratchDel []float64
 	scratchK1  []uint64
@@ -258,74 +281,116 @@ func NewStable(p float64, counters int, r *rand.Rand) *Stable {
 	if counters < 1 {
 		counters = 1
 	}
-	return &Stable{
+	s := &Stable{
 		p:        p,
 		counters: make([]float64, counters),
 		seeds:    hash.NewFlatFamily(counters, 8, r),
 		scale:    MedianAbsStable(p),
+		rowU1:    make([]float64, counters),
 	}
+	if p != 1 {
+		s.rowU2 = make([]float64, counters)
+	}
+	return s
 }
 
 // stableAt deterministically produces the p-stable coefficient a_ji for
 // counter j and coordinate i via the CMS transform of two uniforms derived
-// from the row's hash.
+// from the row's hash at the disjoint keys 2i and 2i+1. At p = 1 the
+// transform does not depend on the second uniform, so it is not derived.
 func (s *Stable) stableAt(j int, i uint64) float64 {
-	// Two (almost-)uniforms from disjoint key spaces of the same hash.
 	u1 := s.seeds.Float64(j, 2*i)
-	u2 := s.seeds.Float64(j, 2*i+1)
-	return cmsStable(s.p, u1, u2)
+	if s.p == 1 {
+		return cauchy(u1)
+	}
+	return cmsStable(s.p, u1, s.seeds.Float64(j, 2*i+1))
 }
 
+// cauchy is the Chambers-Mallows-Stuck transform at p = 1: the exponential
+// factor has exponent (1-p)/p = 0, leaving tan(θ), a function of u1 alone.
+func cauchy(u1 float64) float64 { return math.Tan(math.Pi * (u1 - 0.5)) }
+
 // cmsStable maps two independent uniforms in (0,1] to a standard symmetric
-// p-stable variate by the Chambers-Mallows-Stuck transform.
+// p-stable variate by the Chambers-Mallows-Stuck transform; u2 is not read
+// at p = 1.
 func cmsStable(p, u1, u2 float64) float64 {
+	if p == 1 {
+		return cauchy(u1)
+	}
 	theta := math.Pi * (u1 - 0.5) // uniform in (-pi/2, pi/2)
 	w := -math.Log(u2)            // exponential(1), u2 in (0,1] so w >= 0
 	if w == 0 {
 		w = 1e-300
 	}
-	if p == 1 {
-		return math.Tan(theta)
-	}
 	return math.Sin(p*theta) / math.Pow(math.Cos(theta), 1/p) *
 		math.Pow(math.Cos(theta*(1-p))/w, (1-p)/p)
 }
 
-// AddFloat applies x_i += delta.
+// AddFloat applies x_i += delta: all counters' hash rows are evaluated at the
+// coordinate's key(s) together (hash.Float64Rows), then the transform and the
+// delta fold in.
 func (s *Stable) AddFloat(i uint64, delta float64) {
-	for j := range s.counters {
-		s.counters[j] += s.stableAt(j, i) * delta
+	u1 := s.rowU1
+	s.seeds.Float64Rows(2*i, u1)
+	if s.p == 1 {
+		for j, u := range u1 {
+			s.counters[j] += cauchy(u) * delta
+		}
+		return
+	}
+	u2 := s.rowU2
+	s.seeds.Float64Rows(2*i+1, u2)
+	for j, u := range u1 {
+		s.counters[j] += cmsStable(s.p, u, u2[j]) * delta
 	}
 }
 
 // growKeys ensures the doubled-key and uniform scratch can hold n entries and
-// fills the key views from indices (2i and 2i+1 — the disjoint key spaces of
-// stableAt).
+// fills the key views from indices (2i and, unless p = 1, 2i+1 — the disjoint
+// key spaces of stableAt).
 func (s *Stable) growKeys(indices []uint64) {
 	n := len(indices)
 	if cap(s.scratchK1) < n {
 		s.scratchK1 = make([]uint64, n)
-		s.scratchK2 = make([]uint64, n)
 		s.scratchU1 = make([]float64, n)
-		s.scratchU2 = make([]float64, n)
+		if s.p != 1 {
+			s.scratchK2 = make([]uint64, n)
+			s.scratchU2 = make([]float64, n)
+		}
 	}
-	k1, k2 := s.scratchK1[:n], s.scratchK2[:n]
+	k1 := s.scratchK1[:n]
 	for t, i := range indices {
 		k1[t] = 2 * i
-		k2[t] = 2*i + 1
+	}
+	if s.p != 1 {
+		k2 := s.scratchK2[:n]
+		for t, i := range indices {
+			k2[t] = 2*i + 1
+		}
 	}
 }
 
 // AddFloatBatch applies the batch counter-major: each counter's 8-wise row
-// produces both CMS uniforms for the whole batch through the flat
-// Float64Batch kernel, then the transform and deltas fold in. State is
-// bit-identical to repeated AddFloat calls; steady-state calls allocate
-// nothing.
+// produces the CMS uniforms for the whole batch through the SIMD Float64Batch
+// kernel (one pass at p = 1, two otherwise), then the transform and deltas
+// fold in. State is bit-identical to repeated AddFloat calls; steady-state
+// calls allocate nothing.
 func (s *Stable) AddFloatBatch(indices []uint64, deltas []float64) {
 	s.growKeys(indices)
 	n := len(indices)
-	k1, k2 := s.scratchK1[:n], s.scratchK2[:n]
-	u1, u2 := s.scratchU1[:n], s.scratchU2[:n]
+	k1, u1 := s.scratchK1[:n], s.scratchU1[:n]
+	if s.p == 1 {
+		for j := range s.counters {
+			s.seeds.Float64Batch(j, k1, u1)
+			cj := s.counters[j]
+			for t, u := range u1 {
+				cj += cauchy(u) * deltas[t]
+			}
+			s.counters[j] = cj
+		}
+		return
+	}
+	k2, u2 := s.scratchK2[:n], s.scratchU2[:n]
 	for j := range s.counters {
 		s.seeds.Float64Batch(j, k1, u1)
 		s.seeds.Float64Batch(j, k2, u2)

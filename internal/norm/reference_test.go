@@ -1,0 +1,206 @@
+package norm
+
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/kernel"
+)
+
+// The update loops as they stood before the all-rows and SIMD-batch
+// evaluators: one Sign / Float64 call per counter and key, and a CMS
+// transform that took -log u2 before looking at p. They are the reference the
+// production AddFloat / AddFloatBatch are pinned to, counter bits and all.
+
+func refCMSStable(p, u1, u2 float64) float64 {
+	theta := math.Pi * (u1 - 0.5)
+	w := -math.Log(u2)
+	if w == 0 {
+		w = 1e-300
+	}
+	if p == 1 {
+		return math.Tan(theta)
+	}
+	return math.Sin(p*theta) / math.Pow(math.Cos(theta), 1/p) *
+		math.Pow(math.Cos(theta*(1-p))/w, (1-p)/p)
+}
+
+func refAMSAddFloat(a *AMS, i uint64, delta float64) {
+	for j := range a.counters {
+		a.counters[j] += float64(a.signs.Sign(j, i)) * delta
+	}
+}
+
+func refAMSAddFloatBatch(a *AMS, indices []uint64, deltas []float64) {
+	for j := range a.counters {
+		cj := a.counters[j]
+		for t, i := range indices {
+			cj += float64(a.signs.Sign(j, i)) * deltas[t]
+		}
+		a.counters[j] = cj
+	}
+}
+
+func refStableAt(s *Stable, j int, i uint64) float64 {
+	u1 := s.seeds.Float64(j, 2*i)
+	u2 := s.seeds.Float64(j, 2*i+1)
+	return refCMSStable(s.p, u1, u2)
+}
+
+func refStableAddFloat(s *Stable, i uint64, delta float64) {
+	for j := range s.counters {
+		s.counters[j] += refStableAt(s, j, i) * delta
+	}
+}
+
+func refStableAddFloatBatch(s *Stable, indices []uint64, deltas []float64) {
+	for j := range s.counters {
+		cj := s.counters[j]
+		for t, i := range indices {
+			cj += refStableAt(s, j, i) * deltas[t]
+		}
+		s.counters[j] = cj
+	}
+}
+
+// refUpdates draws indices over the whole key range (so 2i wraps, as the
+// production doubling does) plus small ones, with signed non-integer deltas.
+func refUpdates(n int, r *rand.Rand) ([]uint64, []float64) {
+	idx := make([]uint64, n)
+	del := make([]float64, n)
+	for t := range idx {
+		if t%2 == 0 {
+			idx[t] = r.Uint64()
+		} else {
+			idx[t] = r.Uint64N(1 << 14)
+		}
+		del[t] = (r.Float64() - 0.5) * 1e3
+	}
+	return idx, del
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: counter %d = %v (%#x), reference %v (%#x)",
+				what, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// sweepKernels runs fn under every kernel variant selectable on this machine:
+// the batch paths dispatch through internal/kernel.
+func sweepKernels(t *testing.T, fn func(t *testing.T)) {
+	prev := kernel.Active()
+	t.Cleanup(func() {
+		if err := kernel.Select(prev); err != nil {
+			t.Fatalf("restoring kernel variant %q: %v", prev, err)
+		}
+	})
+	for _, name := range kernel.Variants() {
+		if err := kernel.Select(name); err != nil {
+			t.Fatalf("Select(%q): %v", name, err)
+		}
+		t.Run(name, fn)
+	}
+}
+
+func TestAMSUpdatesMatchReference(t *testing.T) {
+	sweepKernels(t, func(t *testing.T) {
+		mk := func() *AMS { return NewAMS(9, 6, rand.New(rand.NewPCG(81, 82))) }
+		idx, del := refUpdates(2048+3, rand.New(rand.NewPCG(83, 84)))
+
+		ref, scalar, batch := mk(), mk(), mk()
+		for t := range idx {
+			refAMSAddFloat(ref, idx[t], del[t])
+			scalar.AddFloat(idx[t], del[t])
+		}
+		batch.AddFloatBatch(idx, del)
+		sameBits(t, "AddFloat", scalar.counters, ref.counters)
+		sameBits(t, "AddFloatBatch", batch.counters, ref.counters)
+
+		// A second, short batch on top of non-zero counters, against the
+		// reference batch loop.
+		refAMSAddFloatBatch(ref, idx[:9], del[:9])
+		batch.AddFloatBatch(idx[:9], del[:9])
+		sameBits(t, "second AddFloatBatch", batch.counters, ref.counters)
+	})
+}
+
+func TestStableUpdatesMatchReference(t *testing.T) {
+	sweepKernels(t, func(t *testing.T) {
+		for _, p := range []float64{0.5, 1, 1.5, 2} {
+			mk := func() *Stable { return NewStable(p, 80, rand.New(rand.NewPCG(85, 86))) }
+			idx, del := refUpdates(2048+3, rand.New(rand.NewPCG(87, 88)))
+
+			ref, scalar, batch := mk(), mk(), mk()
+			for t := range idx {
+				refStableAddFloat(ref, idx[t], del[t])
+				scalar.AddFloat(idx[t], del[t])
+			}
+			batch.AddFloatBatch(idx, del)
+			sameBits(t, "AddFloat", scalar.counters, ref.counters)
+			sameBits(t, "AddFloatBatch", batch.counters, ref.counters)
+
+			refStableAddFloatBatch(ref, idx[:9], del[:9])
+			batch.AddFloatBatch(idx[:9], del[:9])
+			sameBits(t, "second AddFloatBatch", batch.counters, ref.counters)
+
+			// The query side's coefficient is the same a_ji.
+			for j := 0; j < 80; j += 13 {
+				if got, want := batch.stableAt(j, idx[j]), refStableAt(batch, j, idx[j]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("p=%v: stableAt(%d) = %v, reference %v", p, j, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestCauchyIgnoresSecondUniform: at p = 1 the transform is tan(π(u1-½)) and
+// no value of u2 — the uniform Stable no longer derives — can change it; it
+// equals the old transform, which took the logarithm first, bit for bit.
+func TestCauchyIgnoresSecondUniform(t *testing.T) {
+	r := rand.New(rand.NewPCG(89, 90))
+	for i := 0; i < 10000; i++ {
+		u1, u2 := 1-r.Float64(), 1-r.Float64() // (0, 1]
+		want := math.Float64bits(refCMSStable(1, u1, u2))
+		for _, v := range []float64{u2, 1, math.SmallestNonzeroFloat64, math.NaN()} {
+			if got := math.Float64bits(cmsStable(1, u1, v)); got != want {
+				t.Fatalf("cmsStable(1, %v, %v) = %#x, want %#x", u1, v, got, want)
+			}
+		}
+		if got := math.Float64bits(cauchy(u1)); got != want {
+			t.Fatalf("cauchy(%v) = %#x, want %#x", u1, got, want)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Batch-path benchmarks beside BenchmarkStableAdd / BenchmarkAMSAdd, at the
+// Lp sampler's shapes: 80 Cauchy counters, 9×6 AMS counters, 2048-update
+// blocks.
+// ---------------------------------------------------------------------------
+
+func BenchmarkStableAddBatch(b *testing.B) {
+	s := NewStable(1, 80, rand.New(rand.NewPCG(1, 1)))
+	idx, del := refUpdates(2048, rand.New(rand.NewPCG(2, 2)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AddFloatBatch(idx, del)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(idx)), "ns/update")
+}
+
+func BenchmarkAMSAddBatch(b *testing.B) {
+	a := NewAMS(9, 6, rand.New(rand.NewPCG(1, 1)))
+	idx, del := refUpdates(2048, rand.New(rand.NewPCG(2, 2)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.AddFloatBatch(idx, del)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(idx)), "ns/update")
+}
