@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-kernels chaos bench microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
+.PHONY: build test race race-kernels chaos bench bench-module microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
 
 build:
 	$(GO) build ./...
@@ -35,10 +35,9 @@ race-kernels:
 
 # Chaos leg: the deterministic fault-injection property suites under -race.
 # Each sweeps seeded fault schedules (torn checkpoint writes, fsync errors,
-# bit flips, journal faults, worker panics, forced queue overflow, merge
-# failures) and requires every run to end exact or with a typed error. A
-# failing seed prints a REPRO_FAULTS=seed:rate one-liner that replays
-# exactly that schedule.
+# bit flips, journal faults, worker panics, merge failures) and requires
+# every run to end exact or with a typed error. A failing seed prints a
+# REPRO_FAULTS=seed:rate one-liner that replays exactly that schedule.
 chaos:
 	$(GO) test -race -run 'TestChaosFaultSeeds|TestChaosWithoutStore|TestDurableKillRestartExactness|TestWorkerPanic' \
 		-count 1 ./internal/engine
@@ -51,6 +50,14 @@ chaos:
 # the serial-vs-engine ingestion comparison still run, not a measurement.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
+
+# The repo's benchmark (bench/, BENCHMARK.json) is a module of its own that
+# imports fifteen repro/internal packages, so `build` and `test` above never
+# compile it. This vets it and runs its own tests (~25 s) against the
+# working tree: a change that deletes or renames an internal symbol the
+# benchmark uses fails here, not when the benchmark is next run.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Kernel micro-benchmarks (field multiply / exponentiation, scalar vs
 # flat-batch hash kernels, count-sketch hot paths, the PR-3 Nisan

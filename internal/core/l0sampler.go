@@ -298,8 +298,7 @@ func (l *L0Sampler) resample() (Sample, bool) {
 // RecoverLevel decodes the level-k restriction of x exactly (Lemma 5),
 // memoized per level. The returned map is owned by the level's recoverer
 // and valid until the next mutating call. Distinct levels share no decode
-// state, so concurrent RecoverLevel calls on different k are safe — the
-// parallel level-probe path (engine.RecoverAll) relies on exactly that.
+// state, so concurrent RecoverLevel calls on different k are safe.
 func (l *L0Sampler) RecoverLevel(k int) (map[int]int64, bool) {
 	return l.levels[k].Recover()
 }

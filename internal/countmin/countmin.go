@@ -33,13 +33,11 @@ type Sketch struct {
 	h     *hash.FlatFamily
 	cells [][]int64
 
-	// Batch scratch (key/delta views of the batch, per-row kernel buckets,
-	// scatter-fold state), grown on demand: steady-state ProcessBatch calls
-	// allocate nothing.
+	// Batch scratch (key/delta views of the batch, per-row kernel buckets),
+	// grown on demand: steady-state ProcessBatch calls allocate nothing.
 	scratchIdx []uint64
 	scratchDel []int64
 	scratchBkt []uint64
-	scatter    kernel.ScatterScratch
 }
 
 // New creates a sketch with the given width (buckets per row) and depth
@@ -97,7 +95,7 @@ func (s *Sketch) ProcessBatch(batch []stream.Update) {
 	bkt := s.scratchBkt[:n]
 	for j := 0; j < s.depth; j++ {
 		s.h.BucketBatch(j, s.width, idx, bkt)
-		kernel.ScatterAddI64(&s.scatter, s.cells[j], bkt, del)
+		kernel.ScatterAddI64(nil, s.cells[j], bkt, del)
 	}
 }
 

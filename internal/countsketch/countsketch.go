@@ -64,7 +64,6 @@ type Sketch struct {
 	scratchBkt []uint64
 	scratchSgn []float64
 	scratchSD  []float64
-	scatter    kernel.ScatterScratch
 
 	// Block buffers of Decode/Top/AtLeast (see decode.go), same contract.
 	decode Scratch
@@ -154,7 +153,7 @@ func (s *Sketch) addBatch(idx []uint64, del []float64) {
 		for t := range sgn {
 			sd[t] = sgn[t] * del[t]
 		}
-		kernel.ScatterAddF64(&s.scatter, s.cells[j], bkt, sd)
+		kernel.ScatterAddF64(nil, s.cells[j], bkt, sd)
 	}
 }
 

@@ -18,11 +18,10 @@ import (
 )
 
 // TestChaosFaultSeeds is the chaos property the CI `make chaos` leg sweeps
-// under -race: a fully-featured engine (work stealing, spill backpressure,
-// skew routing, periodic durable checkpoints) ingests a random stream while
-// a deterministic injector fires faults at EVERY injection point — worker
-// panics, forced queue overflow, merge failures, torn checkpoint writes,
-// fsync errors, bit flips, journal append failures, decode faults. The
+// under -race: an engine with periodic durable checkpoints ingests a random
+// stream while a deterministic injector fires faults at EVERY injection
+// point — worker panics, merge failures, torn checkpoint writes, fsync
+// errors, bit flips, journal append failures, decode faults. The
 // property: the run either ends exact (byte-identical to serial) or fails
 // with a typed error. Crashes, hangs, silent corruption and untyped errors
 // are the bugs this hunts.
@@ -98,8 +97,6 @@ func runChaosSchedule(t *testing.T, seed uint64, rate float64) string {
 
 	eng := New(Config{
 		Shards: 4, BatchSize: 32, QueueDepth: 2,
-		WorkStealing: true, Backpressure: Spill,
-		HotKeyRouting: true, HotKeyInterval: 512, HotKeyPhi: 0.1,
 		CheckpointEvery: 2000,
 		Injector:        inj,
 	}, factory, l0Merge)
@@ -113,19 +110,10 @@ func runChaosSchedule(t *testing.T, seed uint64, rate float64) string {
 		durable = false // injected bind failure; run stays in-memory only
 	}
 
-	// Feed in chunks with a mid-stream resize, the worst structural churn.
+	// Feed in chunks: periodic checkpoints are taken between ProcessBatch
+	// calls, so one call for the whole stream would write a single one.
 	for i := 0; i < length; i += 1000 {
 		eng.ProcessBatch(st[i : i+1000])
-		if i == 3000 {
-			if err := eng.Resize(2 + int(seed)%3); err != nil {
-				if typedChaosOutcome(err) {
-					// Resize folds closed the engine on an injected merge
-					// error; the run legitimately ends here.
-					return ""
-				}
-				return fmt.Sprintf("Resize failed untyped: %v", err)
-			}
-		}
 	}
 
 	merged, err := eng.Results()
@@ -161,12 +149,8 @@ func TestChaosWithoutStore(t *testing.T) {
 			return core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2},
 				rand.New(rand.NewPCG(99, 98)))
 		}
-		inj := faultinject.New(seed, 0.03).Only(faultinject.WorkerPanic, faultinject.EngineQueue)
-		eng := New(Config{
-			Shards: 3, BatchSize: 16, QueueDepth: 2,
-			WorkStealing: true, Backpressure: Spill,
-			Injector: inj,
-		}, factory, l0Merge)
+		inj := faultinject.New(seed, 0.03).Only(faultinject.WorkerPanic)
+		eng := New(Config{Shards: 3, BatchSize: 16, QueueDepth: 2, Injector: inj}, factory, l0Merge)
 		eng.ProcessBatch(st)
 		_, err := eng.Results()
 		panics := eng.Stats().Panics

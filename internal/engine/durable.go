@@ -64,10 +64,7 @@ func (e *Engine[T]) CheckpointTo(store *checkpoint.Store, marshal func(T) ([]byt
 	rec, err := store.Latest()
 	switch {
 	case err == nil:
-		if err := e.quiesce(); err != nil {
-			e.durable = durableState[T]{}
-			return err
-		}
+		e.quiesce()
 		if err := e.adopt(rec); err != nil {
 			e.durable = durableState[T]{}
 			return fmt.Errorf("engine: adopting checkpoint store state: %w", err)
@@ -104,10 +101,7 @@ func (e *Engine[T]) CheckpointNow() error {
 	if d.store == nil {
 		return errors.New("engine: CheckpointNow without a bound store (use CheckpointTo)")
 	}
-	if err := e.quiesce(); err != nil {
-		d.ckptErr = err
-		return err
-	}
+	e.quiesce()
 	if e.anyTainted() {
 		err := e.partialError()
 		d.ckptErr = err
@@ -186,13 +180,14 @@ func (e *Engine[T]) maybeCheckpoint(n int) {
 
 // rollback re-establishes exactness after worker panics by rebuilding the
 // entire replica set from the store's last durable generation plus the
-// journal tail. The restore is global rather than per-shard: with work
-// stealing, spill and hot-key fan-out any replica may have absorbed any
-// update, so only a whole-engine restore is provably exact — and linearity
-// makes it cheap to reason about (generation blobs + journal tail = every
-// accepted update, each exactly once). Requires the workers quiesced or
-// joined; requires an unbroken journal (a sticky append failure means the
-// tail has a hole, so rollback refuses rather than under-count).
+// journal tail. The restore is global rather than per-shard because the
+// journal is not sharded: it records accepted batches in arrival order, so
+// there is no per-shard tail to replay into one replica — and linearity
+// makes the whole-engine form cheap to reason about (generation blobs +
+// journal tail = every accepted update, each exactly once). Requires the
+// workers quiesced or joined; requires an unbroken journal (a sticky append
+// failure means the tail has a hole, so rollback refuses rather than
+// under-count).
 func (e *Engine[T]) rollback() error {
 	d := &e.durable
 	if d.appendErr != nil {

@@ -19,26 +19,19 @@
 // channel handoffs, and the workers drive each replica's ProcessBatch hot
 // path. Results flushes, joins the workers and folds the replicas together.
 //
-// Linearity also means the shard assignment is a load-balancing choice, not
-// a correctness requirement: ANY replica may absorb ANY update and the
-// merged result is unchanged. The elastic features all follow from that one
-// fact:
-//
-//   - Resize grows the engine by adding fresh same-seed replicas (sketches
-//     of the zero vector — merging them adds nothing) and shrinks it by
-//     folding retired replicas into survivors, so shard count can track load
-//     mid-stream without changing any answer.
-//   - The Spill backpressure policy degrades to a producer-local replica
-//     when a shard queue is full instead of blocking, and folds that replica
-//     back in at the next quiesce point.
-//   - Work-stealing workers drain other shards' queues into their own
-//     replica when idle.
-//   - The skew-aware router fans updates for detected hot keys round-robin
-//     across all shards instead of pinning them to one.
+// That is the whole mechanism. The shard count and the index → shard map
+// (shardOf) are fixed at New, so update i is always in replica shardOf(i);
+// each shard has one worker running `for batch := range slot.ch`; a full
+// shard queue blocks the producer until that worker drains a batch, which
+// bounds memory at Shards × QueueDepth × BatchSize buffered updates. The
+// engine does not rebalance: linearity would make resizing, spilling, work
+// stealing or hot-key fan-out exact, but on the one skewed stream this
+// repository measures (BenchmarkIngestEngineSkew) none of them beat this
+// loop — README "What the engine does not do" has the numbers.
 //
 // Producer methods (Process, ProcessBatch, Feed, Results, Close, Snapshot,
-// Restore, Resize, Stats, CheckpointTo, CheckpointNow) must be called from
-// one goroutine; the parallelism lives in the shard workers.
+// Restore, Stats, CheckpointTo, CheckpointNow) must be called from one
+// goroutine; the parallelism lives in the shard workers.
 //
 // # Supervision
 //
@@ -57,13 +50,12 @@
 //
 // Because every replica is a serializable linear sketch, a sharded ingest
 // can checkpoint mid-stream: Snapshot quiesces the workers (flushes pending
-// batches, waits until every in-flight batch is consumed, folds any spill
-// replica into shard 0) and returns one marshaled state per shard replica;
-// ingestion continues afterwards. A new engine with the same shard count,
-// batch-independent routing being deterministic by coordinate, Restores
-// those states into its replicas and replays only the updates after the
-// checkpoint — the resumed result is exactly the uninterrupted one. See
-// examples/checkpoint.
+// batches, waits until every in-flight batch is consumed) and returns one
+// marshaled state per shard replica; ingestion continues afterwards. A new
+// engine with the same shard count, batch-independent routing being
+// deterministic by coordinate, Restores those states into its replicas and
+// replays only the updates after the checkpoint — the resumed result is
+// exactly the uninterrupted one. See examples/checkpoint.
 //
 // CheckpointTo upgrades this to crash safety: it binds an
 // internal/checkpoint.Store, journals every accepted batch write-ahead, and
@@ -89,29 +81,10 @@ import (
 // wrapping it.
 var ErrEngineClosed = errors.New("engine: engine is terminal after Results/Close")
 
-// BackpressurePolicy selects what the producer does when a shard's bounded
-// queue is full.
-type BackpressurePolicy uint8
-
-const (
-	// Block, the default, applies backpressure: the producer blocks until
-	// the shard worker (or, with WorkStealing, a thief) drains a batch.
-	// Memory stays bounded at roughly Shards × QueueDepth × BatchSize
-	// buffered updates.
-	Block BackpressurePolicy = iota
-	// Spill degrades instead of blocking: the overflowing batch is folded
-	// into a producer-local same-seed spill replica, keeping ingest
-	// wait-free under worker stalls without unbounded buffering. The spill
-	// replica is merged back at every quiesce point (Snapshot, Restore,
-	// Resize) and into the final Results — exact by linearity, so the
-	// degradation changes latency, never answers.
-	Spill
-)
-
 // Config tunes the engine. Zero values select sensible defaults.
 type Config struct {
-	// Shards is the initial number of worker shards (default
-	// runtime.GOMAXPROCS). Resize changes it mid-stream.
+	// Shards is the number of worker shards (default runtime.GOMAXPROCS),
+	// fixed for the engine's lifetime.
 	Shards int
 	// BatchSize is the number of updates accumulated per shard before the
 	// batch is handed to the worker (default 2048). Re-tuned for the flat
@@ -123,28 +96,9 @@ type Config struct {
 	BatchSize int
 	// QueueDepth is the number of in-flight batches buffered per shard
 	// channel; it bounds memory while letting the producer run ahead of a
-	// momentarily slow shard (default 8).
+	// momentarily slow shard (default 8). A full queue blocks the producer
+	// until the shard's worker drains a batch.
 	QueueDepth int
-	// Backpressure picks the full-queue behavior: Block (default) or Spill.
-	Backpressure BackpressurePolicy
-	// WorkStealing lets idle shard workers drain other shards' queues into
-	// their own replica — exact by linearity — so one hot shard cannot
-	// leave the rest of the pool idle. Off by default.
-	WorkStealing bool
-	// HotKeyRouting enables the skew-aware router: a Misra-Gries tracker
-	// (internal/heavyhitters.Tracker) detects keys receiving at least
-	// HotKeyPhi of recent update traffic and fans their updates round-robin
-	// across all shards instead of pinning them to shardOf(index). Off by
-	// default; routing stays exact either way.
-	HotKeyRouting bool
-	// HotKeyInterval is the number of updates between hot-set refreshes
-	// (default 8192).
-	HotKeyInterval int
-	// HotKeyCounters sizes the Misra-Gries tracker (default 256).
-	HotKeyCounters int
-	// HotKeyPhi is the traffic fraction at which a key counts as hot
-	// (default 1/64).
-	HotKeyPhi float64
 	// CheckpointEvery, with a store bound via CheckpointTo, writes a durable
 	// generation after roughly this many accepted updates (checkpoints land
 	// on batch boundaries). Zero means no periodic checkpoints: the store
@@ -152,9 +106,9 @@ type Config struct {
 	// available.
 	CheckpointEvery int
 	// Injector, when non-nil, enables deterministic fault injection on the
-	// engine's internal decision points (forced queue overflow, merge
-	// failures, worker panics) — see internal/faultinject. Nil (the default)
-	// costs one predictable branch per injection point.
+	// engine's internal decision points (merge failures, worker panics) —
+	// see internal/faultinject. Nil (the default) costs one predictable
+	// branch per injection point.
 	Injector *faultinject.Injector
 }
 
@@ -174,24 +128,17 @@ func (c Config) withDefaults() Config {
 // Stats is a point-in-time snapshot of the engine's operational counters,
 // read from the producer goroutine via Engine.Stats.
 type Stats struct {
-	// Shards is the current shard count (changes with Resize).
+	// Shards is the shard count.
 	Shards int
 	// Routed counts updates accepted so far.
 	Routed int64
-	// Resizes counts completed Resize calls that changed the shard count.
-	Resizes int64
-	// SpilledBatches / SpilledUpdates count Spill-policy degradations:
-	// batches folded into the producer-local replica because the target
-	// queue was full.
-	SpilledBatches int64
+	// SpilledUpdates and Steals are leftovers, always zero: the spill policy
+	// and work stealing they counted are gone, but bench/trace.go still
+	// reads both fields and this PR could not touch bench/. They go with the
+	// engine.spilled_updates / engine.steals ladder rows (ROADMAP, "One
+	// benchmark, one gate").
 	SpilledUpdates int64
-	// Steals counts batches drained from another shard's queue by an idle
-	// work-stealing worker.
-	Steals int64
-	// HotKeys is the size of the router's current hot set; HotRouted counts
-	// updates fanned across shards instead of routed by coordinate.
-	HotKeys   int
-	HotRouted int64
+	Steals         int64
 	// Panics counts replica panics caught and quarantined by the shard
 	// workers; Recoveries counts tainted shards whose exactness was
 	// re-established by a checkpoint rollback.
@@ -204,9 +151,8 @@ type Stats struct {
 	Generation  uint64
 }
 
-// shardSlot is the per-shard state bundle. Slots are individually heap
-// allocated so the pointer a worker captures at spawn stays valid across
-// the slice appends of a later Resize.
+// shardSlot is the per-shard state bundle. The slot set, each slot's index
+// and its channel are fixed at New.
 //
 // Ownership discipline (this is what makes the supervision fields safe
 // without locks): replica, tainted, lost and absorbed are written by the
@@ -214,14 +160,12 @@ type Stats struct {
 // producer only after inflight.Wait() has drained every token — the
 // WaitGroup edge plus the channel send/recv edge of the next handoff order
 // all of it. A worker reads its own slot only after receiving a batch, so
-// even a thief woken by a stale hot signal never races a quiesced
-// producer's writes.
+// it never races a quiesced producer's writes.
 type shardSlot[T stream.Sink] struct {
 	idx     int
 	replica T
 	ch      chan []stream.Update
 	pending []stream.Update
-	exited  chan struct{} // closed when the shard's worker returns
 	// Supervision state, per the ownership discipline above.
 	tainted  bool  // replica panicked; its updates are missing until rollback
 	lost     int64 // updates discarded with quarantined replicas
@@ -235,23 +179,13 @@ type Engine[T stream.Sink] struct {
 	factory  func(shard int) T
 	merge    func(dst, src T) error
 	slots    []*shardSlot[T]
-	stealSet atomic.Pointer[[]chan []stream.Update]
-	hot      chan struct{}
-	hotAt    int
-	router   *hotRouter
 	pool     sync.Pool
 	wg       sync.WaitGroup
 	inflight sync.WaitGroup // batches handed off but not yet processed
-	spill    T
-	spillSet bool
 
-	routed         int64
-	resizes        int64
-	spilledBatches int64
-	spilledUpdates int64
-	steals         atomic.Int64
-	panics         atomic.Int64 // written by workers, read anywhere
-	recoveries     int64        // producer-only
+	routed     int64
+	panics     atomic.Int64 // written by workers, read anywhere
+	recoveries int64        // producer-only
 
 	durable durableState[T] // zero unless CheckpointTo bound a store
 
@@ -267,10 +201,9 @@ type Engine[T stream.Sink] struct {
 // factory(shard) must return one replica per shard, all built from
 // identical seeds — sketch linearity makes the shard-then-merge reduction
 // exact only for same-seed replicas, and the merge functions of this
-// repository reject anything else. The engine may call factory with shard
-// indices at or beyond the current count (Resize scale-up, the Spill
-// policy's producer-local replica); the same-seed contract holds for every
-// index. merge folds src into dst.
+// repository reject anything else. The engine calls it again for the same
+// shard indices whenever it stages a fresh replica set (Restore, checkpoint
+// adoption and rollback). merge folds src into dst.
 //
 // factory must additionally be safe for concurrent use: a shard worker
 // invokes it to respawn a fresh replica when quarantining a panicked one.
@@ -283,11 +216,6 @@ func New[T stream.Sink](cfg Config, factory func(shard int) T, merge func(dst, s
 		factory: factory,
 		merge:   merge,
 		slots:   make([]*shardSlot[T], cfg.Shards),
-		hot:     make(chan struct{}, 4*cfg.Shards+16),
-		hotAt:   max(1, cfg.QueueDepth/2),
-	}
-	if cfg.HotKeyRouting {
-		e.router = newHotRouter(cfg)
 	}
 	e.pool.New = func() any { return make([]stream.Update, 0, cfg.BatchSize) }
 	for s := range e.slots {
@@ -298,9 +226,9 @@ func New[T stream.Sink](cfg Config, factory func(shard int) T, merge func(dst, s
 		}
 		e.slots[s].pending = e.batchBuf()
 	}
-	e.publishStealSet()
-	for s := 0; s < cfg.Shards; s++ {
-		e.spawn(e.slots[s])
+	e.wg.Add(cfg.Shards)
+	for _, slot := range e.slots {
+		go e.worker(slot)
 	}
 	return e
 }
@@ -317,27 +245,6 @@ func (e *Engine[T]) mustOpen() {
 
 func (e *Engine[T]) batchBuf() []stream.Update {
 	return e.pool.Get().([]stream.Update)[:0]
-}
-
-// publishStealSet snapshots the current channel set for the work-stealing
-// workers. Called from the producer goroutine at construction and at the
-// quiesced point of every Resize; workers Load it on each steal scan, so
-// structural changes never race with thieves.
-func (e *Engine[T]) publishStealSet() {
-	snap := make([]chan []stream.Update, len(e.slots))
-	for i, slot := range e.slots {
-		snap[i] = slot.ch
-	}
-	e.stealSet.Store(&snap)
-}
-
-func (e *Engine[T]) spawn(slot *shardSlot[T]) {
-	e.wg.Add(1)
-	slot.exited = make(chan struct{})
-	go func() {
-		defer close(slot.exited)
-		e.worker(slot)
-	}()
 }
 
 // consume runs one batch through the slot's replica and retires it. A
@@ -366,127 +273,17 @@ func (e *Engine[T]) consume(slot *shardSlot[T], batch []stream.Update) {
 
 func (e *Engine[T]) worker(slot *shardSlot[T]) {
 	defer e.wg.Done()
-	if !e.cfg.WorkStealing {
-		for batch := range slot.ch {
-			e.consume(slot, batch)
-		}
-		return
-	}
-	for {
-		select {
-		case batch, ok := <-slot.ch:
-			if !ok {
-				return
-			}
-			e.consume(slot, batch)
-		case <-e.hot:
-			// A producer saw backlog somewhere. Before stealing, make sure
-			// this worker is still live: select picks randomly among ready
-			// cases, so a retired worker can reach here on a stale buffered
-			// signal even though its channel is closed — it must exit, not
-			// steal batches into a replica that has already been folded away.
-			select {
-			case batch, ok := <-slot.ch:
-				if !ok {
-					return
-				}
-				e.consume(slot, batch)
-			default:
-			}
-			// Drain foreign queues into this worker's replica until every
-			// queue scans empty.
-			for e.stealOne(slot) {
-			}
-		}
+	for batch := range slot.ch {
+		e.consume(slot, batch)
 	}
 }
 
-// stealOne attempts to drain one batch from any other shard's queue into
-// this worker's replica (exact by linearity). Returns false when every
-// foreign queue scanned empty.
-func (e *Engine[T]) stealOne(slot *shardSlot[T]) bool {
-	set := *e.stealSet.Load()
-	for i, ch := range set {
-		if i == slot.idx {
-			continue
-		}
-		select {
-		case batch, ok := <-ch:
-			if !ok {
-				continue // retired shard, nothing buffered
-			}
-			e.consume(slot, batch)
-			e.steals.Add(1)
-			return true
-		default:
-		}
-	}
-	return false
-}
-
-// signalHot wakes an idle work-stealing worker, if any; the buffered channel
-// keeps the signal until somebody parks, and dropping the signal when the
-// buffer is full is fine — thieves rescan every queue per signal.
-func (e *Engine[T]) signalHot() {
-	select {
-	case e.hot <- struct{}{}:
-	default:
-	}
-}
-
-// send hands one batch to a shard worker, tracking it for quiesce. Under the
-// Spill policy a full queue degrades to the producer-local spill replica
-// instead of blocking. The EngineQueue injection point forces the
-// full-queue path so chaos schedules exercise spill and hot-signal handling
-// without needing to actually stall a worker.
+// send hands one batch to a shard worker, tracking it for quiesce. A full
+// queue blocks the producer here until the worker drains a batch — the
+// engine's only backpressure.
 func (e *Engine[T]) send(s int, batch []stream.Update) {
-	slot := e.slots[s]
-	forcedFull := e.cfg.Injector.Fire(faultinject.EngineQueue)
-	if e.cfg.WorkStealing && (forcedFull || len(slot.ch) >= e.hotAt) {
-		e.signalHot()
-	}
 	e.inflight.Add(1)
-	if e.cfg.Backpressure == Spill {
-		if !forcedFull {
-			select {
-			case slot.ch <- batch:
-				return
-			default:
-			}
-		}
-		e.inflight.Done()
-		e.spillBatch(batch)
-		return
-	}
-	slot.ch <- batch
-}
-
-// spillBatch folds an overflow batch into the producer-local same-seed
-// replica; flushSpill merges it back at the next quiesce point.
-func (e *Engine[T]) spillBatch(batch []stream.Update) {
-	if !e.spillSet {
-		e.spill = e.factory(len(e.slots))
-		e.spillSet = true
-	}
-	stream.ProcessAll(e.spill, batch)
-	e.spilledBatches++
-	e.spilledUpdates += int64(len(batch))
-	e.pool.Put(batch[:0])
-}
-
-// flushSpill folds the spill replica into shard 0's. Must only run while
-// the workers are quiesced or joined.
-func (e *Engine[T]) flushSpill() error {
-	if !e.spillSet {
-		return nil
-	}
-	if err := e.mergeInto(e.slots[0].replica, e.spill); err != nil {
-		return fmt.Errorf("engine: folding spill replica: %w", err)
-	}
-	var zero T
-	e.spill = zero
-	e.spillSet = false
-	return nil
+	e.slots[s].ch <- batch
 }
 
 // mergeInto is merge plus the EngineMerge injection point, so chaos
@@ -514,17 +311,6 @@ func (e *Engine[T]) shardOf(index int) int {
 	return int((h * uint64(e.cfg.Shards)) >> 32)
 }
 
-// shardFor is shardOf plus the skew-aware override: updates for keys the
-// router currently considers hot round-robin across all shards.
-func (e *Engine[T]) shardFor(index int) int {
-	if r := e.router; r != nil {
-		if s, hot := r.route(index, e.cfg.Shards); hot {
-			return s
-		}
-	}
-	return e.shardOf(index)
-}
-
 // route appends the update to its shard's pending batch, handing the batch
 // off once full.
 func (e *Engine[T]) route(s int, u stream.Update) {
@@ -542,23 +328,22 @@ func (e *Engine[T]) route(s int, u stream.Update) {
 func (e *Engine[T]) Process(u stream.Update) {
 	e.mustOpen()
 	e.journalOne(u)
-	e.route(e.shardFor(u.Index), u)
+	e.route(e.shardOf(u.Index), u)
 	e.routed++
 	e.maybeCheckpoint(1)
 }
 
 // ProcessBatch implements stream.BatchSink: one done-check and one shard
 // multiplier load for the whole batch instead of per update. With a single
-// shard (and no skew router observing traffic) there is nothing to route,
-// so whole runs of updates move into the pending batch with copy — at
-// kernel speeds the per-update append would otherwise be the engine's
-// dominant cost on one core.
+// shard there is nothing to route, so whole runs of updates move into the
+// pending batch with copy — at kernel speeds the per-update append would
+// otherwise be the engine's dominant cost on one core.
 func (e *Engine[T]) ProcessBatch(batch []stream.Update) {
 	e.mustOpen()
 	e.journalBatch(batch)
 	n := len(batch)
 	e.routed += int64(n)
-	if e.cfg.Shards == 1 && e.router == nil {
+	if e.cfg.Shards == 1 {
 		for len(batch) > 0 {
 			slot := e.slots[0]
 			p := slot.pending
@@ -575,7 +360,7 @@ func (e *Engine[T]) ProcessBatch(batch []stream.Update) {
 		return
 	}
 	for _, u := range batch {
-		e.route(e.shardFor(u.Index), u)
+		e.route(e.shardOf(u.Index), u)
 	}
 	e.maybeCheckpoint(n)
 }
@@ -594,22 +379,14 @@ func (e *Engine[T]) Shards() int { return e.cfg.Shards }
 // Stats reports the engine's operational counters.
 func (e *Engine[T]) Stats() Stats {
 	st := Stats{
-		Shards:         e.cfg.Shards,
-		Routed:         e.routed,
-		Resizes:        e.resizes,
-		SpilledBatches: e.spilledBatches,
-		SpilledUpdates: e.spilledUpdates,
-		Steals:         e.steals.Load(),
-		Panics:         e.panics.Load(),
-		Recoveries:     e.recoveries,
-		Checkpoints:    e.durable.checkpoints,
+		Shards:      e.cfg.Shards,
+		Routed:      e.routed,
+		Panics:      e.panics.Load(),
+		Recoveries:  e.recoveries,
+		Checkpoints: e.durable.checkpoints,
 	}
 	if e.durable.store != nil {
 		st.Generation = e.durable.store.Generation()
-	}
-	if e.router != nil {
-		st.HotKeys = e.router.hotKeys
-		st.HotRouted = e.router.hotRouted
 	}
 	return st
 }
@@ -627,10 +404,10 @@ func (e *Engine[T]) anyTainted() bool {
 }
 
 // Results flushes all pending batches, waits for the workers to drain, and
-// merges every replica (plus any spill replica) into shard 0's, which it
-// returns: the sketch of the full vector, exactly as if one sketch had
-// consumed the whole stream. The engine is terminal afterwards; further
-// Process calls panic. Calling Results again returns the same result.
+// merges every replica into shard 0's, which it returns: the sketch of the
+// full vector, exactly as if one sketch had consumed the whole stream. The
+// engine is terminal afterwards; further Process calls panic. Calling
+// Results again returns the same result.
 //
 // If shard workers quarantined panicking replicas and a checkpoint store is
 // bound, Results first rolls the engine back to the last durable generation
@@ -644,22 +421,11 @@ func (e *Engine[T]) Results() (T, error) {
 		return e.result, e.err
 	}
 	e.shutdown()
-	// Fold the spill replica before any rollback: a rollback rebuilds the
-	// replicas from the journal, which already covers the spilled updates,
-	// so flushing after it would double-count them.
-	spillErr := e.flushSpill()
 	if e.anyTainted() && e.durable.store != nil {
 		if err := e.rollback(); err != nil {
 			if e.durable.recoverErr == nil {
 				e.durable.recoverErr = err
 			}
-		} else {
-			// The rollback state holds every journaled update, including any
-			// spill replica whose fold failed above.
-			spillErr = nil
-			var zero T
-			e.spill = zero
-			e.spillSet = false
 		}
 	}
 	e.result = e.slots[0].replica
@@ -669,17 +435,14 @@ func (e *Engine[T]) Results() (T, error) {
 			break
 		}
 	}
-	if e.err == nil {
-		e.err = spillErr
-	}
 	if e.err == nil && e.anyTainted() {
 		e.err = e.partialError()
 	}
 	return e.result, e.err
 }
 
-// Close abandons ingestion without merging: pending batches and any spill
-// replica are dropped, workers are joined, and the engine becomes terminal.
+// Close abandons ingestion without merging: pending batches are dropped,
+// workers are joined, and the engine becomes terminal.
 // Results after Close reports an error wrapping ErrEngineClosed. Close is
 // idempotent and safe after Results.
 func (e *Engine[T]) Close() {
@@ -689,9 +452,6 @@ func (e *Engine[T]) Close() {
 	for _, slot := range e.slots {
 		slot.pending = slot.pending[:0]
 	}
-	var zero T
-	e.spill = zero
-	e.spillSet = false
 	e.shutdown()
 	e.err = fmt.Errorf("engine: closed without results: %w", ErrEngineClosed)
 }
@@ -707,16 +467,15 @@ func (e *Engine[T]) shutdown() {
 	e.done = true
 }
 
-// quiesce flushes every pending partial batch to its worker, blocks until
-// all in-flight batches have been consumed, and folds any spill replica
-// into shard 0. Afterwards the workers idle on their channels and the
-// replicas are safe to read, replace or fold from the producer goroutine;
-// ingestion may continue. Quiesce is also the supervision barrier: if any
-// worker quarantined a panicked replica since the last barrier and a
-// checkpoint store is bound, the engine rolls back to the store's last
-// durable state here, re-establishing exactness before the caller looks at
-// the replicas.
-func (e *Engine[T]) quiesce() error {
+// quiesce flushes every pending partial batch to its worker and blocks
+// until all in-flight batches have been consumed. Afterwards the workers
+// idle on their channels and the replicas are safe to read, replace or fold
+// from the producer goroutine; ingestion may continue. Quiesce is also the
+// supervision barrier: if any worker quarantined a panicked replica since
+// the last barrier and a checkpoint store is bound, the engine rolls back
+// to the store's last durable state here, re-establishing exactness before
+// the caller looks at the replicas.
+func (e *Engine[T]) quiesce() {
 	for _, slot := range e.slots {
 		if len(slot.pending) > 0 {
 			e.send(slot.idx, slot.pending)
@@ -724,9 +483,6 @@ func (e *Engine[T]) quiesce() error {
 		}
 	}
 	e.inflight.Wait()
-	if err := e.flushSpill(); err != nil {
-		return err
-	}
 	if e.anyTainted() && e.durable.store != nil {
 		if err := e.rollback(); err != nil {
 			// Exactness could not be re-established; remember why, keep
@@ -737,7 +493,6 @@ func (e *Engine[T]) quiesce() error {
 			}
 		}
 	}
-	return nil
 }
 
 // Snapshot checkpoints the engine mid-ingest: it quiesces the workers and
@@ -755,9 +510,7 @@ func (e *Engine[T]) Snapshot(marshal func(replica T) ([]byte, error)) ([][]byte,
 	if e.done {
 		return nil, fmt.Errorf("engine: Snapshot: %w", ErrEngineClosed)
 	}
-	if err := e.quiesce(); err != nil {
-		return nil, err
-	}
+	e.quiesce()
 	if e.anyTainted() {
 		return nil, e.partialError()
 	}
@@ -793,9 +546,7 @@ func (e *Engine[T]) Restore(states [][]byte, restore func(replica T, state []byt
 		return fmt.Errorf("engine: restoring %d shard states into %d shards: %w",
 			len(states), len(e.slots), codec.ErrConfigMismatch)
 	}
-	if err := e.quiesce(); err != nil {
-		return err
-	}
+	e.quiesce()
 	staged := make([]T, len(states))
 	for s := range states {
 		staged[s] = e.factory(s)

@@ -7,12 +7,10 @@ import (
 )
 
 // Query-side parallelism: the ingestion engine shards updates across
-// workers; these helpers give the decode/query path the same treatment.
-// Multi-level sketches (the Theorem 2 L0 sampler probes O(log n) Lemma 5
-// recoverers; graph connectivity probes one sampler per component per
-// Borůvka round) decode their parts independently, so a bounded worker pool
-// turns query latency from the sum of the per-part decodes into the
-// maximum.
+// workers; ParallelFor gives the decode/query path the same treatment.
+// Graph connectivity probes one sampler per component per Borůvka round,
+// and the probes decode independently, so a bounded worker pool turns
+// query latency from the sum of the per-part decodes into the maximum.
 
 // ParallelFor runs fn(i) for every i in [0, n) across a bounded pool of
 // worker goroutines. workers <= 0 selects GOMAXPROCS; the pool never
@@ -54,42 +52,4 @@ func ParallelFor(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// LevelDecoder is a multi-level linear sketch whose levels decode
-// independently — the query-side counterpart of stream.BatchSink. The
-// Theorem 2 L0 sampler (*core.L0Sampler) is the canonical implementation:
-// Levels reports its subsampling depth and RecoverLevel runs (memoized)
-// Lemma 5 recovery on one level. RecoverLevel must be safe for concurrent
-// calls with distinct k.
-type LevelDecoder interface {
-	Levels() int
-	RecoverLevel(k int) (map[int]int64, bool)
-}
-
-// LevelDecode is one level's decode outcome as reported by RecoverAll.
-type LevelDecode struct {
-	// Level is the subsampling level index.
-	Level int
-	// Support maps coordinate -> exact value for a successful decode. The
-	// map is owned by the decoder's level and valid until its next
-	// mutation.
-	Support map[int]int64
-	// OK is false when the level reported DENSE.
-	OK bool
-}
-
-// RecoverAll decodes every level of d concurrently over ParallelFor's
-// worker pool and returns the outcomes in level order. Because per-level
-// decodes are memoized inside the sketch, RecoverAll doubles as a parallel
-// cache warmer: a subsequent Sample/Recover pass on the same unchanged
-// sketch answers from the caches without decoding anything — the
-// multi-level query path of the sharded engine.
-func RecoverAll(d LevelDecoder, workers int) []LevelDecode {
-	out := make([]LevelDecode, d.Levels())
-	ParallelFor(len(out), workers, func(k int) {
-		rec, ok := d.RecoverLevel(k)
-		out[k] = LevelDecode{Level: k, Support: rec, OK: ok}
-	})
-	return out
 }

@@ -26,45 +26,6 @@ func TestParallelForCoversEachIndexOnce(t *testing.T) {
 	ParallelFor(0, 4, func(int) { t.Error("fn called for n=0") })
 }
 
-// TestRecoverAllMatchesSerialSample: the parallel level probe must produce
-// exactly the per-level decodes of the serial path, and warming the caches
-// through it must leave Sample bit-identical to a never-parallelized
-// same-seed replica.
-func TestRecoverAllMatchesSerialSample(t *testing.T) {
-	const n = 1 << 10
-	st := stream.SparseVector(n, 24, 100, seeded(31))
-	mk := func() *core.L0Sampler {
-		return core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2}, seeded(32))
-	}
-	parallel, serial := mk(), mk()
-	st.Feed(parallel)
-	st.Feed(serial)
-
-	decodes := RecoverAll(parallel, 4)
-	if len(decodes) != parallel.Levels() {
-		t.Fatalf("RecoverAll returned %d levels, want %d", len(decodes), parallel.Levels())
-	}
-	for k, d := range decodes {
-		if d.Level != k {
-			t.Fatalf("decode %d labeled level %d", k, d.Level)
-		}
-		rec, ok := serial.RecoverLevel(k)
-		if d.OK != ok || len(d.Support) != len(rec) {
-			t.Fatalf("level %d: parallel (%v,%v) vs serial (%v,%v)", k, d.Support, d.OK, rec, ok)
-		}
-		for i, v := range rec {
-			if d.Support[i] != v {
-				t.Fatalf("level %d coord %d: parallel %d vs serial %d", k, d.Support[i], i, v)
-			}
-		}
-	}
-	ps, pok := parallel.Sample()
-	ss, sok := serial.Sample()
-	if pok != sok || ps != ss {
-		t.Fatalf("post-RecoverAll Sample (%+v,%v) differs from serial (%+v,%v)", ps, pok, ss, sok)
-	}
-}
-
 // TestQueryPathZeroAlloc extends the zero-allocation contract to the query
 // side: after the first decode warms each memoized cache, steady-state
 // repeated queries on an unchanged sketch — sparse Recover, L0 Sample, Lp

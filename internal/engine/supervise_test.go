@@ -145,9 +145,6 @@ func TestTerminalGuardsAreTyped(t *testing.T) {
 		eng.Process(stream.Update{Index: 1, Delta: 1})
 	}()
 
-	if err := eng.Resize(3); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Resize: %v, want ErrEngineClosed", err)
-	}
 	if _, err := eng.Snapshot(l0Marshal); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("Snapshot: %v, want ErrEngineClosed", err)
 	}

@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic, seed-driven fault injector for the
 // durability and supervision layers. Injection points are compiled into the
 // checkpoint store's I/O (short writes, fsync failures, bit flips, read
-// errors), the journal append path, the engine's queues and merge, and the
+// errors), the journal append path, the engine's replica merge, and the
 // shard workers (panics). A nil *Injector is the disabled state: every hook
 // is a nil-receiver no-op costing one pointer compare, so production paths
 // carry no overhead.
@@ -56,10 +56,6 @@ const (
 	CodecDecode Point = "codec/decode"
 	// JournalAppend fails a journal record append.
 	JournalAppend Point = "journal/append"
-	// EngineQueue perturbs the engine's queue admission: the producer treats
-	// the target queue as momentarily full, exercising the backpressure and
-	// spill paths. A scheduling perturbation only — exactness is unaffected.
-	EngineQueue Point = "engine/queue"
 	// EngineMerge fails a replica fold during Results/rollback.
 	EngineMerge Point = "engine/merge"
 	// WorkerPanic panics a shard worker mid-batch, exercising the engine's

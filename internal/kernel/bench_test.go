@@ -95,8 +95,8 @@ func BenchmarkKernelAffineExpand(b *testing.B) {
 }
 
 // benchScatter measures cells[idx] += del over a batch of uniform buckets;
-// width picks the cache regime, blocked opts into the binned fold.
-func benchScatter(b *testing.B, width, batch int, blocked bool) {
+// width picks the cache regime.
+func benchScatter(b *testing.B, width, batch int) {
 	r := rand.New(rand.NewSource(77))
 	cells := make([]float64, width)
 	idx := make([]uint64, batch)
@@ -105,19 +105,15 @@ func benchScatter(b *testing.B, width, batch int, blocked bool) {
 		idx[i] = uint64(r.Intn(width))
 		del[i] = float64(2*(i&1) - 1)
 	}
-	sc := &ScatterScratch{Blocked: blocked}
 	b.SetBytes(int64(batch))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScatterAddF64(sc, cells, idx, del)
+		ScatterAddF64(nil, cells, idx, del)
 	}
 }
 
-// Narrow = L1-resident row; Wide/Huge = past-L2 regimes. The *Blocked pairs
-// keep the opt-in binned path honest against the direct prefetched fold.
-func BenchmarkKernelScatterAddF64Narrow(b *testing.B)      { benchScatter(b, 1<<10, 8192, false) }
-func BenchmarkKernelScatterAddF64Wide(b *testing.B)        { benchScatter(b, 1<<17, 8192, false) }
-func BenchmarkKernelScatterAddF64WideBlocked(b *testing.B) { benchScatter(b, 1<<17, 8192, true) }
-func BenchmarkKernelScatterAddF64Huge(b *testing.B)        { benchScatter(b, 1<<21, 8192, false) }
-func BenchmarkKernelScatterAddF64HugeBlocked(b *testing.B) { benchScatter(b, 1<<21, 8192, true) }
+// Narrow = L1-resident row; Wide/Huge = past-L2 regimes.
+func BenchmarkKernelScatterAddF64Narrow(b *testing.B) { benchScatter(b, 1<<10, 8192) }
+func BenchmarkKernelScatterAddF64Wide(b *testing.B)   { benchScatter(b, 1<<17, 8192) }
+func BenchmarkKernelScatterAddF64Huge(b *testing.B)   { benchScatter(b, 1<<21, 8192) }

@@ -6,9 +6,10 @@ package kernel
 // leaf 7 must report the ISA bits — skipping the XGETBV check would SIGILL
 // on kernels with AVX (or AVX-512) state disabled. The AVX-512 tier
 // additionally requires opmask/ZMM/Hi16-ZMM XSAVE state and the F/CD/DQ/VL
-// feature quartet (CD for VPCONFLICTQ, DQ for the KMOVB mask moves); when
-// AVX512_IFMA is also present, the three modmul-bound primitives switch to
-// the 52-bit VPMADD52 limb kernels.
+// feature quartet — the Skylake-SP-and-later baseline these kernels are
+// tested on; the instructions they use are all AVX-512F. When AVX512_IFMA
+// is also present, the three modmul-bound primitives switch to the 52-bit
+// VPMADD52 limb kernels.
 
 //go:noescape
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -67,12 +68,6 @@ func scatterAddF64NP(cells []float64, idx []uint64, del []float64)
 //go:noescape
 func scatterAddI64NP(cells []int64, idx []uint64, del []int64)
 
-//go:noescape
-func scatterAddF64AVX512(cells []float64, idx []uint64, del []float64)
-
-//go:noescape
-func scatterAddI64AVX512(cells []int64, idx []uint64, del []int64)
-
 func detect() {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -112,14 +107,6 @@ func detect() {
 		alt.bucket2 = avx512Bucket2
 		testAltTables = append(testAltTables, &alt)
 	}
-	// The VPCONFLICTQ-guarded gather/add/scatter fold is never the dispatch
-	// default (the prefetched scalar loop measures faster at every width on
-	// the gate hardware — see kernel_scatter_amd64.s), but it must stay
-	// pinned bit-identical, so the sweep gets a flavor table carrying it.
-	altSc := avx512Table
-	altSc.scatterAddF64 = avx512ScatterAddF64
-	altSc.scatterAddI64 = avx512ScatterAddI64
-	testAltTables = append(testAltTables, &altSc)
 	available = append(available, &avx512Table)
 }
 
@@ -146,12 +133,9 @@ var avx2Table = table{
 // AVX2 kernels: they are latency- or store-forwarding-bound, so doubling
 // lane width buys nothing, and the 256-bit forms avoid license-based
 // frequency dips. The counter scatter keeps the prefetched scalar-order
-// loop as well: the VPCONFLICTQ-guarded VSCATTERQPD fold (also in this
-// file) measures 8-20% behind it at every row width on Skylake-SP — a
-// zmm gather+scatter pair costs the same store-port budget as eight scalar
-// read-modify-writes and cannot prefetch ahead — so it lives in
-// testAltTables, pinned but not selected. detect() swaps the modmul trio
-// to the IFMA52 flavor when the CPU has it.
+// loop as well: a zmm gather+scatter pair costs the same store-port budget
+// as eight scalar read-modify-writes and cannot prefetch ahead. detect()
+// swaps the modmul trio to the IFMA52 flavor when the CPU has it.
 var avx512Table = table{
 	name:          AVX512,
 	polyEvalBatch: avx512PolyEvalBatch,
@@ -371,38 +355,5 @@ func amd64ScatterAddI64(cells []int64, idx []uint64, del []int64) {
 		scalarScatterAddI64(cells, idx, del)
 	default:
 		scatterAddI64PF(cells, idx, del)
-	}
-}
-
-// avx512ScatterMinCells gates the vector scatter flavor by row width: on
-// narrow (L1-resident) rows the scalar read-modify-write loop wins — the
-// gather/scatter pair costs ~20 cycles per group regardless of locality —
-// and narrow rows also raise the in-group duplicate-bucket rate that forces
-// the ordered in-asm fallback.
-const avx512ScatterMinCells = 1024
-
-func avx512ScatterAddF64(cells []float64, idx []uint64, del []float64) {
-	del = del[:len(idx)]
-	n := len(idx) &^ 7
-	if n == 0 || len(cells) < avx512ScatterMinCells {
-		scalarScatterAddF64(cells, idx, del)
-		return
-	}
-	scatterAddF64AVX512(cells, idx[:n], del[:n])
-	if n < len(idx) {
-		scalarScatterAddF64(cells, idx[n:], del[n:])
-	}
-}
-
-func avx512ScatterAddI64(cells []int64, idx []uint64, del []int64) {
-	del = del[:len(idx)]
-	n := len(idx) &^ 7
-	if n == 0 || len(cells) < avx512ScatterMinCells {
-		scalarScatterAddI64(cells, idx, del)
-		return
-	}
-	scatterAddI64AVX512(cells, idx[:n], del[:n])
-	if n < len(idx) {
-		scalarScatterAddI64(cells, idx[n:], del[n:])
 	}
 }

@@ -24,13 +24,6 @@
 // The conditional subtract uses an opmask compare instead of AVX2's
 // float-domain blend: VPCMPUQ sets K where r >= p, and a merge-masked
 // VPSUBQ subtracts p in exactly those lanes.
-//
-// The counter-scatter kernels fold cells[idx[i]] += del[i] eight pairs at a
-// time with VGATHERQPD / VADDPD / VSCATTERQPD. Duplicate indices inside one
-// group would make the gather read stale values (dropping all but the last
-// lane's add) — VPCONFLICTQ detects them and routes the whole group through
-// an in-order scalar fallback, so per-cell accumulation order is always
-// exactly batch order and float64 results stay bit-identical.
 
 #include "textflag.h"
 
@@ -393,97 +386,5 @@ keyloop:
 	ADDQ $64, R8
 	SUBQ $8, CX
 	JNZ  keyloop
-	VZEROUPPER
-	RET
-
-// func scatterAddF64AVX512(cells []float64, idx []uint64, del []float64)
-// cells[idx[i]] += del[i] for i ascending; len(idx) > 0 and %8 == 0, every
-// idx < len(cells). Groups of eight run gather/add/scatter; VPCONFLICTQ
-// routes any group with an intra-group duplicate through the in-order
-// scalar lanes, so per-cell addition order is exactly batch order.
-TEXT ·scatterAddF64AVX512(SB), NOSPLIT, $0-72
-	MOVQ cells_base+0(FP), SI
-	MOVQ idx_base+24(FP), DI
-	MOVQ idx_len+32(FP), CX
-	MOVQ del_base+48(FP), R8
-
-grouploop:
-	VMOVDQU64   (DI), Z0
-	VPCONFLICTQ Z0, Z1
-	VPTESTMQ    Z1, Z1, K1
-	KMOVB       K1, AX
-	TESTB       AX, AX
-	JNZ         conflict
-
-	KXNORB      K0, K0, K1               // K1 = all lanes
-	VGATHERQPD  (SI)(Z0*8), K1, Z2
-	VMOVDQU64   (R8), Z3
-	VADDPD      Z3, Z2, Z2               // old + del, old first (NaN order)
-	KXNORB      K0, K0, K1
-	VSCATTERQPD Z2, K1, (SI)(Z0*8)
-	JMP         next
-
-conflict:
-	// In-order scalar fold of the eight lanes (duplicates stay ordered).
-	XORQ R10, R10
-
-scalarlane:
-	MOVQ   (DI)(R10*8), R11
-	VMOVSD (SI)(R11*8), X2
-	VADDSD (R8)(R10*8), X2, X2
-	VMOVSD X2, (SI)(R11*8)
-	INCQ   R10
-	CMPQ   R10, $8
-	JLT    scalarlane
-
-next:
-	ADDQ $64, DI
-	ADDQ $64, R8
-	SUBQ $8, CX
-	JNZ  grouploop
-	VZEROUPPER
-	RET
-
-// func scatterAddI64AVX512(cells []int64, idx []uint64, del []int64)
-// Integer twin of scatterAddF64AVX512, same contract.
-TEXT ·scatterAddI64AVX512(SB), NOSPLIT, $0-72
-	MOVQ cells_base+0(FP), SI
-	MOVQ idx_base+24(FP), DI
-	MOVQ idx_len+32(FP), CX
-	MOVQ del_base+48(FP), R8
-
-grouploop:
-	VMOVDQU64   (DI), Z0
-	VPCONFLICTQ Z0, Z1
-	VPTESTMQ    Z1, Z1, K1
-	KMOVB       K1, AX
-	TESTB       AX, AX
-	JNZ         conflict
-
-	KXNORB      K0, K0, K1
-	VPGATHERQQ  (SI)(Z0*8), K1, Z2
-	VMOVDQU64   (R8), Z3
-	VPADDQ      Z3, Z2, Z2
-	KXNORB      K0, K0, K1
-	VPSCATTERQQ Z2, K1, (SI)(Z0*8)
-	JMP         next
-
-conflict:
-	XORQ R10, R10
-
-scalarlane:
-	MOVQ (DI)(R10*8), R11
-	MOVQ (SI)(R11*8), R12
-	ADDQ (R8)(R10*8), R12
-	MOVQ R12, (SI)(R11*8)
-	INCQ R10
-	CMPQ R10, $8
-	JLT  scalarlane
-
-next:
-	ADDQ $64, DI
-	ADDQ $64, R8
-	SUBQ $8, CX
-	JNZ  grouploop
 	VZEROUPPER
 	RET

@@ -1,173 +1,32 @@
 package kernel
 
 // Counter scatter: cells[idx[t]] += del[t] over a batch of uniformly random
-// buckets — the count-sketch/count-min fold under every ingest path. Two
-// strategies live here, with one hard contract shared by both: per-cell
-// accumulation order is exactly batch order, so float64 results are
-// bit-identical across every variant and path (pinned by the differential
-// and property tests).
+// buckets — the count-sketch/count-min fold under every ingest path. The
+// hard contract: per-cell accumulation order is exactly batch order, so
+// float64 results are bit-identical across every variant (pinned by the
+// differential tests).
 //
-// Direct: one pass through the dispatch table. On amd64 the table entry is
-// a bounds-check-free assembly loop, width-gated between a tight unrolled
+// The fold is one pass through the dispatch table. On amd64 the table entry
+// is a bounds-check-free assembly loop, width-gated between a tight unrolled
 // fold for cache-resident rows and a software-prefetching fold for rows
 // that spill L2 (see kernel_scatter_amd64.s) — the prefetched flavor keeps
 // the random cell-line fetch in flight before its add needs it.
-//
-// Blocked: stably radix-bin the batch's (bucket, delta) pairs into
-// cache-sized bucket ranges first (counting sort, two sequential passes),
-// then fold one L1-resident bin at a time. The counting sort is stable and
-// bins cover disjoint cell ranges, so every cell still sees its additions
-// in batch order — bit-identity is structural, not accidental. Measured on
-// the benchmark gate hardware (Skylake-SP: 1 MiB L2, transparent huge
-// pages), the blocked path loses to the prefetched direct fold at every
-// (width, batch) point — uniform batches touch each line about once, so
-// binning cannot reduce line fetches, prefetch already hides their latency,
-// and THP mutes the TLB penalty binning would dodge. It therefore runs only
-// on explicit opt-in (ScatterScratch.Blocked) as the escape hatch for
-// cache-poor or non-THP targets, and the property tests keep it honest.
 
-const (
-	// scatterBlockShift sizes one bin of the blocked path: 2^13 cells =
-	// 64 KiB of float64, half of L1's worth of cells plus batch scratch.
-	scatterBlockShift = 13
-	scatterBlockCells = 1 << scatterBlockShift
-
-	// scatterMaxBins caps the bin count by coarsening the shift for very
-	// wide rows: the permute pass keeps one open cache line per bin in each
-	// scratch array, and past ~256 write streams those lines thrash L1 and
-	// the permute costs more than the fold it feeds.
-	scatterMaxBins = 256
-
-	// scatterWideCells is the minimum row width for the blocked path: rows
-	// narrower than four bins are cache-resident anyway.
-	scatterWideCells = 4 * scatterBlockCells
-
-	// scatterMinBatch is the minimum batch worth binning: below it the
-	// per-bin fold calls and the prefix-sum walk dominate.
-	scatterMinBatch = 256
-)
-
-// ScatterScratch holds the reusable binning state of one scatter call site.
-// Steady-state ScatterAdd calls through a warm scratch allocate nothing.
-// Not goroutine-safe — same contract as the sketch cells it feeds.
-type ScatterScratch struct {
-	// Blocked opts this call site into the cache-blocked fold for rows
-	// wider than scatterWideCells. Off by default: on the gate hardware the
-	// prefetched direct fold measures faster at every width (see the
-	// package comment above), but the blocked path stays selectable for
-	// machines where random scatters are TLB- or latency-bound.
-	Blocked bool
-
-	starts []int32 // bin boundaries: starts[b]..starts[b+1] after prefix sum
-	cur    []int32 // per-bin write cursors during the permute pass
-	idx    []uint64
-	f64    []float64
-	i64    []int64
-}
-
-// grow ensures capacity for an n-pair batch over nbins bins. The delta
-// scratch grows lazily per element type in the typed entry points.
-func (sc *ScatterScratch) grow(n, nbins int) {
-	if cap(sc.starts) < nbins+1 {
-		sc.starts = make([]int32, nbins+1)
-		sc.cur = make([]int32, nbins)
-	}
-	if cap(sc.idx) < n {
-		sc.idx = make([]uint64, n)
-	}
-}
-
-// blockShift returns the bin shift for a row of the given width: the base
-// L1-sized bin, coarsened until at most scatterMaxBins bins cover the row.
-func blockShift(width int) uint {
-	shift := uint(scatterBlockShift)
-	for (width+(1<<shift)-1)>>shift > scatterMaxBins {
-		shift++
-	}
-	return shift
-}
-
-// bin counts idx per bucket range and prefix-sums the counts, returning the
-// bin boundary table (starts[b]..starts[b+1]) with the write cursors in
-// sc.cur primed for the caller's stable permute pass.
-func (sc *ScatterScratch) bin(idx []uint64, nbins int, shift uint) (starts []int32) {
-	starts = sc.starts[:nbins+1]
-	cur := sc.cur[:nbins]
-	for i := range starts {
-		starts[i] = 0
-	}
-	for _, b := range idx {
-		starts[(b>>shift)+1]++
-	}
-	for i := 1; i <= nbins; i++ {
-		starts[i] += starts[i-1]
-	}
-	copy(cur, starts[:nbins])
-	return starts
-}
+// ScatterScratch is a leftover with no state and no effect: the first
+// parameter of ScatterAddF64/ScatterAddI64 is ignored. The type and the
+// parameter remain only because bench/trace.go calls
+// ScatterAddF64(nil, ...) and bench/ could not change when the
+// cache-blocked fold they served was deleted. They go with that call
+// (ROADMAP, "One benchmark, one gate").
+type ScatterScratch struct{}
 
 // ScatterAddF64 folds cells[idx[t]] += del[t] for t = 0..len(idx)-1 in batch
-// order. A nil scratch (or one without Blocked set, or a narrow row, or a
-// batch too small to bin) takes the direct dispatched fold; the result is
-// bit-identical either way. idx values must be < len(cells).
-func ScatterAddF64(sc *ScatterScratch, cells []float64, idx []uint64, del []float64) {
-	tab := active.Load()
-	if sc == nil || !sc.Blocked || len(cells) < scatterWideCells || len(idx) < scatterMinBatch {
-		tab.scatterAddF64(cells, idx, del)
-		return
-	}
-	n := len(idx)
-	del = del[:n]
-	shift := blockShift(len(cells))
-	nbins := (len(cells) + (1 << shift) - 1) >> shift
-	sc.grow(n, nbins)
-	if cap(sc.f64) < n {
-		sc.f64 = make([]float64, n)
-	}
-	starts := sc.bin(idx, nbins, shift)
-	cur, bIdx, bDel := sc.cur[:nbins], sc.idx[:n], sc.f64[:n]
-	for t, b := range idx {
-		p := cur[b>>shift]
-		cur[b>>shift] = p + 1
-		bIdx[p] = b
-		bDel[p] = del[t]
-	}
-	for b := 0; b < nbins; b++ {
-		lo, hi := starts[b], starts[b+1]
-		if lo < hi {
-			tab.scatterAddF64(cells, bIdx[lo:hi], bDel[lo:hi])
-		}
-	}
+// order through the dispatched fold. idx values must be < len(cells).
+func ScatterAddF64(_ *ScatterScratch, cells []float64, idx []uint64, del []float64) {
+	active.Load().scatterAddF64(cells, idx, del)
 }
 
-// ScatterAddI64 is the integer twin of ScatterAddF64 (the count-min fold);
-// blocking and stability behave identically.
-func ScatterAddI64(sc *ScatterScratch, cells []int64, idx []uint64, del []int64) {
-	tab := active.Load()
-	if sc == nil || !sc.Blocked || len(cells) < scatterWideCells || len(idx) < scatterMinBatch {
-		tab.scatterAddI64(cells, idx, del)
-		return
-	}
-	n := len(idx)
-	del = del[:n]
-	shift := blockShift(len(cells))
-	nbins := (len(cells) + (1 << shift) - 1) >> shift
-	sc.grow(n, nbins)
-	if cap(sc.i64) < n {
-		sc.i64 = make([]int64, n)
-	}
-	starts := sc.bin(idx, nbins, shift)
-	cur, bIdx, bDel := sc.cur[:nbins], sc.idx[:n], sc.i64[:n]
-	for t, b := range idx {
-		p := cur[b>>shift]
-		cur[b>>shift] = p + 1
-		bIdx[p] = b
-		bDel[p] = del[t]
-	}
-	for b := 0; b < nbins; b++ {
-		lo, hi := starts[b], starts[b+1]
-		if lo < hi {
-			tab.scatterAddI64(cells, bIdx[lo:hi], bDel[lo:hi])
-		}
-	}
+// ScatterAddI64 is the integer twin of ScatterAddF64 (the count-min fold).
+func ScatterAddI64(_ *ScatterScratch, cells []int64, idx []uint64, del []int64) {
+	active.Load().scatterAddI64(cells, idx, del)
 }

@@ -18,8 +18,8 @@ func randDeltas(r *rand.Rand, n int) []float64 {
 }
 
 // randBuckets returns n indices < width, skewed so that small widths force
-// frequent in-group duplicates (the AVX-512 conflict path) and large widths
-// exercise the spread-out gather/scatter path.
+// frequent repeats of one cell inside a batch (where accumulation order
+// shows) and large widths exercise the spread-out, prefetched path.
 func randBuckets(r *rand.Rand, n, width int) []uint64 {
 	idx := make([]uint64, n)
 	for i := range idx {
@@ -33,14 +33,16 @@ func randBuckets(r *rand.Rand, n, width int) []uint64 {
 }
 
 // TestScatterAddDifferential pins every table's raw scatter fold against the
-// scalar reference, bit for bit, across widths straddling the AVX-512 width
-// gate and batch shapes straddling the 8-lane groups.
+// scalar reference, bit for bit, across widths and batch sizes straddling
+// the gates of the amd64 wrappers.
 func TestScatterAddDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(8001))
 	for _, vt := range vectorTables() {
 		// 65536/65537 straddle the amd64 NP/PF width gate (scatterNPMaxCells).
 		for _, width := range []int{1, 7, 1023, 1024, 4096, 65536, 65537, 1 << 17} {
-			for _, n := range []int{0, 1, 7, 8, 9, 16, 255, 1024} {
+			// 3-5 straddle the NP loop's 4-wide body; 47-51 straddle
+			// scatterPFMinBatch, where the PF loop's read-ahead is tightest.
+			for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 16, 47, 48, 49, 50, 51, 255, 1024} {
 				idx := randBuckets(r, n, width)
 				del := randDeltas(r, n)
 				want := make([]float64, width)
@@ -81,111 +83,40 @@ func TestScatterAddDifferential(t *testing.T) {
 	}
 }
 
-// TestScatterAddBlockedProperty is the stability property test: the blocked
-// ScatterAdd entry points must be bit-identical to the direct scalar fold
-// for every variant, across random widths and batch sizes either side of
-// the blocking thresholds (including the exact boundary).
-func TestScatterAddBlockedProperty(t *testing.T) {
+// TestScatterAddNilScratch checks the exported entry points under every
+// selectable variant: ScatterAddF64/I64 reach the selected table's fold and
+// ignore their first argument, nil or not.
+func TestScatterAddNilScratch(t *testing.T) {
 	restoreSelection(t)
-	r := rand.New(rand.NewSource(8002))
-	widths := []int{
-		scatterWideCells - 1, scatterWideCells, scatterWideCells + 1,
-		scatterBlockCells, 3 * scatterBlockCells,
-		scatterWideCells + scatterBlockCells/2, 8 * scatterBlockCells,
-		// Wide enough that blockShift coarsens past scatterMaxBins bins.
-		(scatterMaxBins + 3) * scatterBlockCells,
+	r := rand.New(rand.NewSource(8003))
+	const width, n = 1<<16 + 5, 1024 // past the amd64 NP/PF width gate
+	idx := randBuckets(r, n, width)
+	del := randDeltas(r, n)
+	deli := make([]int64, n)
+	for i := range deli {
+		deli[i] = int64(r.Uint64())
 	}
-	for i := 0; i < 8; i++ {
-		widths = append(widths, 1+r.Intn(8*scatterBlockCells))
-	}
-	batches := []int{scatterMinBatch - 1, scatterMinBatch, scatterMinBatch + 1, 1, 13, 8192}
-	sc := ScatterScratch{Blocked: true}
+	want := make([]float64, width)
+	wantI := make([]int64, width)
+	scalarScatterAddF64(want, idx, del)
+	scalarScatterAddI64(wantI, idx, deli)
 	for _, name := range Variants() {
 		if err := Select(name); err != nil {
 			t.Fatalf("Select(%q): %v", name, err)
 		}
-		for _, width := range widths {
-			for _, n := range batches {
-				idx := randBuckets(r, n, width)
-				del := randDeltas(r, n)
-				want := make([]float64, width)
-				got := make([]float64, width)
-				scalarScatterAddF64(want, idx, del)
-				ScatterAddF64(&sc, got, idx, del)
-				for i := range want {
-					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-						t.Fatalf("%s blocked ScatterAddF64 width=%d n=%d: cells[%d] = %x, want %x",
-							name, width, n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-					}
-				}
-
-				deli := make([]int64, n)
-				for i := range deli {
-					deli[i] = int64(r.Uint64())
-				}
-				wantI := make([]int64, width)
-				gotI := make([]int64, width)
-				scalarScatterAddI64(wantI, idx, deli)
-				ScatterAddI64(&sc, gotI, idx, deli)
-				for i := range wantI {
-					if wantI[i] != gotI[i] {
-						t.Fatalf("%s blocked ScatterAddI64 width=%d n=%d: cells[%d] = %d, want %d",
-							name, width, n, i, gotI[i], wantI[i])
-					}
-				}
+		got := make([]float64, width)
+		ScatterAddF64(nil, got, idx, del)
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s ScatterAddF64: cells[%d] = %v, want %v", name, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestScatterAddNilScratch checks the documented nil-scratch path:
-// a nil scratch must still fold correctly (direct, unblocked).
-func TestScatterAddNilScratch(t *testing.T) {
-	r := rand.New(rand.NewSource(8003))
-	width := scatterWideCells + 5
-	idx := randBuckets(r, 1024, width)
-	del := randDeltas(r, 1024)
-	want := make([]float64, width)
-	got := make([]float64, width)
-	scalarScatterAddF64(want, idx, del)
-	ScatterAddF64(nil, got, idx, del)
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("nil-scratch ScatterAddF64: cells[%d] = %v, want %v", i, got[i], want[i])
+		gotI := make([]int64, width)
+		ScatterAddI64(&ScatterScratch{}, gotI, idx, deli)
+		for i := range wantI {
+			if wantI[i] != gotI[i] {
+				t.Fatalf("%s ScatterAddI64: cells[%d] = %d, want %d", name, i, gotI[i], wantI[i])
+			}
 		}
-	}
-	wantI := make([]int64, width)
-	gotI := make([]int64, width)
-	deli := make([]int64, 1024)
-	for i := range deli {
-		deli[i] = int64(r.Uint64())
-	}
-	scalarScatterAddI64(wantI, idx, deli)
-	ScatterAddI64(nil, gotI, idx, deli)
-	for i := range wantI {
-		if wantI[i] != gotI[i] {
-			t.Fatalf("nil-scratch ScatterAddI64: cells[%d] = %d, want %d", i, gotI[i], wantI[i])
-		}
-	}
-}
-
-// TestScatterScratchZeroAlloc: a warm scratch makes blocked scatters
-// allocation-free in steady state.
-func TestScatterScratchZeroAlloc(t *testing.T) {
-	r := rand.New(rand.NewSource(8004))
-	width := 8 * scatterBlockCells
-	cells := make([]float64, width)
-	cellsI := make([]int64, width)
-	idx := randBuckets(r, 4096, width)
-	del := randDeltas(r, 4096)
-	deli := make([]int64, 4096)
-	sc := ScatterScratch{Blocked: true}
-	ScatterAddF64(&sc, cells, idx, del) // warm
-	ScatterAddI64(&sc, cellsI, idx, deli)
-	if n := testing.AllocsPerRun(10, func() {
-		ScatterAddF64(&sc, cells, idx, del)
-		ScatterAddI64(&sc, cellsI, idx, deli)
-	}); n != 0 {
-		t.Fatalf("blocked ScatterAdd with warm scratch allocates %v per run, want 0", n)
 	}
 }

@@ -298,8 +298,7 @@ func (r *Registry) quarantine(tenant, name string, cause error) error {
 }
 
 // newEntry wires one sketch's engine, merge tree and (when durable) stores.
-// The spec must already be validated; adopt=true lets the engine take over
-// pre-existing store state.
+// The spec must already be validated.
 func (r *Registry) newEntry(tenant, name string, spec Spec) (*entry, error) {
 	zero, err := spec.Build()
 	if err != nil {
@@ -750,7 +749,7 @@ func (e *entry) info() SketchInfo {
 }
 
 // SketchStats is the per-sketch /statsz block: the engine's operational
-// counters (routed/spilled/steals/panics/recoveries/checkpoints/generation),
+// counters (routed/panics/recoveries/checkpoints/generation),
 // the merge tree's fold counters, and the durable-upload frontier.
 type SketchStats struct {
 	Tenant        string         `json:"tenant"`
