@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-kernels chaos bench bench-module microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
+.PHONY: build test race race-kernels chaos bench bench-module pairs microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
 
 build:
 	$(GO) build ./...
@@ -59,9 +59,21 @@ bench:
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
+# Alternated parent/change pairs of one benchmark workload, with the verdict
+# of the choosing-metrics guide's section 8 per end-to-end metric: each side's
+# bench binary is built and run in its own tree (the parent's is unpacked from
+# git into a temporary directory), which side goes first alternates.
+#   make pairs PARENT=HEAD~1 WORKLOAD=l0_stream N=10
+# Until the benchmark grows a -pairs mode of its own (ROADMAP item 6).
+PARENT ?= HEAD
+WORKLOAD ?= l0_stream
+N ?= 10
+pairs:
+	scripts/pairs.sh $(PARENT) $(WORKLOAD) $(N)
+
 # Kernel micro-benchmarks (field multiply / exponentiation, scalar vs
-# flat-batch hash kernels, count-sketch hot paths, the PR-3 Nisan
-# prefix-stack PRG kernel and transposed syndrome kernel) at a benchtime
+# flat-batch hash kernels, count-sketch hot paths, the Nisan PRG's
+# window-table block access and the transposed syndrome kernel) at a benchtime
 # large enough to be meaningful in CI; the zero-allocation contract is
 # enforced by the accompanying tests, the numbers land in the job log.
 # BENCH_PR2.json / BENCH_PR3.json / BENCH_PR4.json hold the committed
@@ -105,12 +117,18 @@ fuzz-codec:
 serve-e2e:
 	$(GO) test -count 1 -run 'TestSketchd|TestWorkloadPushBinary' ./integration
 
-# The L0 fast-path benchmarks (the PR-3 headline): the 1M-update serial and
-# engine ingest through the Theorem 2 sampler, plus the prng/sparse kernels
-# underneath and the graphsketch edge-ingest path built on top.
+# The L0 fast-path benchmarks (the PR-3 and PR-24 headlines): the 1M-update
+# serial and engine ingest through the Theorem 2 sampler and the sampler's
+# own scalar and 2048-frame folds, plus the layers underneath — window-table
+# block access in prng, the one-multiply syndrome kernel, the windowed rho^i
+# and the recoverer's batch and scalar folds — and the graphsketch edge-ingest
+# path built on top.
 bench-l0:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestL0' -benchtime 2x .
+	$(GO) test -run '^$$' -bench 'L0SamplerProcess' -benchtime 2000x ./internal/core
 	$(GO) test -run '^$$' -bench 'Block' -benchtime 100000x ./internal/prng
+	$(GO) test -run '^$$' -bench 'KernelSyndromeAdd4' -benchtime 100000x ./internal/kernel
+	$(GO) test -run '^$$' -bench 'PowCache|PowLadder' -benchtime 100000x ./internal/field
 	$(GO) test -run '^$$' -bench 'ProcessBatchS10|ProcessScalarS10' -benchtime 2000x ./internal/sparse
 	$(GO) test -run '^$$' -bench 'GraphIngest' -benchtime 20x ./internal/graphsketch
 

@@ -49,10 +49,12 @@ type L0Config struct {
 // PRG with an O(log² n)-bit seed, exactly as the derandomization step of
 // Theorem 2 prescribes. Membership is decided per (level, coordinate) by
 // comparing a raw 61-bit PRG block against a precomputed integer threshold
-// T_k with T_k/Modulus ~ 2^k/n — no float division on the update path — and
-// the per-update blocks are fetched through the generator's prefix-sharing
-// batch kernel: the blocks of one update live at consecutive addresses
-// i·stride + (k-1), so one partial tree walk serves all levels.
+// T_k with T_k/Modulus ~ 2^k/n — no float division on the update path.
+//
+// The blocks of coordinate i live at the addresses i·stride + (k-1), which
+// differ in the low address bits only, so they are K independent
+// multiply-adds on one composed prefix state read off the generator's window
+// tables — see "The L0 ingestion fast path" in the package documentation.
 //
 // With NestedLevels the sets are nested as in the paper's original
 // formulation (one block per coordinate, dyadic thresholds); the default
@@ -69,19 +71,20 @@ type L0Sampler struct {
 	thresholds []uint64
 	// stride is the number of PRG blocks reserved per coordinate in the
 	// default i.i.d. mode: the next power of two above the number of
-	// PRG-tested levels, so one update's blocks share their high address
-	// bits (and hence their h_j prefix applications) maximally.
+	// PRG-tested levels, so that a coordinate's blocks differ in the low
+	// log2(stride) address bits only — the low window of the generator's
+	// tables. Nested mode reads the one block at address i.
 	stride uint64
 	// sampleBase is the first PRG block reserved for Sample's uniform
 	// support choices — block sampleBase+k serves recovery level k.
 	sampleBase uint64
 
-	// Reusable scratch for the batched paths (grown once, then steady
-	// state allocates nothing): per-update block addresses and values,
-	// and one membership-filtered sub-batch per tested level.
-	idxScratch []uint64
-	blkScratch []uint64
-	lvlBufs    [][]stream.Update
+	// win is the generator's window-table view for this layout, fetched by
+	// the first fold; scratch is the batched path's chunk-sized working set,
+	// allocated by the first ProcessBatch. Neither exists on a sampler that
+	// is only constructed, loaded, merged and queried.
+	win     *prng.Windows
+	scratch *l0Scratch
 
 	// Query-side memoization: Sample's outcome is cached until the next
 	// mutation (Process/ProcessBatch/Merge/ImportState). Per-level decodes
@@ -144,11 +147,6 @@ func NewL0Sampler(cfg L0Config, r *rand.Rand) *L0Sampler {
 	for k := range l.levels {
 		l.levels[k] = sparse.New(cfg.N, s, r)
 	}
-	if K > 0 {
-		l.idxScratch = make([]uint64, K)
-		l.blkScratch = make([]uint64, K)
-	}
-	l.lvlBufs = make([][]stream.Update, numLevels)
 	return l
 }
 
@@ -163,91 +161,122 @@ func (l *L0Sampler) Levels() int { return len(l.levels) }
 // assignment.
 func (l *L0Sampler) NestedLevels() bool { return l.nested }
 
-// memberBlocks fills l.blkScratch with the membership blocks governing
-// coordinate i at tested levels 1..K (blkScratch[k-1] decides level k) and
-// returns the slice. In i.i.d. mode these are the K consecutive blocks at
-// i·stride, one fresh draw per level; in nested mode the single block at
-// address i is replicated, realizing the nested sets.
-func (l *L0Sampler) memberBlocks(i int) []uint64 {
-	K := len(l.levels) - 1
-	blks := l.blkScratch[:K]
-	if l.nested {
-		idx := l.idxScratch[:1]
-		idx[0] = uint64(i)
-		l.gen.BlockBatch(blks[:1], idx)
-		for t := 1; t < K; t++ {
-			blks[t] = blks[0]
-		}
-		return blks
-	}
-	idx := l.idxScratch[:K]
-	base := uint64(i) * l.stride
-	for t := range idx {
-		idx[t] = base + uint64(t)
-	}
-	l.gen.BlockBatch(blks, idx)
-	return blks
+// l0Chunk is the number of updates whose membership ProcessBatch resolves
+// at a time. It bounds every scratch buffer of the batched path (4.1 KiB in
+// all) whatever the batch length: a serving process holds hundreds of
+// samplers, so scratch proportional to the frame size is resident memory
+// multiplied by that. 128 is where the per-chunk costs — one kernel dispatch
+// and one sub-batch fold per level, each sub-batch's ragged tail of up to
+// three updates taking the scalar fold — stop showing in the update rate.
+const l0Chunk = 128
+
+// l0Scratch is the batched path's working set for one chunk.
+type l0Scratch struct {
+	prefix [l0Chunk]uint64        // P(i) of each update of the chunk
+	blocks [l0Chunk]uint64        // one level's membership blocks
+	sub    [l0Chunk]stream.Update // one level's members, in update order
 }
 
-// member reports whether coordinate i belongs to I_k. Level 0 is all of [n].
-func (l *L0Sampler) member(k, i int) bool {
-	if k == 0 {
-		return true
+// windows returns the generator's tables for this sampler's block layout:
+// the low window spans one coordinate's stride in i.i.d. mode and is absent
+// in nested mode, so the prefix of address bits above it is the coordinate.
+func (l *L0Sampler) windows() *prng.Windows {
+	if l.win == nil {
+		low := 0
+		if !l.nested {
+			low = bits.TrailingZeros64(l.stride)
+		}
+		l.win = l.gen.Windows(low)
 	}
-	return l.memberBlocks(i)[k-1] < l.thresholds[k]
+	return l.win
 }
 
 // Process implements stream.Sink: the update reaches the recoverer of every
-// level whose subset contains the coordinate. One prefix-stack walk fetches
-// all membership blocks; levels are then integer-threshold compares.
+// level whose subset contains the coordinate. One composed prefix serves all
+// levels; each level is then a multiply-add (i.i.d. mode) or nothing (nested
+// mode, where the prefix is the one block) and an integer-threshold compare.
 func (l *L0Sampler) Process(u stream.Update) {
 	l.queryValid = false
 	l.levels[0].Process(u)
 	if len(l.levels) == 1 {
 		return
 	}
-	blks := l.memberBlocks(u.Index)
-	for t, blk := range blks {
-		if blk < l.thresholds[t+1] {
-			l.levels[t+1].Process(u)
+	win := l.windows()
+	blk := win.Prefix(uint64(u.Index))
+	prefix := blk
+	for k := 1; k < len(l.levels); k++ {
+		if !l.nested {
+			blk = win.BlockAt(prefix, k-1)
+		}
+		if blk < l.thresholds[k] {
+			l.levels[k].Process(u)
 		}
 	}
 }
 
-// ProcessBatch implements stream.BatchSink: update-major delivery. Level 0
-// consumes the whole batch directly; for the tested levels, each update's
-// membership blocks come from one batched PRG walk and the update is routed
-// into per-level sub-batches, which then flow through the recoverers'
-// transposed batch kernel. State matches repeated Process calls exactly
-// (field arithmetic is exact and per-level orders are preserved); nothing
-// allocates at steady state.
+// ProcessBatch implements stream.BatchSink. Level 0 consumes the whole batch
+// directly; the tested levels take it in chunks of l0Chunk updates, level by
+// level within a chunk (see foldMembers). Every level still sees its members
+// in stream order and field arithmetic is exact, so the state matches
+// repeated Process calls bit for bit; nothing allocates at steady state.
 func (l *L0Sampler) ProcessBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return
 	}
 	l.queryValid = false
 	l.levels[0].ProcessBatch(batch)
-	K := len(l.levels) - 1
-	if K == 0 {
+	if len(l.levels) == 1 {
 		return
 	}
-	bufs := l.lvlBufs
-	for k := 1; k <= K; k++ {
-		bufs[k] = bufs[k][:0]
+	if l.scratch == nil {
+		l.scratch = new(l0Scratch)
 	}
-	thresholds := l.thresholds
-	for _, u := range batch {
-		blks := l.memberBlocks(u.Index)
-		for t, blk := range blks {
-			if blk < thresholds[t+1] {
-				bufs[t+1] = append(bufs[t+1], u)
+	for len(batch) > l0Chunk {
+		l.foldMembers(batch[:l0Chunk])
+		batch = batch[l0Chunk:]
+	}
+	l.foldMembers(batch)
+}
+
+// foldMembers folds one chunk (at most l0Chunk updates) into the tested
+// levels 1..K, level-major: the chunk's prefixes are composed once; then,
+// per level, one SIMD pass turns them into that level's blocks (i.i.d. mode;
+// in nested mode the prefixes are the blocks of every level), one pass
+// compares them against the level's threshold, and the members go to the
+// level's recoverer as one sub-batch.
+func (l *L0Sampler) foldMembers(chunk []stream.Update) {
+	win, sc := l.windows(), l.scratch
+	prefixes := sc.prefix[:len(chunk)]
+	for j, u := range chunk {
+		prefixes[j] = win.Prefix(uint64(u.Index))
+	}
+	blocks := prefixes
+	var sel [l0Chunk]uint8 // positions of one level's members within the chunk
+	for k := 1; k < len(l.levels); k++ {
+		if !l.nested {
+			blocks = sc.blocks[:len(chunk)]
+			win.BlocksAt(k-1, prefixes, blocks)
+		}
+		// Branch-free selection: every position is written to the next free
+		// slot and the slot is kept only if the block is under the threshold.
+		// At the upper levels membership is a coin flip per update, which a
+		// branch per update mispredicts half the time.
+		thr := l.thresholds[k]
+		n := 0
+		for j, blk := range blocks {
+			sel[n&(l0Chunk-1)] = uint8(j)
+			if blk < thr {
+				n++
 			}
 		}
-	}
-	for k := 1; k <= K; k++ {
-		if len(bufs[k]) > 0 {
-			l.levels[k].ProcessBatch(bufs[k])
+		if n == 0 {
+			continue
 		}
+		sub := sc.sub[:n]
+		for t, j := range sel[:n] {
+			sub[t] = chunk[j]
+		}
+		l.levels[k].ProcessBatch(sub)
 	}
 }
 

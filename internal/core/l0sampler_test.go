@@ -221,6 +221,20 @@ func TestL0ProcessBatchMatchesProcess(t *testing.T) {
 	}
 }
 
+// member reports whether coordinate i belongs to I_k, read off the generator
+// bit by bit (prng.Block) at the address the sampler's layout assigns — the
+// definition the window-table fold paths are held to.
+func (l *L0Sampler) member(k, i int) bool {
+	if k == 0 {
+		return true
+	}
+	addr := uint64(i)
+	if !l.nested {
+		addr = uint64(i)*l.stride + uint64(k-1)
+	}
+	return l.gen.Block(addr) < l.thresholds[k]
+}
+
 // TestL0NestedMembershipIsNested: with NestedLevels the subsets must satisfy
 // I_1 ⊆ I_2 ⊆ ... — the §2.1 dyadic reading — while the default mode has no
 // such constraint.
@@ -393,6 +407,20 @@ func BenchmarkL0SamplerProcess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Process(stream.Update{Index: i % (1 << 16), Delta: 1})
 	}
+}
+
+// BenchmarkL0SamplerProcessBatch is the served shape of the fold: 2048-update
+// frames of a uniform turnstile stream over n = 2^16, reported per update.
+func BenchmarkL0SamplerProcessBatch(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 1))
+	s := NewL0Sampler(L0Config{N: 1 << 16, Delta: 0.2}, r)
+	st := stream.RandomTurnstile(1<<16, 64*2048, 100, r)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i % 64 * 2048
+		s.ProcessBatch(st[lo : lo+2048])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2048), "ns/update")
 }
 
 // BenchmarkL0SamplerSample measures repeated Sample() calls on an unchanged

@@ -16,13 +16,26 @@
 //   - NestedLevels (the paper's nested reading): one PRG block u_i per
 //     coordinate and dyadic thresholds, i ∈ I_k iff u_i < 2^k/n · Modulus,
 //     giving I_1 ⊆ I_2 ⊆ ... exactly as in §2.1. Same per-level marginals,
-//     one PRG tree walk per update instead of ⌊log n⌋, and a PRG stretched
+//     one PRG block per update instead of ⌊log n⌋, and a PRG stretched
 //     to n instead of n·log n blocks (smaller seed). Validated by the E3
 //     uniformity experiment and the nested-mode distribution tests.
 //
+// # The L0 ingestion fast path
+//
 // In both modes membership is decided by integer threshold compares on raw
-// 61-bit blocks fetched through the PRG's prefix-sharing batch kernel — the
-// L0 ingestion fast path.
+// 61-bit blocks, and the blocks come off the generator's window tables
+// (prng.Windows): the hash functions of Nisan's generator are affine, so the
+// seed determines one affine pair per value of any field of address bits, and
+// a coordinate's blocks are K independent multiply-adds A_k·P(i) + B_k on one
+// composed prefix state P(i) — not K walks of the generator tree. Process
+// runs that per update; ProcessBatch runs it level-major over chunks of
+// l0Chunk updates, one pass of the SIMD polynomial kernel and one branch-free
+// threshold pass per level, and hands each level its members as a sub-batch
+// for the recoverer's four-abreast syndrome kernel (one multiply per
+// syndrome per update, rho^i from radix-16 windows). Both paths read the same
+// tables and leave bit-identical state — the tables, like the chunk scratch,
+// are functions of the seed built by the first fold, so a sampler that is
+// only constructed, loaded, merged and queried carries neither.
 //
 // # The Lp update path
 //

@@ -50,7 +50,7 @@ type Estimator struct {
 	reps   int
 	member *hash.FlatFamily  // one membership hash row per repetition (nested levels)
 	rho    []field.Elem      // one fingerprint point per repetition
-	rhoPow []*field.PowCache // square tables making rho_j^i cost ~popcount(i) Muls
+	rhoPow []*field.PowCache // windowed tables of rho_j, built by the first fold
 	fp     [][]field.Elem    // fp[k][j]: fingerprint of level k, repetition j
 
 	// Batch scratch (key view of the batch, per-repetition membership

@@ -103,10 +103,10 @@ func TestDuplicateFinderRetainsNoPrefixScratch(t *testing.T) {
 	}
 }
 
-// TestNisanBatchKernelZeroAlloc pins the PRG prefix-stack kernel the L0
-// fast path leans on: after the first call allocates the stack, steady-state
-// BlockBatch calls allocate nothing — for both the run-structured index
-// pattern of the i.i.d. membership path and arbitrary index orders.
+// TestNisanBatchKernelZeroAlloc pins the PRG's window-table batch path: after
+// the first call builds the tables, steady-state BlockBatch calls allocate
+// nothing — for both the run-structured index pattern of the i.i.d.
+// membership layout and arbitrary index orders.
 func TestNisanBatchKernelZeroAlloc(t *testing.T) {
 	g := prng.New(1<<22, seeded(10))
 	run := make([]uint64, 16)
@@ -118,7 +118,7 @@ func TestNisanBatchKernelZeroAlloc(t *testing.T) {
 	for i := range scattered {
 		scattered[i] = uint64(i) * 2654435761
 	}
-	g.BlockBatch(dst[:len(run)], run) // grow the prefix stack
+	g.BlockBatch(dst[:len(run)], run) // builds the window tables
 	for _, idx := range [][]uint64{run, scattered} {
 		if got := testing.AllocsPerRun(10, func() { g.BlockBatch(dst[:len(idx)], idx) }); got != 0 {
 			t.Errorf("BlockBatch(%d indices) allocates %v times per call, want 0", len(idx), got)

@@ -19,7 +19,8 @@ func Words(es []Elem) []uint64 {
 // Fast multi-point polynomial evaluation and the structured Vandermonde
 // solve behind the query-side recovery engine (internal/sparse). Three
 // kernels, each pinned bit-identical to its scalar reference by the property
-// tests in eval_test.go:
+// tests in eval_test.go, and the exact split test (SplitTester, at the end of
+// this file) that lets a dense decode skip the root scan:
 //
 //   - FDStepper: evaluation at the consecutive points x0, x0+1, x0+2, … by
 //     forward finite differences. After an O(e²) setup the degree-e Horner
@@ -204,4 +205,84 @@ func (vs *VandermondeSolver) Solve(points, y, out []Elem) bool {
 	}
 	out[0] = Mul(num[0], inv)
 	return true
+}
+
+// SplitTester decides whether a monic polynomial is a product of distinct
+// linear factors over the field — whether it has as many roots as its degree
+// — without looking for them. The product of all x - a, a in GF(p), is
+// x^p - x, so f splits into distinct linear factors exactly when f divides
+// x^p - x, i.e. when x^p ≡ x (mod f). With p = 2^61 - 1 the test runs as
+// x^(2^61) ≡ x² (mod f): 61 modular squarings of a polynomial of degree below
+// deg f, about 61·1.5·(deg f)² multiplications, whatever the size of the
+// domain a root search would have to walk.
+//
+// The Chien scan of sparse recovery uses it as its gate: a locator that does
+// not split cannot have deg-many roots among the n candidate positions, and
+// the n-point scan that would discover as much is skipped.
+//
+// The zero value is ready for use; scratch is reused across calls.
+type SplitTester struct {
+	r, want, prod []Elem
+}
+
+// Splits reports whether f, monic of degree e >= 1 (f[e] == 1), has e
+// distinct roots in the field.
+func (st *SplitTester) Splits(f Poly) bool {
+	e := f.Degree()
+	if e >= 1 && f[0] == 0 {
+		// Root 0: split the factor x off; a second one is a repeated root.
+		f, e = f[1:], e-1
+		if e >= 1 && f[0] == 0 {
+			return false
+		}
+	}
+	if e <= 1 {
+		return true
+	}
+	// f(0) != 0 from here on, so x is invertible mod f and
+	// x^(p+1) ≡ x² (mod f) is equivalent to x^p ≡ x (mod f).
+	r := growElems(&st.r, e)
+	clear(r)
+	r[1] = 1
+	st.squareMod(r, f[:e])
+	want := growElems(&st.want, e)
+	copy(want, r)
+	for i := 1; i < 61; i++ {
+		st.squareMod(r, f[:e])
+	}
+	for i := range r {
+		if r[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// squareMod replaces r (degree below e = len(r)) with r² mod f, f monic of
+// degree e given by its low coefficients low = f[:e].
+func (st *SplitTester) squareMod(r []Elem, low []Elem) {
+	e := len(r)
+	prod := growElems(&st.prod, 2*e-1)
+	clear(prod)
+	for i, ri := range r {
+		if ri == 0 {
+			continue
+		}
+		prod[2*i] = Add(prod[2*i], Mul(ri, ri))
+		ri2 := Add(ri, ri)
+		for j := i + 1; j < e; j++ {
+			prod[i+j] = Add(prod[i+j], Mul(ri2, r[j]))
+		}
+	}
+	// x^k ≡ -Σ_j low[j]·x^(k-e+j) for k >= e, top coefficient first.
+	for k := 2*e - 2; k >= e; k-- {
+		c := prod[k]
+		if c == 0 {
+			continue
+		}
+		for j, fj := range low {
+			prod[k-e+j] = Sub(prod[k-e+j], Mul(c, fj))
+		}
+	}
+	copy(r, prod[:e])
 }

@@ -261,3 +261,104 @@ func FuzzBerlekampMassey(f *testing.F) {
 		}
 	})
 }
+
+// polyFromRoots returns the monic polynomial Π (x - a) over the given roots.
+func polyFromRoots(roots []Elem) Poly {
+	p := Poly{1}
+	for _, a := range roots {
+		q := make(Poly, len(p)+1)
+		for i, c := range p {
+			q[i+1] = Add(q[i+1], c)
+			q[i] = Sub(q[i], Mul(a, c))
+		}
+		p = q
+	}
+	return p
+}
+
+func polyMul(a, b Poly) Poly {
+	out := make(Poly, len(a)+len(b)-1)
+	for i, x := range a {
+		for j, y := range b {
+			out[i+j] = Add(out[i+j], Mul(x, y))
+		}
+	}
+	return out
+}
+
+// nonResidue draws c with c^((p-1)/2) = -1, so that x² - c is irreducible.
+func nonResidue(r *rand.Rand) Elem {
+	for {
+		c := New(r.Uint64())
+		if c != 0 && Pow(c, (Modulus-1)/2) == Elem(Modulus-1) {
+			return c
+		}
+	}
+}
+
+// TestSplitTesterKnownFactorizations: products of e distinct roots are
+// accepted for every e = 1..12 (roots 0 and p-1 included), and a repeated
+// root, a doubled root at 0, an irreducible quadratic factor and random monic
+// polynomials (which split with probability 1/e!) are rejected.
+func TestSplitTesterKnownFactorizations(t *testing.T) {
+	r := rand.New(rand.NewPCG(81, 82))
+	var st SplitTester
+	distinct := func(e int) []Elem {
+		seen := map[Elem]bool{}
+		var roots []Elem
+		for len(roots) < e {
+			a := New(r.Uint64())
+			if r.IntN(8) == 0 {
+				a = Elem(r.IntN(3)) // small roots, 0 among them
+			}
+			if !seen[a] {
+				seen[a] = true
+				roots = append(roots, a)
+			}
+		}
+		return roots
+	}
+	for e := 1; e <= 12; e++ {
+		for trial := 0; trial < 40; trial++ {
+			roots := distinct(e)
+			if !st.Splits(polyFromRoots(roots)) {
+				t.Fatalf("e=%d: product of distinct roots %v rejected", e, roots)
+			}
+			if e >= 2 {
+				roots[r.IntN(e-1)+1] = roots[0]
+				if st.Splits(polyFromRoots(roots)) {
+					t.Fatalf("e=%d: repeated root %d accepted", e, roots[0])
+				}
+			}
+			if e >= 3 {
+				quad := Poly{Neg(nonResidue(r)), 0, 1}
+				if st.Splits(polyMul(polyFromRoots(roots[2:]), quad)) {
+					t.Fatalf("e=%d: irreducible quadratic factor accepted", e)
+				}
+			}
+		}
+	}
+	if !st.Splits(Poly{0, 1}) || !st.Splits(Poly{5, 1}) || !st.Splits(polyFromRoots([]Elem{0, Elem(Modulus - 1)})) {
+		t.Fatal("x, x+5 or x(x+1) rejected")
+	}
+	if st.Splits(Poly{0, 0, 1}) || st.Splits(polyMul(Poly{0, 0, 1}, Poly{3, 1})) {
+		t.Fatal("a double root at 0 accepted")
+	}
+	// Degree 2 against an independent oracle: x² + bx + c splits into
+	// distinct factors iff its discriminant is a nonzero square.
+	for trial := 0; trial < 300; trial++ {
+		b, c := New(r.Uint64()), New(r.Uint64())
+		disc := Sub(Mul(b, b), Mul(4, c))
+		want := disc != 0 && Pow(disc, (Modulus-1)/2) == 1
+		if got := st.Splits(Poly{c, b, 1}); got != want {
+			t.Fatalf("x²+%dx+%d: Splits = %v, discriminant says %v", b, c, got, want)
+		}
+	}
+	for trial := 0; trial < 100; trial++ {
+		f := randPoly(r, 8+r.IntN(5))
+		f[len(f)-1] = 1
+		if st.Splits(f) {
+			t.Fatalf("random monic polynomial of degree %d accepted", len(f)-1)
+		}
+	}
+}

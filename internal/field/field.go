@@ -10,9 +10,13 @@
 // — plus the query-side evaluation kernels (eval.go): FDStepper walks
 // consecutive evaluation points by forward finite differences (e Adds per
 // point after O(e²) setup, the Chien-scan access pattern), Poly.EvalBatch is
-// the transposed 4-wide multi-point Horner for arbitrary point sets, and
+// the transposed 4-wide multi-point Horner for arbitrary point sets,
 // VandermondeSolver solves the transposed Vandermonde value system of
-// Lemma 5 recovery in O(e²).
+// Lemma 5 recovery in O(e²), and SplitTester decides in 61 modular squarings
+// whether a locator has as many roots as its degree, so that a dense decode
+// skips the scan. On the update side, PowCache serves rho^index from radix-16
+// windows of rho — three multiplies for an index below 2^16 — built by the
+// first Pow, never by the constructor.
 package field
 
 import "math/bits"
@@ -107,39 +111,73 @@ func Pow(a Elem, e uint64) Elem {
 	return r
 }
 
-// PowCache precomputes base^(2^i) for i < 64 so repeated exponentiations of
-// one base cost a single Mul per set bit of the exponent, instead of the full
-// square-and-multiply ladder of Pow (~61 squarings). The fingerprint hot
-// paths (sparse recovery and the distinct-elements estimator evaluate
-// rho^index once per update per repetition) are the intended users: for
-// stream indices below 2^b the cost drops from ~61+b/2 to at most b
-// multiplications.
+// PowCache makes repeated exponentiations of one base cost a table lookup
+// and a multiply per four exponent bits, in place of the square-and-multiply
+// ladder of Pow (~61 squarings plus a multiply per set bit). It holds radix-16
+// windows of the base: window k is base^(v·16^k) for v = 0..15, so
+//
+//	base^e = Π_k window_k[(e >> 4k) & 15]
+//
+// — for e < 2^16 that is four lookups and three multiplies, and leading zero
+// windows are skipped. The fingerprint hot paths (sparse recovery and the
+// distinct-elements estimator evaluate rho^index once per update per level)
+// are the intended users.
+//
+// The windows are sized by the exponents actually asked for and built on
+// demand: NewPowCache does no table work and allocates no table, the first
+// Pow builds the windows its exponent needs (128 B each), and a later, larger
+// exponent appends the missing ones. A sketch that is only constructed,
+// loaded, merged and marshalled — the serving tier's upload and query paths
+// build one per request — therefore never pays for a table. Pow is not safe
+// for concurrent use on one cache.
 type PowCache struct {
-	sq [64]Elem // sq[i] = base^(2^i)
+	base Elem
+	win  []Elem // win[16k+v] = base^(v·16^k), whole windows only
 }
 
-// NewPowCache builds the square table for base.
-func NewPowCache(base Elem) *PowCache {
-	var pc PowCache
-	pc.sq[0] = base
-	for i := 1; i < len(pc.sq); i++ {
-		pc.sq[i] = Mul(pc.sq[i-1], pc.sq[i-1])
-	}
-	return &pc
-}
+// NewPowCache returns the cache for base; its windows are built by Pow.
+func NewPowCache(base Elem) *PowCache { return &PowCache{base: base} }
 
-// Base returns the cached base (sq[0]).
-func (pc *PowCache) Base() Elem { return pc.sq[0] }
+// Base returns the cached base.
+func (pc *PowCache) Base() Elem { return pc.base }
 
 // Pow returns base^e, identical to Pow(base, e) for every e.
 func (pc *PowCache) Pow(e uint64) Elem {
-	r := Elem(1)
-	for e != 0 {
-		i := bits.TrailingZeros64(e)
-		r = Mul(r, pc.sq[i])
-		e &= e - 1
+	win := pc.win
+	if e>>(len(win)/4) != 0 || len(win) == 0 {
+		win = pc.grow(e)
+	}
+	r := win[e&15]
+	for off := 16; e > 15; off += 16 {
+		e >>= 4
+		r = Mul(r, win[off+int(e&15)])
 	}
 	return r
+}
+
+// grow appends the windows needed to cover exponent e and returns the table.
+// Window k starts from base^(16^k), the sixteenth power of window k-1's
+// generator, and fills by repeated multiplication — exact field arithmetic,
+// so every entry equals the ladder's value.
+func (pc *PowCache) grow(e uint64) []Elem {
+	need := max(1, (bits.Len64(e)+3)/4)
+	have := len(pc.win) / 16
+	win := make([]Elem, 16*need)
+	copy(win, pc.win)
+	g := pc.base
+	if have > 0 {
+		g = Mul(win[16*have-1], win[16*have-15])
+	}
+	for k := have; k < need; k++ {
+		w := win[16*k : 16*k+16]
+		w[0] = 1
+		for v := 1; v < 16; v++ {
+			w[v] = Mul(w[v-1], g)
+		}
+		g = Mul(w[15], g)
+	}
+	pc.win = win
+	return win
 }
 
 // Inv returns the multiplicative inverse a^(Modulus-2). Inv(0) returns 0;

@@ -83,17 +83,6 @@ func BenchmarkKernelSyndromeAdd4(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelAffineExpand(b *testing.B) {
-	buf := make([]uint64, 128)
-	buf[0] = 123456789
-	for i := 0; i < b.N; i++ {
-		// Expand one value to 128 (seven doubling levels).
-		for m := 1; m < 128; m *= 2 {
-			AffineExpand(987654321, 1122334455, buf[:2*m], m)
-		}
-	}
-}
-
 // benchScatter measures cells[idx] += del over a batch of uniform buckets;
 // width picks the cache regime.
 func benchScatter(b *testing.B, width, batch int) {

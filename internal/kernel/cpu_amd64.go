@@ -33,12 +33,6 @@ func fdScanAVX2(d []uint64, out []uint64)
 func fdScan12AVX2(d *[12]uint64, out []uint64)
 
 //go:noescape
-func syndromeAdd4AVX2(synd []uint64, d, a *[4]uint64)
-
-//go:noescape
-func affineExpandAVX2(a, b uint64, buf []uint64, lo, m int)
-
-//go:noescape
 func polyEvalBatchAVX512(coef []uint64, xs []uint64, out []uint64)
 
 //go:noescape
@@ -110,7 +104,7 @@ func detect() {
 	available = append(available, &avx512Table)
 }
 
-// avx2Table vectorizes the six PR-7 primitives at 4 lanes. The Go wrappers
+// avx2Table vectorizes the four field primitives at 4 lanes. The Go wrappers
 // route 4-lane blocks to assembly and delegate tails and degenerate shapes
 // to the scalar reference, so the assembly only ever sees its documented
 // preconditions. The counter scatter is the prefetched scalar-order loop —
@@ -122,17 +116,14 @@ var avx2Table = table{
 	bucketSign2:   avx2BucketSign2,
 	bucket2:       avx2Bucket2,
 	fdScan:        avx2FDScan,
-	syndromeAdd4:  avx2SyndromeAdd4,
-	affineExpand:  avx2AffineExpand,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
 }
 
 // avx512Table widens the modmul-bound primitives to 8 lanes. The
-// add-dominated primitives (fdScan, syndromeAdd4, affineExpand) inherit the
-// AVX2 kernels: they are latency- or store-forwarding-bound, so doubling
-// lane width buys nothing, and the 256-bit forms avoid license-based
-// frequency dips. The counter scatter keeps the prefetched scalar-order
+// add-dominated fdScan inherits the AVX2 kernel: it is store-forwarding-bound,
+// so doubling lane width buys nothing, and the 256-bit form avoids
+// license-based frequency dips. The counter scatter keeps the prefetched scalar-order
 // loop as well: a zmm gather+scatter pair costs the same store-port budget
 // as eight scalar read-modify-writes and cannot prefetch ahead. detect()
 // swaps the modmul trio to the IFMA52 flavor when the CPU has it.
@@ -142,8 +133,6 @@ var avx512Table = table{
 	bucketSign2:   avx512BucketSign2,
 	bucket2:       avx512Bucket2,
 	fdScan:        avx2FDScan,
-	syndromeAdd4:  avx2SyndromeAdd4,
-	affineExpand:  avx2AffineExpand,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
 }
@@ -204,28 +193,6 @@ func avx2FDScan(d, out []uint64) {
 		return
 	}
 	fdScanAVX2(d, out)
-}
-
-func avx2SyndromeAdd4(synd []uint64, d, a [4]uint64) {
-	if len(synd) == 0 {
-		return
-	}
-	syndromeAdd4AVX2(synd, &d, &a)
-}
-
-func avx2AffineExpand(a, b uint64, buf []uint64, m int) {
-	lo := m
-	if m >= 4 {
-		// The assembly walks blocks of four descending to index lo = m%4;
-		// the sub-block tail below it follows, still in descending order.
-		lo = m & 3
-		affineExpandAVX2(a, b, buf, lo, m)
-	}
-	for i := lo - 1; i >= 0; i-- {
-		x := buf[i]
-		buf[2*i] = x
-		buf[2*i+1] = modAdd(modMul(a, x), b)
-	}
 }
 
 func avx512PolyEvalBatch(coef, xs, out []uint64) {

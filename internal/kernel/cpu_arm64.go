@@ -8,8 +8,7 @@ package kernel
 // MUL/UMULH limb chains per iteration, hiding the multiplier latency the
 // compiled one-key-at-a-time reference cannot (see kernel_arm64.s). The
 // add-dominated finite-difference scan is genuinely vectorized at two
-// lanes. syndromeAdd4 and affineExpand stay on the scalar reference: their
-// loop bodies already expose two-plus independent chains to the OoO core.
+// lanes.
 
 //go:noescape
 func fdScanNEON(d []uint64, out []uint64)
@@ -33,8 +32,6 @@ var neonTable = table{
 	bucketSign2:   neonBucketSign2,
 	bucket2:       neonBucket2,
 	fdScan:        neonFDScan,
-	syndromeAdd4:  scalarSyndromeAdd4,
-	affineExpand:  scalarAffineExpand,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
 }

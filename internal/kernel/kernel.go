@@ -1,8 +1,8 @@
 // Package kernel is the runtime-dispatched vector-kernel layer under the
 // ingest/query hot paths. The primitives that dominate every sketch's
 // cycle budget — k-wise hash evaluation (internal/hash), mod-p polynomial
-// arithmetic (internal/field, internal/sparse), PRG block generation
-// (internal/prng) and the counter scatter under the count-sketch/count-min
+// arithmetic (internal/field, internal/sparse), the affine maps of the PRG's
+// window tables (internal/prng) and the counter scatter under the count-sketch/count-min
 // folds — call through a per-primitive function table selected once at
 // init: the pure-Go scalar reference always exists, and SIMD variants
 // (AVX2 and AVX-512 on amd64, NEON on arm64) replace individual entries
@@ -27,6 +27,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -67,16 +68,6 @@ type table struct {
 	// writing the value before each step into out: the Chien-scan inner
 	// loop of sparse recovery.
 	fdScan func(d, out []uint64)
-
-	// syndromeAdd4 folds four updates (deltas d, evaluation points a) into
-	// the power-sum syndromes: synd[j] += Σ_i d[i]·a[i]^j for all j. The
-	// groups pass by value so the indirect dispatch call cannot force a
-	// caller's group registers to escape to the heap.
-	syndromeAdd4 func(synd []uint64, d, a [4]uint64)
-
-	// affineExpand doubles a Nisan subtree level in place: for i = m-1..0,
-	// buf[2i] = buf[i], buf[2i+1] = a·buf[i]+b. len(buf) must be ≥ 2m.
-	affineExpand func(a, b uint64, buf []uint64, m int)
 
 	// scatterAddF64 folds cells[idx[t]] += del[t] for t ascending — the
 	// count-sketch counter scatter. Per-cell accumulation order is batch
@@ -193,8 +184,46 @@ func Bucket2(c0, c1, m uint64, xs, out []uint64) { active.Load().bucket2(c0, c1,
 // the table d in place; out[t] is the polynomial value at the t-th point.
 func FDScan(d, out []uint64) { active.Load().fdScan(d, out) }
 
-// SyndromeAdd4 folds four updates into the power-sum syndromes; see table.
-func SyndromeAdd4(synd []uint64, d, a [4]uint64) { active.Load().syndromeAdd4(synd, d, a) }
+// ---------------------------------------------------------------------------
+// Not dispatched: one implementation on every CPU.
+// ---------------------------------------------------------------------------
 
-// AffineExpand doubles one Nisan subtree level in place; see table.
-func AffineExpand(a, b uint64, buf []uint64, m int) { active.Load().affineExpand(a, b, buf, m) }
+// SyndromeAdd4 folds four updates (canonical deltas d, evaluation points a)
+// into the power-sum syndromes: synd[j] += Σ_i d[i]·a[i]^j for all j, cells
+// canonical in and out. Each update is one chain q ← q·a, 2s dependent
+// multiplies long, so a four-lane vector form is bound by the ~25-cycle
+// latency of its modmul (the AVX2 kernel this replaced read 217 ns per group
+// of 16 syndromes beside 100 ns here), while four scalar chains keep the
+// integer multiplier busy. A vector form pays off only with two or more
+// groups in flight, which is a different signature.
+func SyndromeAdd4(synd []uint64, d, a [4]uint64) {
+	// One chain per update carrying the product itself, q_i = d_i·a_i^j —
+	// one multiply per syndrome per update where pw ← pw·a, then d·pw pays
+	// two. The chains run half-reduced (mulFold: below 2^61+4, congruent but
+	// not canonical), and a step's four products and the canonical cell sum
+	// lazily, 2^61 + 4·(2^61+4) < 2^64, into the one canonical reduction.
+	n := len(synd)
+	if n == 0 {
+		return
+	}
+	q0, q1, q2, q3 := d[0], d[1], d[2], d[3]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	for j := 0; j < n-1; j++ {
+		synd[j] = reduce(synd[j] + q0 + q1 + q2 + q3)
+		q0 = mulFold(q0, a0)
+		q1 = mulFold(q1, a1)
+		q2 = mulFold(q2, a2)
+		q3 = mulFold(q3, a3)
+	}
+	synd[n-1] = reduce(synd[n-1] + q0 + q1 + q2 + q3)
+}
+
+// mulFold returns a value below 2^61+4 congruent to q·a mod 2^61-1, for
+// q < 2^62 and canonical a: modMul without its final conditional subtract.
+// The product is below 2^123, so hi<<3 < 2^62 and the three-term sum stays
+// below 2^63; one fold leaves at most modulus+3. Its own output is a valid q.
+func mulFold(q, a uint64) uint64 {
+	hi, lo := bits.Mul64(q, a)
+	part := (lo & modulus) + (lo >> 61) + hi<<3
+	return (part & modulus) + (part >> 61)
+}

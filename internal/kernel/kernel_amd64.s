@@ -330,83 +330,3 @@ steploop:
 	VMOVDQU Y2, 64(SI)
 	VZEROUPPER
 	RET
-
-// func syndromeAdd4AVX2(synd []uint64, d, a *[4]uint64)
-// synd[j] += d0*a0^j + d1*a1^j + d2*a2^j + d3*a3^j for every j, four power
-// chains in four lanes. The horizontal mod-sum associates as
-// (x0+x2)+(x1+x3) instead of the scalar left fold — every partial sum is an
-// exact canonical mod-p add, so the final value is bit-identical.
-// len(synd) >= 1.
-TEXT ·syndromeAdd4AVX2(SB), NOSPLIT, $0-40
-	MOVQ         synd_base+0(FP), SI
-	MOVQ         synd_len+8(FP), CX
-	MOVQ         d+24(FP), R8
-	MOVQ         a+32(FP), R9
-	VPBROADCASTQ modP<>(SB), YP
-	MOVQ         $0x1FFFFFFFFFFFFFFF, R15
-	VMOVDQU      (R8), Y1            // deltas
-	VMOVDQU      (R9), Y2            // points
-	VMOVDQU      ones256<>(SB), Y3   // power chains, all at a^0 = 1
-
-syndloop:
-	MODMUL(Y1, Y3, Y4, Y5, Y6, Y7)   // Y4 = d_i * p_i per lane
-
-	// Horizontal mod-sum of the four lanes into AX.
-	VEXTRACTI128 $1, Y4, X5
-	VPADDQ       X5, X4, X4
-	VPSUBQ       X15, X4, X5
-	VBLENDVPD    X5, X4, X5, X4
-	VPSHUFD      $0x4E, X4, X5
-	VPADDQ       X5, X4, X4
-	VPSUBQ       X15, X4, X5
-	VBLENDVPD    X5, X4, X5, X4
-	VMOVQ        X4, AX
-
-	MOVQ    (SI), BX
-	ADDQ    BX, AX
-	MOVQ    AX, BX
-	SUBQ    R15, BX
-	CMOVQCC BX, AX
-	MOVQ    AX, (SI)
-
-	MODMUL(Y3, Y2, Y4, Y5, Y6, Y7)   // advance power chains
-	VMOVDQA Y4, Y3
-
-	ADDQ $8, SI
-	DECQ CX
-	JNZ  syndloop
-	VZEROUPPER
-	RET
-
-// func affineExpandAVX2(a, b uint64, buf []uint64, lo, m int)
-// One Nisan subtree doubling level, indices i in [lo, m) with (m-lo)%4 == 0
-// and m-lo >= 4, descending so the in-place writes at 2i/2i+1 never clobber
-// unread state: buf[2i] = buf[i], buf[2i+1] = a*buf[i] + b.
-TEXT ·affineExpandAVX2(SB), NOSPLIT, $0-56
-	MOVQ         buf_base+16(FP), SI
-	MOVQ         lo+40(FP), R9
-	MOVQ         m+48(FP), R10
-	VPBROADCASTQ modP<>(SB), YP
-	BROADCAST_SPLIT(a+0(FP), Y14, Y13)
-	VPBROADCASTQ b+8(FP), Y12
-	SUBQ         $4, R10             // i = m-4
-
-blkloop:
-	VMOVDQU (SI)(R10*8), Y0          // x
-	MODMULC(Y0, Y14, Y13, Y1, Y2, Y3, Y4)
-	MODADD(Y1, Y12, Y1, Y2)          // y = a*x+b
-
-	// Interleave to (x0,y0,x1,y1 | x2,y2,x3,y3) and store at buf[2i].
-	VPUNPCKLQDQ Y1, Y0, Y2           // x0 y0 x2 y2
-	VPUNPCKHQDQ Y1, Y0, Y3           // x1 y1 x3 y3
-	VPERM2I128  $0x20, Y3, Y2, Y4    // x0 y0 x1 y1
-	VPERM2I128  $0x31, Y3, Y2, Y5    // x2 y2 x3 y3
-	LEAQ        (R10)(R10*1), R11
-	VMOVDQU     Y4, (SI)(R11*8)
-	VMOVDQU     Y5, 32(SI)(R11*8)
-
-	SUBQ $4, R10
-	CMPQ R10, R9
-	JGE  blkloop
-	VZEROUPPER
-	RET

@@ -223,48 +223,42 @@ func TestFDScanDifferential(t *testing.T) {
 	}
 }
 
+// TestSyndromeAdd4Differential pins the one-multiply lazy-sum fold against the
+// defining power sums, computed the slow way: a separate power chain per
+// update, one canonical add per term.
 func TestSyndromeAdd4Differential(t *testing.T) {
 	r := rand.New(rand.NewSource(7005))
-	for _, vt := range vectorTables() {
-		for _, sn := range []int{0, 1, 2, 3, 4, 8, 17} {
+	for trial := 0; trial < 200; trial++ {
+		for _, sn := range []int{0, 1, 2, 3, 4, 8, 17, 20} {
 			var d, a [4]uint64
 			for i := range d {
 				d[i] = randCanonical(r)
 				a[i] = randCanonical(r)
 			}
+			if trial == 0 {
+				// Every term at its maximum: the lazy five-term sum's worst case.
+				d = [4]uint64{modulus - 1, modulus - 1, modulus - 1, modulus - 1}
+				a = [4]uint64{1, 1, 1, 1}
+			}
 			want := make([]uint64, sn)
 			for i := range want {
 				want[i] = randCanonical(r)
-			}
-			got := append([]uint64(nil), want...)
-			scalarTable.syndromeAdd4(want, d, a)
-			vt.syndromeAdd4(got, d, a)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s syndromeAdd4 |synd|=%d: synd[%d] = %#x, scalar %#x",
-						vt.name, sn, i, got[i], want[i])
+				if trial == 0 {
+					want[i] = modulus - 1
 				}
 			}
-		}
-	}
-}
-
-func TestAffineExpandDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(7006))
-	for _, vt := range vectorTables() {
-		for _, m := range []int{1, 2, 3, 4, 5, 6, 8, 16, 33} {
-			a, b := randCanonical(r), randCanonical(r)
-			buf := make([]uint64, 2*m)
-			for i := 0; i < m; i++ {
-				buf[i] = randCanonical(r)
+			got := append([]uint64(nil), want...)
+			pw := [4]uint64{1, 1, 1, 1}
+			for j := range want {
+				for i := range d {
+					want[j] = modAdd(want[j], modMul(d[i], pw[i]))
+					pw[i] = modMul(pw[i], a[i])
+				}
 			}
-			ref := append([]uint64(nil), buf...)
-			scalarTable.affineExpand(a, b, ref, m)
-			vt.affineExpand(a, b, buf, m)
-			for i := range ref {
-				if ref[i] != buf[i] {
-					t.Fatalf("%s affineExpand m=%d: buf[%d] = %#x, scalar %#x",
-						vt.name, m, i, buf[i], ref[i])
+			SyndromeAdd4(got, d, a)
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("SyndromeAdd4 |synd|=%d: synd[%d] = %#x, power sums %#x", sn, i, got[i], want[i])
 				}
 			}
 		}
@@ -298,12 +292,7 @@ func TestDispatchEntryPoints(t *testing.T) {
 		}
 		synd := make([]uint64, 6)
 		SyndromeAdd4(synd, du, au)
-		buf := make([]uint64, 8)
-		copy(buf, coef)
-		buf[3] = 1
-		AffineExpand(coef[0], coef[1], buf, 4)
 		flat := append(append(append(append([]uint64(nil), out...), buckets...), scan...), synd...)
-		flat = append(flat, buf...)
 		results = append(results, flat)
 	}
 	for i := 1; i < len(results); i++ {

@@ -17,8 +17,6 @@ var scalarTable = table{
 	bucketSign2:   scalarBucketSign2,
 	bucket2:       scalarBucket2,
 	fdScan:        scalarFDScan,
-	syndromeAdd4:  scalarSyndromeAdd4,
-	affineExpand:  scalarAffineExpand,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
 }
@@ -121,24 +119,6 @@ func scalarFDScan(d, out []uint64) {
 	}
 }
 
-func scalarSyndromeAdd4(synd []uint64, d, a [4]uint64) {
-	d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	p0, p1, p2, p3 := uint64(1), uint64(1), uint64(1), uint64(1)
-	for j := range synd {
-		s := synd[j]
-		s = modAdd(s, modMul(d0, p0))
-		s = modAdd(s, modMul(d1, p1))
-		s = modAdd(s, modMul(d2, p2))
-		s = modAdd(s, modMul(d3, p3))
-		synd[j] = s
-		p0 = modMul(p0, a0)
-		p1 = modMul(p1, a1)
-		p2 = modMul(p2, a2)
-		p3 = modMul(p3, a3)
-	}
-}
-
 func scalarScatterAddF64(cells []float64, idx []uint64, del []float64) {
 	del = del[:len(idx)]
 	for t, b := range idx {
@@ -150,15 +130,5 @@ func scalarScatterAddI64(cells []int64, idx []uint64, del []int64) {
 	del = del[:len(idx)]
 	for t, b := range idx {
 		cells[b] += del[t]
-	}
-}
-
-func scalarAffineExpand(a, b uint64, buf []uint64, m int) {
-	// Descending order makes the doubling safe in place: writes at 2i and
-	// 2i+1 never land on a not-yet-read buf[k], k < i.
-	for i := m - 1; i >= 0; i-- {
-		x := buf[i]
-		buf[2*i] = x
-		buf[2*i+1] = modAdd(modMul(a, x), b)
 	}
 }

@@ -31,7 +31,7 @@ func TestBlockBatchVariantsMatchBlock(t *testing.T) {
 	blocks := g.Blocks()
 
 	var patterns [][]uint64
-	// Consecutive runs at aligned and unaligned bases, crossing subtree
+	// Consecutive runs at aligned and unaligned bases, crossing window
 	// boundaries, including a run hitting the top of the address space.
 	for _, base := range []uint64{0, 1, 5, 63, 64, 1000, blocks - 70} {
 		for _, length := range []int{1, 2, 3, 8, 33, 64, 129} {
@@ -44,7 +44,7 @@ func TestBlockBatchVariantsMatchBlock(t *testing.T) {
 	}
 	// Duplicates inside and between runs.
 	patterns = append(patterns, []uint64{7, 7, 8, 9, 9, 9, 10, 64, 64, 65})
-	// Descending, strided and random orders (no runs — the slow path).
+	// Descending, strided and random orders (no shared prefixes).
 	patterns = append(patterns, []uint64{100, 99, 98, 50, 3, 2, 1, 0})
 	strided := make([]uint64, 50)
 	for i := range strided {

@@ -14,15 +14,26 @@
 // so G_d produces 2^d blocks of w bits from a seed of (2d+1)w bits. Crucially
 // the construction supports random access: block b is obtained from x0 by
 // applying h_j for every set bit j of b, top level first — O(d) field
-// operations per block. The L0 sampler exploits this to query level-membership
-// bits per update without materializing the stream of bits.
+// operations per block (Block). The L0 sampler exploits this to query
+// level-membership bits per update without materializing the stream of bits.
 //
 // We realize blocks as elements of GF(2^61-1) (w = 61) and the pairwise
 // hashes as affine maps a*x+b over the field, the standard instantiation.
+//
+// Windowed random access. Every h_j is affine, so the map applied by any
+// contiguous field of address bits is itself one affine pair (A, B) per value
+// of the field — a pure function of the seed. Windows tabulates those pairs
+// for a partition of the address into a low window and a few wider ones
+// above it (the top one stored as states, x0 already applied): a block is
+// then one table entry per window, composed high to low, instead of a walk
+// over all d bits, and the blocks hi<<low | t of one prefix hi are
+// independent affine images A_t·P(hi) + B_t of the one composed prefix state
+// P(hi). The L0 sampler lays its per-coordinate membership blocks out
+// exactly so (hi = coordinate, t = level); BlockBatch is the same
+// composition for arbitrary address lists.
 package prng
 
 import (
-	"math/bits"
 	"math/rand/v2"
 
 	"repro/internal/field"
@@ -34,20 +45,22 @@ const BlockBits = 61
 
 // Nisan is an instance of Nisan's generator with random block access.
 //
-// Block and Bit are pure and safe for concurrent use. BlockBatch and
-// Float64Batch reuse a per-generator prefix stack and must not be called
-// concurrently with each other (one goroutine per generator, the same
-// discipline the sketches' scratch buffers already follow).
+// Block and Bit are pure and safe for concurrent use. Windows and BlockBatch
+// build and cache the generator's window tables on first use and must not
+// race with each other (one goroutine per generator, the same discipline
+// the sketches' scratch buffers already follow); a *Windows, once built, is
+// read-only.
 type Nisan struct {
 	depth int
 	x0    field.Elem
 	ha    []field.Elem // multipliers of h_1..h_depth
 	hb    []field.Elem // offsets of h_1..h_depth
 
-	// stack[l] holds the partial walk state after consuming address bits
-	// depth-1..l (stack[depth] = x0): the prefix stack of BlockBatch,
-	// allocated lazily and reused across calls.
-	stack []field.Elem
+	// win is the window-table set built by the first Windows or BlockBatch
+	// call — never by New, so a generator that is only constructed (every
+	// sketch the serving tier loads to merge or query) carries its seed
+	// and nothing else.
+	win *Windows
 }
 
 // New constructs a generator able to emit at least outputBits pseudorandom
@@ -100,162 +113,150 @@ func (g *Nisan) Block(b uint64) uint64 {
 	return uint64(x)
 }
 
-// BlockBatch writes Block(idx[t]) into dst[t] for every t, walking the
-// generator tree once with an explicit prefix stack instead of re-deriving
-// each block from x0.
-//
-// The walk keeps, for every tree level l, the state reached after applying
-// the hash functions selected by the address bits above l. Consecutive
-// addresses that share a high-bit prefix re-enter the walk at the first
-// differing bit (found with one XOR + Len64), so only the suffix below that
-// bit pays h_j applications.
-//
-// Long runs of consecutive addresses (16+ from a 16-aligned base — bulk
-// range generation, not the L0 sampler's ~dozen blocks per update, which
-// stay on the walk) take a subtree fast path: the run is decomposed greedily
-// into aligned power-of-two subtrees, and each subtree of height h is
-// expanded breadth-first in place inside dst by h doubling passes
-// (kernel.AffineExpand: node x becomes the pair x, h_l(x)), one kernel
-// dispatch per level instead of per address. Every output is the same exact
-// field-arithmetic composition Block computes, so results stay bit-identical
-// on all kernel backends; arbitrary orders remain correct, merely slower.
-// dst and idx must have equal length. Nothing allocates after the first call.
+// maxWindow caps the width of a window above the low one: 64 affine pairs,
+// 1 KiB. A 17-bit prefix (the L0 sampler at n = 2^16) splits 5+6+6 — 2.25 KiB
+// of tables and two multiplies per prefix; one bit wider would double the
+// tables to save nothing, one narrower adds a multiply to save 1 KiB.
+const maxWindow = 6
+
+// Windows is a generator's random-access map tabulated per window of address
+// bits: the low window (bits [0, low)) as affine pairs, equal windows above
+// it as affine pairs, and the top window as states. Read-only once built.
+type Windows struct {
+	low    int    // width of the low window
+	hiBits int    // address bits above it, depth-low
+	w      int    // width of each window above the low one, but for the top
+	nmid   int    // number of pair windows between the low and the top one
+	mask   uint64 // 2^w - 1
+
+	// top[v] is the state after the top window reads value v (x0 with the
+	// selected h_j applied); its width is hiBits - nmid·w <= w.
+	top []field.Elem
+	// mid holds window k < nmid, value v as the pair A, B at 2(k<<w | v):
+	// the state x entering that window leaves it as A·x + B.
+	mid []field.Elem
+	// lowMap[t] = {B_t, A_t}: the low window reading t maps the prefix
+	// state P to block A_t·P + B_t. Ascending coefficient order, so each
+	// entry is directly the degree-1 polynomial kernel.PolyEvalBatch takes
+	// (and lives on the heap, where the kernel table's indirect call needs
+	// its slice arguments to be).
+	lowMap [][2]uint64
+}
+
+// Windows returns the generator's window tables with the low `low` address
+// bits as the low window, building them on first use (and rebuilding if a
+// different low width is asked for — one layout per generator is the
+// expected use). low = 0 means no low window: Prefix is then the block.
+func (g *Nisan) Windows(low int) *Windows {
+	if g.win == nil || g.win.low != low {
+		g.win = newWindows(g, low, maxWindow)
+	}
+	return g.win
+}
+
+// newWindows tabulates g with a low window of width low and the remaining
+// depth-low bits split evenly into the fewest windows of width at most wmax.
+func newWindows(g *Nisan, low, wmax int) *Windows {
+	if low < 0 || low > g.depth {
+		panic("prng: low window wider than the address")
+	}
+	hiBits := g.depth - low
+	nwin := max(1, (hiBits+wmax-1)/wmax)
+	w := (hiBits + nwin - 1) / nwin
+	win := &Windows{low: low, hiBits: hiBits, w: w, nmid: nwin - 1, mask: 1<<w - 1}
+
+	// Top window: bits [low+nmid·w, depth), seeded with the constant map
+	// x -> x0 so that the composed pairs are the states themselves.
+	top := g.compose(low+win.nmid*w, g.depth, 0, g.x0)
+	win.top = make([]field.Elem, len(top)/2)
+	for v := range win.top {
+		win.top[v] = top[2*v+1]
+	}
+	win.mid = make([]field.Elem, 0, 2*win.nmid<<w)
+	for k := 0; k < win.nmid; k++ {
+		win.mid = append(win.mid, g.compose(low+k*w, low+(k+1)*w, 1, 0)...)
+	}
+	lowPairs := g.compose(0, low, 1, 0)
+	win.lowMap = make([][2]uint64, 1<<low)
+	for t := range win.lowMap {
+		win.lowMap[t] = [2]uint64{uint64(lowPairs[2*t+1]), uint64(lowPairs[2*t])}
+	}
+	return win
+}
+
+// compose returns, for every value v of the address bits [lo, hi), the affine
+// map those bits apply — h_j for each set bit, highest first, as in Block —
+// composed onto the map x -> a0·x + b0, as pairs A, B at 2v. Built top bit
+// down by doubling: the maps for the top m bits extend by one bit as
+// (A, B) -> (A, B) when it is clear and h∘(A, B) = (a·A, a·B + b) when set.
+func (g *Nisan) compose(lo, hi int, a0, b0 field.Elem) []field.Elem {
+	pairs := make([]field.Elem, 2<<(hi-lo))
+	pairs[0], pairs[1] = a0, b0
+	for j, m := hi, 1; j > lo; j, m = j-1, 2*m {
+		a, b := g.ha[j-1], g.hb[j-1]
+		for v := m - 1; v >= 0; v-- {
+			A, B := pairs[2*v], pairs[2*v+1]
+			pairs[4*v], pairs[4*v+1] = A, B
+			pairs[4*v+2], pairs[4*v+3] = field.Mul(a, A), field.Add(field.Mul(a, B), b)
+		}
+	}
+	return pairs
+}
+
+// Prefix returns P(hi): the generator state after the address bits above the
+// low window read hi — one table entry per window, composed high to low.
+// Block(hi<<low | t) is BlockAt(P(hi), t); with low = 0 it is P(hi) itself.
+// Bits of hi beyond the address width are ignored, as Block ignores them.
+func (w *Windows) Prefix(hi uint64) uint64 {
+	hi &= 1<<w.hiBits - 1
+	x := w.top[hi>>(w.nmid*w.w)]
+	for k := w.nmid - 1; k >= 0; k-- {
+		e := w.mid[2*(uint64(k)<<w.w|hi>>(k*w.w)&w.mask):]
+		x = field.Add(field.Mul(e[0], x), e[1])
+	}
+	return uint64(x)
+}
+
+// BlockAt returns the block at address hi<<low | t given prefix = P(hi).
+func (w *Windows) BlockAt(prefix uint64, t int) uint64 {
+	m := &w.lowMap[t]
+	return uint64(field.Add(field.Mul(field.Elem(m[1]), field.Elem(prefix)), field.Elem(m[0])))
+}
+
+// BlocksAt writes BlockAt(prefixes[j], t) into out[j] for every j: the
+// blocks one low-window value t selects under a batch of prefixes, as one
+// degree-1 Horner pass of the dispatched polynomial kernel (8 lanes wide on
+// AVX-512 IFMA). len(out) must be at least len(prefixes).
+func (w *Windows) BlocksAt(t int, prefixes, out []uint64) {
+	kernel.PolyEvalBatch(w.lowMap[t][:], prefixes, out)
+}
+
+// BlockBatch writes Block(idx[t]) into dst[t] for every t through the
+// generator's window tables (built on the first call, with a low window of
+// maxWindow bits unless Windows chose another layout first). Consecutive
+// addresses that share everything above the low window — a run inside one
+// aligned 2^low block, the shape of one L0 update's membership blocks —
+// share one composed prefix and cost a single multiply-add each; any other
+// order is correct and pays the prefix composition per address. Every output
+// is the same exact field-arithmetic composition Block computes, so results
+// are bit-identical to it. dst and idx must have equal length. Nothing
+// allocates after the first call.
 func (g *Nisan) BlockBatch(dst []uint64, idx []uint64) {
 	if len(dst) != len(idx) {
 		panic("prng: BlockBatch dst/idx length mismatch")
 	}
-	if len(idx) == 0 {
-		return
+	w := g.win
+	if w == nil {
+		w = g.Windows(min(maxWindow, g.depth))
 	}
-	if g.stack == nil {
-		g.stack = make([]field.Elem, g.depth+1)
-	}
-	var mask uint64
-	if g.depth > 0 {
-		mask = (1 << g.depth) - 1
-	}
-	stack := g.stack
-	stack[g.depth] = g.x0
-	// The first query pays the full walk: start above the top level.
-	start := g.depth
-	var prev uint64
-	t := 0
-	for t < len(idx) {
-		b := idx[t] & mask
-		if t > 0 {
-			diff := prev ^ b
-			if diff == 0 {
-				dst[t] = dst[t-1]
-				t++
-				continue
-			}
-			// Bits depth-1..Len64(diff) agree with the previous address, so
-			// the stack is valid down to that level; resume there.
-			start = bits.Len64(diff)
+	low, lowMask, hiMask := w.low, uint64(1)<<w.low-1, uint64(1)<<w.hiBits-1
+	var prefix uint64
+	prevHi := ^uint64(0) // no masked prefix address has all bits set
+	for t, b := range idx {
+		if hi := b >> low & hiMask; hi != prevHi {
+			prefix, prevHi = w.Prefix(hi), hi
 		}
-		// A subtree expansion only pays off from height 4 up, and an aligned
-		// height-4 subtree needs a 16-aligned base with at least 16
-		// consecutive addresses ahead — so the run scan probes exactly
-		// there. Everything else (the L0 sampler's ~dozen consecutive
-		// blocks per update included) takes the per-address re-entry walk
-		// at zero extra bookkeeping; a long unaligned run walks at most 15
-		// addresses before reaching an aligned probe point, and a failed
-		// probe costs at most 15 wasted comparisons.
-		run := 0
-		if b&15 == 0 {
-			run = 1
-			for t+run < len(idx) && b+uint64(run) <= mask && idx[t+run]&mask == b+uint64(run) {
-				run++
-			}
-			if run < 16 {
-				run = 0
-			}
-		}
-		if run == 0 {
-			x := stack[start]
-			for j := start; j >= 1; j-- {
-				if b&(1<<(j-1)) != 0 {
-					x = field.Add(field.Mul(g.ha[j-1], x), g.hb[j-1])
-				}
-				stack[j-1] = x
-			}
-			dst[t] = uint64(x)
-			prev = b
-			t++
-			continue
-		}
-		for run > 0 {
-			// Largest aligned subtree at b fitting in the run: height h with
-			// 2^h | b and 2^h <= run (TrailingZeros64(0) = 64 caps at depth).
-			h := bits.TrailingZeros64(b)
-			if h > g.depth {
-				h = g.depth
-			}
-			if lg := bits.Len64(uint64(run)) - 1; h > lg {
-				h = lg
-			}
-			// Subtree root: bits above max(start, h) already match the stack;
-			// walk the remaining bits start-1..h of b.
-			lvl := start
-			if h > lvl {
-				lvl = h
-			}
-			x := stack[lvl]
-			for j := lvl; j > h; j-- {
-				if b&(1<<(j-1)) != 0 {
-					x = field.Add(field.Mul(g.ha[j-1], x), g.hb[j-1])
-				}
-				stack[j-1] = x
-			}
-			// Breadth-first doubling, top level of the subtree first: after
-			// the level-l pass, seg[:2m] holds the nodes at level l-1 in
-			// address order, so h passes leave the 2^h block values in place.
-			n := 1 << h
-			seg := dst[t : t+n]
-			seg[0] = uint64(x)
-			for l := h; l >= 1; l-- {
-				m := 1 << (h - l)
-				if m < 8 {
-					// Below a vector's worth of nodes the dispatch + call
-					// overhead exceeds the handful of multiplies; inline the
-					// identical doubling (same ops, same canonical results).
-					a, hb := g.ha[l-1], g.hb[l-1]
-					for i := m - 1; i >= 0; i-- {
-						x := field.Elem(seg[i])
-						seg[2*i] = uint64(x)
-						seg[2*i+1] = uint64(field.Add(field.Mul(a, x), hb))
-					}
-					continue
-				}
-				kernel.AffineExpand(uint64(g.ha[l-1]), uint64(g.hb[l-1]), seg[:2*m], m)
-			}
-			// Leave the stack positioned at the subtree's last address (all
-			// low h bits set) so the next re-entry resumes correctly.
-			for j := h; j >= 1; j-- {
-				x = field.Add(field.Mul(g.ha[j-1], x), g.hb[j-1])
-				stack[j-1] = x
-			}
-			prev = b + uint64(n) - 1
-			t += n
-			run -= n
-			b += uint64(n)
-			start = bits.Len64(prev ^ b)
-		}
-	}
-}
-
-// Float64Batch writes Float64At(idx[t]) into dst[t] via BlockBatch. The
-// membership hot paths avoid the float conversion entirely by comparing raw
-// blocks against Threshold values; this variant serves callers that need
-// uniforms in (0,1].
-func (g *Nisan) Float64Batch(dst []float64, idx []uint64, scratch []uint64) {
-	if len(dst) != len(idx) || len(scratch) < len(idx) {
-		panic("prng: Float64Batch length mismatch")
-	}
-	scratch = scratch[:len(idx)]
-	g.BlockBatch(scratch, idx)
-	for t, v := range scratch {
-		dst[t] = (float64(v) + 1) / float64(field.Modulus)
+		dst[t] = w.BlockAt(prefix, int(b&lowMask))
 	}
 }
 

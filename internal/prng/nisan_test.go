@@ -149,7 +149,7 @@ func TestBlockBatchZeroAlloc(t *testing.T) {
 	for i := range idx {
 		idx[i] = uint64(i) * 37
 	}
-	g.BlockBatch(dst, idx) // warm up the prefix stack
+	g.BlockBatch(dst, idx) // builds the window tables
 	if got := testing.AllocsPerRun(10, func() { g.BlockBatch(dst, idx) }); got != 0 {
 		t.Errorf("BlockBatch allocates %v times per call, want 0", got)
 	}

@@ -61,7 +61,7 @@ func TestPropertyBitConsistentWithBlock(t *testing.T) {
 	}
 }
 
-// TestPropertyBlockBatchMatchesBlock: the prefix-stack batch kernel must
+// TestPropertyBlockBatchMatchesBlock: the window-table batch path must
 // agree with scalar Block for every index sequence — sorted, reversed,
 // duplicated or arbitrary — across generator depths (including depth 0 and
 // indices beyond Blocks(), which wrap exactly like Block).
@@ -82,30 +82,6 @@ func TestPropertyBlockBatchMatchesBlock(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropertyFloat64BatchMatchesFloat64At: the batch uniform kernel must
-// agree exactly with scalar Float64At for arbitrary index sequences.
-func TestPropertyFloat64BatchMatchesFloat64At(t *testing.T) {
-	f := func(seed uint64, raw []uint16) bool {
-		g := New(1<<18, rand.New(rand.NewPCG(seed, 0xF10A)))
-		idx := make([]uint64, len(raw))
-		for i, q := range raw {
-			idx[i] = uint64(q)
-		}
-		dst := make([]float64, len(idx))
-		scratch := make([]uint64, len(idx))
-		g.Float64Batch(dst, idx, scratch)
-		for i, b := range idx {
-			if dst[i] != g.Float64At(b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -209,3 +209,77 @@ func TestChienScanEarlyExit(t *testing.T) {
 		}
 	}
 }
+
+// scanOnlyDecode is decode without the split test: every locator of a
+// possible degree goes straight to the Chien scan. It is the oracle the
+// gated decode is held to — the split test may only ever skip a scan that
+// would have come up short of roots.
+func scanOnlyDecode(rc *Recoverer) (map[int]int64, bool) {
+	if rc.decoded == nil {
+		rc.decoded = make(map[int]int64, rc.s)
+	}
+	clear(rc.decoded)
+	if rc.IsZero() {
+		return rc.decoded, true
+	}
+	rev := rc.locator()
+	if rev == nil || !rc.scanRoots(rev) || !rc.solveAndVerify() {
+		return nil, false
+	}
+	return rc.decoded, true
+}
+
+// TestSplitTestNeverChangesTheDecode: on 10 000 random states over a
+// dimension large enough for the split test to run at every locator degree —
+// sparse within the budget, just over it, dense, and sparse vectors whose
+// syndromes were then corrupted (locators that split with roots outside
+// [1, n], or not at all) — the gated decode returns the verdict and the map
+// of the scan-only decoder.
+func TestSplitTestNeverChangesTheDecode(t *testing.T) {
+	r := rand.New(rand.NewPCG(91, 92))
+	states := 10_000
+	if testing.Short() {
+		states = 1_000
+	}
+	sparse, dense := 0, 0
+	for trial := 0; trial < states; trial++ {
+		s := 1 + r.IntN(10)
+		n := splitTestFloor*s*s + 1 + r.IntN(2048)
+		rc := New(n, s, r)
+		var e int
+		switch trial % 4 {
+		case 0: // within the budget
+			e = r.IntN(s + 1)
+		case 1: // just over it
+			e = s + 1 + r.IntN(2)
+		case 2: // dense
+			e = 3*s + r.IntN(200)
+		case 3: // sparse, then one measurement off
+			e = 1 + r.IntN(s)
+		}
+		stream.SparseVector(n, e, 1<<20, r).Feed(rc)
+		if trial%4 == 3 {
+			j := r.IntN(len(rc.synd))
+			rc.synd[j] = field.Add(rc.synd[j], field.New(r.Uint64()|1))
+		}
+		want, wok := scanOnlyDecode(rc)
+		if wok {
+			cp := make(map[int]int64, len(want))
+			for i, v := range want {
+				cp[i] = v
+			}
+			want = cp
+			sparse++
+		} else {
+			dense++
+		}
+		rc.dirty = true
+		got, gok := rc.Recover()
+		if !sameDecode(got, gok, want, wok) {
+			t.Fatalf("trial %d (n=%d s=%d e=%d): decode (%v,%v), scan-only (%v,%v)", trial, n, s, e, got, gok, want, wok)
+		}
+	}
+	if sparse < states/5 || dense < states/5 {
+		t.Fatalf("corpus is lopsided: %d sparse, %d dense verdicts", sparse, dense)
+	}
+}

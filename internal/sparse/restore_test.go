@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/field"
+	"repro/internal/stream"
 )
 
 // TestImportStateDirtyOnAllPaths is the regression test for the memoized
@@ -88,5 +90,49 @@ func TestRestoreStateInvalidatesMemo(t *testing.T) {
 	}
 	if rec, ok := fresh.Recover(); !ok || rec[60] != 2 {
 		t.Fatalf("framed round-trip lost state: %v %v", rec, ok)
+	}
+}
+
+// TestImportStateReducesCells: ImportState takes bytes from a peer, and the
+// folds assume canonical cells — the lazy five-term sum of the batched
+// syndrome kernel has no headroom for a word near 2^64. All-ones words must
+// come in as the field elements they represent (as RestoreState reads them),
+// and a batch folded on top must land where the same batch lands on those
+// elements set directly.
+func TestImportStateReducesCells(t *testing.T) {
+	const n, s = 1 << 12, 5
+	rc := New(n, s, rand.New(rand.NewPCG(23, 24)))
+	ones := make([]byte, (2*s+1)*8)
+	for i := range ones {
+		ones[i] = 0xFF
+	}
+	if err := rc.ImportState(ones); err != nil {
+		t.Fatal(err)
+	}
+	want := New(n, s, rand.New(rand.NewPCG(23, 24)))
+	for j := range want.synd {
+		want.synd[j] = field.New(^uint64(0))
+	}
+	want.fp = field.New(^uint64(0))
+	for j, v := range rc.synd {
+		if uint64(v) >= field.Modulus || v != want.synd[j] {
+			t.Fatalf("synd[%d] = %#x after importing all-ones, want canonical %#x", j, v, want.synd[j])
+		}
+	}
+	if uint64(rc.fp) >= field.Modulus || rc.fp != want.fp {
+		t.Fatalf("fp = %#x after importing all-ones, want canonical %#x", rc.fp, want.fp)
+	}
+	batch := stream.RandomTurnstile(n, 1027, 1<<40, rand.New(rand.NewPCG(25, 26)))
+	rc.ProcessBatch(batch)
+	for _, u := range batch {
+		want.Process(u)
+	}
+	for j := range rc.synd {
+		if rc.synd[j] != want.synd[j] {
+			t.Fatalf("synd[%d] = %#x after the fold, scalar fold on canonical cells %#x", j, rc.synd[j], want.synd[j])
+		}
+	}
+	if rc.fp != want.fp {
+		t.Fatalf("fp = %#x after the fold, want %#x", rc.fp, want.fp)
 	}
 }

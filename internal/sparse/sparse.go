@@ -21,8 +21,17 @@
 // probability <= n/2^61 per query (a "low probability" event in the paper's
 // sense); we then report DENSE.
 //
-// Query engine (PR 4). The decode is built on three structured kernels:
-// the Chien scan walks its consecutive evaluation points a_i = 1..n with a
+// Update path. Each syndrome chain carries the product q = d·a^j itself and
+// advances by q ← q·a — one field multiply per syndrome per update; batches
+// run four such chains abreast (kernel.SyndromeAdd4) and sum a step's four
+// products into the cell with a single reduction. rho^i comes from radix-16
+// windows of rho (field.PowCache) that the first fold builds; New tabulates
+// nothing.
+//
+// Query engine (PR 4). The decode is built on three structured kernels,
+// behind an exact split test (field.SplitTester: a locator that is not a
+// product of distinct linear factors has too few roots anywhere, so a dense
+// sketch is told DENSE without the n-point scan): the Chien scan walks its consecutive evaluation points a_i = 1..n with a
 // forward finite-difference stepper (field.FDStepper — e field Adds per
 // position instead of a degree-e Horner chain) and exits once all
 // e = deg(locator) roots are found; the value solve uses the O(e²)
@@ -62,7 +71,7 @@ type Recoverer struct {
 	s      int
 	synd   []field.Elem    // 2s power-sum syndromes
 	rho    field.Elem      // random verification point
-	rhoPow *field.PowCache // square table making rho^i cost ~popcount(i) Muls
+	rhoPow *field.PowCache // radix-16 windows of rho, built by the first rho^i asked for
 	fp     field.Elem      // F = sum_i x_i rho^i
 
 	// Query-side memoization and decode scratch.
@@ -70,6 +79,7 @@ type Recoverer struct {
 	decoded   map[int]int64 // cached decode result (reused across decodes)
 	decodeOK  bool          // cached DENSE/sparse verdict
 	rev       field.Poly    // reversed locator buffer
+	split     field.SplitTester
 	fd        field.FDStepper
 	scan      []field.Elem // Chien-scan block buffer (see decode)
 	positions []int        // decoded support positions
@@ -105,23 +115,31 @@ func (rc *Recoverer) S() int { return rc.s }
 // N returns the vector dimension.
 func (rc *Recoverer) N() int { return rc.n }
 
-// Add applies x_i += delta. The even and odd syndrome powers advance on two
-// independent chains stepping by a² (1, a², a⁴, … and a, a³, a⁵, …), so the
-// multiplier pipeline overlaps what a single pw·a chain would serialize;
-// len(synd) = 2s is always even, and the arithmetic is exactly that of the
-// single-chain loop.
+// Add applies x_i += delta.
 func (rc *Recoverer) Add(i int, delta int64) {
 	rc.dirty = true
-	d := field.FromInt64(delta)
+	rc.fold(i, field.FromInt64(delta))
+}
+
+// fold adds d·a^j to every syndrome j and d·rho^i to the fingerprint, a = i+1.
+// The chains carry the products themselves — q = d·a^j advancing by a², one
+// for the even syndromes and one for the odd — so each syndrome costs one
+// multiply (a power chain pw ← pw·a followed by d·pw costs two), and the two
+// chains are independent, so the multiplier pipeline overlaps them.
+// len(synd) = 2s is always even.
+func (rc *Recoverer) fold(i int, d field.Elem) {
 	a := field.New(uint64(i) + 1)
 	a2 := field.Mul(a, a)
-	pe, po := field.Elem(1), a
+	qe, qo := d, field.Mul(d, a)
 	synd := rc.synd
-	for j := 0; j+2 <= len(synd); j += 2 {
-		synd[j] = field.Add(synd[j], field.Mul(d, pe))
-		synd[j+1] = field.Add(synd[j+1], field.Mul(d, po))
-		pe = field.Mul(pe, a2)
-		po = field.Mul(po, a2)
+	for j := 0; ; j += 2 {
+		synd[j] = field.Add(synd[j], qe)
+		synd[j+1] = field.Add(synd[j+1], qo)
+		if j+4 > len(synd) {
+			break
+		}
+		qe = field.Mul(qe, a2)
+		qo = field.Mul(qo, a2)
 	}
 	rc.fp = field.Add(rc.fp, field.Mul(d, rc.rhoPow.Pow(uint64(i))))
 }
@@ -132,23 +150,22 @@ func (rc *Recoverer) Process(u stream.Update) { rc.Add(u.Index, u.Delta) }
 // ProcessBatch implements stream.BatchSink through the transposed syndrome
 // kernel: updates are taken in register-blocked groups of four and the
 // syndromes are walked column-major — outer loop over syndrome index j,
-// inner over the group's per-update power registers. A scalar update's
-// dominant cost is the serial multiplicative chain pw_{j+1} = pw_j * a (2s
-// dependent field multiplies, each waiting on the last); transposing keeps
-// four independent chains in flight per j step, so the multiplier pipeline
-// stays full instead of draining between syndromes. The four-wide groups
-// dispatch through kernel.SyndromeAdd4 (one SIMD lane per update on the
-// vector backends); group order and field arithmetic are exact, so the state
-// is bit-identical to repeated Process calls (pinned by
-// TestPropertyTransposedBatchMatchesScalar); the leftover tail (< 4 updates)
-// runs the scalar loop. Nothing allocates.
+// inner over the group's per-update product chains q_i = d_i·a_i^j. A lone
+// update's cost is its serial chain q ← q·a (2s dependent field multiplies,
+// each waiting on the last); transposing keeps four independent chains in
+// flight per j step, so the multiplier pipeline stays full instead of
+// draining between syndromes, and the four products of a step are summed
+// into the cell with one reduction (kernel.SyndromeAdd4). Group order and
+// field arithmetic are exact, so the state is bit-identical to repeated
+// Process calls (pinned by TestPropertyTransposedBatchMatchesScalar); the
+// leftover tail (< 4 updates) takes the scalar fold. Nothing allocates.
 func (rc *Recoverer) ProcessBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return
 	}
 	rc.dirty = true
-	synd := rc.synd
-	sw := field.Words(synd)
+	sw := field.Words(rc.synd)
+	pc := rc.rhoPow
 	fp := rc.fp
 	i := 0
 	for ; i+4 <= len(batch); i += 4 {
@@ -167,24 +184,16 @@ func (rc *Recoverer) ProcessBatch(batch []stream.Update) {
 		}
 		kernel.SyndromeAdd4(sw, d, a)
 		f := field.Add(
-			field.Mul(field.Elem(d[0]), rc.rhoPow.Pow(uint64(u0.Index))),
-			field.Mul(field.Elem(d[1]), rc.rhoPow.Pow(uint64(u1.Index))))
-		f = field.Add(f, field.Mul(field.Elem(d[2]), rc.rhoPow.Pow(uint64(u2.Index))))
-		f = field.Add(f, field.Mul(field.Elem(d[3]), rc.rhoPow.Pow(uint64(u3.Index))))
+			field.Mul(field.Elem(d[0]), pc.Pow(uint64(u0.Index))),
+			field.Mul(field.Elem(d[1]), pc.Pow(uint64(u1.Index))))
+		f = field.Add(f, field.Mul(field.Elem(d[2]), pc.Pow(uint64(u2.Index))))
+		f = field.Add(f, field.Mul(field.Elem(d[3]), pc.Pow(uint64(u3.Index))))
 		fp = field.Add(fp, f)
 	}
-	for ; i < len(batch); i++ {
-		u := batch[i]
-		d := field.FromInt64(u.Delta)
-		a := field.New(uint64(u.Index) + 1)
-		pw := field.Elem(1)
-		for j := range synd {
-			synd[j] = field.Add(synd[j], field.Mul(d, pw))
-			pw = field.Mul(pw, a)
-		}
-		fp = field.Add(fp, field.Mul(d, rc.rhoPow.Pow(uint64(u.Index))))
-	}
 	rc.fp = fp
+	for ; i < len(batch); i++ {
+		rc.fold(batch[i].Index, field.FromInt64(batch[i].Delta))
+	}
 }
 
 // Compatible reports whether other is a same-seed replica: identical
@@ -251,20 +260,39 @@ func (rc *Recoverer) Recover() (map[int]int64, bool) {
 	return rc.decoded, true
 }
 
+// splitTestFloor gates the split test of decode on the size of the scan it
+// can save: the test costs about 61·1.5·e² multiplications whatever n is
+// (≈ 220 ns·e² measured), the finite-difference Chien scan ≈ 5.5 ns per
+// position whatever e is, so the two meet near n = 40·e². The test runs when
+// n > splitTestFloor·e² — from where it is the cheaper way to a DENSE
+// verdict, and at most a fraction of the scan it precedes when the locator
+// does split. Below that the scan alone is faster and decides the same thing.
+const splitTestFloor = 64
+
 // decode runs one full recovery into rc.decoded. The pipeline is the
-// classical syndrome decoder of Lemma 5, rebuilt on the PR-4 query kernels:
+// classical syndrome decoder of Lemma 5, rebuilt on the query kernels:
 //
-//  1. Berlekamp-Massey finds the locator polynomial from the 2s syndromes.
-//  2. The Chien scan locates the support: position i is in it iff
+//  1. Berlekamp-Massey finds the locator polynomial from the 2s syndromes
+//     (locator).
+//  2. Split test, on dimensions large enough for it to pay: the reversed
+//     locator must be a product of e distinct linear factors to have e roots
+//     anywhere, let alone among the n positions, and field.SplitTester decides
+//     that in 61 modular squarings. A dense vector's locator is a random
+//     degree-s polynomial and all but never splits, so the n-point scan that
+//     would find it short of roots is skipped; a locator that does split goes
+//     on to the unchanged scan. The verdict and the decoded map are those of
+//     the scan alone on every input.
+//  3. The Chien scan locates the support (scanRoots): position i is in it iff
 //     rev(loc)(a_i) = 0 with a_i = i+1. The points are consecutive, so a
 //     field.FDStepper walks them by forward differences — deg(loc) Adds per
 //     position instead of a full Horner chain — and the scan exits as soon
 //     as e = deg(loc) roots are found (a degree-e polynomial has no more).
-//  3. The values come from the transposed Vandermonde solve
-//     Σ_t v_t a_t^j = S_j (j < e) in O(e²) via field.VandermondeSolver.
-//  4. Verification replays all 2s syndromes through one shared per-position
+//  4. The values come from the transposed Vandermonde solve
+//     Σ_t v_t a_t^j = S_j (j < e) in O(e²) via field.VandermondeSolver, and
+//     verification replays all 2s syndromes through one shared per-position
 //     power chain (pw_t ← pw_t·a_t per syndrome step — two Muls per entry
-//     instead of a fresh field.Pow ladder), then checks the rho fingerprint.
+//     instead of a fresh field.Pow ladder), then checks the rho fingerprint
+//     (solveAndVerify).
 //
 // Every step is exact field arithmetic producing the unique candidate, so
 // decodes are bit-identical to the pre-PR-4 Horner-scan/Gaussian decoder.
@@ -277,12 +305,25 @@ func (rc *Recoverer) decode() bool {
 	if rc.IsZero() {
 		return true
 	}
+	rev := rc.locator()
+	if rev == nil {
+		return false
+	}
+	if e := len(rev) - 1; rc.n > splitTestFloor*e*e && !rc.split.Splits(rev) {
+		return false
+	}
+	return rc.scanRoots(rev) && rc.solveAndVerify()
+}
+
+// locator returns the reversed locator polynomial of the current syndromes
+// in rc.rev — monic, nonzero constant term, degree e in [1, s] — or nil when
+// Berlekamp-Massey's locator has a degree no s-sparse vector produces.
+func (rc *Recoverer) locator() field.Poly {
 	loc := field.BerlekampMassey(rc.synd)
 	e := loc.Degree()
 	if e < 1 || e > rc.s {
-		return false
+		return nil
 	}
-	// Reversed locator into reusable scratch.
 	if cap(rc.rev) < e+1 {
 		rc.rev = make(field.Poly, e+1)
 	}
@@ -290,6 +331,13 @@ func (rc *Recoverer) decode() bool {
 	for i := 0; i <= e; i++ {
 		rev[i] = loc[e-i]
 	}
+	return rev
+}
+
+// scanRoots fills rc.positions with the roots of rev among the points
+// a_i = i+1, i < n, and reports whether there are deg(rev) of them.
+func (rc *Recoverer) scanRoots(rev field.Poly) bool {
+	e := len(rev) - 1
 	// Finite-difference Chien scan over the consecutive points 1..n in blocks
 	// of chienBlock values per kernel dispatch (field.FDStepper.NextBlock),
 	// early exit once all e roots are found. The block granularity computes at
@@ -313,9 +361,14 @@ scanLoop:
 		}
 	}
 	rc.positions = positions
-	if len(positions) != e {
-		return false
-	}
+	return len(positions) == e
+}
+
+// solveAndVerify solves for the values at rc.positions, checks the candidate
+// against every measurement and, if it stands, stores it in rc.decoded.
+func (rc *Recoverer) solveAndVerify() bool {
+	positions := rc.positions
+	e := len(positions)
 	// Structured transposed-Vandermonde value solve on S_0..S_{e-1}.
 	pts := growElems(&rc.pts, e)
 	vals := growElems(&rc.vals, e)
@@ -407,10 +460,13 @@ func (rc *Recoverer) ImportState(data []byte) error {
 	if len(data) != want {
 		return fmt.Errorf("sparse: state is %d bytes, want %d", len(data), want)
 	}
+	// Reduced on the way in, as RestoreState does: every fold assumes
+	// canonical cells (the lazy five-term sum of kernel.SyndromeAdd4 has no
+	// headroom for a word near 2^64), and these bytes come from a peer.
 	for j := range rc.synd {
-		rc.synd[j] = field.Elem(binary.LittleEndian.Uint64(data[j*8:]))
+		rc.synd[j] = field.New(binary.LittleEndian.Uint64(data[j*8:]))
 	}
-	rc.fp = field.Elem(binary.LittleEndian.Uint64(data[len(rc.synd)*8:]))
+	rc.fp = field.New(binary.LittleEndian.Uint64(data[len(rc.synd)*8:]))
 	return nil
 }
 
