@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-kernels chaos bench bench-module pairs microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
+.PHONY: build test race race-kernels chaos bench bench-module pairs loc microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,13 @@ WORKLOAD ?= l0_stream
 N ?= 10
 pairs:
 	scripts/pairs.sh $(PARENT) $(WORKLOAD) $(N)
+
+# Non-test Go and assembly lines per package outside bench/, with the total;
+# REF adds the net change against that ref (new files count once tracked).
+#   make loc REF=HEAD~1
+REF ?=
+loc:
+	scripts/loc.sh $(REF)
 
 # Kernel micro-benchmarks (field multiply / exponentiation, scalar vs
 # flat-batch hash kernels, count-sketch hot paths, the Nisan PRG's

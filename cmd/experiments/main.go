@@ -1,5 +1,5 @@
 // Command experiments regenerates the evaluation tables E1-E11 and the
-// ablations A1-A3 documented in DESIGN.md and EXPERIMENTS.md.
+// ablations A1-A3 of internal/experiments, one per claim of the paper.
 //
 // Usage:
 //

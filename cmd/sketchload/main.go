@@ -239,27 +239,10 @@ func verifyAgainstSerial(ctx context.Context, client *sketchd.Client, cfg config
 	if err != nil {
 		return fmt.Errorf("sampling merged sketch: %w", err)
 	}
-	fmt.Printf("sketchload: verify OK — merged state byte-identical to serial (%d bytes); sample %+v\n",
-		len(want), sampleSummary(serial, sample))
+	// The serial sketch's answer beside the server's: by determinism (same
+	// seed, same state) the two agree, which the e2e test asserts; here it is
+	// reporting.
+	fmt.Printf("sketchload: verify OK — merged state byte-identical to serial (%d bytes); sample server=%+v serial=%+v\n",
+		len(want), sample.Answer, streamsample.Query(serial))
 	return nil
-}
-
-// sampleSummary draws the serial sketch's sample next to the server's for
-// the human-readable verify line. By determinism (same seed, same state)
-// the two draws agree, which the e2e test asserts; here it is reporting.
-func sampleSummary(serial streamsample.Sketch, server sketchd.SampleResult) string {
-	switch s := serial.(type) {
-	case *streamsample.L0Sampler:
-		i, v, ok := s.Sample()
-		return fmt.Sprintf("server={index:%d value:%d ok:%v} serial={index:%d value:%d ok:%v}",
-			server.Index, server.Value, server.Ok, i, v, ok)
-	case *streamsample.LpSampler:
-		i, est, ok := s.Sample()
-		return fmt.Sprintf("server={index:%d estimate:%g ok:%v} serial={index:%d estimate:%g ok:%v}",
-			server.Index, server.Estimate, server.Ok, i, est, ok)
-	case *streamsample.HeavyHitters:
-		return fmt.Sprintf("server=%v serial=%v", server.HeavyHitters, s.Report())
-	default:
-		return fmt.Sprintf("%+v", server)
-	}
 }

@@ -59,6 +59,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -117,10 +118,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *export != "" || *push != "" {
-		switch *sketchKind {
-		case "l0", "lp", "hh":
-		default:
-			fmt.Fprintf(os.Stderr, "workload: unknown -sketch kind %q (want l0, lp or hh)\n", *sketchKind)
+		if err := (sketchd.Spec{Kind: *sketchKind, N: *n, Seed: *seed}).Check(); err != nil {
+			fmt.Fprintf(os.Stderr, "workload: -sketch: %v\n", err)
 			os.Exit(2)
 		}
 		if _, _, err := parseShard(*shardSpec); err != nil {
@@ -275,9 +274,9 @@ func runExport(path, kind, shardSpec string, st stream.Stream, n int, seed uint6
 
 // runPush is -export over the network: the same shard sketch, POSTed to a
 // running sketchd instead of written to a file. A sketch that is not yet
-// registered is created on the fly from the flag-derived spec — the spec's
-// defaults match the sketches buildShardSketch constructs, so every -push
-// exporter sharing -seed produces mergeable same-seed replicas.
+// registered is created on the fly from the flag-derived spec that
+// buildShardSketch built the shard from, so every -push exporter sharing
+// -seed produces mergeable same-seed replicas.
 func runPush(addr, tenant, name, kind, shardSpec string, st stream.Stream, n int, seed uint64) error {
 	data, idx, cnt, updates, err := buildShardSketch(kind, shardSpec, st, n, seed)
 	if err != nil {
@@ -309,16 +308,9 @@ func buildShardSketch(kind, shardSpec string, st stream.Stream, n int, seed uint
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	var sk streamsample.Sketch
-	switch kind {
-	case "l0":
-		sk = streamsample.NewL0Sampler(n, streamsample.WithSeed(seed))
-	case "lp":
-		sk = streamsample.NewLpSampler(1, n, streamsample.WithSeed(seed))
-	case "hh":
-		sk = streamsample.NewHeavyHitters(1, 0.1, n, streamsample.WithSeed(seed))
-	default:
-		return nil, 0, 0, 0, fmt.Errorf("unknown -sketch kind %q (want l0, lp or hh)", kind)
+	sk, err := sketchd.Spec{Kind: kind, N: n, Seed: seed}.Build()
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
 	shard := make(stream.Stream, 0, len(st)/cnt+1)
 	for j := idx; j < len(st); j += cnt {
@@ -426,23 +418,11 @@ func runImport(files []string, strict bool) error {
 	}
 	fmt.Fprintf(os.Stderr, "merged %d/%d shard sketches (%T, %d bits); skipped: %v\n",
 		used, len(files), merged, merged.SpaceBits(), skips)
-	switch s := merged.(type) {
-	case *streamsample.L0Sampler:
-		if i, v, ok := s.Sample(); ok {
-			fmt.Printf("l0 sample index=%d value=%d\n", i, v)
-		} else {
-			fmt.Println("l0 sample failed")
-		}
-	case *streamsample.LpSampler:
-		if i, est, ok := s.Sample(); ok {
-			fmt.Printf("lp sample index=%d estimate=%g\n", i, est)
-		} else {
-			fmt.Println("lp sample failed")
-		}
-	case *streamsample.HeavyHitters:
-		fmt.Printf("heavy hitters: %v\n", s.Report())
-	default:
-		fmt.Printf("loaded %T\n", merged)
+	// The query answer, as sketchd's /sample would serve it.
+	answer, err := json.Marshal(streamsample.Query(merged))
+	if err != nil {
+		return err
 	}
+	fmt.Println(string(answer))
 	return nil
 }

@@ -8,9 +8,9 @@
 // O(log² n) bits per round and names an actual drifted key, which is what
 // an operator needs to start reconciling.
 //
-// This example runs the real byte-level handoff (ExportState/ImportState on
-// the internal sampler) rather than a simulation: the "network message" is
-// a Go []byte.
+// This example runs the real byte-level handoff rather than a simulation:
+// the "network message" is the []byte MarshalBinary writes — config block,
+// seed and linear state — and Bob rebuilds the sketch from it with Load.
 //
 // Run: go run ./examples/urprotocol
 package main
@@ -19,8 +19,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"repro/internal/core"
-	"repro/internal/stream"
+	streamsample "repro"
 )
 
 func main() {
@@ -43,42 +42,42 @@ func main() {
 	}
 	fmt.Printf("replicas of %d keys, drifted keys: %v\n", n, keys(drifted))
 
-	// Shared randomness: both sides construct the same sampler shell from a
-	// pre-agreed seed (in production: a seed exchanged once, out of band).
+	// Shared randomness: the seed travels in the message, so Bob rebuilds the
+	// same sampler from the bytes alone.
 	const seed = 0xDEADBEEF
-	mk := func() *core.L0Sampler {
-		return core.NewL0Sampler(core.L0Config{N: n, Delta: 0.05},
-			rand.New(rand.NewPCG(seed, seed>>7)))
-	}
 
-	// Alice sketches her replica and serializes the counters.
-	aliceSketch := mk()
+	// Alice sketches her replica and serializes it.
+	aliceSketch := streamsample.NewL0Sampler(n, streamsample.WithSeed(seed), streamsample.WithDelta(0.05))
 	for i, v := range alice {
 		if v != 0 {
-			aliceSketch.Process(stream.Update{Index: i, Delta: int64(v)})
+			aliceSketch.Update(i, int64(v))
 		}
 	}
-	message := aliceSketch.ExportState()
+	message, err := aliceSketch.MarshalBinary()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("Alice -> Bob: %d bytes (vs %d bytes to ship the table)\n",
 		len(message), n/8)
 
-	// Bob imports, subtracts his replica, and samples the difference.
-	bobSketch := mk()
-	if err := bobSketch.ImportState(message); err != nil {
+	// Bob loads, subtracts his replica, and samples the difference.
+	loaded, err := streamsample.Load(message)
+	if err != nil {
 		panic(err)
 	}
+	bobSketch := loaded.(*streamsample.L0Sampler)
 	for i, v := range bob {
 		if v != 0 {
-			bobSketch.Process(stream.Update{Index: i, Delta: -int64(v)})
+			bobSketch.Update(i, -int64(v))
 		}
 	}
-	out, ok := bobSketch.Sample()
+	index, _, ok := bobSketch.Sample()
 	if !ok {
 		fmt.Println("protocol failed this run (probability ≤ δ = 0.05)")
 		return
 	}
 	fmt.Printf("Bob learns drifted key %d (actually drifted: %v)\n",
-		out.Index, drifted[out.Index])
+		index, drifted[index])
 	fmt.Println("re-running with fresh seeds enumerates further drifted keys;")
 	fmt.Println("Theorem 6 of the paper proves ~log²(n) bytes is unavoidable.")
 }

@@ -1,6 +1,7 @@
 package streamsample
 
 import (
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/moments"
 	"repro/internal/stream"
@@ -13,19 +14,15 @@ import (
 // pipelines) and space matters more than pass count.
 //
 // Protocol: feed the whole stream, call EndPass1, feed the whole stream
-// again, then Sample.
-type TwoPassL0Sampler struct {
-	n     int
-	opts  options
-	inner *core.TwoPassL0Sampler
-}
+// again, then Sample. A sampler serialized between the passes resumes
+// exactly where it stopped.
+type TwoPassL0Sampler struct{ base[*core.TwoPassL0Sampler] }
 
 var _ Sketch = (*TwoPassL0Sampler)(nil)
 
 // NewTwoPassL0Sampler creates the sampler for dimension n.
 func NewTwoPassL0Sampler(n int, opts ...Option) *TwoPassL0Sampler {
-	o := buildOptions(opts)
-	return &TwoPassL0Sampler{n: n, opts: o, inner: core.NewTwoPassL0Sampler(n, o.delta, o.rng())}
+	return construct(newConfig(codec.KindTwoPassL0Sampler, n, opts)).(*TwoPassL0Sampler)
 }
 
 // Update applies x[i] += delta in the current pass.
@@ -69,13 +66,7 @@ func (s *TwoPassL0Sampler) SpaceBits() int64 { return s.inner.SpaceBits() }
 // FpEstimator estimates the frequency moment F_p = Σ|x_i|^p for p > 2 by
 // importance sampling over L1 samples — the [23] application the paper's
 // samplers were designed to speed up.
-type FpEstimator struct {
-	p       float64
-	n       int
-	samples int
-	opts    options
-	inner   *moments.FpEstimator
-}
+type FpEstimator struct{ base[*moments.FpEstimator] }
 
 var _ Sketch = (*FpEstimator)(nil)
 
@@ -83,12 +74,10 @@ var _ Sketch = (*FpEstimator)(nil)
 // with the given number of independent samplers (the accuracy knob; a few
 // dozen give constant-factor estimates on moderately skewed data).
 func NewFpEstimator(p float64, n, samples int, opts ...Option) *FpEstimator {
-	if samples < 1 {
-		samples = 1 // mirror moments.NewFp, keeping the recorded config canonical
-	}
-	o := buildOptions(opts)
-	return &FpEstimator{p: p, n: n, samples: samples, opts: o,
-		inner: moments.NewFp(p, n, samples, o.rng())}
+	c := newConfig(codec.KindFpEstimator, n, opts)
+	c.p = p
+	c.samples = uint64(max(samples, 1)) // mirror moments.NewFp, keeping the recorded config canonical
+	return construct(c).(*FpEstimator)
 }
 
 // Update applies x[i] += delta.

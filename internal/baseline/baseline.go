@@ -13,8 +13,8 @@
 //     correctness oracle in the duplicates experiments.
 //
 // The AKO constants are reconstructed from the paper's description (the
-// manuscript's own constants are not in our source text) — substitution #4
-// in DESIGN.md; the log-factor shape is what E2/E3 measure.
+// manuscript's own constants are not in our source text); the log-factor
+// shape, not the constants, is what E2/E3 measure.
 package baseline
 
 import (

@@ -502,7 +502,7 @@ func (s *Store) Append(batch []stream.Update) error {
 			return err
 		}
 	}
-	s.payload = appendUpdates(s.payload[:0], batch)
+	s.payload = codec.AppendUpdates(s.payload[:0], batch)
 	s.frame = codec.AppendRecord(s.frame[:0], s.payload)
 	err := retry.Do(nil, s.opts.Retry, func() error {
 		if err := s.opts.Injector.Err(faultinject.JournalAppend); err != nil {
@@ -531,30 +531,6 @@ func (s *Store) Append(batch []stream.Update) error {
 	}
 	s.journalOff += int64(len(s.frame))
 	return nil
-}
-
-// appendUpdates encodes a batch as (index, delta) word pairs.
-func appendUpdates(dst []byte, batch []stream.Update) []byte {
-	for _, u := range batch {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(u.Index))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(u.Delta))
-	}
-	return dst
-}
-
-// decodeUpdates is the inverse of appendUpdates.
-func decodeUpdates(payload []byte) (stream.Stream, error) {
-	if len(payload)%16 != 0 {
-		return nil, fmt.Errorf("%w: journal record payload of %d bytes", ErrTornWrite, len(payload))
-	}
-	out := make(stream.Stream, len(payload)/16)
-	for i := range out {
-		out[i] = stream.Update{
-			Index: int(binary.LittleEndian.Uint64(payload[16*i:])),
-			Delta: int64(binary.LittleEndian.Uint64(payload[16*i+8:])),
-		}
-	}
-	return out, nil
 }
 
 // readJournal parses one segment: header, then records until the end or a
@@ -593,7 +569,7 @@ func (s *Store) readJournal(gen uint64, final bool) ([]stream.Stream, error) {
 			}
 			return nil, fmt.Errorf("%w: journal %d: %v", ErrGenerationGap, gen, err)
 		}
-		batch, err := decodeUpdates(payload)
+		batch, err := codec.DecodeUpdates(payload)
 		if err != nil {
 			if final {
 				return batches, fmt.Errorf("%w: journal %d record malformed", ErrTornWrite, gen)

@@ -21,11 +21,17 @@
 // payload. The fingerprint seals the header: a corrupted config block is
 // rejected with ErrBadFingerprint before any allocation-driving field is
 // trusted. Everything is little-endian; floats travel as IEEE-754 bits.
+// Which words a kind's config block holds, in which order, the ranges and
+// word budget a reader holds them to, and how it rebuilds the sketch are one
+// row of the kind table in the root package (kinds.go); this package knows
+// only the framing.
 //
 // The Encoder/Decoder pair below is deliberately minimal — append-only
 // writing, sticky-error reading — so the per-substrate AppendState /
 // RestoreState methods threaded through the sketch packages stay free of
-// error plumbing until the single Err check at the end.
+// error plumbing until the single Err check at the end. record.go frames the
+// checkpoint journal and sketchd's ingest frames, whose payload is one
+// layout of (index, delta) pairs (AppendUpdates / DecodeUpdates).
 //
 // # Error taxonomy
 //

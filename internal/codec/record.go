@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/stream"
 )
 
 // Journal record framing. The checkpoint store's segment journal
@@ -44,6 +46,33 @@ func AppendRecord(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint64(dst, fnv1a(payload))
 	return append(dst, payload...)
+}
+
+// AppendUpdates appends a batch as the payload a journal record or an ingest
+// frame carries: per update a 16-byte pair of little-endian words, the index
+// then the delta.
+func AppendUpdates(dst []byte, batch []stream.Update) []byte {
+	for _, u := range batch {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(u.Index))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(u.Delta))
+	}
+	return dst
+}
+
+// DecodeUpdates is the inverse of AppendUpdates. A payload that is not a
+// whole number of pairs fails with ErrTruncated.
+func DecodeUpdates(payload []byte) ([]stream.Update, error) {
+	if len(payload)%16 != 0 {
+		return nil, fmt.Errorf("%w: %d-byte payload is not a whole number of (index, delta) pairs", ErrTruncated, len(payload))
+	}
+	batch := make([]stream.Update, len(payload)/16)
+	for i := range batch {
+		batch[i] = stream.Update{
+			Index: int(binary.LittleEndian.Uint64(payload[16*i:])),
+			Delta: int64(binary.LittleEndian.Uint64(payload[16*i+8:])),
+		}
+	}
+	return batch, nil
 }
 
 // RecordOverhead is the framing cost per record in bytes.

@@ -3,7 +3,10 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -67,5 +70,22 @@ func TestRecordInsaneLength(t *testing.T) {
 	buf[0], buf[1], buf[2], buf[3] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, _, err := NextRecord(buf); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v, want ErrBadConfig for an insane length", err)
+	}
+}
+
+// TestUpdatesRoundTrip pins the (index, delta) pair layout the journal and the
+// ingest frames share, and the refusal of a ragged payload.
+func TestUpdatesRoundTrip(t *testing.T) {
+	batch := []stream.Update{{Index: 0, Delta: 1}, {Index: 1 << 40, Delta: -7}, {Index: 3, Delta: -1 << 62}}
+	payload := AppendUpdates(nil, batch)
+	if len(payload) != 16*len(batch) || payload[16] != 0 || payload[21] != 1 || payload[24] != 0xF9 {
+		t.Fatalf("payload layout % x", payload)
+	}
+	got, err := DecodeUpdates(payload)
+	if err != nil || !reflect.DeepEqual(got, batch) {
+		t.Fatalf("DecodeUpdates = %v, %v; want %v", got, err, batch)
+	}
+	if _, err := DecodeUpdates(payload[:17]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("ragged payload err = %v, want ErrTruncated", err)
 	}
 }

@@ -151,7 +151,7 @@ func OneRoundUR(inst URInstance, delta float64, r *rand.Rand) Result {
 // sparse recoverer — the second round is O(log(1/δ)) words, realizing the
 // one-log-factor drop from the one-round protocol. (Compressing round 1 to
 // the full O(log n log log n) bits of [17] would need the loglog-bit cells
-// of that estimator; substitution note in DESIGN.md.)
+// of that estimator, which internal/distinct keeps as whole words.)
 func TwoRoundUR(inst URInstance, delta float64, r *rand.Rand) Result {
 	n := len(inst.X)
 	est := distinct.New(n, 12, r)

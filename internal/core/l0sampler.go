@@ -24,7 +24,7 @@ type L0Config struct {
 	// (default ⌈4 log₂(1/δ)⌉ as in the proof of Theorem 2).
 	SOverride int
 	// NestedLevels switches level membership from independent per-(level,
-	// coordinate) coins (substitution #2: i.i.d. I_k) to the paper's §2.1
+	// coordinate) coins (i.i.d. I_k, the default) to the paper's §2.1
 	// nested reading I_1 ⊆ I_2 ⊆ ... ⊆ I_K: one PRG block u_i per
 	// coordinate decides every level at once via the dyadic thresholds
 	// "i ∈ I_k iff u_i < 2^k/n · Modulus". Membership still holds
@@ -58,7 +58,8 @@ type L0Config struct {
 //
 // With NestedLevels the sets are nested as in the paper's original
 // formulation (one block per coordinate, dyadic thresholds); the default
-// remains independent per-level coins (substitution #2 in DESIGN.md).
+// remains independent per-level coins, which Theorem 2's per-level analysis
+// admits (see the package documentation).
 type L0Sampler struct {
 	n      int
 	s      int
@@ -87,7 +88,7 @@ type L0Sampler struct {
 	scratch *l0Scratch
 
 	// Query-side memoization: Sample's outcome is cached until the next
-	// mutation (Process/ProcessBatch/Merge/ImportState). Per-level decodes
+	// mutation (Process/ProcessBatch/Merge/RestoreState). Per-level decodes
 	// are additionally memoized inside each sparse.Recoverer, so after a
 	// mutation only the levels it actually touched re-decode.
 	queryValid     bool
@@ -105,21 +106,9 @@ func NewL0Sampler(cfg L0Config, r *rand.Rand) *L0Sampler {
 	if cfg.Delta <= 0 || cfg.Delta >= 1 {
 		cfg.Delta = 0.25
 	}
-	s := cfg.SOverride
-	if s <= 0 {
-		s = int(math.Ceil(4 * math.Log2(1/cfg.Delta)))
-		if s < 4 {
-			s = 4
-		}
-	}
-	// K = last level whose inclusion probability 2^K/n is below 1. Levels
-	// at probability >= 1 would be copies of I_0 = [n]; the sampler keeps
-	// exactly one full level.
-	K := 0
-	for uint64(1)<<(K+1) < uint64(cfg.N) {
-		K++
-	}
-	numLevels := K + 1
+	z := SizeL0(cfg)
+	s, numLevels := int(z.S), int(z.Levels)
+	K := numLevels - 1
 	stride := uint64(1)
 	for stride < uint64(K) {
 		stride <<= 1
@@ -149,6 +138,31 @@ func NewL0Sampler(cfg L0Config, r *rand.Rand) *L0Sampler {
 	}
 	return l
 }
+
+// L0Size is the shape NewL0Sampler allocates for a config: Levels exact
+// S-sparse recoverers. float64 for the reason LpSize gives.
+type L0Size struct {
+	S, Levels float64
+}
+
+// SizeL0 derives the shape from cfg (δ in range): the per-level budget s,
+// ⌈4 log₂(1/δ)⌉ and at least 4 unless overridden, and the levels 0..K, K
+// being the last level whose inclusion probability 2^K/n is below 1 (levels
+// at probability >= 1 would be copies of I_0 = [n]).
+func SizeL0(cfg L0Config) L0Size {
+	z := L0Size{S: float64(cfg.SOverride), Levels: 1}
+	if z.S <= 0 {
+		z.S = math.Max(4, math.Ceil(4*math.Log2(1/cfg.Delta)))
+	}
+	for math.Exp2(z.Levels) < float64(cfg.N) {
+		z.Levels++
+	}
+	return z
+}
+
+// Words prices the shape in 64-bit words: 2s syndromes and a fingerprint
+// per level.
+func (z L0Size) Words() float64 { return z.Levels * (2*z.S + 1) }
 
 // S returns the per-level sparsity budget.
 func (l *L0Sampler) S() int { return l.s }
@@ -385,36 +399,9 @@ func (l *L0Sampler) StateBits() int64 {
 	return bits
 }
 
-// ExportState serializes all levels' linear measurements — the concrete
-// one-round message of Proposition 5. len(result)*8 == StateBits().
-func (l *L0Sampler) ExportState() []byte {
-	var out []byte
-	for _, lv := range l.levels {
-		out = append(out, lv.ExportState()...)
-	}
-	return out
-}
-
-// ImportState replaces the sampler's measurements with exported ones. The
-// receiver must be a same-seed, same-configuration instance. The memoized
-// sample is invalidated on every path, accepted or rejected.
-func (l *L0Sampler) ImportState(data []byte) error {
-	l.queryValid = false
-	per := int(l.levels[0].StateBits() / 8)
-	if len(data) != per*len(l.levels) {
-		return fmt.Errorf("core: state is %d bytes, want %d", len(data), per*len(l.levels))
-	}
-	for k, lv := range l.levels {
-		if err := lv.ImportState(data[k*per : (k+1)*per]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AppendState writes every level's linear measurements into a codec encoder
-// — the framed counterpart of ExportState used by the public wire format,
-// the engine checkpoints and the graph sketches.
+// — the public wire format, the engine checkpoints, the graph sketches and
+// the one-round message of Proposition 5, whose payload is StateBits bits.
 func (l *L0Sampler) AppendState(e *codec.Encoder) {
 	for _, lv := range l.levels {
 		lv.AppendState(e)

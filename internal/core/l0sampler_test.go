@@ -191,7 +191,7 @@ func TestL0SamplerSOverride(t *testing.T) {
 }
 
 // TestL0ProcessBatchMatchesProcess pins the update-major batched path to the
-// scalar path bit-for-bit (ExportState compares every syndrome and
+// scalar path bit-for-bit (the serialized state compares every syndrome and
 // fingerprint of every level), in both level-assignment modes and across
 // batch sizes that exercise the transposed kernel's groups and tails.
 func TestL0ProcessBatchMatchesProcess(t *testing.T) {
@@ -208,7 +208,7 @@ func TestL0ProcessBatchMatchesProcess(t *testing.T) {
 				scalar.Process(u)
 			}
 			batched.ProcessBatch(st)
-			a, b := scalar.ExportState(), batched.ExportState()
+			a, b := stateBytes(scalar), stateBytes(batched)
 			if len(a) != len(b) {
 				t.Fatalf("nested=%v len=%d: state sizes differ", nested, length)
 			}

@@ -8,7 +8,7 @@
 // §2.1 defines subsampling sets I_k ⊆ [n] with E|I_k| = 2^k. Two readings
 // are implemented, selected by L0Config.NestedLevels:
 //
-//   - Default (i.i.d., DESIGN.md substitution #2): membership is an
+//   - Default (i.i.d., in place of §2.1's nested sets): membership is an
 //     independent Bernoulli(2^k/n) coin per (level, coordinate), each drawn
 //     from its own Nisan PRG block. The analysis of Theorem 2 only uses
 //     per-level marginals, so independence across levels is admissible and
@@ -198,65 +198,16 @@ func NewLpSampler(cfg LpConfig, r *rand.Rand) *LpSampler {
 	if cfg.N < 1 {
 		panic("core: n must be positive")
 	}
-	p, eps := cfg.P, cfg.Eps
-
-	// Initialization stage of Figure 1.
-	k := cfg.KOverride
-	if k <= 0 {
-		if p == 1 {
-			k = int(math.Ceil(4 * math.Log2(1/eps)))
-		} else {
-			k = 10 * int(math.Ceil(1/math.Abs(p-1)))
-		}
-		if k < 2 {
-			k = 2
-		}
-	}
-	mf := cfg.MFactor
-	if mf <= 0 {
-		mf = 16
-	}
-	var m int
-	if p == 1 {
-		m = int(math.Ceil(mf * math.Max(1, math.Log2(1/eps))))
-	} else {
-		m = int(math.Ceil(mf * math.Pow(eps, -math.Max(0, p-1))))
-	}
-	if m < 2 {
-		m = 2
-	}
-	rows := cfg.Rows
-	if rows <= 0 {
-		rows = int(math.Ceil(math.Log2(float64(cfg.N)))) + 4
-		if rows < 7 {
-			rows = 7
-		}
-	}
-	normCounters := cfg.NormCounters
-	if normCounters <= 0 {
-		normCounters = 80
-		if p < 0.75 {
-			normCounters = 140
-		}
-	}
-	copies := cfg.Copies
-	if copies <= 0 {
-		// Per-round success is at least ~ε/2^p (Theorem 1 proof).
-		perRound := eps / math.Pow(2, p)
-		copies = int(math.Ceil(math.Log(1/cfg.Delta) / perRound))
-		if copies < 1 {
-			copies = 1
-		}
-	}
-
+	z := SizeLp(cfg)
+	k, m, rows, copies := int(z.K), int(z.M), int(z.Rows), int(z.Copies)
 	s := &LpSampler{
 		cfg:    cfg,
 		k:      k,
 		m:      m,
-		beta:   math.Pow(eps, 1-1/p),
+		beta:   math.Pow(cfg.Eps, 1-1/cfg.P),
 		tMin:   math.Pow(float64(cfg.N), -2) / 16,
 		copies: make([]*lpCopy, copies),
-		rNorm:  norm.NewStable(p, normCounters, r),
+		rNorm:  norm.NewStable(cfg.P, int(z.NormCounters), r),
 	}
 	ts := make([]*hash.KWise, copies)
 	for c := range s.copies {
@@ -270,6 +221,64 @@ func NewLpSampler(cfg LpConfig, r *rand.Rand) *LpSampler {
 	s.ts = hash.Stack(ts)
 	s.rowT = make([]float64, copies)
 	return s
+}
+
+// LpSize is the shape NewLpSampler allocates for a config: the independence
+// K of the scaling factors, the count-sketch parameter M and depth Rows, the
+// counters of the shared norm estimator and the repetition count. The sizes
+// are float64 so that any config, a hostile wire config block included, is
+// priced without overflow; NewLpSampler converts them.
+type LpSize struct {
+	K, M, Rows, NormCounters, Copies float64
+}
+
+// SizeLp derives the shape of the Initialization stage of Figure 1 from cfg
+// (p, ε and δ in range), applying the defaults of the zero override fields.
+func SizeLp(cfg LpConfig) LpSize {
+	p, eps := cfg.P, cfg.Eps
+	z := LpSize{K: float64(cfg.KOverride), Rows: float64(cfg.Rows),
+		NormCounters: float64(cfg.NormCounters), Copies: float64(cfg.Copies)}
+	if z.K <= 0 {
+		if p == 1 {
+			z.K = math.Ceil(4 * math.Log2(1/eps))
+		} else {
+			z.K = 10 * math.Ceil(1/math.Abs(p-1))
+		}
+		z.K = math.Max(z.K, 2)
+	}
+	mf := cfg.MFactor
+	if mf <= 0 {
+		mf = 16
+	}
+	if p == 1 {
+		z.M = math.Ceil(mf * math.Max(1, math.Log2(1/eps)))
+	} else {
+		z.M = math.Ceil(mf * math.Pow(eps, -math.Max(0, p-1)))
+	}
+	z.M = math.Max(z.M, 2)
+	if z.Rows <= 0 {
+		z.Rows = math.Max(7, math.Ceil(math.Log2(float64(cfg.N)))+4)
+	}
+	if z.NormCounters <= 0 {
+		z.NormCounters = 80
+		if p < 0.75 {
+			z.NormCounters = 140
+		}
+	}
+	if z.Copies <= 0 {
+		// Per-round success is at least ~ε/2^p (Theorem 1 proof).
+		perRound := eps / math.Pow(2, p)
+		z.Copies = math.Max(1, math.Ceil(math.Log(1/cfg.Delta)/perRound))
+	}
+	return z
+}
+
+// Words prices the shape in 64-bit words: per repetition the count-sketch
+// cells, the k scaling coefficients and the 9×6 AMS sketch with its sign
+// seeds, plus the norm estimator's counters and per-counter rows.
+func (z LpSize) Words() float64 {
+	const amsWords = 9*6 + 9*4
+	return z.Copies*(z.Rows*countsketch.BucketFactor*z.M+z.K+amsWords) + 3*z.NormCounters
 }
 
 // K returns the independence parameter in use for the scaling factors.

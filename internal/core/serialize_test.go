@@ -17,13 +17,14 @@ func TestL0ExportImportRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		alice.Process(stream.Update{Index: i, Delta: int64(i + 1)})
 	}
-	msg := alice.ExportState()
-	if int64(len(msg))*8 != alice.StateBits() {
-		t.Fatalf("exported %d bytes, StateBits says %d bits", len(msg), alice.StateBits())
+	msg := stateBytes(alice)
+	const header = 8 // magic, version, kind
+	if int64(len(msg)-header)*8 != alice.StateBits() {
+		t.Fatalf("exported %d state bytes, StateBits says %d bits", len(msg)-header, alice.StateBits())
 	}
-	// Bob imports and subtracts y (= x except coordinate 7): the handoff of
+	// Bob restores and subtracts y (= x except coordinate 7): the handoff of
 	// Proposition 5's one-round protocol, over real bytes.
-	if err := bob.ImportState(msg); err != nil {
+	if err := restoreState(bob, msg); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -44,14 +45,18 @@ func TestL0ExportImportRoundTrip(t *testing.T) {
 func TestL0ImportRejectsWrongSize(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 3))
 	s := NewL0Sampler(L0Config{N: 128, Delta: 0.2}, r)
-	if err := s.ImportState(make([]byte, 7)); err == nil {
+	short := stateBytes(s)
+	if err := restoreState(s, short[:len(short)-7]); err == nil {
 		t.Fatal("short state must be rejected")
+	}
+	if err := restoreState(s, append(stateBytes(s), 0)); err == nil {
+		t.Fatal("long state must be rejected")
 	}
 }
 
 // TestL0RestoreInvalidatesPrimedSampleCache is the regression test for the
 // restore-then-Sample path: a sampler whose memoized Sample is primed must
-// re-decode after ImportState instead of serving the stale cache.
+// re-decode after RestoreState instead of serving the stale cache.
 func TestL0RestoreInvalidatesPrimedSampleCache(t *testing.T) {
 	r1 := rand.New(rand.NewPCG(6, 6))
 	r2 := rand.New(rand.NewPCG(6, 6))
@@ -63,21 +68,21 @@ func TestL0RestoreInvalidatesPrimedSampleCache(t *testing.T) {
 	if out, ok := b.Sample(); !ok || out.Index != 33 {
 		t.Fatalf("priming sample: %+v ok=%v", out, ok)
 	}
-	if err := b.ImportState(a.ExportState()); err != nil {
+	state := stateBytes(a)
+	if err := restoreState(b, state); err != nil {
 		t.Fatal(err)
 	}
 	out, ok := b.Sample()
 	if !ok || out.Index != 5 || out.Estimate != 9 {
 		t.Fatalf("restore-then-Sample served stale cache: %+v ok=%v", out, ok)
 	}
-	// A rejected import must also leave the cache invalidated (the next
-	// Sample re-decodes the unchanged state and still answers correctly).
-	if err := b.ImportState(make([]byte, 7)); err == nil {
+	// A failed restore must also leave the cache invalidated: the next Sample
+	// re-decodes instead of answering from before the restore.
+	if err := restoreState(b, state[:len(state)-7]); err == nil {
 		t.Fatal("short state must be rejected")
 	}
-	out, ok = b.Sample()
-	if !ok || out.Index != 5 {
-		t.Fatalf("sample after rejected import: %+v ok=%v", out, ok)
+	if b.queryValid {
+		t.Fatal("failed restore left the memoized sample valid")
 	}
 }
 
@@ -88,11 +93,11 @@ func TestL0ImportOverwrites(t *testing.T) {
 	b := NewL0Sampler(L0Config{N: 64, Delta: 0.2}, r2)
 	a.Process(stream.Update{Index: 5, Delta: 9})
 	b.Process(stream.Update{Index: 33, Delta: 1}) // will be overwritten
-	if err := b.ImportState(a.ExportState()); err != nil {
+	if err := restoreState(b, stateBytes(a)); err != nil {
 		t.Fatal(err)
 	}
 	out, ok := b.Sample()
 	if !ok || out.Index != 5 || out.Estimate != 9 {
-		t.Fatalf("import did not replace state: %+v ok=%v", out, ok)
+		t.Fatalf("restore did not replace state: %+v ok=%v", out, ok)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 
@@ -53,8 +54,11 @@ func NewTwoPassL0Sampler(n int, delta float64, r *rand.Rand) *TwoPassL0Sampler {
 	if delta <= 0 || delta >= 1 {
 		delta = 0.25
 	}
+	// s = Θ(log 1/δ) with the Theorem 2 constant: 4·s₀ for the least s₀ >= 4
+	// with 2^s₀ >= ⌊4/δ⌋, compared in floats and capped at 62 so that no δ in
+	// (0,1) overflows the shift or the conversion.
 	s := 4
-	for 1<<s < int(4/delta) { // s = Θ(log 1/δ) with the Theorem 2 constant
+	for s < 62 && math.Exp2(float64(s)) < math.Floor(4/delta) {
 		s++
 	}
 	s = 4 * s

@@ -11,10 +11,21 @@ import (
 	"repro/internal/stream"
 )
 
-func lpStateBytes(s *LpSampler) []byte {
-	e := codec.NewEncoder(codec.KindLpSampler)
+// stateBytes is a sketch's framed linear state, the digest the tests compare.
+func stateBytes(s interface{ AppendState(*codec.Encoder) }) []byte {
+	e := codec.NewEncoder(codec.KindInvalid)
 	s.AppendState(e)
 	return e.Bytes()
+}
+
+// restoreState replaces a sketch's linear state with stateBytes output.
+func restoreState(s interface{ RestoreState(*codec.Decoder) }, b []byte) error {
+	d, err := codec.NewDecoder(b)
+	if err != nil {
+		return err
+	}
+	s.RestoreState(d)
+	return d.Finish()
 }
 
 // TestLpUpdatePathsAgree pins the three ways updates reach an Lp sampler —
@@ -48,11 +59,11 @@ func TestLpUpdatePathsAgree(t *testing.T) {
 		if guarded == 0 || guarded == len(whole.copies) {
 			t.Fatalf("p=%v: %d of %d repetitions guarded; the test wants some but not all", p, guarded, len(whole.copies))
 		}
-		want := lpStateBytes(scalar)
-		if !bytes.Equal(lpStateBytes(whole), want) {
+		want := stateBytes(scalar)
+		if !bytes.Equal(stateBytes(whole), want) {
 			t.Errorf("p=%v: one large ProcessBatch differs from per-update Process", p)
 		}
-		if !bytes.Equal(lpStateBytes(blocks), want) {
+		if !bytes.Equal(stateBytes(blocks), want) {
 			t.Errorf("p=%v: block-sized ProcessBatch calls differ from per-update Process", p)
 		}
 	}

@@ -27,9 +27,9 @@
 //
 // Space: levels × R fingerprint words plus only R seed pairs —
 // O(log n · log(1/δ)) words. (The full [17] estimator squeezes the cells to
-// O(log log n) bits each; we keep whole words and document the substitution
-// in DESIGN.md — the constant-factor estimate is all the two-pass sampler
-// and the two-round UR protocol consume.)
+// O(log log n) bits each; we keep whole words — the constant-factor
+// estimate is all the two-pass sampler and the two-round UR protocol
+// consume.)
 package distinct
 
 import (

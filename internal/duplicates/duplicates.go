@@ -68,25 +68,22 @@ type PositiveFinder struct {
 // NewPositiveFinder builds the engine for dimension n and overall failure
 // probability delta.
 func NewPositiveFinder(n int, delta float64, r *rand.Rand) *PositiveFinder {
+	return &PositiveFinder{sampler: core.NewLpSampler(SamplerConfig(n, delta), r)}
+}
+
+// SamplerConfig is the L1 sampler a finder for dimension n and failure
+// probability delta runs, sized by core.SizeLp: ε = δ = 1/2 per repetition,
+// and max(4, ⌈8·ln(1/δ)⌉) repetitions (Theorem 3: per repetition,
+// P(positive duplicate output) >= 1/4 for streams with sum(x) = 1, composed
+// of the sampler's own success rate and the >1/2 positive mass). The count
+// is capped at 2^31, far past any constructible sampler, so no δ overflows
+// it.
+func SamplerConfig(n int, delta float64) core.LpConfig {
 	if delta <= 0 || delta >= 1 {
 		delta = 0.25
 	}
-	// Theorem 3: per repetition, P(positive duplicate output) >= 1/4 for
-	// streams with sum(x) = 1 — composed of the sampler's own success rate
-	// and the >1/2 positive mass. Size the repetitions against that rate.
-	copies := int(math.Ceil(math.Log(1/delta) * 8))
-	if copies < 4 {
-		copies = 4
-	}
-	return &PositiveFinder{
-		sampler: core.NewLpSampler(core.LpConfig{
-			P:      1,
-			N:      n,
-			Eps:    0.5,
-			Delta:  0.5,
-			Copies: copies,
-		}, r),
-	}
+	copies := math.Max(4, math.Ceil(math.Log(1/delta)*8))
+	return core.LpConfig{P: 1, N: n, Eps: 0.5, Delta: 0.5, Copies: int(math.Min(copies, 1<<31))}
 }
 
 // Process implements stream.Sink.

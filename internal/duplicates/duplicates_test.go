@@ -348,7 +348,7 @@ func TestProcessItemsMatchesProcessItem(t *testing.T) {
 		sa.ProcessItem(it)
 	}
 	sb.ProcessItems(short)
-	stateA, stateB := sa.rec.ExportState(), sb.rec.ExportState()
+	stateA, stateB := stateBytes(sa.rec.AppendState), stateBytes(sb.rec.AppendState)
 	for i := range stateA {
 		if stateA[i] != stateB[i] {
 			t.Fatalf("ShortFinder: recoverer state differs at byte %d", i)
@@ -392,7 +392,7 @@ func TestShortFinderMergeEqualsWhole(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	wa, ma := whole.rec.ExportState(), a.rec.ExportState()
+	wa, ma := stateBytes(whole.rec.AppendState), stateBytes(a.rec.AppendState)
 	for i := range wa {
 		if wa[i] != ma[i] {
 			t.Fatalf("merged recoverer state differs from whole-stream state at byte %d", i)

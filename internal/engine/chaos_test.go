@@ -125,7 +125,7 @@ func runChaosSchedule(t *testing.T, seed uint64, rate float64) string {
 	}
 	// A clean Results must be exact — faults may only cost latency or end
 	// in a typed error, never silently change answers.
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		st := eng.Stats()
 		return fmt.Sprintf("clean Results is NOT exact (panics=%d recoveries=%d durable=%v injected=%d)",
 			st.Panics, st.Recoveries, durable, inj.Fired())

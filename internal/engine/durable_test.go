@@ -84,11 +84,11 @@ func runDurableKillRestart(t *testing.T, seed uint64) error {
 				store.Close()
 				return err
 			}
-			final = merged.ExportState()
+			final = l0State(merged)
 		}
 		store.Close()
 	}
-	if !bytes.Equal(final, serial.ExportState()) {
+	if !bytes.Equal(final, l0State(serial)) {
 		return errors.New("resumed state differs from uninterrupted serial ingest")
 	}
 	return nil
@@ -137,7 +137,7 @@ func TestCheckpointAdoptAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		t.Fatal("cross-shard-count resume differs from serial state")
 	}
 }

@@ -87,7 +87,7 @@ func TestL0ShardedMatchesSerialState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Results: %v", err)
 	}
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		t.Fatal("merged L0 state differs from serial state")
 	}
 	wOut, wOK := serial.Sample()

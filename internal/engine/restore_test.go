@@ -47,7 +47,7 @@ func TestRestoreTruncatedBlobLeavesStateIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		t.Fatal("failed Restore disturbed the live replicas")
 	}
 }
@@ -83,7 +83,7 @@ func TestRestoreFailureThenRetrySucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		t.Fatal("resume after failed-then-good Restore differs from serial")
 	}
 }
@@ -122,7 +122,7 @@ func TestRestoreCallbackErrorMidway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		t.Fatal("mid-restore callback failure disturbed the live replicas")
 	}
 }

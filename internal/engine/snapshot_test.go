@@ -11,11 +11,24 @@ import (
 	"repro/internal/stream"
 )
 
-// l0Marshal/l0Restore adapt the L0 sampler's raw state export to the
-// Snapshot/Restore callbacks.
-func l0Marshal(s *core.L0Sampler) ([]byte, error) { return s.ExportState(), nil }
+// l0Marshal/l0Restore adapt the L0 sampler's framed state to the
+// Snapshot/Restore callbacks; l0State is the state the tests compare.
+func l0Marshal(s *core.L0Sampler) ([]byte, error) { return l0State(s), nil }
 
-func l0Restore(s *core.L0Sampler, b []byte) error { return s.ImportState(b) }
+func l0Restore(s *core.L0Sampler, b []byte) error {
+	d, err := codec.NewDecoder(b)
+	if err != nil {
+		return err
+	}
+	s.RestoreState(d)
+	return d.Finish()
+}
+
+func l0State(s *core.L0Sampler) []byte {
+	e := codec.NewEncoder(codec.KindL0Sampler)
+	s.AppendState(e)
+	return e.Bytes()
+}
 
 // TestSnapshotRestoreResumesExactly checkpoints a sharded ingest mid-stream,
 // "crashes" the engine, restores the snapshot into a fresh engine, replays
@@ -56,7 +69,7 @@ func TestSnapshotRestoreResumesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		t.Fatal("resumed sharded state differs from uninterrupted serial state")
 	}
 }
@@ -85,7 +98,7 @@ func TestSnapshotMidStreamContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		t.Fatal("post-snapshot ingestion diverged from serial state")
 	}
 }

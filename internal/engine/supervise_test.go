@@ -101,7 +101,7 @@ func TestWorkerPanicExactWithStore(t *testing.T) {
 	if stats.Recoveries == 0 {
 		t.Fatal("panics occurred but no rollback recovery was counted")
 	}
-	if !bytes.Equal(merged.ExportState(), serial.ExportState()) {
+	if !bytes.Equal(l0State(merged), l0State(serial)) {
 		t.Fatal("supervised result differs from uninterrupted serial state")
 	}
 }

@@ -158,7 +158,7 @@ func E3L0Sampler(cfg Config) Table {
 	}
 	t.Notes = append(t.Notes,
 		"value-exact = sampled value equals x_i exactly (the 'zero relative error' claim)",
-		"levels = iid (independent per-level coins, DESIGN substitution #2) or nested (§2.1 dyadic I_1 ⊆ I_2 ⊆ ...)",
+		"levels = iid (independent per-level coins, the default) or nested (§2.1 dyadic I_1 ⊆ I_2 ⊆ ...)",
 		"TV(floor) = empirical TV of perfect uniform sampling at the same sample count;",
 		"matching TV and floor (e.g. support 1024 at 300 samples) means the sampler is as uniform as measurable")
 	return t

@@ -1,10 +1,10 @@
 // Package experiments regenerates every evaluation artifact of the
 // reproduction. The paper is a theory paper without numbered tables or
 // figures; its evaluation is Theorems 1-9, Lemmas 1-7 and Proposition 5.
-// DESIGN.md maps each of those claims to one experiment (E1-E11) plus three
-// ablations (A1-A3); this package implements them and renders one table per
-// experiment. cmd/experiments prints the tables; the root bench_test.go
-// exposes each as a testing.B benchmark.
+// Each of those claims maps to one experiment (E1-E11), plus three ablations
+// (A1-A3); this package implements them and renders one table per
+// experiment, whose title names the claim. cmd/experiments prints the
+// tables; the root bench_test.go exposes each as a testing.B benchmark.
 package experiments
 
 import (

@@ -218,8 +218,8 @@ func TestAddEdgesMatchesScalar(t *testing.T) {
 	batched.AddEdges(edges)
 	for tr := 0; tr < scalar.rounds; tr++ {
 		for vert := 0; vert < v; vert++ {
-			a := scalar.sk[tr][vert].ExportState()
-			b := batched.sk[tr][vert].ExportState()
+			a := l0State(scalar.sk[tr][vert])
+			b := l0State(batched.sk[tr][vert])
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("round %d vertex %d: state differs at byte %d", tr, vert, i)
@@ -321,8 +321,8 @@ func TestAddEdgesSelfLoopLeavesNoResidue(t *testing.T) {
 	clean.AddEdges(edges)
 	for tr := 0; tr < clean.rounds; tr++ {
 		for v := 0; v < 8; v++ {
-			a := poisoned.sk[tr][v].ExportState()
-			b := clean.sk[tr][v].ExportState()
+			a := l0State(poisoned.sk[tr][v])
+			b := l0State(clean.sk[tr][v])
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("round %d vertex %d: residue from failed batch at byte %d", tr, v, i)

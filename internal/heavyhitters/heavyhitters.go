@@ -58,30 +58,48 @@ func New(cfg Config, r *rand.Rand) *Sketch {
 	if cfg.N < 1 {
 		panic("heavyhitters: n must be positive")
 	}
-	mf := cfg.MFactor
-	if mf <= 0 {
-		mf = 12
-	}
-	m := int(math.Ceil(mf * math.Pow(cfg.Phi, -cfg.P)))
-	rows := cfg.Rows
-	if rows <= 0 {
-		rows = int(math.Ceil(math.Log2(float64(cfg.N)))) + 4
-		if rows < 7 {
-			rows = 7
-		}
-	}
-	nc := cfg.NormCounters
-	if nc <= 0 {
-		nc = 400
-	}
+	z := SizeOf(cfg)
+	m := int(z.M)
 	var est norm.Estimator
 	if cfg.P == 2 {
 		// AMS with many groups gives the tight L2 estimate cheaply.
 		est = norm.NewAMS(25, 8, r)
 	} else {
-		est = norm.NewStable(cfg.P, nc, r)
+		est = norm.NewStable(cfg.P, int(z.NormCounters), r)
 	}
-	return &Sketch{cfg: cfg, m: m, cs: countsketch.New(m, rows, r), nrm: est}
+	return &Sketch{cfg: cfg, m: m, cs: countsketch.New(m, int(z.Rows), r), nrm: est}
+}
+
+// Size is the shape New allocates for a config: a count-sketch of parameter
+// M and depth Rows, and a norm estimator of NormCounters counters (p < 2).
+// The sizes are float64 so that any config, a hostile wire config block
+// included, is priced without overflow; New converts them.
+type Size struct {
+	M, Rows, NormCounters float64
+}
+
+// SizeOf derives the shape from cfg (p and φ in range), applying the
+// defaults of the zero override fields: m = ⌈12·φ^{-p}⌉, max(7, ⌈log₂ n⌉+4)
+// rows and 400 counters.
+func SizeOf(cfg Config) Size {
+	z := Size{M: cfg.MFactor, Rows: float64(cfg.Rows), NormCounters: float64(cfg.NormCounters)}
+	if z.M <= 0 {
+		z.M = 12
+	}
+	z.M = math.Ceil(z.M * math.Pow(cfg.Phi, -cfg.P))
+	if z.Rows <= 0 {
+		z.Rows = math.Max(7, math.Ceil(math.Log2(float64(cfg.N)))+4)
+	}
+	if z.NormCounters <= 0 {
+		z.NormCounters = 400
+	}
+	return z
+}
+
+// Words prices the shape in 64-bit words: the count-sketch cells plus the
+// norm estimator's counters and per-counter rows.
+func (z Size) Words() float64 {
+	return z.Rows*countsketch.BucketFactor*z.M + 3*z.NormCounters
 }
 
 // M returns the count-sketch parameter in use.

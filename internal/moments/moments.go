@@ -54,14 +54,15 @@ func NewFp(p float64, n, samples int, r *rand.Rand) *FpEstimator {
 		l1:       norm.NewStable(1, 120, r),
 	}
 	for i := range e.samplers {
-		e.samplers[i] = core.NewLpSampler(core.LpConfig{
-			P:     1,
-			N:     n,
-			Eps:   0.25,
-			Delta: 0.25,
-		}, r)
+		e.samplers[i] = core.NewLpSampler(SamplerConfig(n), r)
 	}
 	return e
+}
+
+// SamplerConfig is the L1 sampler an estimator over dimension n runs once per
+// sample: ε = δ = 1/4, sized by core.SizeLp.
+func SamplerConfig(n int) core.LpConfig {
+	return core.LpConfig{P: 1, N: n, Eps: 0.25, Delta: 0.25}
 }
 
 // Process implements stream.Sink.

@@ -16,8 +16,8 @@
 // from two uniforms derived k-wise independently from (row, index) — the
 // standard realization of the sketch Lemma 2 cites (Kane-Nelson-Woodruff).
 // The scale constant median(|Stable_p|) has no closed form for general p; we
-// calibrate it once per p by a fixed-seed Monte-Carlo quantile (documented
-// substitution #3 in DESIGN.md).
+// calibrate it once per p by a fixed-seed Monte-Carlo quantile (the paper
+// takes the constant as given).
 //
 // For p = 1 the transform is the Cauchy tan(π(u₁-½)) and does not depend on
 // the second uniform, so a p = 1 sketch derives only the first: half the hash

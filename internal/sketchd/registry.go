@@ -26,68 +26,13 @@ import (
 //
 // Spec is both the create-request JSON body and the on-disk meta.json, so a
 // restarted server rebuilds byte-identical zero-state replicas from it
-// (sketch construction is a deterministic function of the spec).
-type Spec struct {
-	// Kind is "l0", "lp" or "hh".
-	Kind string `json:"kind"`
-	// N is the vector dimension.
-	N int `json:"n"`
-	// P is the norm exponent (lp, hh).
-	P float64 `json:"p,omitempty"`
-	// Phi is the heavy-hitter threshold (hh).
-	Phi float64 `json:"phi,omitempty"`
-	// Eps, Delta tune accuracy/failure probability; zero picks the package
-	// defaults.
-	Eps   float64 `json:"eps,omitempty"`
-	Delta float64 `json:"delta,omitempty"`
-	// Seed is the shared construction seed; all exporters for this sketch
-	// must use the same one.
-	Seed uint64 `json:"seed"`
-}
+// (sketch construction is a deterministic function of the spec). Build and
+// Check look the kind up in the library's kind table, which holds a spec to
+// the ranges and word budget Load holds serialized sketches to.
+type Spec = streamsample.Spec
 
-// Build constructs the zero-state sketch the spec describes.
-func (sp Spec) Build() (streamsample.Sketch, error) {
-	if sp.N < 1 {
-		return nil, fmt.Errorf("%w: dimension n must be positive, got %d", errBadSpec, sp.N)
-	}
-	opts := []streamsample.Option{streamsample.WithSeed(sp.Seed)}
-	if sp.Eps > 0 {
-		opts = append(opts, streamsample.WithEps(sp.Eps))
-	}
-	if sp.Delta > 0 {
-		opts = append(opts, streamsample.WithDelta(sp.Delta))
-	}
-	switch sp.Kind {
-	case "l0":
-		return streamsample.NewL0Sampler(sp.N, opts...), nil
-	case "lp":
-		p := sp.P
-		if p == 0 {
-			p = 1
-		}
-		if !(p > 0 && p < 2) {
-			return nil, fmt.Errorf("%w: lp needs p in (0,2), got %g", errBadSpec, p)
-		}
-		return streamsample.NewLpSampler(p, sp.N, opts...), nil
-	case "hh":
-		p := sp.P
-		if p == 0 {
-			p = 1
-		}
-		phi := sp.Phi
-		if phi == 0 {
-			phi = 0.1
-		}
-		if !(p > 0 && p <= 2) || !(phi > 0 && phi < 1) {
-			return nil, fmt.Errorf("%w: hh needs p in (0,2] and phi in (0,1), got p=%g phi=%g", errBadSpec, p, phi)
-		}
-		return streamsample.NewHeavyHitters(p, phi, sp.N, opts...), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %q (want l0, lp or hh)", errBadSpec, sp.Kind)
-	}
-}
-
-// errBadSpec marks an unconstructible spec; it surfaces as CodeBadRequest.
+// errBadSpec marks an unconstructible spec or an invalid name; it surfaces
+// as CodeBadRequest.
 var errBadSpec = errors.New("sketchd: invalid sketch spec")
 
 // nameRe bounds tenant and sketch names to one path-safe segment.
@@ -297,13 +242,9 @@ func (r *Registry) quarantine(tenant, name string, cause error) error {
 	return nil
 }
 
-// newEntry wires one sketch's engine, merge tree and (when durable) stores.
-// The spec must already be validated.
-func (r *Registry) newEntry(tenant, name string, spec Spec) (*entry, error) {
-	zero, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
+// newEntry wires one sketch's engine, merge tree and (when durable) stores
+// around zero, the spec's zero-state sketch.
+func (r *Registry) newEntry(tenant, name string, spec Spec, zero streamsample.Sketch) (*entry, error) {
 	specBytes, err := zero.MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("sketchd: marshaling spec template: %w", err)
@@ -399,21 +340,27 @@ func (r *Registry) recoverEntry(tenant, name string) (*entry, error) {
 	if err := json.Unmarshal(data, &spec); err != nil {
 		return nil, fmt.Errorf("sketchd: parsing %s: %w", metaPath, err)
 	}
-	return r.newEntry(tenant, name, spec)
+	zero, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	return r.newEntry(tenant, name, spec, zero)
 }
 
-// Create registers a new sketch. The spec is validated by actually building
-// the zero-state template BEFORE anything durable happens — a rejected
-// create must leave zero trace on disk, or the dangling meta.json would
-// poison every future recovery. The meta.json then lands via write-temp +
-// rename so a crash mid-create never leaves a readable-but-wrong spec, and
-// any later wiring failure removes the half-created directory again.
+// Create registers a new sketch. Spec.Build holds the spec to its kind's row
+// (ranges and word budget) before it allocates the zero-state template, and
+// both happen BEFORE anything durable — a rejected create must leave zero
+// trace on disk, or the dangling meta.json would poison every future
+// recovery. The meta.json then lands via write-temp + rename so a crash
+// mid-create never leaves a readable-but-wrong spec, and any later wiring
+// failure removes the half-created directory again.
 func (r *Registry) Create(tenant, name string, spec Spec) error {
 	if !validName(tenant) || !validName(name) {
 		return fmt.Errorf("%w: tenant and name must match %s", errBadSpec, nameRe)
 	}
-	if _, err := spec.Build(); err != nil {
-		return err
+	zero, err := spec.Build()
+	if err != nil {
+		return fmt.Errorf("%w: %w", errBadSpec, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -439,7 +386,7 @@ func (r *Registry) Create(tenant, name string, spec Spec) error {
 			return err
 		}
 	}
-	e, err := r.newEntry(tenant, name, spec)
+	e, err := r.newEntry(tenant, name, spec, zero)
 	if err != nil {
 		if dir != "" {
 			//nolint:errcheck // best-effort cleanup; recovery quarantines leftovers

@@ -27,11 +27,11 @@ func TestCreateRejectedLeavesNoDurableState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []Spec{
+	for _, spec := range append([]Spec{
 		{Kind: "nope", N: 100},
 		{Kind: "l0", N: 0},
 		{Kind: "lp", N: 100, P: 7},
-	} {
+	}, hostileSpecs...) {
 		if err := reg.Create("t", "bad", spec); err == nil {
 			t.Fatalf("create %+v accepted, want rejection", spec)
 		}

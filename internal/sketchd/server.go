@@ -195,17 +195,11 @@ func (s *Server) handleSketchUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"accepted": true, "sealed": sealed})
 }
 
-// SampleResult is the /sample response: the kind-appropriate projection of
-// the merged sketch's query surface.
+// SampleResult is the /sample response: the kind's projection of the merged
+// sketch's query surface, from the library's kind table.
 type SampleResult struct {
 	Kind string `json:"kind"`
-	Ok   bool   `json:"ok"`
-	// Index/Value for l0, Index/Estimate for lp.
-	Index    int     `json:"index,omitempty"`
-	Value    int64   `json:"value,omitempty"`
-	Estimate float64 `json:"estimate,omitempty"`
-	// HeavyHitters for hh.
-	HeavyHitters []int `json:"heavy_hitters,omitempty"`
+	streamsample.Answer
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
@@ -225,20 +219,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.queries.Add(1)
-	res := SampleResult{Kind: e.spec.Kind}
-	switch m := merged.(type) {
-	case *streamsample.L0Sampler:
-		res.Index, res.Value, res.Ok = m.Sample()
-	case *streamsample.LpSampler:
-		res.Index, res.Estimate, res.Ok = m.Sample()
-	case *streamsample.HeavyHitters:
-		res.HeavyHitters = m.Report()
-		res.Ok = true
-	default:
-		writeError(w, fmt.Errorf("sketchd: kind %q has no sample projection", e.spec.Kind))
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, SampleResult{Kind: e.spec.Kind, Answer: streamsample.Query(merged)})
 }
 
 // handleBytes ships the merged sketch in the wire format — the endpoint a

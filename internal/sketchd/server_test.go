@@ -67,7 +67,7 @@ func TestServerCRUD(t *testing.T) {
 func TestServerCreateValidation(t *testing.T) {
 	_, c := newTestServer(t, RegistryConfig{})
 	ctx := context.Background()
-	for _, tc := range []struct {
+	cases := []struct {
 		tenant, name string
 		spec         Spec
 	}{
@@ -76,7 +76,14 @@ func TestServerCreateValidation(t *testing.T) {
 		{"ok", "ok", Spec{Kind: "lp", N: 100, P: 2.5}},
 		{"../evil", "ok", Spec{Kind: "l0", N: 100}},
 		{"ok", "a b", Spec{Kind: "l0", N: 100}},
-	} {
+	}
+	for _, spec := range hostileSpecs {
+		cases = append(cases, struct {
+			tenant, name string
+			spec         Spec
+		}{"ok", "ok", spec})
+	}
+	for _, tc := range cases {
 		err := c.Create(ctx, tc.tenant, tc.name, tc.spec)
 		if err == nil {
 			t.Errorf("create %q/%q %+v accepted, want rejection", tc.tenant, tc.name, tc.spec)
@@ -87,6 +94,22 @@ func TestServerCreateValidation(t *testing.T) {
 			t.Errorf("create %q/%q err = %v, want bad_request envelope", tc.tenant, tc.name, err)
 		}
 	}
+}
+
+// hostileSpecs are creates whose sketch the word budget refuses: every
+// config of the root package's TestLoadRejectsAbsurdConfig that a Spec can
+// express (the copies and sparsity overrides have no Spec field), then two
+// plain requests — 20 rows × 6·12·10⁶ count-sketch cells (≈ 11.5 GB) for
+// heavy hitters at φ = 10⁻⁶, and ≈ 3.2·10⁶ repetitions for an L1 sampler at
+// ε = 10⁻⁶. Create must refuse each from the kind table's row, without
+// building anything.
+var hostileSpecs = []Spec{
+	{Kind: "l0", N: 1 << 50, Delta: 0.2, Seed: 1},
+	{Kind: "hh", N: 64, P: 2, Phi: 1e-9, Seed: 1},
+	{Kind: "lp", N: 4, P: 1 + 1e-12, Eps: 0.5, Delta: 0.5, Seed: 1},
+	{Kind: "hh", N: 1<<31 - 1, P: 2, Phi: 0.0017, Seed: 1},
+	{Kind: "hh", N: 65536, Phi: 1e-6},
+	{Kind: "lp", N: 65536, Eps: 1e-6},
 }
 
 // TestServerIngestAgreement is the heart of the tier: raw frames, sketch

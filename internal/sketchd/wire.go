@@ -129,12 +129,7 @@ const MaxFrameUpdates = MaxFrameLen / 16
 // codec record appended to dst: the exact record format the checkpoint
 // journal uses, so one framing layer serves disk and wire.
 func AppendFrame(dst []byte, batch []stream.Update) []byte {
-	payload := make([]byte, 0, 16*len(batch))
-	for _, u := range batch {
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(u.Index))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(u.Delta))
-	}
-	return codec.AppendRecord(dst, payload)
+	return codec.AppendRecord(dst, codec.AppendUpdates(make([]byte, 0, 16*len(batch)), batch))
 }
 
 // DecodeFramePayload decodes one frame payload into updates. n bounds the
@@ -142,17 +137,14 @@ func AppendFrame(dst []byte, batch []stream.Update) []byte {
 // frame — the server must never route a hostile coordinate into a sketch
 // built for dimension n.
 func DecodeFramePayload(payload []byte, n int) ([]stream.Update, error) {
-	if len(payload)%16 != 0 {
-		return nil, fmt.Errorf("%w: payload is %d bytes, not a multiple of 16", ErrBadFrame, len(payload))
+	batch, err := codec.DecodeUpdates(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	batch := make([]stream.Update, len(payload)/16)
-	for i := range batch {
-		idx := int64(binary.LittleEndian.Uint64(payload[16*i:]))
-		delta := int64(binary.LittleEndian.Uint64(payload[16*i+8:]))
-		if idx < 0 || (n > 0 && idx >= int64(n)) {
-			return nil, fmt.Errorf("%w: index %d outside sketch dimension %d", ErrBadFrame, idx, n)
+	for _, u := range batch {
+		if u.Index < 0 || (n > 0 && u.Index >= n) {
+			return nil, fmt.Errorf("%w: index %d outside sketch dimension %d", ErrBadFrame, u.Index, n)
 		}
-		batch[i] = stream.Update{Index: int(idx), Delta: delta}
 	}
 	return batch, nil
 }

@@ -41,7 +41,7 @@ func TestRecoverVariantsBitIdentical(t *testing.T) {
 	for _, u := range updates {
 		ref.Process(u)
 	}
-	refState := ref.ExportState()
+	refState := stateBytes(ref)
 	refDec, refOK := ref.Recover()
 
 	for _, name := range kernel.Variants() {
@@ -50,7 +50,7 @@ func TestRecoverVariantsBitIdentical(t *testing.T) {
 		}
 		rc := New(n, s, rand.New(rand.NewPCG(72, 1)))
 		rc.ProcessBatch(updates)
-		state := rc.ExportState()
+		state := stateBytes(rc)
 		for i := range refState {
 			if state[i] != refState[i] {
 				t.Fatalf("%s: state byte %d = %#x, scalar %#x", name, i, state[i], refState[i])

@@ -85,7 +85,7 @@ func TestPropertyRecoverInverseOfSparseStreams(t *testing.T) {
 
 // TestPropertyTransposedBatchMatchesScalar: the register-blocked column-major
 // ProcessBatch kernel must leave bit-identical state (all syndromes AND the
-// fingerprint, via ExportState) to one-at-a-time Process calls, for every
+// fingerprint, via the serialized state) to one-at-a-time Process calls, for every
 // batch length — exercising both the 4-wide groups and the scalar tail —
 // and every index/delta mix, including negative deltas and repeats.
 func TestPropertyTransposedBatchMatchesScalar(t *testing.T) {
@@ -104,7 +104,7 @@ func TestPropertyTransposedBatchMatchesScalar(t *testing.T) {
 		for _, u := range batch {
 			scalar.Process(u)
 		}
-		a, b := batched.ExportState(), scalar.ExportState()
+		a, b := stateBytes(batched), stateBytes(scalar)
 		if len(a) != len(b) {
 			return false
 		}
@@ -120,7 +120,7 @@ func TestPropertyTransposedBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPropertyExportImportIdentity: importing an exported state reproduces
+// TestPropertyExportImportIdentity: restoring a serialized state reproduces
 // identical recovery on a fresh same-seed instance.
 func TestPropertyExportImportIdentity(t *testing.T) {
 	f := func(seed uint64, raw []int16) bool {
@@ -133,7 +133,7 @@ func TestPropertyExportImportIdentity(t *testing.T) {
 			}
 		}
 		dst := mk()
-		if err := dst.ImportState(src.ExportState()); err != nil {
+		if err := restoreState(dst, stateBytes(src)); err != nil {
 			return false
 		}
 		recA, okA := src.Recover()

@@ -124,7 +124,7 @@ func TestPropertyRecoverMatchesReferenceDecoder(t *testing.T) {
 
 // TestRecoverMemoization: repeated queries on an unchanged sketch reuse the
 // cached decode (zero allocations); any mutation — Add, ProcessBatch, Merge,
-// ImportState — invalidates it and the next query reflects the new state.
+// RestoreState — invalidates it and the next query reflects the new state.
 func TestRecoverMemoization(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
 	rc := New(256, 4, r)
@@ -169,7 +169,7 @@ func TestRecoverMemoization(t *testing.T) {
 	if rec, ok = rc.Recover(); !ok || rec[50] != 2 {
 		t.Fatalf("post-merge decode stale: %v %v", rec, ok)
 	}
-	// ImportState invalidates: a same-seed replica importing this state must
+	// RestoreState invalidates: a same-seed replica restoring this state must
 	// decode it, not its own stale cache.
 	r3 := rand.New(rand.NewPCG(7, 8))
 	replica := New(256, 4, r3)
@@ -177,11 +177,11 @@ func TestRecoverMemoization(t *testing.T) {
 	if rec, ok = replica.Recover(); !ok || rec[99] != 1 {
 		t.Fatal("replica decode failed")
 	}
-	if err := replica.ImportState(rc.ExportState()); err != nil {
+	if err := restoreState(replica, stateBytes(rc)); err != nil {
 		t.Fatal(err)
 	}
 	if rec, ok = replica.Recover(); !ok || rec[99] != 0 || rec[50] != 2 {
-		t.Fatalf("post-import decode stale: %v %v", rec, ok)
+		t.Fatalf("post-restore decode stale: %v %v", rec, ok)
 	}
 }
 

@@ -9,43 +9,53 @@ import (
 	"repro/internal/stream"
 )
 
-// TestImportStateDirtyOnAllPaths is the regression test for the memoized
-// decode surviving a restore: ImportState must mark the decode dirty on
-// every path, including rejected imports, so no sequence of restore calls
-// can leave a stale cached decode marked clean.
-func TestImportStateDirtyOnAllPaths(t *testing.T) {
-	r := rand.New(rand.NewPCG(21, 22))
-	rc := New(128, 4, r)
+// stateBytes is a recoverer's framed linear state, the digest the tests
+// compare; restoreState replaces a recoverer's state with it.
+func stateBytes(rc *Recoverer) []byte {
+	e := codec.NewEncoder(codec.KindInvalid)
+	rc.AppendState(e)
+	return e.Bytes()
+}
+
+func restoreState(rc *Recoverer, b []byte) error {
+	d, err := codec.NewDecoder(b)
+	if err != nil {
+		return err
+	}
+	rc.RestoreState(d)
+	return d.Finish()
+}
+
+// TestRestoreStateDirtyOnAllPaths is the regression test for the memoized
+// decode surviving a restore: RestoreState must mark the decode dirty on
+// every path, including a restore whose bytes run out, so no sequence of
+// restore calls can leave a stale cached decode marked clean.
+func TestRestoreStateDirtyOnAllPaths(t *testing.T) {
+	rc := New(128, 4, rand.New(rand.NewPCG(21, 22)))
 	rc.Add(7, 3)
-	if rec, ok := rc.Recover(); !ok || rec[7] != 3 {
-		t.Fatalf("seed decode failed: %v %v", rec, ok)
-	}
-	if rc.dirty {
-		t.Fatal("decode did not clear the dirty bit")
+	if rec, ok := rc.Recover(); !ok || rec[7] != 3 || rc.dirty {
+		t.Fatalf("seed decode failed or left the dirty bit set: %v %v", rec, ok)
 	}
 
-	// A rejected import (wrong length) must still dirty the cache.
-	if err := rc.ImportState(make([]byte, 3)); err == nil {
-		t.Fatal("short import must be rejected")
-	}
-	if !rc.dirty {
-		t.Fatal("rejected ImportState left the memoized decode marked clean")
-	}
-	// The re-decode over the untouched state still answers correctly.
-	if rec, ok := rc.Recover(); !ok || rec[7] != 3 {
-		t.Fatalf("decode after rejected import: %v %v", rec, ok)
-	}
-
-	// An accepted import must dirty the cache and the next Recover must
-	// serve the imported state, not the stale cache.
-	r2 := rand.New(rand.NewPCG(21, 22))
-	donor := New(128, 4, r2)
+	// An accepted restore must dirty the cache and the next Recover must
+	// serve the restored state, not the stale cache.
+	donor := New(128, 4, rand.New(rand.NewPCG(21, 22)))
 	donor.Add(90, -4)
-	if err := rc.ImportState(donor.ExportState()); err != nil {
+	state := stateBytes(donor)
+	if err := restoreState(rc, state); err != nil {
 		t.Fatal(err)
 	}
-	if rec, ok := rc.Recover(); !ok || rec[90] != -4 || rec[7] != 0 {
+	if rec, ok := rc.Recover(); !ok || rec[90] != -4 || rec[7] != 0 || rc.dirty {
 		t.Fatalf("restore-then-Recover served stale state: %v %v", rec, ok)
+	}
+
+	// A failed restore (the payload is cut short) must dirty the cache too;
+	// the caller discards the recoverer on that error.
+	if err := restoreState(rc, state[:len(state)-3]); err == nil {
+		t.Fatal("short restore must be rejected")
+	}
+	if !rc.dirty {
+		t.Fatal("failed RestoreState left the memoized decode marked clean")
 	}
 }
 
@@ -76,7 +86,7 @@ func TestRestoreStateInvalidatesMemo(t *testing.T) {
 		t.Fatalf("RestoreState-then-Recover served stale state: %v %v", rec, ok)
 	}
 
-	// Round-trip: the framed bytes carry exactly the raw ExportState words.
+	// Round-trip: the framed bytes rebuild the state in a fresh instance.
 	e2 := codec.NewEncoder(codec.KindL0Sampler)
 	rc.AppendState(e2)
 	d2, err := codec.NewDecoder(e2.Bytes())
@@ -93,20 +103,19 @@ func TestRestoreStateInvalidatesMemo(t *testing.T) {
 	}
 }
 
-// TestImportStateReducesCells: ImportState takes bytes from a peer, and the
+// TestRestoreStateReducesCells: RestoreState takes words from a peer, and the
 // folds assume canonical cells — the lazy five-term sum of the batched
 // syndrome kernel has no headroom for a word near 2^64. All-ones words must
-// come in as the field elements they represent (as RestoreState reads them),
-// and a batch folded on top must land where the same batch lands on those
-// elements set directly.
-func TestImportStateReducesCells(t *testing.T) {
+// come in as the field elements they represent, and a batch folded on top
+// must land where the same batch lands on those elements set directly.
+func TestRestoreStateReducesCells(t *testing.T) {
 	const n, s = 1 << 12, 5
 	rc := New(n, s, rand.New(rand.NewPCG(23, 24)))
-	ones := make([]byte, (2*s+1)*8)
-	for i := range ones {
-		ones[i] = 0xFF
+	ones := codec.NewEncoder(codec.KindInvalid)
+	for range 2*s + 1 {
+		ones.U64(^uint64(0))
 	}
-	if err := rc.ImportState(ones); err != nil {
+	if err := restoreState(rc, ones.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	want := New(n, s, rand.New(rand.NewPCG(23, 24)))
@@ -116,11 +125,11 @@ func TestImportStateReducesCells(t *testing.T) {
 	want.fp = field.New(^uint64(0))
 	for j, v := range rc.synd {
 		if uint64(v) >= field.Modulus || v != want.synd[j] {
-			t.Fatalf("synd[%d] = %#x after importing all-ones, want canonical %#x", j, v, want.synd[j])
+			t.Fatalf("synd[%d] = %#x after restoring all-ones, want canonical %#x", j, v, want.synd[j])
 		}
 	}
 	if uint64(rc.fp) >= field.Modulus || rc.fp != want.fp {
-		t.Fatalf("fp = %#x after importing all-ones, want canonical %#x", rc.fp, want.fp)
+		t.Fatalf("fp = %#x after restoring all-ones, want canonical %#x", rc.fp, want.fp)
 	}
 	batch := stream.RandomTurnstile(n, 1027, 1<<40, rand.New(rand.NewPCG(25, 26)))
 	rc.ProcessBatch(batch)

@@ -48,7 +48,6 @@
 package sparse
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 
@@ -61,7 +60,7 @@ import (
 // Recoverer maintains the linear measurements of one vector x in Z^n.
 //
 // The query side is memoized: Recover caches its decode and a dirty bit —
-// set by Add/Process/ProcessBatch/Merge/ImportState, cleared on decode —
+// set by Add/Process/ProcessBatch/Merge/RestoreState, cleared on decode —
 // short-circuits repeated queries on an unchanged sketch. All decode
 // scratch (the reversed locator, the finite-difference table, the support
 // and value buffers, the Vandermonde solver state) lives on the Recoverer
@@ -435,44 +434,9 @@ func (rc *Recoverer) StateBits() int64 {
 	return int64(len(rc.synd)+1) * 64
 }
 
-// ExportState serializes the linear measurements (syndromes then
-// fingerprint) into little-endian bytes — the concrete wire format of the
-// public-coin protocol message. len(result)*8 == StateBits().
-func (rc *Recoverer) ExportState() []byte {
-	out := make([]byte, 0, (len(rc.synd)+1)*8)
-	for _, v := range rc.synd {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	return binary.LittleEndian.AppendUint64(out, uint64(rc.fp))
-}
-
-// ImportState replaces the linear measurements with previously exported
-// ones. The receiver must have been constructed with the same parameters
-// and randomness (same-seed source); importing into a fresh instance and
-// continuing to Add realizes the linear-sketch handoff of the §4 protocols.
-//
-// The memoized decode is marked dirty on every path — including rejected
-// imports — so a cached Recover can never survive an ImportState call and
-// serve stale state for whatever bytes a retry ends up accepting.
-func (rc *Recoverer) ImportState(data []byte) error {
-	rc.dirty = true
-	want := (len(rc.synd) + 1) * 8
-	if len(data) != want {
-		return fmt.Errorf("sparse: state is %d bytes, want %d", len(data), want)
-	}
-	// Reduced on the way in, as RestoreState does: every fold assumes
-	// canonical cells (the lazy five-term sum of kernel.SyndromeAdd4 has no
-	// headroom for a word near 2^64), and these bytes come from a peer.
-	for j := range rc.synd {
-		rc.synd[j] = field.New(binary.LittleEndian.Uint64(data[j*8:]))
-	}
-	rc.fp = field.New(binary.LittleEndian.Uint64(data[len(rc.synd)*8:]))
-	return nil
-}
-
 // AppendState writes the linear measurements (syndromes then fingerprint)
-// into a codec encoder — the framed counterpart of ExportState, used by the
-// public wire format and the engine checkpoints.
+// into a codec encoder: the public wire format, the engine checkpoints and
+// the message of the §4 public-coin protocols, StateBits bits of payload.
 func (rc *Recoverer) AppendState(e *codec.Encoder) {
 	for _, v := range rc.synd {
 		e.U64(uint64(v))
@@ -482,7 +446,12 @@ func (rc *Recoverer) AppendState(e *codec.Encoder) {
 
 // RestoreState replaces the linear measurements from a codec decoder,
 // invalidating the memoized decode on every path (the decoder's sticky
-// error surfaces at the caller's Finish check).
+// error surfaces at the caller's Finish check). The receiver must have been
+// constructed with the same parameters and randomness; restoring into a fresh
+// instance and continuing to Add realizes the linear-sketch handoff of the §4
+// protocols. Cells are reduced on the way in: every fold assumes canonical
+// cells (the lazy five-term sum of kernel.SyndromeAdd4 has no headroom for a
+// word near 2^64), and the words come from a peer.
 func (rc *Recoverer) RestoreState(d *codec.Decoder) {
 	rc.dirty = true
 	for j := range rc.synd {

@@ -18,6 +18,9 @@ type sketchCase struct {
 	feed  func(s Sketch)
 	// query runs the kind's read API and returns a comparable digest.
 	query func(s Sketch) any
+	// wire is the FNV-64a digest of MarshalBinary after build(wireSeed) and
+	// feed (see TestWireGoldens).
+	wire uint64
 }
 
 func feedTurnstile(s Sketch, seed uint64, n, length int) {
@@ -42,6 +45,7 @@ func sketchCases() []sketchCase {
 	return []sketchCase{
 		{
 			name:  "LpSampler",
+			wire:  0xde6a06ee40fb176a,
 			build: func(seed uint64) Sketch { return NewLpSampler(1.2, n, WithSeed(seed), WithEps(0.3), WithDelta(0.2)) },
 			feed:  func(s Sketch) { feedTurnstile(s, 3, n, 500) },
 			query: func(s Sketch) any {
@@ -51,6 +55,7 @@ func sketchCases() []sketchCase {
 		},
 		{
 			name:  "L0Sampler",
+			wire:  0x19a189fe77e19a66,
 			build: func(seed uint64) Sketch { return NewL0Sampler(n, WithSeed(seed), WithDelta(0.2)) },
 			feed:  func(s Sketch) { feedTurnstile(s, 4, n, 400) },
 			query: func(s Sketch) any {
@@ -60,6 +65,7 @@ func sketchCases() []sketchCase {
 		},
 		{
 			name:  "L0SamplerNested",
+			wire:  0xd5fab214e0b9975d,
 			build: func(seed uint64) Sketch { return NewL0Sampler(n, WithSeed(seed), WithNestedLevels(), WithSparsity(6)) },
 			feed:  func(s Sketch) { feedTurnstile(s, 5, n, 400) },
 			query: func(s Sketch) any {
@@ -69,6 +75,7 @@ func sketchCases() []sketchCase {
 		},
 		{
 			name:  "DuplicateFinder",
+			wire:  0x325135224074baf7,
 			build: func(seed uint64) Sketch { return NewDuplicateFinder(n, WithSeed(seed)) },
 			feed: func(s Sketch) {
 				d := s.(*DuplicateFinder)
@@ -84,6 +91,7 @@ func sketchCases() []sketchCase {
 		},
 		{
 			name:  "HeavyHitters",
+			wire:  0xeb6e29554980027b,
 			build: func(seed uint64) Sketch { return NewHeavyHitters(1, 0.2, n, WithSeed(seed)) },
 			feed: func(s Sketch) {
 				feedTurnstile(s, 6, n, 300)
@@ -100,6 +108,7 @@ func sketchCases() []sketchCase {
 		},
 		{
 			name:  "TwoPassL0Sampler",
+			wire:  0x85451fc460483957,
 			build: func(seed uint64) Sketch { return NewTwoPassL0Sampler(n, WithSeed(seed)) },
 			feed: func(s Sketch) {
 				tp := s.(*TwoPassL0Sampler)
@@ -114,6 +123,7 @@ func sketchCases() []sketchCase {
 		},
 		{
 			name:  "FpEstimator",
+			wire:  0xef0844ca0da0c5f6,
 			build: func(seed uint64) Sketch { return NewFpEstimator(3, n, 8, WithSeed(seed)) },
 			feed:  func(s Sketch) { feedTurnstile(s, 9, n, 300) },
 			query: func(s Sketch) any {
@@ -527,5 +537,20 @@ func TestLoadRejectsCorruptTwoPassMarker(t *testing.T) {
 	bad[passOff] = 0xFF
 	if _, err := Load(bad); !errors.Is(err, codec.ErrBadConfig) {
 		t.Fatalf("corrupt pass marker: %v, want ErrBadConfig", err)
+	}
+}
+
+// TestTwoPassTinyDeltaTerminates: the two-pass sampler's recovery budget
+// grows with log(1/δ), and for δ in (4/2^63, 4/2^62] the constructor's shift
+// loop used to run forever — so a config block anyone can seal hung Load.
+func TestTwoPassTinyDeltaTerminates(t *testing.T) {
+	s := NewTwoPassL0Sampler(64, WithSeed(1), WithDelta(6e-19))
+	s.Update(5, 2)
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(data); err != nil {
+		t.Fatalf("Load of a tiny-δ two-pass sampler: %v", err)
 	}
 }

@@ -48,9 +48,12 @@
 package streamsample
 
 import (
+	"cmp"
 	"encoding"
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"strings"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -105,76 +108,204 @@ var (
 	ErrConfigMismatch = codec.ErrConfigMismatch
 )
 
-// options collects cross-cutting construction knobs.
-type options struct {
-	seed    uint64
-	seeded  bool
-	eps     float64
-	delta   float64
-	copies  int
-	sBudget int
-	nested  bool
+// config is a sketch's config block: its kind and the construction
+// parameters the wire format records. A kind reads the fields its row lists.
+type config struct {
+	kind       codec.Kind
+	n          uint64
+	p, phi     float64
+	eps, delta float64
+	copies     uint64 // Lp repetition override (0: Theorem 1's count)
+	sparsity   uint64 // L0 per-level recovery budget override (0: Theorem 2's)
+	nested     bool   // L0 nested levels (§2.1)
+	samples    uint64 // FpEstimator sampler count
+	seed       uint64
+	seeded     bool
 }
 
+func (c config) rng() *rand.Rand { return rand.New(rand.NewPCG(c.seed, c.seed^0x9E3779B97F4A7C15)) }
+
+func (c config) lp() core.LpConfig {
+	return core.LpConfig{P: c.p, N: int(c.n), Eps: c.eps, Delta: c.delta, Copies: int(c.copies)}
+}
+
+func (c config) l0() core.L0Config {
+	return core.L0Config{N: int(c.n), Delta: c.delta, SOverride: int(c.sparsity), NestedLevels: c.nested}
+}
+
+func (c config) hh() heavyhitters.Config { return heavyhitters.Config{P: c.p, Phi: c.phi, N: int(c.n)} }
+
 // Option configures a sampler at construction time.
-type Option func(*options)
+type Option func(*config)
 
 // WithSeed makes the sampler deterministic. Two samplers of the same type
 // and dimension built with the same seed share all randomness — a
 // requirement for Merge.
 func WithSeed(seed uint64) Option {
-	return func(o *options) { o.seed = seed; o.seeded = true }
+	return func(c *config) { c.seed = seed; c.seeded = true }
 }
 
 // WithEps sets the relative-error parameter ε (LpSampler only; default 0.25).
-func WithEps(eps float64) Option { return func(o *options) { o.eps = eps } }
+func WithEps(eps float64) Option { return func(c *config) { c.eps = eps } }
 
 // WithDelta sets the failure probability δ (default 0.2).
-func WithDelta(delta float64) Option { return func(o *options) { o.delta = delta } }
+func WithDelta(delta float64) Option { return func(c *config) { c.delta = delta } }
 
 // WithCopies overrides the repetition count of the Lp sampler.
-func WithCopies(v int) Option { return func(o *options) { o.copies = v } }
+func WithCopies(v int) Option { return func(c *config) { c.copies = uint64(max(v, 0)) } }
 
 // WithSparsity overrides the per-level recovery budget of the L0 sampler.
-func WithSparsity(s int) Option { return func(o *options) { o.sBudget = s } }
+func WithSparsity(s int) Option { return func(c *config) { c.sparsity = uint64(max(s, 0)) } }
 
 // WithNestedLevels switches the L0 sampler to the §2.1 nested dyadic level
 // assignment (I_1 ⊆ I_2 ⊆ ...): one PRG walk per update decides every
 // subsampling level at once, instead of independent per-level coins.
-func WithNestedLevels() Option { return func(o *options) { o.nested = true } }
+func WithNestedLevels() Option { return func(c *config) { c.nested = true } }
 
-// buildOptions applies the options and materializes a concrete seed: a
-// sketch built without WithSeed draws one random seed up front and derives
-// all randomness from it, so every sketch — seeded or not — serializes to
-// bytes that reconstruct it exactly. Out-of-range ε/δ fall back to the
-// defaults here (rather than in the inner constructors), keeping the
-// recorded config block canonical.
-func buildOptions(opts []Option) options {
-	o := options{eps: 0.25, delta: 0.2}
+// newConfig is the config block of a kind built over dimension n with the
+// given options.
+func newConfig(kind codec.Kind, n int, opts []Option) config {
+	c := config{kind: kind, n: uint64(n)}
 	for _, f := range opts {
-		f(&o)
+		f(&c)
 	}
-	if !(o.eps > 0 && o.eps < 1) {
-		o.eps = 0.25
-	}
-	if !(o.delta > 0 && o.delta < 1) {
-		o.delta = 0.2
-	}
-	if o.copies < 0 {
-		o.copies = 0
-	}
-	if o.sBudget < 0 {
-		o.sBudget = 0
-	}
-	if !o.seeded {
-		o.seed = rand.Uint64()
-		o.seeded = true
-	}
-	return o
+	c.canonical()
+	return c
 }
 
-func (o options) rng() *rand.Rand {
-	return rand.New(rand.NewPCG(o.seed, o.seed^0x9E3779B97F4A7C15))
+// canonical materializes the defaults, here rather than in the inner
+// constructors, keeping the recorded config block canonical: out-of-range ε
+// and δ fall back to 0.25 and 0.2, and a sketch built without WithSeed draws
+// one random seed up front and derives all randomness from it, so every
+// sketch — seeded or not — serializes to bytes that reconstruct it exactly.
+func (c *config) canonical() {
+	if !(c.eps > 0 && c.eps < 1) {
+		c.eps = 0.25
+	}
+	if !(c.delta > 0 && c.delta < 1) {
+		c.delta = 0.2
+	}
+	if !c.seeded {
+		c.seed = rand.Uint64()
+		c.seeded = true
+	}
+}
+
+// Spec names a zero-state sketch of a served kind ("l0", "lp" or "hh") by
+// its construction parameters: the create-request body and meta.json of the
+// sketchd serving tier, and what the command-line tools build from their
+// flags. Zero P, Phi, Eps and Delta select 1, 0.1, 0.25 and 0.2; an Eps or
+// Delta outside (0,1) falls back to its default, as the Options do.
+type Spec struct {
+	// Kind is "l0", "lp" or "hh".
+	Kind string `json:"kind"`
+	// N is the vector dimension.
+	N int `json:"n"`
+	// P is the norm exponent (lp, hh).
+	P float64 `json:"p,omitempty"`
+	// Phi is the heavy-hitter threshold (hh).
+	Phi float64 `json:"phi,omitempty"`
+	// Eps, Delta tune accuracy/failure probability.
+	Eps   float64 `json:"eps,omitempty"`
+	Delta float64 `json:"delta,omitempty"`
+	// Seed is the shared construction seed; all replicas of one sketch must
+	// use the same one.
+	Seed uint64 `json:"seed"`
+}
+
+// Check holds the spec to its kind's row — the ranges and word budget Load
+// holds a config block to — without allocating the sketch.
+func (sp Spec) Check() error {
+	_, err := sp.block()
+	return err
+}
+
+// Build constructs the zero-state sketch the spec describes, once Check
+// passes.
+func (sp Spec) Build() (Sketch, error) {
+	c, err := sp.block()
+	if err != nil {
+		return nil, err
+	}
+	return construct(c), nil
+}
+
+// block is the canonical config block the spec names, held to its row.
+func (sp Spec) block() (config, error) {
+	for kind, r := range kinds {
+		if r.spec != "" && r.spec == sp.Kind {
+			c := config{kind: kind, n: uint64(sp.N), p: cmp.Or(sp.P, 1), phi: cmp.Or(sp.Phi, 0.1),
+				eps: sp.Eps, delta: sp.Delta, seed: sp.Seed, seeded: true}
+			c.canonical()
+			return c, r.validate(c)
+		}
+	}
+	var served []string
+	for _, r := range kinds {
+		if r.spec != "" {
+			served = append(served, r.spec)
+		}
+	}
+	slices.Sort(served)
+	return config{}, fmt.Errorf("streamsample: unknown sketch kind %q (want one of %s): %w",
+		sp.Kind, strings.Join(served, ", "), codec.ErrBadKind)
+}
+
+// Answer is every kind's query result in one shape (the JSON of sketchd's
+// /sample): the L0 samplers' index and exact value, the Lp sampler's index
+// and estimate of x_i, the duplicate finder's letter, the heavy-hitter
+// report or the F_p estimate. Ok is false when the query failed; a
+// heavy-hitter report always answers, possibly with the empty set.
+type Answer struct {
+	Ok           bool    `json:"ok"`
+	Index        int     `json:"index,omitempty"`
+	Value        int64   `json:"value,omitempty"`
+	Estimate     float64 `json:"estimate,omitempty"`
+	HeavyHitters []int   `json:"heavy_hitters,omitempty"`
+}
+
+// Query runs the read API of the sketch's kind — Sample, Find, Report or
+// Estimate — and returns its Answer. A Sketch implemented outside this
+// package answers the zero Answer.
+func Query(s Sketch) Answer {
+	w, ok := s.(wired)
+	if !ok {
+		return Answer{}
+	}
+	c, _ := w.wire()
+	return kinds[c.kind].answer(s)
+}
+
+// base is what every public type embeds: the config block the sketch was
+// built from and the inner sketch holding its linear state.
+type base[I linearState] struct {
+	cfg   config
+	inner I
+}
+
+func newBase[I linearState](c config, inner I) base[I] { return base[I]{c, inner} }
+
+func (b *base[I]) wire() (config, linearState) { return b.cfg, b.inner }
+
+// MarshalBinary implements encoding.BinaryMarshaler: the header, the config
+// block of the sketch's kind, the sealing fingerprint and the linear state.
+func (b *base[I]) MarshalBinary() ([]byte, error) { return encode(b.cfg, b.inner) }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler: MarshalBinary bytes
+// of the receiver's kind — the kind whose inner sketch has the receiver's
+// type — rebuild the receiver in place. On error it is left unchanged.
+func (b *base[I]) UnmarshalBinary(data []byte) error {
+	s, err := decode(data)
+	if err != nil {
+		return err
+	}
+	c, state := s.wire()
+	inner, ok := state.(I)
+	if !ok {
+		return fmt.Errorf("streamsample: bytes hold a %v, not the receiver's kind: %w", c.kind, codec.ErrBadKind)
+	}
+	*b = newBase(c, inner)
+	return nil
 }
 
 // mergeTarget resolves the Sketch argument of a Merge call to the concrete
@@ -199,26 +330,16 @@ func mergeTarget[T any](other Sketch) (*T, error) {
 // ---------------------------------------------------------------------------
 
 // LpSampler samples coordinates proportionally to |x_i|^p.
-type LpSampler struct {
-	p     float64
-	n     int
-	opts  options
-	inner *core.LpSampler
-}
+type LpSampler struct{ base[*core.LpSampler] }
 
 // Compile-time check: every public type satisfies the Sketch contract.
 var _ Sketch = (*LpSampler)(nil)
 
 // NewLpSampler creates a sampler for p in (0,2) over vectors of dimension n.
 func NewLpSampler(p float64, n int, opts ...Option) *LpSampler {
-	o := buildOptions(opts)
-	return &LpSampler{p: p, n: n, opts: o, inner: core.NewLpSampler(core.LpConfig{
-		P:      p,
-		N:      n,
-		Eps:    o.eps,
-		Delta:  o.delta,
-		Copies: o.copies,
-	}, o.rng())}
+	c := newConfig(codec.KindLpSampler, n, opts)
+	c.p = p
+	return construct(c).(*LpSampler)
 }
 
 // Update applies x[i] += delta.
@@ -260,23 +381,13 @@ func (s *LpSampler) SpaceBits() int64 { return s.inner.SpaceBits() }
 // ---------------------------------------------------------------------------
 
 // L0Sampler samples uniformly from the support of x.
-type L0Sampler struct {
-	n     int
-	opts  options
-	inner *core.L0Sampler
-}
+type L0Sampler struct{ base[*core.L0Sampler] }
 
 var _ Sketch = (*L0Sampler)(nil)
 
 // NewL0Sampler creates the sampler for dimension n.
 func NewL0Sampler(n int, opts ...Option) *L0Sampler {
-	o := buildOptions(opts)
-	return &L0Sampler{n: n, opts: o, inner: core.NewL0Sampler(core.L0Config{
-		N:            n,
-		Delta:        o.delta,
-		SOverride:    o.sBudget,
-		NestedLevels: o.nested,
-	}, o.rng())}
+	return construct(newConfig(codec.KindL0Sampler, n, opts)).(*L0Sampler)
 }
 
 // Update applies x[i] += delta.
@@ -317,18 +428,13 @@ func (s *L0Sampler) SpaceBits() int64 { return s.inner.SpaceBits() }
 
 // DuplicateFinder finds a repeated letter in a stream of n+1 letters over
 // the alphabet {0, ..., n-1} (Theorem 3).
-type DuplicateFinder struct {
-	n     int
-	opts  options
-	inner *duplicates.Finder
-}
+type DuplicateFinder struct{ base[*duplicates.Finder] }
 
 var _ Sketch = (*DuplicateFinder)(nil)
 
 // NewDuplicateFinder creates the finder for alphabet size n.
 func NewDuplicateFinder(n int, opts ...Option) *DuplicateFinder {
-	o := buildOptions(opts)
-	return &DuplicateFinder{n: n, opts: o, inner: duplicates.NewFinder(n, o.delta, o.rng())}
+	return construct(newConfig(codec.KindDuplicateFinder, n, opts)).(*DuplicateFinder)
 }
 
 // Observe consumes the next letter of the stream.
@@ -372,25 +478,16 @@ func (d *DuplicateFinder) SpaceBits() int64 { return d.inner.SpaceBits() }
 // HeavyHitters maintains an Lp heavy-hitters sketch: Report returns a set
 // containing every i with |x_i| ≥ φ‖x‖_p and no i with |x_i| ≤ (φ/2)‖x‖_p
 // (with high probability).
-type HeavyHitters struct {
-	p     float64
-	phi   float64
-	n     int
-	opts  options
-	inner *heavyhitters.Sketch
-}
+type HeavyHitters struct{ base[*heavyhitters.Sketch] }
 
 var _ Sketch = (*HeavyHitters)(nil)
 
 // NewHeavyHitters creates the sketch for norm exponent p in (0,2] and
 // threshold φ in (0,1).
 func NewHeavyHitters(p, phi float64, n int, opts ...Option) *HeavyHitters {
-	o := buildOptions(opts)
-	return &HeavyHitters{p: p, phi: phi, n: n, opts: o, inner: heavyhitters.New(heavyhitters.Config{
-		P:   p,
-		Phi: phi,
-		N:   n,
-	}, o.rng())}
+	c := newConfig(codec.KindHeavyHitters, n, opts)
+	c.p, c.phi = p, phi
+	return construct(c).(*HeavyHitters)
 }
 
 // Update applies x[i] += delta.
