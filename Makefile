@@ -142,10 +142,13 @@ bench-l0:
 # The Lp update path (the PR-14 headline), both shapes beside the per-row
 # scalar loops they replaced: one k-wise row over a batch of keys (SIMD key
 # lanes) and one key over all rows (lazy-reduction dot products) in hash, the
-# AMS and p-stable sketches on top in norm, the whole sampler in core, and the
-# end-to-end Theorem 1 batch ingest and Theorem 3 Observe at the root.
+# Cauchy transform of the p = 1 stable sketch in kernel (2^20 distinct inputs
+# per op: a short repeated slice lets the branch predictor learn math.tan),
+# the AMS and p-stable sketches on top in norm, the whole sampler in core, and
+# the end-to-end Theorem 1 batch ingest and Theorem 3 Observe at the root.
 bench-lp:
 	$(GO) test -run '^$$' -bench 'SignBatchK4|ScalarSignK4|Float64BatchK8|ScalarFloat64K8|EvalRowsK' -benchtime 20000x ./internal/hash
+	$(GO) test -run '^$$' -bench 'KernelCauchy' -benchtime 20x ./internal/kernel
 	$(GO) test -run '^$$' -bench 'StableAdd|AMSAdd' -benchtime 2000x ./internal/norm
 	$(GO) test -run '^$$' -bench 'LpSamplerProcess' -benchtime 200x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestLpSerialBatched' -benchtime 5x .

@@ -298,7 +298,6 @@ func (s *LpSampler) Process(u stream.Update) {
 	i := uint64(u.Index)
 	d := float64(u.Delta)
 	s.rNorm.Process(u)
-	invP := 1 / s.cfg.P
 	s.ts.Float64Rows(i, s.rowT)
 	for ci, c := range s.copies {
 		ti := s.rowT[ci]
@@ -308,11 +307,21 @@ func (s *LpSampler) Process(u stream.Update) {
 			c.guarded = true
 			continue
 		}
-		scale := math.Pow(ti, -invP)
-		zd := d * scale
+		zd := d * s.tScale(ti)
 		c.cs.Add(i, zd)
 		c.ams.AddFloat(i, zd)
 	}
+}
+
+// tScale is a repetition's multiplier t_i^{-1/p}. At p = 1 it is 1/t_i,
+// which is math.Pow(t_i, -1) bit for bit: Pow returns Ldexp(1/frac, -exp) for
+// t_i = frac·2^exp, and scaling by a power of two is exact while the result
+// stays normal, which the guard t_i >= tMin ensures.
+func (s *LpSampler) tScale(ti float64) float64 {
+	if s.cfg.P == 1 {
+		return 1 / ti
+	}
+	return math.Pow(ti, -1/s.cfg.P)
 }
 
 // batchBlock is how many updates ProcessBatch folds at a time — the engine's
@@ -340,7 +349,6 @@ func (s *LpSampler) ProcessBatch(batch []stream.Update) {
 func (s *LpSampler) processBlock(batch []stream.Update) {
 	s.queryValid = false
 	s.rNorm.ProcessBatch(batch)
-	invP := 1 / s.cfg.P
 	n := len(batch)
 	keys := stream.Keys(batch, &s.scratchKey)
 	if cap(s.scratchT) < n {
@@ -359,7 +367,7 @@ func (s *LpSampler) processBlock(batch []stream.Update) {
 				continue
 			}
 			idx = append(idx, keys[t])
-			zd = append(zd, float64(u.Delta)*math.Pow(ti, -invP))
+			zd = append(zd, float64(u.Delta)*s.tScale(ti))
 		}
 		c.cs.AddBatch(idx, zd)
 		c.ams.AddFloatBatch(idx, zd)

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/hash"
 	"repro/internal/stream"
 )
 
@@ -69,6 +71,29 @@ func TestLpUpdatePathsAgree(t *testing.T) {
 	}
 }
 
+// TestReciprocalScaleMatchesPow: at p = 1 the repetitions scale by 1/t_i in
+// place of math.Pow(t_i, -1); the two must agree bit for bit on every t_i the
+// guard lets through — 10^6 scaling-hash draws, and tMin and 1 (the ends of
+// the guarded range) with their neighbouring floats, for n from 1 to 2^40.
+func TestReciprocalScaleMatchesPow(t *testing.T) {
+	s := NewLpSampler(LpConfig{P: 1, N: 1 << 10, Eps: 0.3, Delta: 0.3, Copies: 1}, rand.New(rand.NewPCG(49, 50)))
+	ts := []float64{1, math.Nextafter(1, 0), math.Nextafter(1, 2)}
+	for _, n := range []float64{1, 2, 1 << 10, 1 << 14, 1 << 16, 1 << 20, 1 << 30, 1 << 40} {
+		tMin := math.Pow(n, -2) / 16
+		ts = append(ts, tMin, math.Nextafter(tMin, 0), math.Nextafter(tMin, 1))
+	}
+	h := hash.NewKWise(2, rand.New(rand.NewPCG(51, 52)))
+	for i := uint64(0); i < 1_000_000; i++ {
+		ts = append(ts, h.Float64(i))
+	}
+	for _, ti := range ts {
+		if got, want := s.tScale(ti), math.Pow(ti, -1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("t = %v: 1/t = %v (%#x), math.Pow(t, -1) = %v (%#x)",
+				ti, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 // scratchCaps walks v and reports the capacity of every slice held in a
 // struct field whose name starts with "scratch", by path.
 func scratchCaps(v reflect.Value, path string, out map[string]int) {
@@ -101,7 +126,7 @@ func scratchCaps(v reflect.Value, path string, out map[string]int) {
 // p-stable sketches' — grows past batchBlock entries.
 func TestLpBatchScratchBounded(t *testing.T) {
 	const n = 1 << 12
-	for _, p := range []float64{1, 1.5} {
+	for _, p := range []float64{0.5, 1, 1.5} {
 		s := NewLpSampler(LpConfig{P: p, N: n, Eps: 0.3, Delta: 0.3, Copies: 3},
 			rand.New(rand.NewPCG(45, 46)))
 		s.ProcessBatch(stream.ZipfSigned(n, 1.1, 10*batchBlock, rand.New(rand.NewPCG(47, 48))))

@@ -83,6 +83,21 @@ func BenchmarkKernelSyndromeAdd4(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelCauchy transforms 2^20 distinct toUnit-shaped inputs per
+// op: on a short slice repeated every op, the branch predictor learns
+// math.tan's branches and the scalar reference reads about half its cost.
+func BenchmarkKernelCauchy(b *testing.B) {
+	u := cauchyInputs(1 << 20)
+	out := make([]float64, len(u))
+	b.SetBytes(int64(len(u)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Cauchy(u, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(u)), "ns/value")
+}
+
 // benchScatter measures cells[idx] += del over a batch of uniform buckets;
 // width picks the cache regime.
 func benchScatter(b *testing.B, width, batch int) {

@@ -51,6 +51,9 @@ func bucketSign2IFMA(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, si
 func bucket2IFMA(c0, c1, m uint64, xs []uint64, out []uint64)
 
 //go:noescape
+func cauchyAVX512(u []float64, out []float64)
+
+//go:noescape
 func scatterAddF64PF(cells []float64, idx []uint64, del []float64)
 
 //go:noescape
@@ -109,7 +112,9 @@ func detect() {
 // to the scalar reference, so the assembly only ever sees its documented
 // preconditions. The counter scatter is the prefetched scalar-order loop —
 // baseline amd64 instructions, no AVX needed (AVX2 has gathers but no
-// scatter stores, so there is no 4-lane vector fold to have).
+// scatter stores, so there is no 4-lane vector fold to have). The Cauchy
+// transform is the scalar reference: its lane form leans on AVX-512's
+// float-to-int64 conversions and opmask selects.
 var avx2Table = table{
 	name:          AVX2,
 	polyEvalBatch: avx2PolyEvalBatch,
@@ -118,6 +123,7 @@ var avx2Table = table{
 	fdScan:        avx2FDScan,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
+	cauchy:        scalarCauchy,
 }
 
 // avx512Table widens the modmul-bound primitives to 8 lanes. The
@@ -125,8 +131,10 @@ var avx2Table = table{
 // so doubling lane width buys nothing, and the 256-bit form avoids
 // license-based frequency dips. The counter scatter keeps the prefetched scalar-order
 // loop as well: a zmm gather+scatter pair costs the same store-port budget
-// as eight scalar read-modify-writes and cannot prefetch ahead. detect()
-// swaps the modmul trio to the IFMA52 flavor when the CPU has it.
+// as eight scalar read-modify-writes and cannot prefetch ahead. The Cauchy
+// transform runs math.tan's sequence eight lanes at a time
+// (kernel_cauchy_amd64.s). detect() swaps the modmul trio to the IFMA52
+// flavor when the CPU has it.
 var avx512Table = table{
 	name:          AVX512,
 	polyEvalBatch: avx512PolyEvalBatch,
@@ -135,6 +143,7 @@ var avx512Table = table{
 	fdScan:        avx2FDScan,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
+	cauchy:        avx512Cauchy,
 }
 
 func avx2PolyEvalBatch(coef, xs, out []uint64) {
@@ -268,6 +277,17 @@ func avx512Bucket2IFMA(c0, c1, m uint64, xs, out []uint64) {
 	}
 	if n < len(xs) {
 		scalarBucket2(c0, c1, m, xs[n:], out[n:])
+	}
+}
+
+func avx512Cauchy(u, out []float64) {
+	out = out[:len(u)]
+	n := len(u) &^ 7
+	if n > 0 {
+		cauchyAVX512(u[:n], out[:n])
+	}
+	if n < len(u) {
+		scalarCauchy(u[n:], out[n:])
 	}
 }
 

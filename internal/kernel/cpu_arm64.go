@@ -34,6 +34,7 @@ var neonTable = table{
 	fdScan:        neonFDScan,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
+	cauchy:        scalarCauchy,
 }
 
 func neonFDScan(d, out []uint64) {

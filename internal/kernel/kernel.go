@@ -16,6 +16,17 @@
 // kernel_test.go and the per-package variant sweeps pin every variant
 // bit-identical to the scalar reference.
 //
+// Cauchy is the one floating-point primitive: the p = 1 stable variate
+// tan(π(u-½)) of the norm sketches (internal/norm), for u in [0, 1] — the
+// range of the hash layer's unit values. Its contract is bit identity with
+// math.Tan(math.Pi*(u-0.5)), so the AVX-512 variant replays math.tan's own
+// operation sequence lane by lane, divides included, and fuses nothing: the
+// amd64 compiler never contracts x*y+z into an FMA, so math.tan itself is
+// unfused there, and one fused step would change low bits of the sketch
+// state. arm64 keeps the scalar entry: Go fuses x*y+z on arm64, so its
+// math.tan differs from amd64's in low bits, and a lane form would have to
+// reproduce that compiler's fusion choices instead of IEEE's.
+//
 // Selection order is AVX-512 > AVX2 > NEON > scalar, overridable for
 // testing with the environment variable REPRO_KERNEL=scalar|avx2|avx512|neon:
 // a known but unavailable variant falls back cleanly to scalar (so one CI
@@ -76,6 +87,10 @@ type table struct {
 
 	// scatterAddI64 is the integer twin (the count-min fold).
 	scatterAddI64 func(cells []int64, idx []uint64, del []int64)
+
+	// cauchy writes out[t] = math.Tan(math.Pi*(u[t]-0.5)) for u[t] in [0, 1],
+	// bit for bit: the p = 1 stable variate of the norm sketches.
+	cauchy func(u, out []float64)
 }
 
 var (
@@ -183,6 +198,13 @@ func Bucket2(c0, c1, m uint64, xs, out []uint64) { active.Load().bucket2(c0, c1,
 // FDScan writes len(out) consecutive finite-difference values and advances
 // the table d in place; out[t] is the polynomial value at the t-th point.
 func FDScan(d, out []uint64) { active.Load().fdScan(d, out) }
+
+// Cauchy writes out[t] = math.Tan(math.Pi*(u[t]-0.5)) into out[:len(u)], bit
+// for bit, for every u[t] in [0, 1] (outside it the result is unspecified).
+// out may be u itself. The slices reach a vector variant through the
+// function table, so the compiler lets them escape: pass buffers the caller
+// already owns on the heap, never a stack array.
+func Cauchy(u, out []float64) { active.Load().cauchy(u, out) }
 
 // ---------------------------------------------------------------------------
 // Not dispatched: one implementation on every CPU.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -223,6 +224,74 @@ func TestFDScanDifferential(t *testing.T) {
 	}
 }
 
+// cauchyInputs returns the Cauchy kernel's test inputs: the edges of its
+// domain and of math.tan's branches, then random values of the form
+// hash.toUnit produces, (v+1)/2^61 for a field element v.
+func cauchyInputs(random int) []float64 {
+	u := []float64{0, 0x1p-61, 0.5, 1, 0.5 - 1e-8, 0.5 + 1e-8, math.Nextafter(1, 0)}
+	for _, c := range []float64{0.25, 0.75} { // x = ∓π/4: where j turns even
+		lo, hi := c, c
+		for k := 0; k < 64; k++ {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 1)
+			u = append(u, lo, hi)
+		}
+		u = append(u, c)
+	}
+	r := rand.New(rand.NewSource(7008))
+	for i := 0; i < random; i++ {
+		u = append(u, (float64(r.Uint64()%modulus)+1)*(1/float64(modulus)))
+	}
+	return u
+}
+
+// TestCauchyDifferential pins every variant's Cauchy transform to its
+// defining expression, math.Tan(math.Pi*(u-0.5)), bit for bit: over 2^24
+// toUnit-shaped inputs plus the branch edges, out of place and (on a prefix)
+// in place, and at lengths around the eight-lane block.
+func TestCauchyDifferential(t *testing.T) {
+	random := 1 << 24
+	if testing.Short() {
+		random = 1 << 18
+	}
+	u := cauchyInputs(random)
+	want := make([]float64, len(u))
+	for i, v := range u {
+		want[i] = math.Tan(math.Pi * (v - 0.5))
+	}
+	check := func(name, what string, got, want, u []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s cauchy %s: out[%d] = %v (%#x), math.Tan %v (%#x) at u = %v",
+					name, what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), u[i])
+			}
+		}
+	}
+	got := make([]float64, len(u))
+	for _, vt := range append([]*table{&scalarTable}, vectorTables()...) {
+		clear(got)
+		vt.cauchy(u, got)
+		check(vt.name, "out of place", got, want, u)
+
+		inPlace := got[:1<<16]
+		copy(inPlace, u)
+		vt.cauchy(inPlace, inPlace)
+		check(vt.name, "in place", inPlace, want[:len(inPlace)], u)
+
+		for _, n := range []int{0, 1, 7, 8, 9, 2051} {
+			for _, off := range []int{0, 3} {
+				out := make([]float64, n+1)
+				out[n] = -7
+				vt.cauchy(u[off:off+n], out)
+				check(vt.name, "short", out[:n], want[off:off+n], u[off:off+n])
+				if out[n] != -7 {
+					t.Fatalf("%s cauchy wrote past len(u) = %d", vt.name, n)
+				}
+			}
+		}
+	}
+}
+
 // TestSyndromeAdd4Differential pins the one-multiply lazy-sum fold against the
 // defining power sums, computed the slow way: a separate power chain per
 // update, one canonical add per term.
@@ -292,7 +361,12 @@ func TestDispatchEntryPoints(t *testing.T) {
 		}
 		synd := make([]uint64, 6)
 		SyndromeAdd4(synd, du, au)
+		tan := []float64{0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 1, 0.3}
+		Cauchy(tan, tan)
 		flat := append(append(append(append([]uint64(nil), out...), buckets...), scan...), synd...)
+		for _, v := range tan {
+			flat = append(flat, math.Float64bits(v))
+		}
 		results = append(results, flat)
 	}
 	for i := 1; i < len(results); i++ {

@@ -1,6 +1,9 @@
 package kernel
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Scalar reference implementations: the bit-identity baseline every vector
 // variant is pinned against. The Mersenne-prime arithmetic restates
@@ -19,6 +22,7 @@ var scalarTable = table{
 	fdScan:        scalarFDScan,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
+	cauchy:        scalarCauchy,
 }
 
 // reduce maps any uint64 into canonical form (two Mersenne folds).
@@ -130,5 +134,12 @@ func scalarScatterAddI64(cells []int64, idx []uint64, del []int64) {
 	del = del[:len(idx)]
 	for t, b := range idx {
 		cells[b] += del[t]
+	}
+}
+
+func scalarCauchy(u, out []float64) {
+	out = out[:len(u)]
+	for t, v := range u {
+		out[t] = math.Tan(math.Pi * (v - 0.5))
 	}
 }

@@ -1,6 +1,7 @@
 package norm
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -152,6 +153,65 @@ func TestStableUpdatesMatchReference(t *testing.T) {
 			for j := 0; j < 80; j += 13 {
 				if got, want := batch.stableAt(j, idx[j]), refStableAt(batch, j, idx[j]); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("p=%v: stableAt(%d) = %v, reference %v", p, j, got, want)
+				}
+			}
+		}
+	})
+}
+
+// shapeCounters and shapeBatches are the sketch sizes and batch lengths the
+// shape tests sweep: counter counts off and on the row-group sizes (the Lp
+// sampler's 54 AMS and 80/140 stable counters among them), and batches
+// around the fold chunk, fed one after another onto the same counters.
+var (
+	shapeCounters = []int{1, 3, 54, 80, 81, 140}
+	shapeBatches  = []int{0, 1, 255, 256, 257, 2051}
+)
+
+// amsShape splits a counter count into groups × perGroup.
+func amsShape(counters int) (groups, perGroup int) {
+	for _, g := range []int{9, 7, 5, 3} {
+		if counters%g == 0 {
+			return g, counters / g
+		}
+	}
+	return 1, counters
+}
+
+// TestAMSShapesMatchReference pins the chunked, row-grouped AddFloatBatch to
+// the reference per-counter loop at every counter count and batch length of
+// the shape sweep, including row groups cut short by the counter count.
+func TestAMSShapesMatchReference(t *testing.T) {
+	sweepKernels(t, func(t *testing.T) {
+		for _, counters := range shapeCounters {
+			groups, perGroup := amsShape(counters)
+			mk := func() *AMS { return NewAMS(groups, perGroup, rand.New(rand.NewPCG(91, uint64(counters)))) }
+			ref, batch := mk(), mk()
+			r := rand.New(rand.NewPCG(92, uint64(counters)))
+			for _, n := range shapeBatches {
+				idx, del := refUpdates(n, r)
+				refAMSAddFloatBatch(ref, idx, del)
+				batch.AddFloatBatch(idx, del)
+				sameBits(t, fmt.Sprintf("%d counters, batch of %d", counters, n), batch.counters, ref.counters)
+			}
+		}
+	})
+}
+
+// TestStableShapesMatchReference is the same sweep for the p-stable sketch at
+// p = 1 (the Cauchy kernel's block) and on both sides of it.
+func TestStableShapesMatchReference(t *testing.T) {
+	sweepKernels(t, func(t *testing.T) {
+		for _, p := range []float64{0.5, 1, 1.5} {
+			for _, counters := range shapeCounters {
+				mk := func() *Stable { return NewStable(p, counters, rand.New(rand.NewPCG(93, uint64(counters)))) }
+				ref, batch := mk(), mk()
+				r := rand.New(rand.NewPCG(94, uint64(counters)))
+				for _, n := range shapeBatches {
+					idx, del := refUpdates(n, r)
+					refStableAddFloatBatch(ref, idx, del)
+					batch.AddFloatBatch(idx, del)
+					sameBits(t, fmt.Sprintf("p=%v, %d counters, batch of %d", p, counters, n), batch.counters, ref.counters)
 				}
 			}
 		}

@@ -48,7 +48,8 @@ func newGoldenL0(n int, nested bool) *streamsample.L0Sampler {
 	return streamsample.NewL0Sampler(n, opts...)
 }
 
-func l0Digest(t *testing.T, s *streamsample.L0Sampler) uint64 {
+// sketchDigest is FNV-64a of a sketch's MarshalBinary bytes.
+func sketchDigest(t *testing.T, s streamsample.Sketch) uint64 {
 	t.Helper()
 	blob, err := s.MarshalBinary()
 	if err != nil {
@@ -74,7 +75,7 @@ func TestL0GoldenDigest(t *testing.T) {
 			want := l0GoldenDigests[key]
 			check := func(path string, s *streamsample.L0Sampler) {
 				t.Helper()
-				if got := l0Digest(t, s); got != want {
+				if got := sketchDigest(t, s); got != want {
 					t.Errorf("%s via %s: digest %#016x, golden %#016x", key, path, got, want)
 				}
 			}
