@@ -128,8 +128,7 @@ serve-e2e:
 # serial and engine ingest through the Theorem 2 sampler and the sampler's
 # own scalar and 2048-frame folds, plus the layers underneath — window-table
 # block access in prng, the one-multiply syndrome kernel, the windowed rho^i
-# and the recoverer's batch and scalar folds — and the graphsketch edge-ingest
-# path built on top.
+# and the recoverer's batch and scalar folds.
 bench-l0:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestL0' -benchtime 2x .
 	$(GO) test -run '^$$' -bench 'L0SamplerProcess' -benchtime 2000x ./internal/core
@@ -137,7 +136,6 @@ bench-l0:
 	$(GO) test -run '^$$' -bench 'KernelSyndromeAdd4' -benchtime 100000x ./internal/kernel
 	$(GO) test -run '^$$' -bench 'PowCache|PowLadder' -benchtime 100000x ./internal/field
 	$(GO) test -run '^$$' -bench 'ProcessBatchS10|ProcessScalarS10' -benchtime 2000x ./internal/sparse
-	$(GO) test -run '^$$' -bench 'GraphIngest' -benchtime 20x ./internal/graphsketch
 
 # The Lp update path (the PR-14 headline), both shapes beside the per-row
 # scalar loops they replaced: one k-wise row over a batch of keys (SIMD key
@@ -156,9 +154,9 @@ bench-lp:
 
 # Query-side benchmarks (the PR-4 and PR-13 headlines): memoized vs dirty L0
 # and Lp sampling, the finite-difference recovery scan, the blocked
-# count-sketch decode and pruned top-m, and the end-to-end graphsketch
-# connectivity, Lp sample and duplicates queries built on top (the root
-# BenchmarkQuery* suite).
+# count-sketch decode and pruned top-m, and the end-to-end L0 sample, Lp
+# sample and duplicates queries built on top (the root BenchmarkQuery*
+# suite).
 bench-query:
 	$(GO) test -run '^$$' -bench 'L0SamplerSample|LpSamplerSample' -benchtime 200x ./internal/core
 	$(GO) test -run '^$$' -bench 'RecoverScan|RecoverS8N4096' -benchtime 200x ./internal/sparse
@@ -169,8 +167,9 @@ bench-query:
 # ingest/query suite (3 repetitions, best run wins) and compare against the
 # committed BENCH_BASELINE.json, failing on a >10% geomean regression, any
 # single benchmark >1.5x its baseline, or a missing benchmark. On PRs the
-# CI job swaps the committed baseline for one measured from the PR base on
-# the same runner. See cmd/benchgate for -input / -threshold / -cap.
+# CI job swaps the committed baseline for one the head's benchgate measures
+# from the PR base on the same runner. See cmd/benchgate for -input /
+# -threshold / -cap.
 bench-gate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json
 

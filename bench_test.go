@@ -20,7 +20,6 @@ import (
 	"repro/internal/duplicates"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/graphsketch"
 	"repro/internal/stream"
 )
 
@@ -250,31 +249,6 @@ func BenchmarkQueryL0Sample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sk.Sample()
-	}
-}
-
-// BenchmarkQueryGraphConnectivity is the end-to-end connectivity query: the
-// full Borůvka merge-and-sample pipeline over a batch-ingested random graph
-// (the sketch is consumed, so each iteration rebuilds it off the clock).
-func BenchmarkQueryGraphConnectivity(b *testing.B) {
-	const v = 48
-	r := rand.New(rand.NewPCG(71, 72))
-	edges := make([][2]int, 3*v)
-	for i := range edges {
-		u := r.IntN(v)
-		w := r.IntN(v - 1)
-		if w >= u {
-			w++
-		}
-		edges[i] = [2]int{u, w}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := graphsketch.New(v, 0.2, rand.New(rand.NewPCG(61, 62)))
-		g.AddEdges(edges)
-		b.StartTimer()
-		g.SpanningForest()
 	}
 }
 

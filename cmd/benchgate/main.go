@@ -37,7 +37,7 @@ import (
 const defaultBench = "^(BenchmarkIngestSerial|BenchmarkIngestSerialBatched|BenchmarkIngestEngine|" +
 	"BenchmarkIngestL0Serial|BenchmarkIngestL0Engine|" +
 	"BenchmarkIngestLpSerialBatched|BenchmarkIngestDuplicateFinderObserve|BenchmarkQueryL0Sample|" +
-	"BenchmarkQueryGraphConnectivity|BenchmarkQueryDuplicatesFind|" +
+	"BenchmarkQueryDuplicatesFind|" +
 	"BenchmarkQueryLpSample|BenchmarkQueryDuplicateFinderFind|" +
 	"BenchmarkServeIngestRaw|BenchmarkServeIngestSketch)$"
 

@@ -17,8 +17,7 @@
 // item per line (feed to dupfind). With -ingest the stream is not printed:
 // it is fed once through a single serial sketch and once through the engine
 // (same-seed replicas, shard → batch → merge), and a throughput comparison
-// is written to stderr. Supported -ingest sinks: countsketch, countmin, l0,
-// lp, hh.
+// is written to stderr. Supported -ingest sinks: countsketch, l0, lp, hh.
 //
 // # Distributed export / remote merge
 //
@@ -71,7 +70,6 @@ import (
 
 	streamsample "repro"
 	"repro/internal/core"
-	"repro/internal/countmin"
 	"repro/internal/countsketch"
 	"repro/internal/engine"
 	"repro/internal/heavyhitters"
@@ -88,7 +86,7 @@ func main() {
 	alpha := flag.Float64("alpha", 1.0, "zipf exponent")
 	support := flag.Int("support", 16, "support size (sparse)")
 	seed := flag.Uint64("seed", 1, "random seed")
-	ingest := flag.String("ingest", "", "drive the stream through a sketch instead of printing it: countsketch | countmin | l0 | lp | hh")
+	ingest := flag.String("ingest", "", "drive the stream through a sketch instead of printing it: countsketch | l0 | lp | hh")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "engine shard count (-ingest)")
 	batch := flag.Int("batch", 2048, "engine batch size (-ingest)")
 	export := flag.String("export", "", "ingest the stream into a -sketch sketch and write its serialized bytes to this file")
@@ -112,9 +110,9 @@ func main() {
 	// Reject bad -ingest/-export parameters before the (possibly
 	// multi-second) stream generation, not after.
 	switch *ingest {
-	case "", "countsketch", "countmin", "l0", "lp", "hh":
+	case "", "countsketch", "l0", "lp", "hh":
 	default:
-		fmt.Fprintf(os.Stderr, "workload: unknown -ingest sink %q (want countsketch, countmin, l0, lp or hh)\n", *ingest)
+		fmt.Fprintf(os.Stderr, "workload: unknown -ingest sink %q (want countsketch, l0, lp or hh)\n", *ingest)
 		os.Exit(2)
 	}
 	if *export != "" || *push != "" {
@@ -201,11 +199,6 @@ func drive(sink string, st stream.Stream, n int, seed uint64, shards, batch int)
 		merge = func(dst, src stream.Sink) error {
 			return dst.(*countsketch.Sketch).Merge(src.(*countsketch.Sketch))
 		}
-	case "countmin":
-		factory = func() stream.Sink { return countmin.New(1024, 5, rng()) }
-		merge = func(dst, src stream.Sink) error {
-			return dst.(*countmin.Sketch).Merge(src.(*countmin.Sketch))
-		}
 	case "l0":
 		factory = func() stream.Sink { return core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2}, rng()) }
 		merge = func(dst, src stream.Sink) error {
@@ -228,7 +221,7 @@ func drive(sink string, st stream.Stream, n int, seed uint64, shards, batch int)
 	default:
 		// Unreachable: main validates the sink name before generating the
 		// stream; kept as a guard for direct callers.
-		return fmt.Errorf("unknown -ingest sink %q (want countsketch, countmin, l0, lp or hh)", sink)
+		return fmt.Errorf("unknown -ingest sink %q (want countsketch, l0, lp or hh)", sink)
 	}
 
 	serialSink := factory()

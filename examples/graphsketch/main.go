@@ -19,12 +19,15 @@
 // Each Borůvka round must use a fresh sketch copy (sampling from a sketch
 // conditioned on earlier answers would bias it), hence the log(V) batches.
 //
-// Run: go run ./examples/graphsketch
+// Run: go run ./examples/graphsketch (exits 1 if the graph is not found
+// connected; main_test.go runs the same fixed-seed graph under go test).
 package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand/v2"
+	"os"
 
 	streamsample "repro"
 )
@@ -44,6 +47,15 @@ type vertexSketches struct {
 }
 
 func main() {
+	if !run(os.Stdout) {
+		os.Exit(1)
+	}
+}
+
+// run builds the fixed-seed graph, churns its chords away, runs Borůvka over
+// the vertex sketches, narrates each round to w and reports whether the
+// spanning forest came out connected.
+func run(w io.Writer) bool {
 	const V = 64
 	slots := V * (V - 1) / 2
 	rounds := 7 // ceil(log2 V) + 1
@@ -97,7 +109,7 @@ func main() {
 	for _, e := range chords {
 		apply(e, -1)
 	}
-	fmt.Printf("graph: %d vertices, %d path edges, %d chords inserted then deleted\n",
+	fmt.Fprintf(w, "graph: %d vertices, %d path edges, %d chords inserted then deleted\n",
 		V, len(edges), len(chords))
 
 	// Borůvka over sketches: components merge by summing sketches.
@@ -126,7 +138,7 @@ func main() {
 		}
 		// Sample one outgoing edge per component and contract.
 		joins := 0
-		for c, m := range merged {
+		for _, m := range merged {
 			slot, _, ok := m.Sample()
 			if !ok {
 				continue // isolated or sampler failure this round
@@ -138,11 +150,11 @@ func main() {
 				components--
 				joins++
 			}
-			_ = c
 		}
-		fmt.Printf("round %d: %d merges, %d components left\n", t, joins, components)
+		fmt.Fprintf(w, "round %d: %d merges, %d components left\n", t, joins, components)
 	}
-	fmt.Printf("spanning forest complete: connected = %v (expected true)\n", components == 1)
+	fmt.Fprintf(w, "spanning forest complete: connected = %v (expected true)\n", components == 1)
+	return components == 1
 }
 
 // slotToEdge inverts edgeSlot.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/countmin"
 	"repro/internal/countsketch"
 	"repro/internal/distinct"
 	"repro/internal/duplicates"
@@ -36,12 +35,6 @@ func TestInternalMergeSentinels(t *testing.T) {
 	check("countsketch nil", cs.Merge(nil), codec.ErrNilMerge)
 	check("countsketch shape", cs.Merge(countsketch.New(16, 3, rng(1))), codec.ErrConfigMismatch)
 	check("countsketch seed", cs.Merge(countsketch.New(8, 3, rng(2))), codec.ErrSeedMismatch)
-
-	// countmin
-	cm := countmin.New(64, 4, rng(3))
-	check("countmin nil", cm.Merge(nil), codec.ErrNilMerge)
-	check("countmin shape", cm.Merge(countmin.New(32, 4, rng(3))), codec.ErrConfigMismatch)
-	check("countmin seed", cm.Merge(countmin.New(64, 4, rng(4))), codec.ErrSeedMismatch)
 
 	// norm: AMS and Stable, including the cross-type case
 	ams := norm.NewAMS(5, 4, rng(5))

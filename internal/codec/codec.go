@@ -64,7 +64,8 @@ type Kind uint16
 
 // The sketch kinds of the public API plus the internal checkpointable
 // composites. Values are part of the wire format: never reorder, only
-// append.
+// append. Value 7 is retired (the deleted graph-sketch composite) and must
+// not be reused: a blob written with it must never decode as another kind.
 const (
 	KindInvalid Kind = iota
 	KindLpSampler
@@ -73,7 +74,6 @@ const (
 	KindHeavyHitters
 	KindTwoPassL0Sampler
 	KindFpEstimator
-	KindGraphSketch
 )
 
 // String names the kind for error messages.
@@ -91,8 +91,6 @@ func (k Kind) String() string {
 		return "TwoPassL0Sampler"
 	case KindFpEstimator:
 		return "FpEstimator"
-	case KindGraphSketch:
-		return "GraphSketch"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint16(k))
 	}
@@ -273,9 +271,6 @@ func (d *Decoder) Fail(err error) {
 		d.err = err
 	}
 }
-
-// Remaining reports the unread byte count.
-func (d *Decoder) Remaining() int { return len(d.data) - d.off }
 
 // Finish reports the first failure, or ErrTrailingData when unread bytes
 // remain after a complete decode.

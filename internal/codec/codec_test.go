@@ -157,7 +157,7 @@ func TestTrailingData(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	kinds := []Kind{KindLpSampler, KindL0Sampler, KindDuplicateFinder,
-		KindHeavyHitters, KindTwoPassL0Sampler, KindFpEstimator, KindGraphSketch}
+		KindHeavyHitters, KindTwoPassL0Sampler, KindFpEstimator}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

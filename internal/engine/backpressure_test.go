@@ -6,16 +6,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/codec"
-	"repro/internal/countmin"
+	"repro/internal/countsketch"
 	"repro/internal/stream"
 )
 
-// gatedSketch wraps a count-min replica whose batch processing blocks on a
+// gatedSketch wraps a count-sketch replica whose batch processing blocks on a
 // gate channel until it is closed — a deterministic stand-in for a stalled
 // or slow shard worker. A nil gate never blocks.
 type gatedSketch struct {
-	*countmin.Sketch
+	*countsketch.Sketch
 	gate    <-chan struct{}
 	batches atomic.Int64
 }
@@ -34,13 +33,6 @@ func (g *gatedSketch) ProcessBatch(batch []stream.Update) {
 
 func gatedMerge(dst, src *gatedSketch) error { return dst.Sketch.Merge(src.Sketch) }
 
-// countMinCells is the sketch's whole cell array, row-major.
-func countMinCells(s *countmin.Sketch) []byte {
-	var e codec.Encoder
-	s.AppendState(&e)
-	return e.Bytes()
-}
-
 // TestFullQueueBlocksProducerAndStaysExact pins the engine's one
 // backpressure policy under a real stall: with the only worker stuck inside
 // its first batch, the producer gets QueueDepth more batches into the queue
@@ -51,11 +43,11 @@ func TestFullQueueBlocksProducerAndStaysExact(t *testing.T) {
 	const batchSize, depth = 32, 2
 	st := stream.RandomTurnstile(256, 20000, 50, seeded(61)) // 625 batches
 
-	serial := countmin.New(64, 5, seeded(62))
+	serial := csFactory(62)(0)
 	st.Feed(serial)
 
 	gate := make(chan struct{})
-	replica := &gatedSketch{Sketch: countmin.New(64, 5, seeded(62)), gate: gate}
+	replica := &gatedSketch{Sketch: csFactory(62)(0), gate: gate}
 	eng := New(Config{Shards: 1, BatchSize: batchSize, QueueDepth: depth},
 		func(int) *gatedSketch { return replica }, gatedMerge)
 
@@ -108,7 +100,7 @@ func TestFullQueueBlocksProducerAndStaysExact(t *testing.T) {
 	if got := eng.Stats().Routed; got != int64(len(st)) {
 		t.Fatalf("routed %d != %d", got, len(st))
 	}
-	if !bytes.Equal(countMinCells(merged.Sketch), countMinCells(serial)) {
+	if !bytes.Equal(csCells(merged.Sketch), csCells(serial)) {
 		t.Fatal("cells after a blocked producer differ from the serial sketch")
 	}
 }

@@ -34,8 +34,8 @@ type durableState[T stream.Sink] struct {
 // accepted batch is journaled write-ahead, a generation (one marshaled blob
 // per shard) is written every Config.CheckpointEvery updates, and worker
 // panics roll back to the last durable state instead of degrading the
-// result. marshal and restore translate between replicas and blobs (same
-// contract as Snapshot/Restore).
+// result. marshal and restore translate between replicas and blobs (marshal
+// as for Snapshot; restore loads a blob into a fresh same-seed replica).
 //
 // If the store already holds state, the engine ADOPTS it first — its
 // current replicas are discarded and rebuilt from the store's last good
@@ -203,9 +203,8 @@ func (e *Engine[T]) rollback() error {
 // adopt rebuilds the replica set from a store recovery: each generation
 // blob restores into a staged fresh replica and folds into staged slot
 // s mod Shards — exact for any saved shard count, by linearity — and the
-// journal tail replays into staged slot 0. All-or-nothing like Restore: a
-// failure leaves the live replicas untouched. Requires the workers
-// quiesced or joined.
+// journal tail replays into staged slot 0. All-or-nothing: a failure leaves
+// the live replicas untouched. Requires the workers quiesced or joined.
 func (e *Engine[T]) adopt(rec *checkpoint.Recovery) error {
 	staged := make([]T, len(e.slots))
 	for s := range staged {

@@ -1,9 +1,9 @@
 // Package engine implements sharded, concurrent ingestion for the linear
 // sketches of this repository.
 //
-// Every sketch here — count-sketch, count-min, exact sparse recovery, the
-// L0/Lp samplers, the distinct-elements estimator, heavy hitters, the
-// duplicate finders — is a linear function of the input vector, so a sketch
+// Every sketch here — count-sketch, exact sparse recovery, the L0/Lp
+// samplers, the distinct-elements estimator, heavy hitters, the duplicate
+// finders — is a linear function of the input vector, so a sketch
 // of x + y is the cell-wise sum of same-seed sketches of x and y. The engine
 // exploits exactly that:
 //
@@ -30,8 +30,8 @@
 // loop — README "What the engine does not do" has the numbers.
 //
 // Producer methods (Process, ProcessBatch, Feed, Results, Close, Snapshot,
-// Restore, Stats, CheckpointTo, CheckpointNow) must be called from one
-// goroutine; the parallelism lives in the shard workers.
+// Stats, CheckpointTo, CheckpointNow) must be called from one goroutine; the
+// parallelism lives in the shard workers.
 //
 // # Supervision
 //
@@ -49,18 +49,18 @@
 // # Checkpoint and resume
 //
 // Because every replica is a serializable linear sketch, a sharded ingest
-// can checkpoint mid-stream: Snapshot quiesces the workers (flushes pending
+// can be read mid-stream: Snapshot quiesces the workers (flushes pending
 // batches, waits until every in-flight batch is consumed) and returns one
-// marshaled state per shard replica; ingestion continues afterwards. A new
-// engine with the same shard count, batch-independent routing being
-// deterministic by coordinate, Restores those states into its replicas and
-// replays only the updates after the checkpoint — the resumed result is
-// exactly the uninterrupted one. See examples/checkpoint.
+// marshaled state per shard replica; ingestion continues afterwards. The
+// blobs are same-seed sketches of disjoint parts of the input, so loading
+// and merging them gives the sketch of every update accepted so far.
 //
-// CheckpointTo upgrades this to crash safety: it binds an
-// internal/checkpoint.Store, journals every accepted batch write-ahead, and
-// writes a durable generation every Config.CheckpointEvery updates, so a
-// killed process resumes byte-identical from disk.
+// Resuming is CheckpointTo's job: it binds an internal/checkpoint.Store,
+// journals every accepted batch write-ahead, and writes a durable generation
+// every Config.CheckpointEvery updates. Binding a store that already holds
+// state adopts it — the replicas are rebuilt from the last good generation
+// plus the journal tail, for any saved shard count — so a killed process
+// resumes byte-identical from disk. See examples/checkpoint.
 package engine
 
 import (
@@ -70,7 +70,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/codec"
 	"repro/internal/faultinject"
 	"repro/internal/stream"
 )
@@ -202,8 +201,8 @@ type Engine[T stream.Sink] struct {
 // identical seeds — sketch linearity makes the shard-then-merge reduction
 // exact only for same-seed replicas, and the merge functions of this
 // repository reject anything else. The engine calls it again for the same
-// shard indices whenever it stages a fresh replica set (Restore, checkpoint
-// adoption and rollback). merge folds src into dst.
+// shard indices whenever it stages a fresh replica set (checkpoint adoption
+// and rollback). merge folds src into dst.
 //
 // factory must additionally be safe for concurrent use: a shard worker
 // invokes it to respawn a fresh replica when quarantining a panicked one.
@@ -370,12 +369,6 @@ func (e *Engine[T]) Feed(s stream.Stream) {
 	e.ProcessBatch(s)
 }
 
-// Routed reports how many updates have been routed so far.
-func (e *Engine[T]) Routed() int64 { return e.routed }
-
-// Shards reports the shard count in use.
-func (e *Engine[T]) Shards() int { return e.cfg.Shards }
-
 // Stats reports the engine's operational counters.
 func (e *Engine[T]) Stats() Stats {
 	st := Stats{
@@ -497,11 +490,8 @@ func (e *Engine[T]) quiesce() {
 
 // Snapshot checkpoints the engine mid-ingest: it quiesces the workers and
 // returns marshal applied to every shard replica, in shard order. The
-// engine keeps running — updates may continue to flow afterwards — so a
-// long ingest can checkpoint periodically and, after a crash, a fresh
-// engine with the same shard count at snapshot time (shard routing is
-// deterministic by coordinate and shard count) Restores the blobs and
-// replays only the updates that came after the snapshot.
+// engine keeps running — updates may continue to flow afterwards. The blobs,
+// loaded and merged, equal the sketch of every update accepted so far.
 //
 // A tainted engine (quarantined replicas, no store to roll back from)
 // refuses to snapshot: the blobs would encode the hole. The error is the
@@ -523,39 +513,6 @@ func (e *Engine[T]) Snapshot(marshal func(replica T) ([]byte, error)) ([][]byte,
 		out[s] = b
 	}
 	return out, nil
-}
-
-// Restore replaces every shard replica's state with a previously
-// Snapshot-ted blob (restore is called per replica, in shard order). The
-// engine must have the same shard count as the one that produced the
-// snapshot; the replicas must be same-seed reconstructions, which restore
-// typically enforces via the sketches' UnmarshalBinary. Safe before any
-// update or mid-stream (the workers are quiesced first); updates processed
-// before a Restore are discarded with the replaced state.
-//
-// Restore is all-or-nothing: every blob is decoded into a staged fresh
-// replica first, and only when all of them succeed is the live set swapped.
-// A failed Restore therefore leaves the engine's state exactly as it was —
-// still ingesting, still restorable from a good snapshot — rather than
-// half-replaced.
-func (e *Engine[T]) Restore(states [][]byte, restore func(replica T, state []byte) error) error {
-	if e.done {
-		return fmt.Errorf("engine: Restore: %w", ErrEngineClosed)
-	}
-	if len(states) != len(e.slots) {
-		return fmt.Errorf("engine: restoring %d shard states into %d shards: %w",
-			len(states), len(e.slots), codec.ErrConfigMismatch)
-	}
-	e.quiesce()
-	staged := make([]T, len(states))
-	for s := range states {
-		staged[s] = e.factory(s)
-		if err := restore(staged[s], states[s]); err != nil {
-			return fmt.Errorf("engine: restore of shard %d: %w", s, err)
-		}
-	}
-	e.installReplicas(staged)
-	return nil
 }
 
 // installReplicas swaps a fully-built replica set into the slots and clears

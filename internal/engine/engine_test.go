@@ -5,8 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/countmin"
 	"repro/internal/countsketch"
 	"repro/internal/distinct"
 	"repro/internal/duplicates"
@@ -18,30 +18,43 @@ func seeded(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))
 }
 
-// TestCountMinShardedMatchesSerial: integer cells make the shard-then-merge
-// reduction bit-exact, so every point query must agree with the serial sink.
-func TestCountMinShardedMatchesSerial(t *testing.T) {
+// csFactory builds same-seed count-sketch replicas; csMerge folds them.
+func csFactory(seed uint64) func(int) *countsketch.Sketch {
+	return func(int) *countsketch.Sketch { return countsketch.New(64, 5, seeded(seed)) }
+}
+
+func csMerge(dst, src *countsketch.Sketch) error { return dst.Merge(src) }
+
+// csCells is a count-sketch's whole cell array, row-major. Fed integer
+// deltas, every cell is a float64 sum of integers far below 2^53, which no
+// summation order can round, so sharded and serial cells agree byte for byte.
+func csCells(s *countsketch.Sketch) []byte {
+	var e codec.Encoder
+	s.AppendState(&e)
+	return e.Bytes()
+}
+
+// TestCountSketchShardedCellsMatchSerial: over integer deltas the
+// shard-then-merge reduction is bit-exact, so the merged cells equal the
+// serial sink's, and every accepted update is counted as routed.
+func TestCountSketchShardedCellsMatchSerial(t *testing.T) {
 	const n, length = 512, 20000
 	st := stream.RandomTurnstile(n, length, 50, seeded(1))
 
-	serial := countmin.New(64, 5, seeded(42))
+	serial := csFactory(42)(0)
 	st.Feed(serial)
 
-	eng := New(Config{Shards: 4, BatchSize: 128},
-		func(int) *countmin.Sketch { return countmin.New(64, 5, seeded(42)) },
-		func(dst, src *countmin.Sketch) error { return dst.Merge(src) })
+	eng := New(Config{Shards: 4, BatchSize: 128}, csFactory(42), csMerge)
 	eng.Feed(st)
 	merged, err := eng.Results()
 	if err != nil {
 		t.Fatalf("Results: %v", err)
 	}
-	for i := 0; i < n; i++ {
-		if got, want := merged.QueryMedian(uint64(i)), serial.QueryMedian(uint64(i)); got != want {
-			t.Fatalf("coordinate %d: sharded %d != serial %d", i, got, want)
-		}
+	if !bytes.Equal(csCells(merged), csCells(serial)) {
+		t.Fatal("sharded cells differ from the serial sketch's")
 	}
-	if eng.Routed() != int64(length) {
-		t.Fatalf("routed %d updates, want %d", eng.Routed(), length)
+	if got := eng.Stats().Routed; got != int64(length) {
+		t.Fatalf("routed %d updates, want %d", got, length)
 	}
 }
 
@@ -186,8 +199,8 @@ func TestDuplicateFinderSharded(t *testing.T) {
 // refused at the merge stage with an error, not silently combined.
 func TestMismatchedSeedsRejected(t *testing.T) {
 	eng := New(Config{Shards: 4},
-		func(shard int) *countmin.Sketch { return countmin.New(32, 4, seeded(uint64(shard))) },
-		func(dst, src *countmin.Sketch) error { return dst.Merge(src) })
+		func(shard int) *countsketch.Sketch { return countsketch.New(32, 4, seeded(uint64(shard))) },
+		csMerge)
 	eng.Feed(stream.RandomTurnstile(64, 1000, 10, seeded(5)))
 	if _, err := eng.Results(); err == nil {
 		t.Fatal("expected mismatched-seed replicas to be rejected")
@@ -195,9 +208,7 @@ func TestMismatchedSeedsRejected(t *testing.T) {
 }
 
 func TestEngineLifecycle(t *testing.T) {
-	eng := New(Config{Shards: 2, BatchSize: 8},
-		func(int) *countmin.Sketch { return countmin.New(16, 3, seeded(6)) },
-		func(dst, src *countmin.Sketch) error { return dst.Merge(src) })
+	eng := New(Config{Shards: 2, BatchSize: 8}, csFactory(6), csMerge)
 	eng.Feed(stream.RandomTurnstile(32, 100, 5, seeded(7)))
 
 	first, err := eng.Results()
@@ -218,9 +229,7 @@ func TestEngineLifecycle(t *testing.T) {
 }
 
 func TestEngineCloseWithoutResults(t *testing.T) {
-	eng := New(Config{Shards: 2},
-		func(int) *countmin.Sketch { return countmin.New(16, 3, seeded(8)) },
-		func(dst, src *countmin.Sketch) error { return dst.Merge(src) })
+	eng := New(Config{Shards: 2}, csFactory(8), csMerge)
 	eng.Process(stream.Update{Index: 1, Delta: 1})
 	eng.Close()
 	eng.Close() // idempotent

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
-	"repro/internal/countmin"
 	"repro/internal/countsketch"
 	"repro/internal/distinct"
 	"repro/internal/duplicates"
@@ -32,7 +31,6 @@ func TestPropertyBatchEqualsProcess(t *testing.T) {
 	mkPairs := func(n int, seed uint64) []pair {
 		rng := func() *rand.Rand { return seeded(seed) }
 		cs1, cs2 := countsketch.New(6, 5, rng()), countsketch.New(6, 5, rng())
-		cm1, cm2 := countmin.New(32, 4, rng()), countmin.New(32, 4, rng())
 		sp1, sp2 := core.NewL0Sampler(core.L0Config{N: n, Delta: 0.25}, rng()),
 			core.NewL0Sampler(core.L0Config{N: n, Delta: 0.25}, rng())
 		de1, de2 := distinct.New(n, 8, rng()), distinct.New(n, 8, rng())
@@ -42,28 +40,8 @@ func TestPropertyBatchEqualsProcess(t *testing.T) {
 		st1, st2 := norm.NewStable(1.3, 30, rng()), norm.NewStable(1.3, 30, rng())
 		hh1, hh2 := heavyhitters.New(heavyhitters.Config{P: 1, Phi: 0.3, N: n}, rng()),
 			heavyhitters.New(heavyhitters.Config{P: 1, Phi: 0.3, N: n}, rng())
-		estEq := func(a, b interface {
-			Estimate(uint64) float64
-		}) func() bool {
-			return func() bool {
-				for i := 0; i < n; i++ {
-					if a.Estimate(uint64(i)) != b.Estimate(uint64(i)) {
-						return false
-					}
-				}
-				return true
-			}
-		}
 		return []pair{
-			{"countsketch", cs1, cs2, estEq(cs1, cs2)},
-			{"countmin", cm1, cm2, func() bool {
-				for i := 0; i < n; i++ {
-					if cm1.QueryMedian(uint64(i)) != cm2.QueryMedian(uint64(i)) {
-						return false
-					}
-				}
-				return true
-			}},
+			{"countsketch", cs1, cs2, func() bool { return bytes.Equal(csCells(cs1), csCells(cs2)) }},
 			{"l0sampler", sp1, sp2, func() bool { return bytes.Equal(l0State(sp1), l0State(sp2)) }},
 			{"distinct", de1, de2, func() bool { return de1.Estimate() == de2.Estimate() }},
 			{"lpsampler", lp1, lp2, func() bool {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/countmin"
 	"repro/internal/faultinject"
 	"repro/internal/retry"
 	"repro/internal/stream"
@@ -38,8 +37,7 @@ func TestWorkerPanicQuarantinedWithoutStore(t *testing.T) {
 		Shards: 4, BatchSize: 16, QueueDepth: 2,
 		Injector: faultinject.New(7, 0.05).Only(faultinject.WorkerPanic),
 	},
-		func(int) *countmin.Sketch { return countmin.New(32, 4, seeded(32)) },
-		func(dst, src *countmin.Sketch) error { return dst.Merge(src) })
+		csFactory(32), csMerge)
 	eng.ProcessBatch(st)
 	merged, err := eng.Results()
 	var pe *PartialResultError
@@ -147,9 +145,6 @@ func TestTerminalGuardsAreTyped(t *testing.T) {
 
 	if _, err := eng.Snapshot(l0Marshal); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("Snapshot: %v, want ErrEngineClosed", err)
-	}
-	if err := eng.Restore(make([][]byte, 2), l0Restore); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Restore: %v, want ErrEngineClosed", err)
 	}
 	if err := eng.CheckpointNow(); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("CheckpointNow: %v, want ErrEngineClosed", err)

@@ -188,6 +188,3 @@ func Inv(a Elem) Elem {
 	}
 	return Pow(a, Modulus-2)
 }
-
-// Div returns a / b. Div by zero returns 0 (callers must guard).
-func Div(a, b Elem) Elem { return Mul(a, Inv(b)) }

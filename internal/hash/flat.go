@@ -156,12 +156,6 @@ func (f *FlatFamily) EvalBatch(j int, xs []uint64, out []field.Elem) {
 	evalBatch(f.rowCoef(j), xs, out)
 }
 
-// BucketBatch writes row j's bucket (Lemire reduction to [0, m)) for each key
-// of xs into out[:len(xs)].
-func (f *FlatFamily) BucketBatch(j int, m uint64, xs []uint64, out []uint64) {
-	bucketBatch(f.rowCoef(j), m, xs, out)
-}
-
 // SignBatch writes row j's sign (±1.0) for each key of xs into out[:len(xs)].
 func (f *FlatFamily) SignBatch(j int, xs []uint64, out []float64) {
 	signBatch(f.rowCoef(j), xs, out)
@@ -273,7 +267,7 @@ func BucketSignBatch(h, g *FlatFamily, j int, m uint64, xs []uint64, buckets []u
 // ---------------------------------------------------------------------------
 
 // evalPoly is Horner evaluation of the degree-(len(coef)-1) polynomial at x,
-// with the pairwise case — every count-sketch/count-min row, also on the
+// with the pairwise case — every count-sketch row, also on the
 // scalar Process paths — specialized to a single a·x+b fold.
 func evalPoly(coef []field.Elem, x uint64) field.Elem {
 	if len(coef) == 2 {
@@ -290,17 +284,6 @@ func evalPoly(coef []field.Elem, x uint64) field.Elem {
 func evalBatch(coef []field.Elem, xs []uint64, out []field.Elem) {
 	out = out[:len(xs)]
 	kernel.PolyEvalBatch(field.Words(coef), xs, field.Words(out))
-}
-
-func bucketBatch(coef []field.Elem, m uint64, xs []uint64, out []uint64) {
-	out = out[:len(xs)]
-	if len(coef) == 2 {
-		kernel.Bucket2(uint64(coef[0]), uint64(coef[1]), m, xs, out)
-		return
-	}
-	for t, x := range xs {
-		out[t] = Bucket(evalPoly(coef, x), m)
-	}
 }
 
 // signBatch and float64Batch evaluate the row in place: the kernel writes the

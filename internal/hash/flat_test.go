@@ -28,24 +28,18 @@ func TestFlatFamilyMatchesKWise(t *testing.T) {
 			t.Fatalf("k=%d: FlatFamily shape (%d,%d)", k, flat.Rows(), flat.K())
 		}
 		evals := make([]field.Elem, len(keys))
-		buckets := make([]uint64, len(keys))
 		signs := make([]float64, len(keys))
 		floats := make([]float64, len(keys))
 		for j := 0; j < rows; j++ {
 			if !flat.Row(j).Equal(fam[j]) {
 				t.Fatalf("k=%d row %d: flat row differs from Family row", k, j)
 			}
-			const m = 6 * 64
 			flat.EvalBatch(j, keys, evals)
-			flat.BucketBatch(j, m, keys, buckets)
 			flat.SignBatch(j, keys, signs)
 			flat.Float64Batch(j, keys, floats)
 			for t2, x := range keys {
 				if want := fam[j].Eval(x); evals[t2] != want {
 					t.Fatalf("k=%d row %d key %d: EvalBatch %d != scalar %d", k, j, x, evals[t2], want)
-				}
-				if want := fam[j].Bucket(x, m); buckets[t2] != want {
-					t.Fatalf("k=%d row %d key %d: BucketBatch %d != scalar %d", k, j, x, buckets[t2], want)
 				}
 				if want := float64(fam[j].Sign(x)); signs[t2] != want {
 					t.Fatalf("k=%d row %d key %d: SignBatch %v != scalar %v", k, j, x, signs[t2], want)

@@ -25,7 +25,7 @@
 // one polynomial at one key:
 //
 //   - a batch of keys meets one row at a time (EvalBatch, SignBatch,
-//     Float64Batch, BucketBatch, BucketSignBatch): the keys sit in the SIMD
+//     Float64Batch, BucketSignBatch): the keys sit in the SIMD
 //     lanes of internal/kernel's Horner kernel, for every k, and the sign and
 //     unit-interval forms convert the field values in place in the output
 //     slice;
@@ -71,7 +71,7 @@ func (h *KWise) K() int { return len(h.coef) }
 func (h *KWise) Eval(x uint64) field.Elem { return evalPoly(h.coef, x) }
 
 // Bucket maps key x to a bucket in [0, m) via the Lemire reduction of the
-// field value — identical, key for key, to the batched BucketBatch kernel.
+// field value — identical, key for key, to the buckets of BucketSignBatch.
 func (h *KWise) Bucket(x, m uint64) uint64 {
 	return Bucket(h.Eval(x), m)
 }
@@ -91,11 +91,6 @@ func (h *KWise) Float64(x uint64) float64 { return toUnit(h.Eval(x)) }
 
 // EvalBatch writes the field value at each key of xs into out[:len(xs)].
 func (h *KWise) EvalBatch(xs []uint64, out []field.Elem) { evalBatch(h.coef, xs, out) }
-
-// BucketBatch writes the bucket of each key of xs into out[:len(xs)].
-func (h *KWise) BucketBatch(m uint64, xs []uint64, out []uint64) {
-	bucketBatch(h.coef, m, xs, out)
-}
 
 // SignBatch writes the sign (±1.0) of each key of xs into out[:len(xs)].
 func (h *KWise) SignBatch(xs []uint64, out []float64) { signBatch(h.coef, xs, out) }

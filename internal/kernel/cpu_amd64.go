@@ -8,7 +8,7 @@ package kernel
 // additionally requires opmask/ZMM/Hi16-ZMM XSAVE state and the F/CD/DQ/VL
 // feature quartet — the Skylake-SP-and-later baseline these kernels are
 // tested on; the instructions they use are all AVX-512F. When AVX512_IFMA
-// is also present, the three modmul-bound primitives switch to the 52-bit
+// is also present, the two modmul-bound primitives switch to the 52-bit
 // VPMADD52 limb kernels.
 
 //go:noescape
@@ -24,9 +24,6 @@ func polyEvalBatchAVX2(coef []uint64, xs []uint64, out []uint64)
 func bucketSign2AVX2(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
 
 //go:noescape
-func bucket2AVX2(c0, c1, m uint64, xs []uint64, out []uint64)
-
-//go:noescape
 func fdScanAVX2(d []uint64, out []uint64)
 
 //go:noescape
@@ -39,16 +36,10 @@ func polyEvalBatchAVX512(coef []uint64, xs []uint64, out []uint64)
 func bucketSign2AVX512(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
 
 //go:noescape
-func bucket2AVX512(c0, c1, m uint64, xs []uint64, out []uint64)
-
-//go:noescape
 func polyEvalBatchIFMA(coef []uint64, xs []uint64, out []uint64)
 
 //go:noescape
 func bucketSign2IFMA(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
-
-//go:noescape
-func bucket2IFMA(c0, c1, m uint64, xs []uint64, out []uint64)
 
 //go:noescape
 func cauchyAVX512(u []float64, out []float64)
@@ -95,19 +86,17 @@ func detect() {
 	if b7&(1<<21) != 0 { // AVX512_IFMA: 52-bit multiply-add limb kernels
 		avx512Table.polyEvalBatch = avx512PolyEvalBatchIFMA
 		avx512Table.bucketSign2 = avx512BucketSign2IFMA
-		avx512Table.bucket2 = avx512Bucket2IFMA
 		// Keep the VPMULUDQ flavor reachable for the differential tests:
 		// an IFMA machine can run both, so both get pinned against scalar.
 		alt := avx512Table
 		alt.polyEvalBatch = avx512PolyEvalBatch
 		alt.bucketSign2 = avx512BucketSign2
-		alt.bucket2 = avx512Bucket2
 		testAltTables = append(testAltTables, &alt)
 	}
 	available = append(available, &avx512Table)
 }
 
-// avx2Table vectorizes the four field primitives at 4 lanes. The Go wrappers
+// avx2Table vectorizes the three field primitives at 4 lanes. The Go wrappers
 // route 4-lane blocks to assembly and delegate tails and degenerate shapes
 // to the scalar reference, so the assembly only ever sees its documented
 // preconditions. The counter scatter is the prefetched scalar-order loop —
@@ -119,7 +108,6 @@ var avx2Table = table{
 	name:          AVX2,
 	polyEvalBatch: avx2PolyEvalBatch,
 	bucketSign2:   avx2BucketSign2,
-	bucket2:       avx2Bucket2,
 	fdScan:        avx2FDScan,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
@@ -133,13 +121,12 @@ var avx2Table = table{
 // loop as well: a zmm gather+scatter pair costs the same store-port budget
 // as eight scalar read-modify-writes and cannot prefetch ahead. The Cauchy
 // transform runs math.tan's sequence eight lanes at a time
-// (kernel_cauchy_amd64.s). detect() swaps the modmul trio to the IFMA52
+// (kernel_cauchy_amd64.s). detect() swaps the modmul pair to the IFMA52
 // flavor when the CPU has it.
 var avx512Table = table{
 	name:          AVX512,
 	polyEvalBatch: avx512PolyEvalBatch,
 	bucketSign2:   avx512BucketSign2,
-	bucket2:       avx512Bucket2,
 	fdScan:        avx2FDScan,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
@@ -170,17 +157,6 @@ func avx2BucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []flo
 	}
 	if n < len(xs) {
 		scalarBucketSign2(h0, h1, g0, g1, m, xs[n:], buckets[n:], signs[n:])
-	}
-}
-
-func avx2Bucket2(c0, c1, m uint64, xs, out []uint64) {
-	out = out[:len(xs)]
-	n := len(xs) &^ 3
-	if n > 0 {
-		bucket2AVX2(c0, c1, m, xs[:n], out[:n])
-	}
-	if n < len(xs) {
-		scalarBucket2(c0, c1, m, xs[n:], out[n:])
 	}
 }
 
@@ -231,17 +207,6 @@ func avx512BucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []f
 	}
 }
 
-func avx512Bucket2(c0, c1, m uint64, xs, out []uint64) {
-	out = out[:len(xs)]
-	n := len(xs) &^ 7
-	if n > 0 {
-		bucket2AVX512(c0, c1, m, xs[:n], out[:n])
-	}
-	if n < len(xs) {
-		scalarBucket2(c0, c1, m, xs[n:], out[n:])
-	}
-}
-
 func avx512PolyEvalBatchIFMA(coef, xs, out []uint64) {
 	out = out[:len(xs)]
 	if len(coef) == 0 {
@@ -266,17 +231,6 @@ func avx512BucketSign2IFMA(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs
 	}
 	if n < len(xs) {
 		scalarBucketSign2(h0, h1, g0, g1, m, xs[n:], buckets[n:], signs[n:])
-	}
-}
-
-func avx512Bucket2IFMA(c0, c1, m uint64, xs, out []uint64) {
-	out = out[:len(xs)]
-	n := len(xs) &^ 7
-	if n > 0 {
-		bucket2IFMA(c0, c1, m, xs[:n], out[:n])
-	}
-	if n < len(xs) {
-		scalarBucket2(c0, c1, m, xs[n:], out[n:])
 	}
 }
 

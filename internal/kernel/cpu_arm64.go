@@ -3,7 +3,7 @@ package kernel
 // NEON is a mandatory part of AArch64, so detection is unconditional.
 //
 // AdvSIMD has no 64-bit lane multiply, so the modmul-bound primitives
-// (polyEvalBatch, bucketSign2, bucket2) are not vector code: they are
+// (polyEvalBatch, bucketSign2) are not vector code: they are
 // hand-scheduled scalar assembly that interleaves two independent
 // MUL/UMULH limb chains per iteration, hiding the multiplier latency the
 // compiled one-key-at-a-time reference cannot (see kernel_arm64.s). The
@@ -19,9 +19,6 @@ func polyEvalBatchNEON(coef []uint64, xs []uint64, out []uint64)
 //go:noescape
 func bucketSign2NEON(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
 
-//go:noescape
-func bucket2NEON(c0, c1, m uint64, xs []uint64, out []uint64)
-
 func detect() {
 	available = append(available, &neonTable)
 }
@@ -30,7 +27,6 @@ var neonTable = table{
 	name:          NEON,
 	polyEvalBatch: neonPolyEvalBatch,
 	bucketSign2:   neonBucketSign2,
-	bucket2:       neonBucket2,
 	fdScan:        neonFDScan,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
@@ -69,16 +65,5 @@ func neonBucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []flo
 	}
 	if n < len(xs) {
 		scalarBucketSign2(h0, h1, g0, g1, m, xs[n:], buckets[n:], signs[n:])
-	}
-}
-
-func neonBucket2(c0, c1, m uint64, xs, out []uint64) {
-	out = out[:len(xs)]
-	n := len(xs) &^ 1
-	if n > 0 {
-		bucket2NEON(c0, c1, m, xs[:n], out[:n])
-	}
-	if n < len(xs) {
-		scalarBucket2(c0, c1, m, xs[n:], out[n:])
 	}
 }

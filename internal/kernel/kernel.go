@@ -2,8 +2,8 @@
 // ingest/query hot paths. The primitives that dominate every sketch's
 // cycle budget — k-wise hash evaluation (internal/hash), mod-p polynomial
 // arithmetic (internal/field, internal/sparse), the affine maps of the PRG's
-// window tables (internal/prng) and the counter scatter under the count-sketch/count-min
-// folds — call through a per-primitive function table selected once at
+// window tables (internal/prng) and the counter scatter under the count-sketch
+// fold — call through a per-primitive function table selected once at
 // init: the pure-Go scalar reference always exists, and SIMD variants
 // (AVX2 and AVX-512 on amd64, NEON on arm64) replace individual entries
 // when the CPU supports them.
@@ -72,9 +72,6 @@ type table struct {
 	// low bit of g1·x+g0.
 	bucketSign2 func(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []float64)
 
-	// bucket2 is the count-min row kernel: out[t] = Lemire(c1·x+c0, m).
-	bucket2 func(c0, c1, m uint64, xs, out []uint64)
-
 	// fdScan advances a forward-finite-difference table len(out) steps,
 	// writing the value before each step into out: the Chien-scan inner
 	// loop of sparse recovery.
@@ -85,7 +82,7 @@ type table struct {
 	// order, so float64 results are bit-identical across variants.
 	scatterAddF64 func(cells []float64, idx []uint64, del []float64)
 
-	// scatterAddI64 is the integer twin (the count-min fold).
+	// scatterAddI64 is the integer twin, kept for integer counter cells.
 	scatterAddI64 func(cells []int64, idx []uint64, del []int64)
 
 	// cauchy writes out[t] = math.Tan(math.Pi*(u[t]-0.5)) for u[t] in [0, 1],
@@ -191,9 +188,6 @@ func PolyEvalBatch(coef, xs, out []uint64) { active.Load().polyEvalBatch(coef, x
 func BucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []float64) {
 	active.Load().bucketSign2(h0, h1, g0, g1, m, xs, buckets, signs)
 }
-
-// Bucket2 is the pairwise count-min row kernel; see table.
-func Bucket2(c0, c1, m uint64, xs, out []uint64) { active.Load().bucket2(c0, c1, m, xs, out) }
 
 // FDScan writes len(out) consecutive finite-difference values and advances
 // the table d in place; out[t] is the polynomial value at the t-th point.

@@ -216,33 +216,6 @@ keyloop:
 	VZEROUPPER
 	RET
 
-// func bucket2AVX2(c0, c1, m uint64, xs []uint64, out []uint64)
-// Pairwise count-min row kernel; len(xs) > 0 and %4 == 0.
-TEXT ·bucket2AVX2(SB), NOSPLIT, $0-72
-	MOVQ         xs_base+24(FP), DI
-	MOVQ         xs_len+32(FP), CX
-	MOVQ         out_base+48(FP), R8
-	VPBROADCASTQ modP<>(SB), YP
-	BROADCAST_SPLIT(c1+8(FP), Y14, Y13)
-	BROADCAST_SPLIT(m+16(FP), Y10, Y9)
-
-keyloop:
-	VMOVDQU (DI), Y0
-	REDUCE(Y0, Y1, Y2)
-	MODMULC(Y1, Y14, Y13, Y2, Y3, Y4, Y5)
-	VPBROADCASTQ c0+0(FP), Y3
-	MODADD(Y2, Y3, Y2, Y4)
-	VPSLLQ       $3, Y2, Y2
-	MULHIC(Y2, Y10, Y9, Y6, Y3, Y4, Y5)
-	VMOVDQU      Y6, (R8)
-
-	ADDQ $32, DI
-	ADDQ $32, R8
-	SUBQ $4, CX
-	JNZ  keyloop
-	VZEROUPPER
-	RET
-
 // func fdScanAVX2(d []uint64, out []uint64)
 // Forward-finite-difference scan: per step emit d[0] then d[k] += d[k+1]
 // (old values — the overlapped loads of each 4-lane chunk happen before its

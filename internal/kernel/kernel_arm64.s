@@ -3,7 +3,7 @@
 // Only the add-dominated finite-difference scan is genuinely vectorized on
 // arm64: AdvSIMD has no 64-bit lane multiply, and assembling 61-bit modular
 // products from 32x32 UMULL limbs loses to MUL+UMULH. The multiply-heavy
-// primitives (polyEvalBatch, bucketSign2, bucket2) are instead
+// primitives (polyEvalBatch, bucketSign2) are instead
 // hand-scheduled scalar assembly that processes two keys per iteration as
 // two fully independent MUL/UMULH limb chains, instruction-interleaved so
 // the second chain's multiplies issue in the first chain's latency shadow —
@@ -243,67 +243,6 @@ pairloop:
 	ADD  $16, R0
 	ADD  $16, R2
 	ADD  $16, R3
-	SUBS $2, R1, R1
-	BNE  pairloop
-	RET
-
-// func bucket2NEON(c0, c1, m uint64, xs []uint64, out []uint64)
-// Pairwise count-min row kernel, two keys per iteration.
-// len(xs) > 0 and len(xs)%2 == 0.
-TEXT ·bucket2NEON(SB), NOSPLIT, $0-72
-	MOVD c0+0(FP), R5
-	MOVD c1+8(FP), R6
-	MOVD m+16(FP), R9
-	MOVD xs_base+24(FP), R0
-	MOVD xs_len+32(FP), R1
-	MOVD out_base+48(FP), R2
-	MOVD $0x1FFFFFFFFFFFFFFF, R4
-
-pairloop:
-	LDP (R0), (R11, R16)
-	// eA/eB = reduce(x)
-	AND  R4, R11, R12
-	AND  R4, R16, R17
-	ADD  R11>>61, R12, R12
-	ADD  R16>>61, R17, R17
-	SUBS R4, R12, R13
-	CSEL CS, R13, R12, R12
-	SUBS R4, R17, R19
-	CSEL CS, R19, R17, R17
-
-	// Lemire(c1*e + c0, m), chains interleaved.
-	MUL   R6, R12, R13
-	MUL   R6, R17, R19
-	UMULH R6, R12, R14
-	UMULH R6, R17, R20
-	AND   R4, R13, R15
-	AND   R4, R19, R21
-	ADD   R13>>61, R15, R15
-	ADD   R19>>61, R21, R21
-	ADD   R14<<3, R15, R15
-	ADD   R20<<3, R21, R21
-	AND   R4, R15, R13
-	AND   R4, R21, R19
-	ADD   R15>>61, R13, R13
-	ADD   R21>>61, R19, R19
-	SUBS  R4, R13, R14
-	CSEL  CS, R14, R13, R15
-	SUBS  R4, R19, R20
-	CSEL  CS, R20, R19, R21
-	ADD   R5, R15, R15
-	ADD   R5, R21, R21
-	SUBS  R4, R15, R13
-	CSEL  CS, R13, R15, R15
-	SUBS  R4, R21, R19
-	CSEL  CS, R19, R21, R21
-	LSL   $3, R15, R13
-	LSL   $3, R21, R19
-	UMULH R9, R13, R14
-	UMULH R9, R19, R20
-	STP   (R14, R20), (R2)
-
-	ADD  $16, R0
-	ADD  $16, R2
 	SUBS $2, R1, R1
 	BNE  pairloop
 	RET

@@ -331,60 +331,3 @@ keyloop:
 	JNZ  keyloop
 	VZEROUPPER
 	RET
-
-// func bucket2AVX512(c0, c1, m uint64, xs []uint64, out []uint64)
-// Pairwise count-min row kernel; len(xs) > 0 and %8 == 0. VPMULUDQ flavor.
-TEXT ·bucket2AVX512(SB), NOSPLIT, $0-72
-	MOVQ         xs_base+24(FP), DI
-	MOVQ         xs_len+32(FP), CX
-	MOVQ         out_base+48(FP), R8
-	VPBROADCASTQ modP512<>(SB), ZP
-	BROADCAST_SPLIT512(c1+8(FP), Z30, Z29)
-	BROADCAST_SPLIT512(m+16(FP), Z26, Z25)
-	VPBROADCASTQ c0+0(FP), Z24
-
-keyloop:
-	VMOVDQU64 (DI), Z0
-	REDUCE512(Z0, Z1, Z2, K1)
-	MODMULC512(Z1, Z30, Z29, Z2, Z3, Z4, Z5, K1)
-	MODADD512(Z2, Z24, Z2, K1)
-	VPSLLQ    $3, Z2, Z2
-	MULHIC512(Z2, Z26, Z25, Z6, Z3, Z4, Z5)
-	VMOVDQU64 Z6, (R8)
-
-	ADDQ $64, DI
-	ADDQ $64, R8
-	SUBQ $8, CX
-	JNZ  keyloop
-	VZEROUPPER
-	RET
-
-// func bucket2IFMA(c0, c1, m uint64, xs []uint64, out []uint64)
-// Same contract as bucket2AVX512; IFMA52 flavor.
-TEXT ·bucket2IFMA(SB), NOSPLIT, $0-72
-	MOVQ         xs_base+24(FP), DI
-	MOVQ         xs_len+32(FP), CX
-	MOVQ         out_base+48(FP), R8
-	VPBROADCASTQ modP512<>(SB), ZP
-	VPBROADCASTQ mask52v<>(SB), Z30
-	BROADCAST_SPLIT52(c1+8(FP), Z29, Z28, Z30)
-	BROADCAST_SPLIT512(m+16(FP), Z25, Z24)
-	VPBROADCASTQ c0+0(FP), Z23
-
-keyloop:
-	VMOVDQU64 (DI), Z0
-	REDUCE512(Z0, Z1, Z2, K1)
-	VPANDQ    Z30, Z1, Z9
-	VPSRLQ    $52, Z1, Z10
-	MODMUL512I(Z9, Z10, Z29, Z28, Z4, Z5, Z6, Z7, K1)
-	MODADD512(Z4, Z23, Z4, K1)
-	VPSLLQ    $3, Z4, Z4
-	MULHIC512(Z4, Z25, Z24, Z8, Z5, Z6, Z7)
-	VMOVDQU64 Z8, (R8)
-
-	ADDQ $64, DI
-	ADDQ $64, R8
-	SUBQ $8, CX
-	JNZ  keyloop
-	VZEROUPPER
-	RET

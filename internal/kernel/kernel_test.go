@@ -171,28 +171,6 @@ func TestBucketSign2Differential(t *testing.T) {
 	}
 }
 
-func TestBucket2Differential(t *testing.T) {
-	r := rand.New(rand.NewSource(7003))
-	for _, vt := range vectorTables() {
-		for _, m := range []uint64{1, 3, 64, 4096, 1 << 50} {
-			for _, n := range []int{0, 1, 4, 5, 37, 128} {
-				c0, c1 := randCanonical(r), randCanonical(r)
-				xs := randPoints(r, n)
-				want := make([]uint64, n)
-				got := make([]uint64, n)
-				scalarTable.bucket2(c0, c1, m, xs, want)
-				vt.bucket2(c0, c1, m, xs, got)
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s bucket2 m=%d n=%d: out[%d] = %d, scalar %d (x=%#x)",
-							vt.name, m, n, i, got[i], want[i], xs[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestFDScanDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7004))
 	for _, vt := range vectorTables() {
@@ -351,7 +329,6 @@ func TestDispatchEntryPoints(t *testing.T) {
 		buckets := make([]uint64, len(xs))
 		signs := make([]float64, len(xs))
 		BucketSign2(coef[0], coef[1], coef[2], coef[0], 97, xs, buckets, signs)
-		Bucket2(coef[0], coef[1], 97, xs, out[:0])
 		d := append([]uint64(nil), coef...)
 		scan := make([]uint64, 5)
 		FDScan(d, scan)

@@ -18,7 +18,6 @@ var scalarTable = table{
 	name:          Scalar,
 	polyEvalBatch: scalarPolyEvalBatch,
 	bucketSign2:   scalarBucketSign2,
-	bucket2:       scalarBucket2,
 	fdScan:        scalarFDScan,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
@@ -102,13 +101,6 @@ func scalarBucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []f
 		xe := reduce(x)
 		buckets[t] = lemire(modAdd(modMul(h1, xe), h0), m)
 		signs[t] = signFloat(modAdd(modMul(g1, xe), g0))
-	}
-}
-
-func scalarBucket2(c0, c1, m uint64, xs, out []uint64) {
-	out = out[:len(xs)]
-	for t, x := range xs {
-		out[t] = lemire(modAdd(modMul(c1, reduce(x)), c0), m)
 	}
 }
 

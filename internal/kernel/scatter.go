@@ -1,7 +1,7 @@
 package kernel
 
 // Counter scatter: cells[idx[t]] += del[t] over a batch of uniformly random
-// buckets — the count-sketch/count-min fold under every ingest path. The
+// buckets — the count-sketch fold under every ingest path. The
 // hard contract: per-cell accumulation order is exactly batch order, so
 // float64 results are bit-identical across every variant (pinned by the
 // differential tests).
@@ -26,7 +26,9 @@ func ScatterAddF64(_ *ScatterScratch, cells []float64, idx []uint64, del []float
 	active.Load().scatterAddF64(cells, idx, del)
 }
 
-// ScatterAddI64 is the integer twin of ScatterAddF64 (the count-min fold).
+// ScatterAddI64 is the integer twin of ScatterAddF64. No sketch folds int64
+// cells today; it stays as the accumulator for integer Lp cells (ROADMAP
+// item 3), pinned by TestScatterAddDifferential.
 func ScatterAddI64(_ *ScatterScratch, cells []int64, idx []uint64, del []int64) {
 	active.Load().scatterAddI64(cells, idx, del)
 }

@@ -286,9 +286,6 @@ func (g *Nisan) Float64At(b uint64) float64 {
 	return (float64(g.Block(b)) + 1) / float64(field.Modulus)
 }
 
-// Uint64At returns the block value (61 random bits) at index b.
-func (g *Nisan) Uint64At(b uint64) uint64 { return g.Block(b) }
-
 // SeedBits reports the true seed size: the initial block plus (a,b) per level.
 func (g *Nisan) SeedBits() int64 {
 	return int64(2*g.depth+1) * BlockBits

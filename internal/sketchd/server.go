@@ -172,6 +172,10 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 // "sealed" field reports whether a durable seal actually happened: on a
 // registry without a durable dir the seal is a no-op, and the ACK must not
 // imply the upload survives SIGKILL when it doesn't.
+//
+// Every sketch of the entry's spec marshals to exactly the length of its
+// zero-state template, so the body is read to one byte past that length and
+// a longer one is refused before Load sees it.
 func (s *Server) handleSketchUpload(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.negotiate(w, r); !ok {
 		return
@@ -180,9 +184,15 @@ func (s *Server) handleSketchUpload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
+	limit := int64(len(e.specBytes))
+	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
 		writeError(w, &Error{Code: CodeBadRequest, Message: fmt.Sprintf("reading sketch body: %v", err)})
+		return
+	}
+	if int64(len(data)) > limit {
+		writeError(w, &Error{Code: CodeBadRequest,
+			Message: fmt.Sprintf("sketch body longer than the %d bytes every sketch of this spec marshals to", limit)})
 		return
 	}
 	durable := r.URL.Query().Get("durable") == "1"

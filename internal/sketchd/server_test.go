@@ -197,7 +197,10 @@ func TestServerMismatchTypedOverWire(t *testing.T) {
 		t.Fatalf("foreign-seed upload = %v, want 409 envelope", err)
 	}
 
-	misconfigured := streamsample.NewL0Sampler(n*2, streamsample.WithSeed(1))
+	// Half the dimension: fewer levels, so the body fits under the spec's
+	// length cap and reaches Merge (a larger sketch is refused by the cap;
+	// see TestServerUploadBodyCap).
+	misconfigured := streamsample.NewL0Sampler(n/2, streamsample.WithSeed(1))
 	blob2, _ := misconfigured.MarshalBinary()
 	if err := c.PushSketch(ctx, "t", "s", blob2, false); !errors.Is(err, codec.ErrConfigMismatch) {
 		t.Fatalf("misconfigured upload err = %v, want ErrConfigMismatch across the wire", err)
@@ -207,6 +210,82 @@ func TestServerMismatchTypedOverWire(t *testing.T) {
 		t.Fatal("garbage upload accepted")
 	} else if se = nil; !errors.As(err, &se) || se.Code != CodeBadSketchBytes {
 		t.Fatalf("garbage upload err = %v, want bad_sketch_bytes envelope", err)
+	}
+}
+
+// servedSpecs is one spec per served kind and shape the upload cap relies on:
+// the L0 sampler, the L1 sampler (Cauchy stable sketch), the L0.5 sampler
+// (Chambers–Mallows–Stuck stable sketch) and heavy hitters.
+var servedSpecs = []Spec{
+	{Kind: "l0", N: 1024, Seed: 3},
+	{Kind: "lp", N: 1024, P: 1, Seed: 3},
+	{Kind: "lp", N: 1024, P: 0.5, Seed: 3},
+	{Kind: "hh", N: 1024, Seed: 3},
+	{Kind: "hh", N: 1024, P: 2, Phi: 0.2, Seed: 3},
+}
+
+// TestFedSketchKeepsSpecLength pins what the upload cap assumes: a sketch of
+// a served kind marshals to the same number of bytes fed as at zero state.
+func TestFedSketchKeepsSpecLength(t *testing.T) {
+	for _, spec := range servedSpecs {
+		sk, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk.ProcessBatch(testStream(spec.N, 5000, 8))
+		fed, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fed) != len(zero) {
+			t.Errorf("%+v: fed sketch marshals to %d bytes, zero state to %d", spec, len(fed), len(zero))
+		}
+	}
+}
+
+// TestServerUploadBodyCap: an upload is read to at most the spec's length
+// plus one byte. A same-spec sketch is accepted; one byte more — or a sketch
+// of a larger spec — gets the typed bad_request refusal, and nothing lands.
+func TestServerUploadBodyCap(t *testing.T) {
+	_, c := newTestServer(t, RegistryConfig{})
+	ctx := context.Background()
+	spec := Spec{Kind: "l0", N: 256, Seed: 5}
+	if err := c.Create(ctx, "t", "s", spec); err != nil {
+		t.Fatal(err)
+	}
+	local := streamsample.NewL0Sampler(spec.N, streamsample.WithSeed(spec.Seed))
+	local.ProcessBatch(testStream(spec.N, 2000, 6))
+	blob, err := local.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	larger, err := streamsample.NewL0Sampler(4*spec.N, streamsample.WithSeed(spec.Seed)).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"one byte over": append(append([]byte(nil), blob...), 0),
+		"larger spec":   larger,
+	} {
+		err := c.PushSketch(ctx, "t", "s", body, false)
+		var se *Error
+		if !errors.As(err, &se) || se.Code != CodeBadRequest || se.HTTPStatus() != http.StatusBadRequest {
+			t.Errorf("%s (%d bytes, cap %d): err = %v, want the 400 bad_request envelope", name, len(body), len(blob), err)
+		}
+	}
+	if err := c.PushSketch(ctx, "t", "s", blob, false); err != nil {
+		t.Fatalf("same-spec upload: %v", err)
+	}
+	got, err := c.Bytes(ctx, "t", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob) {
+		t.Fatal("refused uploads changed the merged sketch")
 	}
 }
 
