@@ -30,6 +30,7 @@ race-kernels:
 			./internal/kernel ./internal/field ./internal/hash \
 			./internal/prng ./internal/sparse ./internal/countsketch \
 			./internal/norm ./internal/core ./internal/duplicates \
+			./internal/heavyhitters ./internal/moments \
 			./internal/engine || exit 1; \
 	done
 
@@ -64,7 +65,7 @@ bench-module:
 # bench binary is built and run in its own tree (the parent's is unpacked from
 # git into a temporary directory), which side goes first alternates.
 #   make pairs PARENT=HEAD~1 WORKLOAD=l0_stream N=10
-# Until the benchmark grows a -pairs mode of its own (ROADMAP item 6).
+# Until the benchmark grows a -pairs mode of its own (ROADMAP item 10).
 PARENT ?= HEAD
 WORKLOAD ?= l0_stream
 N ?= 10
@@ -137,15 +138,15 @@ bench-l0:
 	$(GO) test -run '^$$' -bench 'PowCache|PowLadder' -benchtime 100000x ./internal/field
 	$(GO) test -run '^$$' -bench 'ProcessBatchS10|ProcessScalarS10' -benchtime 2000x ./internal/sparse
 
-# The Lp update path (the PR-14 headline), both shapes beside the per-row
-# scalar loops they replaced: one k-wise row over a batch of keys (SIMD key
-# lanes) and one key over all rows (lazy-reduction dot products) in hash, the
+# The Lp update path (the PR-14 headline): one k-wise row over a batch of keys
+# (SIMD key lanes) beside the per-key scalar loop it replaced in hash, the
 # Cauchy transform of the p = 1 stable sketch in kernel (2^20 distinct inputs
 # per op: a short repeated slice lets the branch predictor learn math.tan),
 # the AMS and p-stable sketches on top in norm, the whole sampler in core, and
-# the end-to-end Theorem 1 batch ingest and Theorem 3 Observe at the root.
+# the end-to-end Theorem 1 batch ingest and Theorem 3 Observe (single letters
+# buffered into the same fold) at the root.
 bench-lp:
-	$(GO) test -run '^$$' -bench 'SignBatchK4|ScalarSignK4|Float64BatchK8|ScalarFloat64K8|EvalRowsK' -benchtime 20000x ./internal/hash
+	$(GO) test -run '^$$' -bench 'SignBatchK4|ScalarSignK4|Float64BatchK8|ScalarFloat64K8' -benchtime 20000x ./internal/hash
 	$(GO) test -run '^$$' -bench 'KernelCauchy' -benchtime 20x ./internal/kernel
 	$(GO) test -run '^$$' -bench 'StableAdd|AMSAdd' -benchtime 2000x ./internal/norm
 	$(GO) test -run '^$$' -bench 'LpSamplerProcess' -benchtime 200x ./internal/core

@@ -220,8 +220,9 @@ func BenchmarkIngestLpSerialBatched(b *testing.B) {
 }
 
 // BenchmarkIngestDuplicateFinderObserve is Theorem 3's update path at
-// dup_stream's size (n = 2^16), one Observe per op: the one-key→all-rows
-// scalar path of the same sketches.
+// dup_stream's size (n = 2^16), one Observe per op: the letter waits in the
+// sampler's buffer, and every 256th Observe folds the buffer through the
+// batch path of the same sketches.
 func BenchmarkIngestDuplicateFinderObserve(b *testing.B) {
 	const n = 1 << 16
 	d := streamsample.NewDuplicateFinder(n, streamsample.WithSeed(31))

@@ -40,13 +40,16 @@
 // # The Lp update path
 //
 // An update reaches the shared p-stable sketch and, scaled by t_i^{-1/p}, each
-// repetition's count-sketch and AMS sketch. Process evaluates the repetitions'
-// scaling hashes at its one key together (one all-rows evaluation of the
-// stacked family) and the norm sketches do the same for their counters;
-// ProcessBatch runs every k-wise row over the keys through the SIMD kernel.
-// It folds its input batchBlock updates at a time, so the batch scratch the
-// sampler and its sub-sketches retain is bounded by the block, whatever batch
-// sizes callers use. Both paths leave bit-identical state.
+// repetition's count-sketch and AMS sketch. There is one fold: processBlock
+// runs every k-wise row over a block of keys through the SIMD kernel.
+// ProcessBatch hands it its input batchBlock updates at a time, so the batch
+// scratch the sampler and its sub-sketches retain is bounded by the block,
+// whatever batch sizes callers use. Process buffers single updates
+// (stream.Pending) and folds them 256 at a time; SampleAll, Merge (both sides)
+// and AppendState flush the buffer before they read the counters or guard
+// flags, RestoreState drops it, and ProcessBatch flushes it first to keep the
+// stream order. Every split of a stream into updates and batches therefore
+// leaves bit-identical state.
 //
 // # The Lp recovery stage
 //
@@ -139,11 +142,9 @@ type LpSampler struct {
 	rNorm  *norm.Stable // shared sketch estimating ||x||_p
 	diag   Diagnostics
 
-	// ts stacks the repetitions' scaling hashes (row c is copies[c].t, same
-	// storage) so Process evaluates all of them at its one key together, into
-	// rowT.
-	ts   *hash.FlatFamily
-	rowT []float64
+	// pending holds the updates Process has taken and processBlock not yet
+	// folded; every read of the counters or guard flags flushes it first.
+	pending stream.Pending
 
 	// Scratch buffers for ProcessBatch, grown on demand to at most batchBlock
 	// and reused forever: the block's key view, the per-copy scaling factors
@@ -209,17 +210,13 @@ func NewLpSampler(cfg LpConfig, r *rand.Rand) *LpSampler {
 		copies: make([]*lpCopy, copies),
 		rNorm:  norm.NewStable(cfg.P, int(z.NormCounters), r),
 	}
-	ts := make([]*hash.KWise, copies)
 	for c := range s.copies {
 		s.copies[c] = &lpCopy{
 			t:   hash.NewKWise(k, r),
 			cs:  countsketch.New(m, rows, r),
 			ams: norm.NewAMS(9, 6, r),
 		}
-		ts[c] = s.copies[c].t
 	}
-	s.ts = hash.Stack(ts)
-	s.rowT = make([]float64, copies)
 	return s
 }
 
@@ -290,27 +287,13 @@ func (s *LpSampler) M() int { return s.m }
 // Copies returns the number of parallel repetitions v.
 func (s *LpSampler) Copies() int { return len(s.copies) }
 
-// Process implements stream.Sink: it feeds the update to every repetition
-// (scaled by t_i^{-1/p}) and to the shared norm sketch. The repetitions'
-// scaling factors at the update's key come from one all-rows evaluation.
+// Process implements stream.Sink: it buffers the update, and a full buffer
+// folds through ProcessBatch's block path. The buffer is flushed before
+// anything reads the state, so every observable result is that of an
+// immediate fold.
 func (s *LpSampler) Process(u stream.Update) {
 	s.queryValid = false
-	i := uint64(u.Index)
-	d := float64(u.Delta)
-	s.rNorm.Process(u)
-	s.ts.Float64Rows(i, s.rowT)
-	for ci, c := range s.copies {
-		ti := s.rowT[ci]
-		if ti < s.tMin {
-			// Paper, Theorem 1 proof: "we can safely declare failure if
-			// t_i^{-1} > n^c for some i" — a low-probability event.
-			c.guarded = true
-			continue
-		}
-		zd := d * s.tScale(ti)
-		c.cs.Add(i, zd)
-		c.ams.AddFloat(i, zd)
-	}
+	s.pending.Add(u, s)
 }
 
 // tScale is a repetition's multiplier t_i^{-1/p}. At p = 1 it is 1/t_i,
@@ -331,10 +314,11 @@ func (s *LpSampler) tScale(ti float64) float64 {
 // (the duplicate finders feed an n-letter prefix at construction).
 const batchBlock = 2048
 
-// ProcessBatch implements stream.BatchSink, folding the batch block by block.
-// The resulting state matches repeated Process calls; steady-state calls
-// allocate nothing.
+// ProcessBatch implements stream.BatchSink, folding the updates Process
+// buffered and then the batch block by block. Steady-state calls allocate
+// nothing.
 func (s *LpSampler) ProcessBatch(batch []stream.Update) {
+	s.pending.Flush(s)
 	for len(batch) > 0 {
 		n := min(len(batch), batchBlock)
 		s.processBlock(batch[:n])
@@ -363,6 +347,8 @@ func (s *LpSampler) processBlock(batch []stream.Update) {
 		for t, u := range batch {
 			ti := ts[t]
 			if ti < s.tMin {
+				// Paper, Theorem 1 proof: "we can safely declare failure if
+				// t_i^{-1} > n^c for some i" — a low-probability event.
 				c.guarded = true
 				continue
 			}
@@ -378,7 +364,8 @@ func (s *LpSampler) processBlock(batch []stream.Update) {
 // the sum of the two underlying vectors. Both samplers must be same-seed
 // replicas: identical configuration and identical randomness in every
 // repetition and the shared norm sketch. Guard trips are OR-ed, matching
-// the "declare failure if any t_i fell below n^{-c}" semantics.
+// the "declare failure if any t_i fell below n^{-c}" semantics. Both sides'
+// buffered updates are folded first.
 func (s *LpSampler) Merge(other *LpSampler) error {
 	if other == nil {
 		return fmt.Errorf("core: %w", codec.ErrNilMerge)
@@ -393,6 +380,8 @@ func (s *LpSampler) Merge(other *LpSampler) error {
 		}
 	}
 	s.queryValid = false
+	s.pending.Flush(s)
+	other.pending.Flush(other)
 	for ci, c := range s.copies {
 		oc := other.copies[ci]
 		if err := c.cs.Merge(oc.cs); err != nil {
@@ -429,6 +418,7 @@ func (s *LpSampler) Sample() (Sample, bool) {
 // next mutating call — callers must not modify it. Recovery runs over
 // scratch the sampler owns, so queries (like updates) are single-goroutine.
 func (s *LpSampler) SampleAll() []Sample {
+	s.pending.Flush(s)
 	if s.queryValid {
 		s.diag = s.cachedDiag
 		return s.cachedAll
@@ -512,8 +502,10 @@ func (s *LpSampler) StateBits() int64 {
 // AppendState writes the sampler's linear state into a codec encoder: per
 // repetition the count-sketch cells, AMS counters and guard flag, then the
 // shared norm sketch. Seeds and scaling factors are construction randomness
-// and stay with the receiver.
+// and stay with the receiver, and the updates Process buffered are folded
+// first.
 func (s *LpSampler) AppendState(e *codec.Encoder) {
+	s.pending.Flush(s)
 	for _, c := range s.copies {
 		c.cs.AppendState(e)
 		c.ams.AppendState(e)
@@ -522,10 +514,12 @@ func (s *LpSampler) AppendState(e *codec.Encoder) {
 	s.rNorm.AppendState(e)
 }
 
-// RestoreState replaces the sampler's linear state from a codec decoder and
-// invalidates the memoized recovery outputs.
+// RestoreState replaces the sampler's linear state from a codec decoder,
+// discarding the updates Process buffered, and invalidates the memoized
+// recovery outputs.
 func (s *LpSampler) RestoreState(d *codec.Decoder) {
 	s.queryValid = false
+	s.pending.Drop()
 	for _, c := range s.copies {
 		c.cs.RestoreState(d)
 		c.ams.RestoreState(d)

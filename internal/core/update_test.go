@@ -32,8 +32,8 @@ func restoreState(s interface{ RestoreState(*codec.Decoder) }, b []byte) error {
 
 // TestLpUpdatePathsAgree pins the three ways updates reach an Lp sampler —
 // one ProcessBatch of 3·batchBlock+17 updates (walked in blocks inside), the
-// same updates handed over block by block, and one Process at a time (the
-// all-rows scalar path) — to the same serialized state, byte for byte. tMin is
+// same updates handed over block by block, and one Process at a time (buffered
+// and folded 256 at a time) — to the same serialized state, byte for byte. tMin is
 // raised so that the guard filters part of every block and trips in some
 // repetitions but not all.
 func TestLpUpdatePathsAgree(t *testing.T) {

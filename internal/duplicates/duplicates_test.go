@@ -1,6 +1,7 @@
 package duplicates
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 
@@ -323,19 +324,29 @@ func TestFinderMergeRejectsMismatch(t *testing.T) {
 
 // TestProcessItemsMatchesProcessItem: batched item ingestion must leave every
 // finder in the same state as the one-letter-at-a-time loop (same-seed
-// replicas, identical Find outcomes on a deterministic final query).
+// replicas, identical Find outcomes on a deterministic final query). Single
+// letters wait in the sampler's buffer, so each finder's first read — a Find
+// or a state export — must fold them, at stream lengths below, at and past
+// the buffer's fill.
 func TestProcessItemsMatchesProcessItem(t *testing.T) {
 	const n = 256
 	items := stream.DuplicateItems(n, 17, rand.New(rand.NewPCG(71, 72)))
 
-	fa := NewFinder(n, 0.1, rand.New(rand.NewPCG(73, 74)))
-	fb := NewFinder(n, 0.1, rand.New(rand.NewPCG(73, 74)))
-	for _, it := range items {
-		fa.ProcessItem(it)
-	}
-	fb.ProcessItems(items)
-	if ra, rb := fa.Find(), fb.Find(); ra != rb {
-		t.Fatalf("Finder: scalar %+v != batched %+v", ra, rb)
+	for _, length := range []int{255, 256, len(items)} {
+		mk := func() *Finder { return NewFinder(n, 0.1, rand.New(rand.NewPCG(73, 74))) }
+		fa, fs, fb := mk(), mk(), mk()
+		for _, it := range items[:length] {
+			fa.ProcessItem(it)
+			fs.ProcessItem(it)
+		}
+		fb.ProcessItems(items[:length])
+		if ra, rb := fa.Find(), fb.Find(); ra != rb {
+			t.Fatalf("Finder, %d letters: scalar %+v != batched %+v", length, ra, rb)
+		}
+		want := stateBytes(fb.AppendState)
+		if !bytes.Equal(stateBytes(fs.AppendState), want) || !bytes.Equal(stateBytes(fa.AppendState), want) {
+			t.Fatalf("Finder, %d letters: scalar state differs from batched", length)
+		}
 	}
 
 	// ShortFinder: the recoverer state must match bit-for-bit (Find breaks
@@ -348,11 +359,8 @@ func TestProcessItemsMatchesProcessItem(t *testing.T) {
 		sa.ProcessItem(it)
 	}
 	sb.ProcessItems(short)
-	stateA, stateB := stateBytes(sa.rec.AppendState), stateBytes(sb.rec.AppendState)
-	for i := range stateA {
-		if stateA[i] != stateB[i] {
-			t.Fatalf("ShortFinder: recoverer state differs at byte %d", i)
-		}
+	if !bytes.Equal(stateBytes(sa.AppendState), stateBytes(sb.AppendState)) {
+		t.Fatal("ShortFinder: scalar state differs from batched")
 	}
 	counts := map[int]int{}
 	for _, it := range short {
@@ -373,6 +381,9 @@ func TestProcessItemsMatchesProcessItem(t *testing.T) {
 	lb.ProcessItems(long)
 	if ra, rb := la.Find(), lb.Find(); ra != rb {
 		t.Fatalf("LongFinder(sampler): scalar %+v != batched %+v", ra, rb)
+	}
+	if !bytes.Equal(stateBytes(la.finder.pf.AppendState), stateBytes(lb.finder.pf.AppendState)) {
+		t.Fatal("LongFinder(sampler): scalar state differs from batched")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/countsketch"
 	"repro/internal/distinct"
+	"repro/internal/moments"
 	"repro/internal/norm"
 	"repro/internal/prng"
 	"repro/internal/sparse"
@@ -47,34 +48,41 @@ func TestBatchedHotPathsZeroAlloc(t *testing.T) {
 }
 
 // TestScalarHotPathsZeroAlloc is the same contract on the one-update-at-a-time
-// Lp path — LpSampler.Process and, through it, every DuplicateFinder.Observe:
-// the all-rows hash evaluators write into scratch the sketches own, so a
-// steady-state update allocates nothing. (A buffer handed to a dispatched
-// kernel call escapes to the heap; nothing on this path may do that.)
+// paths — LpSampler.Process and, through it, every DuplicateFinder.Observe,
+// and the heavy-hitters and F_p sketches: each buffers its updates in an array
+// allocated by the first call and folds a full buffer through its batch path,
+// whose scratch the first fold grows. After one fill, no call allocates: the
+// measured run spans two and a half buffer fills and must allocate nothing at
+// all (a per-call average would round a few allocations away).
 func TestScalarHotPathsZeroAlloc(t *testing.T) {
 	const n = 1 << 10
+	const fill = 256 // stream.Pending's buffer
 	u := stream.Update{Index: 77, Delta: 3}
-	ams := norm.NewAMS(9, 6, seeded(11))
-	cauchy := norm.NewStable(1, 80, seeded(12))
-	stable := norm.NewStable(1.4, 20, seeded(13))
 	lp1 := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.3, Delta: 0.3, Copies: 3}, seeded(14))
 	lp := core.NewLpSampler(core.LpConfig{P: 1.2, N: n, Eps: 0.3, Delta: 0.3, Copies: 3}, seeded(15))
 	dup := streamsample.NewDuplicateFinder(n, streamsample.WithSeed(16))
+	hh := streamsample.NewHeavyHitters(1, 0.1, n, streamsample.WithSeed(17))
+	fp := moments.NewFp(3, n, 2, seeded(18))
 	paths := []struct {
 		name string
 		fn   func()
 	}{
-		{"AMS.AddFloat", func() { ams.AddFloat(77, 1.5) }},
-		{"Stable.AddFloat p=1", func() { cauchy.AddFloat(77, 1.5) }},
-		{"Stable.AddFloat p=1.4", func() { stable.AddFloat(77, 1.5) }},
 		{"LpSampler.Process p=1", func() { lp1.Process(u) }},
 		{"LpSampler.Process p=1.2", func() { lp.Process(u) }},
 		{"DuplicateFinder.Observe", func() { dup.Observe(77) }},
+		{"HeavyHitters.Update", func() { hh.Update(77, 3) }},
+		{"FpEstimator.Process", func() { fp.Process(u) }},
 	}
 	for _, tc := range paths {
-		tc.fn()
-		if got := testing.AllocsPerRun(20, tc.fn); got != 0 {
-			t.Errorf("%s allocates %v times per call, want 0", tc.name, got)
+		for range fill {
+			tc.fn()
+		}
+		if got := testing.AllocsPerRun(1, func() {
+			for range 5 * fill / 2 {
+				tc.fn()
+			}
+		}); got != 0 {
+			t.Errorf("%s allocates %v times per %d calls, want 0", tc.name, got, 5*fill/2)
 		}
 	}
 }

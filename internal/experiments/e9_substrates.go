@@ -108,7 +108,7 @@ func E10NormEstimation(cfg Config) Table {
 			} else {
 				est = norm.NewStable(c.p, c.counters, r)
 			}
-			st.Feed(est)
+			st.FeedBatch(2048, est)
 			rEst := est.UpperEstimate(nil)
 			if rEst >= lp && rEst <= 2*lp {
 				hits++

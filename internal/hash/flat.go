@@ -42,8 +42,7 @@ func signFloat(v field.Elem) float64 {
 // live in one contiguous slice, row-major. The flat layout is what the batch
 // kernels below iterate over — one row's two (or k) coefficients stay in
 // registers for a whole batch, instead of being re-fetched through a *KWise
-// pointer chain per key as the scalar API does — and what lets the all-rows
-// evaluators stride from row to row at one key.
+// pointer chain per key as the scalar API does.
 //
 // A FlatFamily drawn from r is coefficient-for-coefficient identical to
 // Family(rows, k, r) drawn from an identically positioned r: the scalar KWise
@@ -69,30 +68,6 @@ func NewFlatFamily(rows, k int, r *rand.Rand) *FlatFamily {
 		coef[i] = field.New(r.Uint64())
 	}
 	return &FlatFamily{rows: rows, k: k, coef: coef}
-}
-
-// Stack gathers separately drawn functions of one independence k into a
-// family and returns it; every fns[j] is re-pointed at row j of the family's
-// storage, so the views and the family stay one set of coefficients. Callers
-// whose construction order interleaves other draws between their hash
-// functions use it to reach the all-rows evaluators without changing that
-// order.
-func Stack(fns []*KWise) *FlatFamily {
-	if len(fns) == 0 {
-		panic("hash: Stack needs at least one function")
-	}
-	k := fns[0].K()
-	f := &FlatFamily{rows: len(fns), k: k, coef: make([]field.Elem, 0, len(fns)*k)}
-	for _, h := range fns {
-		if h.K() != k {
-			panic("hash: Stack needs functions of one independence")
-		}
-		f.coef = append(f.coef, h.coef...)
-	}
-	for j, h := range fns {
-		h.coef = f.rowCoef(j)
-	}
-	return f
 }
 
 // Rows returns the number of independent functions in the family.
@@ -167,81 +142,6 @@ func (f *FlatFamily) Float64Batch(j int, xs []uint64, out []float64) {
 	float64Batch(f.rowCoef(j), xs, out)
 }
 
-// lazyTerms is how many 61-bit × 61-bit products one 128-bit accumulator takes
-// between Mersenne reductions: 7 products are below 7·2^122, and with the
-// 61-bit value carried in they stay below 2^125, so the high word stays below
-// 2^61 and the fold in reduce128 cannot overflow.
-const lazyTerms = 7
-
-// reduce128 maps hi·2^64 + lo, with hi < 2^61, to its canonical residue. The
-// bits from 61 upwards form top = hi<<3 | lo>>61 (2^61 ≡ 1), which folds once
-// more before the final reduction.
-func reduce128(hi, lo uint64) field.Elem {
-	top := hi<<3 | lo>>61
-	return field.New(lo&field.Modulus + top&field.Modulus + top>>61)
-}
-
-// EvalRows writes every row's field value at key x into out[:Rows()], equal
-// row for row to Eval(j, x). It is the single-update counterpart of the batch
-// kernels, which put many keys of one row in SIMD lanes: here one key meets
-// all rows, so the powers of x are computed once and shared, and each row is a
-// dot product Σ coef[i]·x^i accumulated in 128 bits with one reduction per
-// lazyTerms products instead of k-1 dependent multiply-reduce Horner steps.
-// Field arithmetic is exact and the result canonical, so the order of
-// evaluation cannot change a value.
-func (f *FlatFamily) EvalRows(x uint64, out []field.Elem) {
-	out = out[:f.rows]
-	k := f.k
-	for j := range out {
-		out[j] = f.coef[j*k]
-	}
-	xe := field.New(x)
-	var pw [lazyTerms]uint64 // x^base … x^(base+lazyTerms-1)
-	xp := field.Elem(1)      // x^(base-1)
-	for base := 1; base < k; base += lazyTerms {
-		p := pw[:min(lazyTerms, k-base)]
-		for i := range p {
-			xp = field.Mul(xp, xe)
-			p[i] = uint64(xp)
-		}
-		addDots(f.coef[base:], k, p, out)
-	}
-}
-
-// addDots adds Σ coef[j*k+i]·p[i] to out[j] for every row j, len(p) at most
-// lazyTerms: the products pile up unreduced in 128 bits on top of out[j] and
-// are reduced once. A function of its own so that the accumulator pair stays
-// in registers.
-func addDots(coef []field.Elem, k int, p []uint64, out []field.Elem) {
-	for j := range out {
-		c := coef[j*k:][:len(p)]
-		var hi, carry uint64
-		lo := uint64(out[j])
-		for i, pi := range p {
-			ph, pl := bits.Mul64(uint64(c[i]), pi)
-			lo, carry = bits.Add64(lo, pl, 0)
-			hi += ph + carry
-		}
-		out[j] = reduce128(hi, lo)
-	}
-}
-
-// SignRows writes every row's sign (±1.0) at key x into out[:Rows()], equal
-// row for row to float64(Sign(j, x)).
-func (f *FlatFamily) SignRows(x uint64, out []float64) {
-	out = out[:f.rows]
-	f.EvalRows(x, floatElems(out))
-	signsInPlace(out)
-}
-
-// Float64Rows writes every row's unit-interval value at key x into
-// out[:Rows()], bit-identical row for row to Float64(j, x).
-func (f *FlatFamily) Float64Rows(x uint64, out []float64) {
-	out = out[:f.rows]
-	f.EvalRows(x, floatElems(out))
-	unitsInPlace(out)
-}
-
 // BucketSignBatch is the fused count-sketch row kernel: one pass over xs
 // evaluating bucket row j of h and sign row j of g together. For the pairwise
 // (k=2) families every sketch row uses, each key costs two a·x+b folds — the
@@ -303,8 +203,8 @@ func float64Batch(coef []field.Elem, xs []uint64, out []float64) {
 
 // floatElems views a []float64 as field elements occupying the same memory
 // (both are 8-byte words; field.Words is the same cast one level down): the
-// batch and all-rows evaluators park field values in the output slice, then
-// convert each word where it lies.
+// batch evaluators park field values in the output slice, then convert each
+// word where it lies.
 func floatElems(fs []float64) []field.Elem {
 	return unsafe.Slice((*field.Elem)(unsafe.Pointer(unsafe.SliceData(fs))), len(fs))
 }

@@ -146,6 +146,21 @@ func TestViewsShareStorage(t *testing.T) {
 	}
 }
 
+// TestBatchEvaluatorsZeroAlloc: the sign and unit-interval batch evaluators
+// convert in place in the caller's slice, so they allocate nothing (a buffer
+// handed to the dispatched kernel would escape to the heap).
+func TestBatchEvaluatorsZeroAlloc(t *testing.T) {
+	f := NewFlatFamily(54, 4, rand.New(rand.NewPCG(76, 77)))
+	keys := benchKeys(2048)
+	batch := make([]float64, len(keys))
+	if got := testing.AllocsPerRun(10, func() {
+		f.SignBatch(3, keys, batch)
+		f.Float64Batch(3, keys, batch)
+	}); got != 0 {
+		t.Errorf("batch evaluators allocate %v times per call, want 0", got)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: scalar KWise chains vs the flat batch kernels.
 // ---------------------------------------------------------------------------
@@ -215,6 +230,46 @@ func BenchmarkFloat64BatchK10(b *testing.B) {
 		f.Float64Batch(0, keys, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys)), "ns/key")
+}
+
+// The Lp update path's row shapes — the AMS sketch's 4-wise sign rows and the
+// p-stable sketch's 8-wise rows — one row over a batch of keys (SIMD key
+// lanes), each beside the per-key scalar Horner loop it replaced.
+
+func benchBatch(b *testing.B, k int, fn func(f *FlatFamily, keys []uint64, out []float64)) {
+	f := NewFlatFamily(1, k, rand.New(rand.NewPCG(1, 1)))
+	keys := benchKeys(2048)
+	out := make([]float64, len(keys))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn(f, keys, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys)), "ns/key")
+}
+
+func BenchmarkSignBatchK4(b *testing.B) {
+	benchBatch(b, 4, func(f *FlatFamily, keys []uint64, out []float64) { f.SignBatch(0, keys, out) })
+}
+
+func BenchmarkScalarSignK4(b *testing.B) {
+	benchBatch(b, 4, func(f *FlatFamily, keys []uint64, out []float64) {
+		for t, x := range keys {
+			out[t] = float64(f.Sign(0, x))
+		}
+	})
+}
+
+func BenchmarkFloat64BatchK8(b *testing.B) {
+	benchBatch(b, 8, func(f *FlatFamily, keys []uint64, out []float64) { f.Float64Batch(0, keys, out) })
+}
+
+func BenchmarkScalarFloat64K8(b *testing.B) {
+	benchBatch(b, 8, func(f *FlatFamily, keys []uint64, out []float64) {
+		for t, x := range keys {
+			out[t] = f.Float64(0, x)
+		}
+	})
 }
 
 func BenchmarkEvalBatchK2(b *testing.B) {

@@ -21,24 +21,16 @@
 // slices, kept as the compatibility API for queries and same-seed Merge
 // checks.
 //
-// The update paths evaluate a family in one of two shapes, and neither walks
-// one polynomial at one key:
-//
-//   - a batch of keys meets one row at a time (EvalBatch, SignBatch,
-//     Float64Batch, BucketSignBatch): the keys sit in the SIMD
-//     lanes of internal/kernel's Horner kernel, for every k, and the sign and
-//     unit-interval forms convert the field values in place in the output
-//     slice;
-//   - a single key meets all rows at once (EvalRows, SignRows, Float64Rows):
-//     the powers x, x², …, x^(k-1) are computed once and each row is the dot
-//     product Σ cᵢ·xⁱ, accumulated unreduced in 128 bits. Seven products of
-//     61-bit values plus a carried-in 61-bit value stay below 2^125, so the
-//     high word stays below 2^61 and one Mersenne reduction per seven terms
-//     suffices, where Horner pays k-1 dependent multiply-reduce steps per row.
-//
-// Field arithmetic is exact and every result canonical, so all of these agree
-// bit for bit with the scalar Eval / Sign / Float64 / Bucket of the same row
-// and key, which remain the reference the tests compare against.
+// The Lp and norm update paths evaluate a family one way: a batch of keys
+// meets one row at a time (EvalBatch, SignBatch, Float64Batch,
+// BucketSignBatch). The keys sit in the SIMD lanes of internal/kernel's Horner
+// kernel, for every k, and the sign and unit-interval forms convert the field
+// values in place in the output slice; single updates reach it as part of a
+// buffered batch. Field arithmetic is exact and every result canonical, so the
+// batch kernels agree bit for bit with the scalar Eval / Sign / Float64 /
+// Bucket of the same row and key, which serve queries and the scalar
+// count-sketch and L0 paths, and remain the reference the tests compare
+// against.
 package hash
 
 import (

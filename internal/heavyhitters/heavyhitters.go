@@ -45,6 +45,10 @@ type Sketch struct {
 	m   int
 	cs  *countsketch.Sketch
 	nrm norm.Estimator
+
+	// pending holds the updates Process has taken and not yet folded; every
+	// read of the count-sketch or norm counters flushes it first.
+	pending stream.Pending
 }
 
 // New constructs the sketch.
@@ -105,15 +109,16 @@ func (z Size) Words() float64 {
 // M returns the count-sketch parameter in use.
 func (s *Sketch) M() int { return s.m }
 
-// Process implements stream.Sink.
-func (s *Sketch) Process(u stream.Update) {
-	s.cs.Process(u)
-	s.nrm.Process(u)
-}
+// Process implements stream.Sink: it buffers the update, and a full buffer
+// folds through ProcessBatch. Queries, Merge and AppendState flush the buffer
+// first, so every observable result is that of an immediate fold.
+func (s *Sketch) Process(u stream.Update) { s.pending.Add(u, s) }
 
-// ProcessBatch implements stream.BatchSink, delegating to the batched count-
-// sketch and norm-estimator hot paths.
+// ProcessBatch implements stream.BatchSink: it folds the updates Process
+// buffered, then the batch, through the batched count-sketch and
+// norm-estimator hot paths.
 func (s *Sketch) ProcessBatch(batch []stream.Update) {
+	s.pending.Flush(s)
 	s.cs.ProcessBatch(batch)
 	s.nrm.ProcessBatch(batch)
 }
@@ -128,6 +133,8 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if s.cfg != other.cfg || s.m != other.m {
 		return fmt.Errorf("heavyhitters: merging sketches of different configurations: %w", codec.ErrConfigMismatch)
 	}
+	s.pending.Flush(s)
+	other.pending.Flush(other)
 	if err := s.cs.Merge(other.cs); err != nil {
 		return err
 	}
@@ -139,6 +146,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 // runs the count-sketch's blocked threshold scan over scratch the sketch
 // owns, so queries (like updates) are single-goroutine.
 func (s *Sketch) HeavyHitters() []int {
+	s.pending.Flush(s)
 	// The norm estimator is centred (Estimate, not UpperEstimate): the
 	// threshold argument needs r̂ within ±10% of ‖x‖_p, not a factor-2 band.
 	rhat := s.nrm.Estimate(nil)
@@ -159,15 +167,17 @@ func (s *Sketch) SpaceBits() int64 { return s.cs.SpaceBits() + s.nrm.SpaceBits()
 func (s *Sketch) StateBits() int64 { return s.cs.StateBits() + s.nrm.StateBits() }
 
 // AppendState writes the count-sketch cells and norm counters into a codec
-// encoder.
+// encoder, after folding the updates Process buffered.
 func (s *Sketch) AppendState(e *codec.Encoder) {
+	s.pending.Flush(s)
 	s.cs.AppendState(e)
 	s.nrm.AppendState(e)
 }
 
 // RestoreState replaces the count-sketch cells and norm counters from a
-// codec decoder.
+// codec decoder, discarding the updates Process buffered.
 func (s *Sketch) RestoreState(d *codec.Decoder) {
+	s.pending.Drop()
 	s.cs.RestoreState(d)
 	s.nrm.RestoreState(d)
 }

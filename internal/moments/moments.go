@@ -37,6 +37,10 @@ type FpEstimator struct {
 	p        float64
 	samplers []*core.LpSampler
 	l1       *norm.Stable
+
+	// pending holds the updates Process has taken and not yet folded; every
+	// read of the samplers or the L1 counters flushes it first.
+	pending stream.Pending
 }
 
 // NewFp constructs an estimator with the given number of independent L1
@@ -65,17 +69,16 @@ func SamplerConfig(n int) core.LpConfig {
 	return core.LpConfig{P: 1, N: n, Eps: 0.25, Delta: 0.25}
 }
 
-// Process implements stream.Sink.
-func (e *FpEstimator) Process(u stream.Update) {
-	e.l1.Process(u)
-	for _, s := range e.samplers {
-		s.Process(u)
-	}
-}
+// Process implements stream.Sink: it buffers the update, and a full buffer
+// folds through ProcessBatch. Estimate, Merge and AppendState flush the
+// buffer first, so every observable result is that of an immediate fold.
+func (e *FpEstimator) Process(u stream.Update) { e.pending.Add(u, e) }
 
-// ProcessBatch implements stream.BatchSink: the L1 norm sketch and every
-// sampler consume the batch through their batched hot paths.
+// ProcessBatch implements stream.BatchSink: after the updates Process
+// buffered, the L1 norm sketch and every sampler consume the batch through
+// their batched hot paths.
 func (e *FpEstimator) ProcessBatch(batch []stream.Update) {
+	e.pending.Flush(e)
 	e.l1.ProcessBatch(batch)
 	for _, s := range e.samplers {
 		s.ProcessBatch(batch)
@@ -93,6 +96,8 @@ func (e *FpEstimator) Merge(other *FpEstimator) error {
 	if e.p != other.p || len(e.samplers) != len(other.samplers) {
 		return fmt.Errorf("moments: merging Fp estimators of different configurations: %w", codec.ErrConfigMismatch)
 	}
+	e.pending.Flush(e)
+	other.pending.Flush(other)
 	for i, s := range e.samplers {
 		if err := s.Merge(other.samplers[i]); err != nil {
 			return err
@@ -102,8 +107,9 @@ func (e *FpEstimator) Merge(other *FpEstimator) error {
 }
 
 // AppendState writes every sampler's linear state and the L1 counters into
-// a codec encoder.
+// a codec encoder, after folding the updates Process buffered.
 func (e *FpEstimator) AppendState(enc *codec.Encoder) {
+	e.pending.Flush(e)
 	for _, s := range e.samplers {
 		s.AppendState(enc)
 	}
@@ -111,8 +117,9 @@ func (e *FpEstimator) AppendState(enc *codec.Encoder) {
 }
 
 // RestoreState replaces every sampler's linear state and the L1 counters
-// from a codec decoder.
+// from a codec decoder, discarding the updates Process buffered.
 func (e *FpEstimator) RestoreState(d *codec.Decoder) {
+	e.pending.Drop()
 	for _, s := range e.samplers {
 		s.RestoreState(d)
 	}
@@ -122,6 +129,7 @@ func (e *FpEstimator) RestoreState(d *codec.Decoder) {
 // Estimate returns the F_p estimate. ok is false when no sampler produced a
 // sample (zero vector, or all repetitions failed).
 func (e *FpEstimator) Estimate() (float64, bool) {
+	e.pending.Flush(e)
 	l1 := e.l1.Estimate(nil)
 	if l1 == 0 {
 		return 0, false

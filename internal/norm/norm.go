@@ -23,22 +23,21 @@
 // the second uniform, so a p = 1 sketch derives only the first: half the hash
 // work, and no logarithm.
 //
-// Neither update path evaluates one hash row at one key. AddFloat evaluates
-// all counters' rows at the update's key together (hash.SignRows /
-// Float64Rows) into a row buffer the sketch owns, and at p = 1 one
-// kernel.Cauchy call transforms the buffer. AddFloatBatch walks the batch in
+// Both sketches have one update path, AddFloatBatch. It walks the batch in
 // chunks of foldChunk keys and the counters in groups of foldGroup rows: each
 // of a group's rows runs over the chunk through the SIMD kernel
 // (hash.EvalBatch / Float64Batch) into one scratch block, at p = 1 one
 // kernel.Cauchy call transforms the whole block, and the group's counters
 // then fold together, one accumulator each — four independent add chains in
 // flight instead of one chain as long as the batch, over a block that stays
-// in L1 whatever the batch size. Every counter still adds its terms in update
-// order and each term is the same product, so the two paths (and any split of
-// a stream into batches or chunks) leave bit-identical counters. The AMS term
-// g·δ with g = ±1 is δ with its sign bit flipped when g = -1, exactly, so the
-// batch fold XORs the hash value's low bit into δ's sign instead of
-// converting it to ±1.0 first.
+// in L1 whatever the batch size. Every counter adds its terms in update order
+// and each term is the same product, so any split of a stream into batches or
+// chunks leaves bit-identical counters. Process is a batch of one, there for
+// stream.Sink; the samplers that take single updates buffer them
+// (stream.Pending) and fold them a chunk at a time. The AMS term g·δ with
+// g = ±1 is δ with its sign bit flipped when g = -1, exactly, so the fold XORs
+// the hash value's low bit into δ's sign instead of converting it to ±1.0
+// first.
 //
 // Both sketches are linear, so callers may estimate ||x - v||, for a sparse v
 // they know explicitly, by subtracting the sketch of v — exactly how the
@@ -67,10 +66,12 @@ type Entry struct {
 
 // Estimator is the common interface of the two norm sketches.
 type Estimator interface {
+	// BatchSink's Process is a batch of one; a caller with single updates
+	// buffers them (stream.Pending) rather than pay a fold per update.
 	stream.BatchSink
-	AddFloat(i uint64, delta float64)
-	// AddFloatBatch applies indices[t] += deltas[t] for all t through the
-	// batched fast path; equivalent to repeated AddFloat calls.
+	// AddFloatBatch applies x[indices[t]] += deltas[t] for all t in order, the
+	// one fold every update path runs; any split of a stream into batches
+	// leaves bit-identical counters.
 	AddFloatBatch(indices []uint64, deltas []float64)
 	// Estimate returns the norm estimate after subtracting the explicit
 	// sparse vector `subtract` (pass nil to estimate ||x|| itself). The
@@ -124,9 +125,6 @@ type AMS struct {
 	signs    *hash.FlatFamily // one 4-wise sign row per counter
 	counters []float64
 
-	// rowSgn holds every counter's sign at the one key of an AddFloat.
-	rowSgn []float64
-
 	// Batch scratch (key/delta views of the batch, one row group's hash
 	// values over one chunk), grown on demand: steady-state batched calls
 	// allocate nothing.
@@ -151,16 +149,6 @@ func NewAMS(groups, perGroup int, r *rand.Rand) *AMS {
 		perGroup: perGroup,
 		signs:    hash.NewFlatFamily(n, 4, r),
 		counters: make([]float64, n),
-		rowSgn:   make([]float64, n),
-	}
-}
-
-// AddFloat applies x_i += delta: all counters' sign rows are evaluated at the
-// one key together (hash.SignRows), then the delta folds in.
-func (a *AMS) AddFloat(i uint64, delta float64) {
-	a.signs.SignRows(i, a.rowSgn)
-	for j, g := range a.rowSgn {
-		a.counters[j] += g * delta
 	}
 }
 
@@ -168,8 +156,8 @@ func (a *AMS) AddFloat(i uint64, delta float64) {
 // group by row group: the group's 4-wise sign rows run through the SIMD
 // kernel into one block of field values, then the group's counters fold the
 // chunk's deltas together, each with the delta's sign bit flipped where the
-// value's low bit gives g = -1. Per-counter accumulation order and terms
-// match repeated AddFloat calls, so the resulting state is bit-identical;
+// value's low bit gives g = -1. Every counter adds its terms in update order,
+// so any split of a stream into batches leaves bit-identical state;
 // steady-state calls allocate nothing.
 func (a *AMS) AddFloatBatch(indices []uint64, deltas []float64) {
 	for lo := 0; lo < len(indices); lo += foldChunk {
@@ -209,8 +197,13 @@ func foldSigns(c []float64, blk []field.Elem, d []float64) {
 	c[min(3, last)], c[min(2, last)], c[min(1, last)], c[0] = c3, c2, c1, c0
 }
 
-// Process implements stream.Sink.
-func (a *AMS) Process(u stream.Update) { a.AddFloat(uint64(u.Index), float64(u.Delta)) }
+// Process implements stream.Sink as a batch of one over the sketch's own
+// key and delta views. Callers with many updates use ProcessBatch.
+func (a *AMS) Process(u stream.Update) {
+	a.scratchIdx = append(a.scratchIdx[:0], uint64(u.Index))
+	a.scratchDel = append(a.scratchDel[:0], float64(u.Delta))
+	a.AddFloatBatch(a.scratchIdx, a.scratchDel)
+}
 
 // ProcessBatch implements stream.BatchSink.
 func (a *AMS) ProcessBatch(batch []stream.Update) {
@@ -307,11 +300,6 @@ type Stable struct {
 	seeds    *hash.FlatFamily // one k-wise hash row per counter, yields 2 uniforms per key
 	scale    float64          // median of |Stable_p|
 
-	// rowU1/rowU2 hold every counter's CMS uniforms at the one coordinate of
-	// an AddFloat (rowU2 is nil at p = 1, which needs no second uniform).
-	rowU1 []float64
-	rowU2 []float64
-
 	// Batch scratch (index/delta views of the batch, one chunk's doubled key
 	// views 2i/2i+1, one row group's uniforms over the chunk), grown on
 	// demand: steady-state batched calls allocate nothing. At p = 1 the 2i+1
@@ -333,17 +321,12 @@ func NewStable(p float64, counters int, r *rand.Rand) *Stable {
 	if counters < 1 {
 		counters = 1
 	}
-	s := &Stable{
+	return &Stable{
 		p:        p,
 		counters: make([]float64, counters),
 		seeds:    hash.NewFlatFamily(counters, 8, r),
 		scale:    MedianAbsStable(p),
-		rowU1:    make([]float64, counters),
 	}
-	if p != 1 {
-		s.rowU2 = make([]float64, counters)
-	}
-	return s
 }
 
 // stableAt deterministically produces the p-stable coefficient a_ji for
@@ -378,33 +361,14 @@ func cmsStable(p, u1, u2 float64) float64 {
 		math.Pow(math.Cos(theta*(1-p))/w, (1-p)/p)
 }
 
-// AddFloat applies x_i += delta: all counters' hash rows are evaluated at the
-// coordinate's key(s) together (hash.Float64Rows), then the transform and the
-// delta fold in.
-func (s *Stable) AddFloat(i uint64, delta float64) {
-	u1 := s.rowU1
-	s.seeds.Float64Rows(2*i, u1)
-	if s.p == 1 {
-		kernel.Cauchy(u1, u1)
-		for j, a := range u1 {
-			s.counters[j] += a * delta
-		}
-		return
-	}
-	u2 := s.rowU2
-	s.seeds.Float64Rows(2*i+1, u2)
-	for j, u := range u1 {
-		s.counters[j] += cmsStable(s.p, u, u2[j]) * delta
-	}
-}
-
 // AddFloatBatch applies the batch chunk by chunk and, within a chunk, row
 // group by row group: the group's 8-wise rows produce the CMS uniforms over
 // the chunk through the SIMD Float64Batch kernel into one block (a second
 // block for the 2i+1 uniforms unless p = 1), the block is transformed in
 // place — at p = 1 by one kernel.Cauchy call — and the group's counters fold
-// the chunk's deltas together. State is bit-identical to repeated AddFloat
-// calls; steady-state calls allocate nothing.
+// the chunk's deltas together. Every counter adds its terms in update order,
+// so any split of a stream into batches leaves bit-identical state;
+// steady-state calls allocate nothing.
 func (s *Stable) AddFloatBatch(indices []uint64, deltas []float64) {
 	for lo := 0; lo < len(indices); lo += foldChunk {
 		keys := indices[lo:min(lo+foldChunk, len(indices))]
@@ -465,8 +429,13 @@ func foldProducts(c []float64, a []float64, d []float64) {
 	c[min(3, last)], c[min(2, last)], c[min(1, last)], c[0] = c3, c2, c1, c0
 }
 
-// Process implements stream.Sink.
-func (s *Stable) Process(u stream.Update) { s.AddFloat(uint64(u.Index), float64(u.Delta)) }
+// Process implements stream.Sink as a batch of one over the sketch's own
+// index and delta views. Callers with many updates use ProcessBatch.
+func (s *Stable) Process(u stream.Update) {
+	s.scratchIdx = append(s.scratchIdx[:0], uint64(u.Index))
+	s.scratchDel = append(s.scratchDel[:0], float64(u.Delta))
+	s.AddFloatBatch(s.scratchIdx, s.scratchDel)
+}
 
 // ProcessBatch implements stream.BatchSink.
 func (s *Stable) ProcessBatch(batch []stream.Update) {

@@ -18,7 +18,7 @@ func TestAMSEstimateAccuracy(t *testing.T) {
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		a := NewAMS(9, 6, r)
-		st.Feed(a)
+		st.FeedBatch(2048, a)
 		est := a.Estimate(nil)
 		if est >= 0.75*l2 && est <= 1.33*l2 {
 			ok++
@@ -40,7 +40,7 @@ func TestAMSUpperEstimateLemma2(t *testing.T) {
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
 		a := NewAMS(11, 6, r)
-		st.Feed(a)
+		st.FeedBatch(2048, a)
 		rEst := a.UpperEstimate(nil)
 		if rEst >= l2 && rEst <= 2*l2 {
 			ok++
@@ -56,10 +56,12 @@ func TestAMSSubtraction(t *testing.T) {
 	// subtract it, the residual estimate must drop accordingly.
 	r := rand.New(rand.NewPCG(3, 3))
 	a := NewAMS(9, 6, r)
+	var idx []uint64
+	var del []float64
 	for i := uint64(0); i < 100; i++ {
-		a.AddFloat(i, 1)
+		idx, del = append(idx, i), append(del, 1)
 	}
-	a.AddFloat(7, 999)
+	a.AddFloatBatch(append(idx, 7), append(del, 999))
 	withHeavy := a.Estimate(nil)
 	residual := a.Estimate([]Entry{{Index: 7, Value: 1000}})
 	if withHeavy < 500 {
@@ -92,7 +94,7 @@ func TestStableEstimateAcrossP(t *testing.T) {
 		const trials = 15
 		for trial := 0; trial < trials; trial++ {
 			s := NewStable(p, counters[p], r)
-			st.Feed(s)
+			st.FeedBatch(2048, s)
 			est := s.Estimate(nil)
 			if est >= 0.7*lp && est <= 1.4*lp {
 				ok++
@@ -116,7 +118,7 @@ func TestStableUpperEstimateLemma2(t *testing.T) {
 		const trials = 20
 		for trial := 0; trial < trials; trial++ {
 			s := NewStable(p, counters[p], r)
-			st.Feed(s)
+			st.FeedBatch(2048, s)
 			rEst := s.UpperEstimate(nil)
 			if rEst >= lp && rEst <= 2*lp {
 				ok++
@@ -134,7 +136,7 @@ func TestStableSingleCoordinate(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 7))
 	for _, p := range []float64{0.5, 1, 2} {
 		s := NewStable(p, 60, r)
-		s.AddFloat(42, 1000)
+		s.Process(stream.Update{Index: 42, Delta: 1000})
 		est := s.Estimate(nil)
 		if est < 600 || est > 1600 {
 			t.Errorf("p=%.1f: single-coordinate estimate %g far from 1000", p, est)
@@ -195,22 +197,6 @@ func TestSpaceBitsGrowth(t *testing.T) {
 	}
 }
 
-func BenchmarkStableAdd(b *testing.B) {
-	s := NewStable(1, 30, rand.New(rand.NewPCG(1, 1)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.AddFloat(uint64(i), 1)
-	}
-}
-
-func BenchmarkAMSAdd(b *testing.B) {
-	a := NewAMS(9, 6, rand.New(rand.NewPCG(1, 1)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.AddFloat(uint64(i), 1)
-	}
-}
-
 func TestMergeSameSeedMatchesSerial(t *testing.T) {
 	st := stream.RandomTurnstile(200, 2000, 30, rand.New(rand.NewPCG(61, 62)))
 	for _, tc := range []struct {
@@ -221,15 +207,15 @@ func TestMergeSameSeedMatchesSerial(t *testing.T) {
 		{"stable", func(seed uint64) Estimator { return NewStable(1.2, 40, rand.New(rand.NewPCG(seed, seed+1))) }},
 	} {
 		a, b := tc.mk(63), tc.mk(63)
-		st[:1000].Feed(a)
-		st[1000:].Feed(b)
+		st[:1000].FeedBatch(2048, a)
+		st[1000:].FeedBatch(2048, b)
 		if err := a.Merge(b); err != nil {
 			t.Fatalf("%s: same-seed merge failed: %v", tc.name, err)
 		}
 		// The merged estimate must agree with a serial estimator up to float
 		// addition reordering (counters are sums of the same terms).
 		serial := tc.mk(63)
-		st.Feed(serial)
+		st.FeedBatch(2048, serial)
 		got, want := a.Estimate(nil), serial.Estimate(nil)
 		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 			t.Fatalf("%s: merged estimate %v != serial %v", tc.name, got, want)
@@ -254,12 +240,14 @@ func TestSubtractionOrderIsDeterministic(t *testing.T) {
 	r := rand.New(rand.NewPCG(81, 82))
 	zhat := make([]Entry, 32)
 	ams, stable := NewAMS(9, 6, r), NewStable(1, 40, r)
+	idx, del := make([]uint64, len(zhat)), make([]float64, len(zhat))
 	for k := range zhat {
 		i, v := uint64(r.IntN(1<<14)), (r.Float64()-0.5)*math.Exp(20*r.Float64())
-		ams.AddFloat(i, v)
-		stable.AddFloat(i, v)
+		idx[k], del[k] = i, v
 		zhat[k] = Entry{Index: i, Value: v * (1 + 1e-9*r.Float64())}
 	}
+	ams.AddFloatBatch(idx, del)
+	stable.AddFloatBatch(idx, del)
 	for _, est := range []Estimator{ams, stable} {
 		first := est.UpperEstimate(zhat)
 		for k := 0; k < 100; k++ {

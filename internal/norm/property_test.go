@@ -19,13 +19,17 @@ func TestPropertyScaleEquivariance(t *testing.T) {
 		const n = 32
 		mkA := NewStable(1, 20, rand.New(rand.NewPCG(seed, 3)))
 		mkB := NewStable(1, 20, rand.New(rand.NewPCG(seed, 3)))
+		var idx []uint64
+		var da, db []float64
 		for k, v := range raw {
 			if v == 0 {
 				continue
 			}
-			mkA.AddFloat(uint64(k%n), float64(v))
-			mkB.AddFloat(uint64(k%n), float64(v)*c)
+			idx = append(idx, uint64(k%n))
+			da, db = append(da, float64(v)), append(db, float64(v)*c)
 		}
+		mkA.AddFloatBatch(idx, da)
+		mkB.AddFloatBatch(idx, db)
 		a := mkA.Estimate(nil) * math.Abs(c)
 		b := mkB.Estimate(nil)
 		return math.Abs(a-b) <= 1e-6*(math.Abs(a)+math.Abs(b)+1)
@@ -33,6 +37,22 @@ func TestPropertyScaleEquivariance(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// subtractionUpdates turns the non-zero raw values into updates of key k mod
+// n, in order, and adds each to the explicit vector total.
+func subtractionUpdates(raw []int16, n int, total []Entry) ([]uint64, []float64) {
+	var idx []uint64
+	var del []float64
+	for k, v := range raw {
+		if v == 0 {
+			continue
+		}
+		i := uint64(k % n)
+		idx, del = append(idx, i), append(del, float64(v))
+		total[i].Value += float64(v)
+	}
+	return idx, del
 }
 
 // TestPropertyAMSSubtractionExact: subtracting the full explicit vector from
@@ -45,14 +65,8 @@ func TestPropertyAMSSubtractionExact(t *testing.T) {
 		for i := range total {
 			total[i].Index = uint64(i)
 		}
-		for k, v := range raw {
-			if v == 0 {
-				continue
-			}
-			i := uint64(k % n)
-			a.AddFloat(i, float64(v))
-			total[i].Value += float64(v)
-		}
+		idx, del := subtractionUpdates(raw, n, total)
+		a.AddFloatBatch(idx, del)
 		res := a.Estimate(total)
 		return res < 1e-6
 	}
@@ -70,14 +84,8 @@ func TestPropertyStableSubtractionExact(t *testing.T) {
 		for i := range total {
 			total[i].Index = uint64(i)
 		}
-		for k, v := range raw {
-			if v == 0 {
-				continue
-			}
-			i := uint64(k % n)
-			s.AddFloat(i, float64(v))
-			total[i].Value += float64(v)
-		}
+		idx, del := subtractionUpdates(raw, n, total)
+		s.AddFloatBatch(idx, del)
 		return s.Estimate(total) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -91,11 +99,7 @@ func TestPropertyUpperDominatesEstimate(t *testing.T) {
 	f := func(seed uint64, raw []int16) bool {
 		const n = 16
 		s := NewStable(0.7, 12, rand.New(rand.NewPCG(seed, 13)))
-		for k, v := range raw {
-			if v != 0 {
-				s.AddFloat(uint64(k%n), float64(v))
-			}
-		}
+		s.AddFloatBatch(subtractionUpdates(raw, n, make([]Entry, n)))
 		e, u := s.Estimate(nil), s.UpperEstimate(nil)
 		return math.Abs(u-e*4/3) <= 1e-9*(u+1)
 	}

@@ -9,10 +9,10 @@ import (
 	"repro/internal/kernel"
 )
 
-// The update loops as they stood before the all-rows and SIMD-batch
-// evaluators: one Sign / Float64 call per counter and key, and a CMS
-// transform that took -log u2 before looking at p. They are the reference the
-// production AddFloat / AddFloatBatch are pinned to, counter bits and all.
+// The update loops as they stood before the SIMD-batch evaluators: one Sign /
+// Float64 call per counter and key, and a CMS transform that took -log u2
+// before looking at p. They are the reference the production AddFloatBatch is
+// pinned to, counter bits and all.
 
 func refCMSStable(p, u1, u2 float64) float64 {
 	theta := math.Pi * (u1 - 0.5)
@@ -25,12 +25,6 @@ func refCMSStable(p, u1, u2 float64) float64 {
 	}
 	return math.Sin(p*theta) / math.Pow(math.Cos(theta), 1/p) *
 		math.Pow(math.Cos(theta*(1-p))/w, (1-p)/p)
-}
-
-func refAMSAddFloat(a *AMS, i uint64, delta float64) {
-	for j := range a.counters {
-		a.counters[j] += float64(a.signs.Sign(j, i)) * delta
-	}
 }
 
 func refAMSAddFloatBatch(a *AMS, indices []uint64, deltas []float64) {
@@ -47,12 +41,6 @@ func refStableAt(s *Stable, j int, i uint64) float64 {
 	u1 := s.seeds.Float64(j, 2*i)
 	u2 := s.seeds.Float64(j, 2*i+1)
 	return refCMSStable(s.p, u1, u2)
-}
-
-func refStableAddFloat(s *Stable, i uint64, delta float64) {
-	for j := range s.counters {
-		s.counters[j] += refStableAt(s, j, i) * delta
-	}
 }
 
 func refStableAddFloatBatch(s *Stable, indices []uint64, deltas []float64) {
@@ -113,13 +101,9 @@ func TestAMSUpdatesMatchReference(t *testing.T) {
 		mk := func() *AMS { return NewAMS(9, 6, rand.New(rand.NewPCG(81, 82))) }
 		idx, del := refUpdates(2048+3, rand.New(rand.NewPCG(83, 84)))
 
-		ref, scalar, batch := mk(), mk(), mk()
-		for t := range idx {
-			refAMSAddFloat(ref, idx[t], del[t])
-			scalar.AddFloat(idx[t], del[t])
-		}
+		ref, batch := mk(), mk()
+		refAMSAddFloatBatch(ref, idx, del)
 		batch.AddFloatBatch(idx, del)
-		sameBits(t, "AddFloat", scalar.counters, ref.counters)
 		sameBits(t, "AddFloatBatch", batch.counters, ref.counters)
 
 		// A second, short batch on top of non-zero counters, against the
@@ -136,13 +120,9 @@ func TestStableUpdatesMatchReference(t *testing.T) {
 			mk := func() *Stable { return NewStable(p, 80, rand.New(rand.NewPCG(85, 86))) }
 			idx, del := refUpdates(2048+3, rand.New(rand.NewPCG(87, 88)))
 
-			ref, scalar, batch := mk(), mk(), mk()
-			for t := range idx {
-				refStableAddFloat(ref, idx[t], del[t])
-				scalar.AddFloat(idx[t], del[t])
-			}
+			ref, batch := mk(), mk()
+			refStableAddFloatBatch(ref, idx, del)
 			batch.AddFloatBatch(idx, del)
-			sameBits(t, "AddFloat", scalar.counters, ref.counters)
 			sameBits(t, "AddFloatBatch", batch.counters, ref.counters)
 
 			refStableAddFloatBatch(ref, idx[:9], del[:9])
@@ -238,9 +218,8 @@ func TestCauchyIgnoresSecondUniform(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-path benchmarks beside BenchmarkStableAdd / BenchmarkAMSAdd, at the
-// Lp sampler's shapes: 80 Cauchy counters, 9×6 AMS counters, 2048-update
-// blocks.
+// Batch-path benchmarks at the Lp sampler's shapes: 80 Cauchy counters, 9×6
+// AMS counters, 2048-update blocks.
 // ---------------------------------------------------------------------------
 
 func BenchmarkStableAddBatch(b *testing.B) {

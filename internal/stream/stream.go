@@ -103,6 +103,44 @@ func ProcessAll(s Sink, batch []Update) {
 	}
 }
 
+// pendingLen is how many single updates a Pending holds before they fold: one
+// chunk of the norm sketches' batch fold (norm.foldChunk).
+const pendingLen = 256
+
+// Pending buffers a BatchSink's single updates so that they reach its batched
+// fold pendingLen at a time. Its array is allocated by the first Add, so a
+// sink that is only built, loaded, merged or queried carries none. The sink
+// flushes the buffer first thing in ProcessBatch (to keep stream order) and
+// before every read of the state the updates fold into; it drops the buffer
+// when that state is replaced.
+type Pending struct{ buf []Update }
+
+// Add appends u, and flushes the buffer into s once it is full.
+func (p *Pending) Add(u Update, s BatchSink) {
+	if p.buf == nil {
+		p.buf = make([]Update, 0, pendingLen)
+	}
+	p.buf = append(p.buf, u)
+	if len(p.buf) == pendingLen {
+		p.Flush(s)
+	}
+}
+
+// Flush empties the buffer into s.ProcessBatch, in arrival order. The buffer
+// is emptied before that call, so the ProcessBatch's own Flush finds nothing;
+// an empty buffer is not written, so concurrent flushes of one are safe.
+func (p *Pending) Flush(s BatchSink) {
+	if len(p.buf) == 0 {
+		return
+	}
+	b := p.buf
+	p.buf = p.buf[:0]
+	s.ProcessBatch(b)
+}
+
+// Drop discards the buffered updates.
+func (p *Pending) Drop() { p.buf = p.buf[:0] }
+
 // Feed replays the stream into one or more sketches.
 func (s Stream) Feed(sinks ...Sink) {
 	for _, u := range s {
