@@ -29,7 +29,7 @@ race-kernels:
 		REPRO_KERNEL=$$k $(GO) test -race -count 1 \
 			./internal/kernel ./internal/field ./internal/hash \
 			./internal/prng ./internal/sparse ./internal/countsketch \
-			./internal/norm ./internal/core ./internal/duplicates \
+			./internal/norm ./internal/core ./internal/duplicates ./internal/distinct \
 			./internal/heavyhitters ./internal/moments \
 			./internal/engine || exit 1; \
 	done

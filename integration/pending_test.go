@@ -144,6 +144,37 @@ func TestLpSamplerPendingInterleavings(t *testing.T) {
 	}
 }
 
+// TestL0SamplerPendingInterleavings alternates its query between Sample and
+// every level's RecoverLevel from one query step to the next, so that each
+// read's own flush is what the comparison sees. A query only sees pending
+// updates that reach a sparse level, so each mode runs four seeds.
+func TestL0SamplerPendingInterleavings(t *testing.T) {
+	const n = 1 << 10
+	for i := range 8 {
+		nested := i%2 == 1
+		t.Run(fmt.Sprintf("nested=%v,seed=%d", nested, 82+i), func(t *testing.T) {
+			mk := func() *core.L0Sampler {
+				return core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2, NestedLevels: nested}, rand.New(rand.NewPCG(80, 81)))
+			}
+			calls := 0 // a query step makes four calls: fresh replica, reference, subject, reference
+			query := func(s *core.L0Sampler) any {
+				calls++
+				if (calls-1)/4%2 == 0 {
+					sm, ok := s.Sample()
+					return []any{sm, ok}
+				}
+				levels := make([]string, s.Levels())
+				for k := range levels {
+					rec, ok := s.RecoverLevel(k)
+					levels[k] = fmt.Sprint(rec, ok)
+				}
+				return levels
+			}
+			checkPendingInterleavings(t, uint64(82+i), n, mk, (*core.L0Sampler).Merge, query)
+		})
+	}
+}
+
 func TestHeavyHittersPendingInterleavings(t *testing.T) {
 	const n = 1 << 10
 	for i, p := range []float64{1, 2} {

@@ -188,14 +188,14 @@ func TwoRoundUR(inst URInstance, delta float64, r *rand.Rand) Result {
 	rec := sparse.New(n, s, r)
 	for i, v := range inst.Y {
 		if v != 0 && member.Float64(uint64(i)) < q {
-			rec.Add(i, -int64(v))
+			rec.Process(stream.Update{Index: i, Delta: -int64(v)})
 		}
 	}
 	msg2 := rec.StateBits() + 64 // counters + the level q
 	// Alice: add her restricted x and decode.
 	for i, v := range inst.X {
 		if v != 0 && member.Float64(uint64(i)) < q {
-			rec.Add(i, int64(v))
+			rec.Process(stream.Update{Index: i, Delta: int64(v)})
 		}
 	}
 	recovered, ok := rec.Recover()

@@ -52,9 +52,10 @@ type L0Config struct {
 // T_k with T_k/Modulus ~ 2^k/n — no float division on the update path.
 //
 // The blocks of coordinate i live at the addresses i·stride + (k-1), which
-// differ in the low address bits only, so they are K independent
-// multiply-adds on one composed prefix state read off the generator's window
-// tables — see "The L0 ingestion fast path" in the package documentation.
+// differ in the low address bits only, so they are K multiply-adds on one
+// composed prefix state read off the generator's window tables. ProcessBatch
+// is the one fold; Process buffers single updates for it — see "The L0
+// ingestion fast path" in the package documentation.
 //
 // With NestedLevels the sets are nested as in the paper's original
 // formulation (one block per coordinate, dyadic thresholds); the default
@@ -86,6 +87,9 @@ type L0Sampler struct {
 	// is only constructed, loaded, merged and queried.
 	win     *prng.Windows
 	scratch *l0Scratch
+	// pending holds the updates Process has taken and the fold not yet seen;
+	// every read of the levels flushes it first.
+	pending stream.Pending
 
 	// Query-side memoization: Sample's outcome is cached until the next
 	// mutation (Process/ProcessBatch/Merge/RestoreState). Per-level decodes
@@ -205,35 +209,24 @@ func (l *L0Sampler) windows() *prng.Windows {
 	return l.win
 }
 
-// Process implements stream.Sink: the update reaches the recoverer of every
-// level whose subset contains the coordinate. One composed prefix serves all
-// levels; each level is then a multiply-add (i.i.d. mode) or nothing (nested
-// mode, where the prefix is the one block) and an integer-threshold compare.
+// Process implements stream.Sink: it buffers the update, and a full buffer
+// folds through ProcessBatch. Sample, RecoverLevel, Merge (both sides) and
+// AppendState flush the buffer and RestoreState drops it, so every
+// observable result is that of an immediate fold.
 func (l *L0Sampler) Process(u stream.Update) {
 	l.queryValid = false
-	l.levels[0].Process(u)
-	if len(l.levels) == 1 {
-		return
-	}
-	win := l.windows()
-	blk := win.Prefix(uint64(u.Index))
-	prefix := blk
-	for k := 1; k < len(l.levels); k++ {
-		if !l.nested {
-			blk = win.BlockAt(prefix, k-1)
-		}
-		if blk < l.thresholds[k] {
-			l.levels[k].Process(u)
-		}
-	}
+	l.pending.Add(u, l)
 }
 
-// ProcessBatch implements stream.BatchSink. Level 0 consumes the whole batch
-// directly; the tested levels take it in chunks of l0Chunk updates, level by
-// level within a chunk (see foldMembers). Every level still sees its members
-// in stream order and field arithmetic is exact, so the state matches
-// repeated Process calls bit for bit; nothing allocates at steady state.
+// ProcessBatch implements stream.BatchSink, folding the updates Process
+// buffered and then the batch. Level 0 consumes the whole batch directly;
+// the tested levels take it in chunks of l0Chunk updates, level by level
+// within a chunk (see foldMembers). Every level still sees its members in
+// stream order and field arithmetic is exact, so every split of a stream
+// into batches leaves the same state bit for bit; nothing allocates at
+// steady state.
 func (l *L0Sampler) ProcessBatch(batch []stream.Update) {
+	l.pending.Flush(l)
 	if len(batch) == 0 {
 		return
 	}
@@ -303,6 +296,7 @@ func (l *L0Sampler) foldMembers(chunk []stream.Update) {
 // After a mutation, only the levels the mutation reached re-decode — the
 // others answer from their own caches.
 func (l *L0Sampler) Sample() (Sample, bool) {
+	l.pending.Flush(l)
 	if l.queryValid {
 		return l.cachedSample, l.cachedOK
 	}
@@ -339,10 +333,13 @@ func (l *L0Sampler) resample() (Sample, bool) {
 }
 
 // RecoverLevel decodes the level-k restriction of x exactly (Lemma 5),
-// memoized per level. The returned map is owned by the level's recoverer
-// and valid until the next mutating call. Distinct levels share no decode
-// state, so concurrent RecoverLevel calls on different k are safe.
+// memoized per level, after folding the updates Process buffered. The
+// returned map is owned by the level's recoverer and valid until the next
+// mutating call. Distinct levels share no decode state and an empty buffer
+// is not written, so concurrent RecoverLevel calls on different k are safe
+// once nothing is pending.
 func (l *L0Sampler) RecoverLevel(k int) (map[int]int64, bool) {
+	l.pending.Flush(l)
 	return l.levels[k].Recover()
 }
 
@@ -369,6 +366,8 @@ func (l *L0Sampler) Merge(other *L0Sampler) error {
 		}
 	}
 	l.queryValid = false
+	l.pending.Flush(l)
+	other.pending.Flush(other)
 	for k := range l.levels {
 		if err := l.levels[k].Merge(other.levels[k]); err != nil {
 			return err
@@ -402,16 +401,20 @@ func (l *L0Sampler) StateBits() int64 {
 // AppendState writes every level's linear measurements into a codec encoder
 // — the public wire format, the engine checkpoints, the graph sketches and
 // the one-round message of Proposition 5, whose payload is StateBits bits.
+// The updates Process buffered are folded first.
 func (l *L0Sampler) AppendState(e *codec.Encoder) {
+	l.pending.Flush(l)
 	for _, lv := range l.levels {
 		lv.AppendState(e)
 	}
 }
 
 // RestoreState replaces every level's measurements from a codec decoder,
-// invalidating the memoized sample and each level's memoized decode.
+// discarding the updates Process buffered and invalidating the memoized
+// sample and each level's memoized decode.
 func (l *L0Sampler) RestoreState(d *codec.Decoder) {
 	l.queryValid = false
+	l.pending.Drop()
 	for _, lv := range l.levels {
 		lv.RestoreState(d)
 	}

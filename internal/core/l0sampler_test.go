@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -190,10 +191,14 @@ func TestL0SamplerSOverride(t *testing.T) {
 	}
 }
 
-// TestL0ProcessBatchMatchesProcess pins the update-major batched path to the
-// scalar path bit-for-bit (the serialized state compares every syndrome and
-// fingerprint of every level), in both level-assignment modes and across
-// batch sizes that exercise the transposed kernel's groups and tails.
+// TestL0ProcessBatchMatchesProcess pins the level-major fold to the
+// definition of the sketch: level k's recoverer measures x restricted to I_k.
+// The reference feeds each level's recoverer, one update at a time, exactly
+// the updates whose coordinate member (read off the generator block by block)
+// admits; the subjects take the stream as one ProcessBatch and through
+// Process. The serialized state compares every syndrome and fingerprint of
+// every level, in both level-assignment modes and across lengths that
+// exercise the chunking and the recoverer's groups of four and their tails.
 func TestL0ProcessBatchMatchesProcess(t *testing.T) {
 	for _, nested := range []bool{false, true} {
 		for _, length := range []int{1, 3, 64, 1000} {
@@ -203,18 +208,22 @@ func TestL0ProcessBatchMatchesProcess(t *testing.T) {
 				return NewL0Sampler(L0Config{N: 777, Delta: 0.2, NestedLevels: nested},
 					rand.New(rand.NewPCG(21, 22)))
 			}
-			scalar, batched := mk(), mk()
-			for _, u := range st {
-				scalar.Process(u)
+			ref, batched, single := mk(), mk(), mk()
+			for k, rc := range ref.levels {
+				for _, u := range st {
+					if ref.member(k, u.Index) {
+						rc.Process(u)
+					}
+				}
 			}
 			batched.ProcessBatch(st)
-			a, b := stateBytes(scalar), stateBytes(batched)
-			if len(a) != len(b) {
-				t.Fatalf("nested=%v len=%d: state sizes differ", nested, length)
+			for _, u := range st {
+				single.Process(u)
 			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("nested=%v len=%d: state byte %d differs", nested, length, i)
+			want := stateBytes(ref)
+			for name, s := range map[string]*L0Sampler{"ProcessBatch": batched, "Process": single} {
+				if !bytes.Equal(stateBytes(s), want) {
+					t.Fatalf("nested=%v len=%d: %s state differs from the per-level definition", nested, length, name)
 				}
 			}
 		}

@@ -27,15 +27,16 @@
 // (prng.Windows): the hash functions of Nisan's generator are affine, so the
 // seed determines one affine pair per value of any field of address bits, and
 // a coordinate's blocks are K independent multiply-adds A_k·P(i) + B_k on one
-// composed prefix state P(i) — not K walks of the generator tree. Process
-// runs that per update; ProcessBatch runs it level-major over chunks of
-// l0Chunk updates, one pass of the SIMD polynomial kernel and one branch-free
-// threshold pass per level, and hands each level its members as a sub-batch
-// for the recoverer's four-abreast syndrome kernel (one multiply per
-// syndrome per update, rho^i from radix-16 windows). Both paths read the same
-// tables and leave bit-identical state — the tables, like the chunk scratch,
-// are functions of the seed built by the first fold, so a sampler that is
-// only constructed, loaded, merged and queried carries neither.
+// composed prefix state P(i) — not K walks of the generator tree. There is
+// one fold: ProcessBatch runs it level-major over chunks of l0Chunk updates,
+// one pass of the SIMD polynomial kernel and one branch-free threshold pass
+// per level, and hands each level its members as a sub-batch for the
+// recoverer's four-abreast syndrome kernel (one multiply per syndrome per
+// update, rho^i from radix-16 windows). Process buffers single updates
+// (stream.Pending) for that fold under the Lp sampler's rules below. The
+// tables, like the chunk scratch and the buffer, are built by the first fold
+// or Process, so a sampler that is only constructed, loaded, merged and
+// queried carries none of them.
 //
 // # The Lp update path
 //

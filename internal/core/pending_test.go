@@ -9,9 +9,9 @@ import (
 	"repro/internal/stream"
 )
 
-// holdsPending reports whether the sampler has allocated its single-update
-// buffer.
-func holdsPending(s *LpSampler) bool {
+// holdsPending reports whether a sampler (*LpSampler or *L0Sampler) has
+// allocated its single-update buffer.
+func holdsPending(s any) bool {
 	return !reflect.ValueOf(s).Elem().FieldByName("pending").Field(0).IsNil()
 }
 
@@ -122,6 +122,39 @@ func TestLpPendingOnlyOnProcess(t *testing.T) {
 	}
 	s.ProcessBatch(st[:10])
 	s.SampleAll()
+	stateBytes(s)
+	if holdsPending(s) || holdsPending(src) {
+		t.Fatal("a sampler never fed by Process holds a pending buffer")
+	}
+	s.Process(st[0])
+	if !holdsPending(s) {
+		t.Fatal("Process did not allocate the pending buffer")
+	}
+}
+
+// TestL0PendingOnlyOnProcess is TestLpPendingOnlyOnProcess for the L0
+// sampler, whose served instances are fed in frames: loading, merging,
+// batch-feeding, sampling, decoding a level and exporting allocate no
+// single-update buffer; the first Process does.
+func TestL0PendingOnlyOnProcess(t *testing.T) {
+	const n = 1 << 10
+	mk := func() *L0Sampler {
+		return NewL0Sampler(L0Config{N: n, Delta: 0.2}, rand.New(rand.NewPCG(67, 68)))
+	}
+	st := stream.RandomTurnstile(n, 1000, 50, rand.New(rand.NewPCG(69, 70)))
+	src := mk()
+	src.ProcessBatch(st)
+
+	s := mk()
+	if err := restoreState(s, stateBytes(src)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Merge(src); err != nil {
+		t.Fatal(err)
+	}
+	s.ProcessBatch(st[:10])
+	s.Sample()
+	s.RecoverLevel(s.Levels() - 1)
 	stateBytes(s)
 	if holdsPending(s) || holdsPending(src) {
 		t.Fatal("a sampler never fed by Process holds a pending buffer")

@@ -75,21 +75,13 @@ func NewTwoPassL0Sampler(n int, delta float64, r *rand.Rand) *TwoPassL0Sampler {
 // S returns the pass-2 sparse recovery budget.
 func (tp *TwoPassL0Sampler) S() int { return tp.s }
 
-// Process implements stream.Sink for the current pass.
-func (tp *TwoPassL0Sampler) Process(u stream.Update) {
-	if tp.pass == 1 {
-		tp.est.Process(u)
-		return
-	}
-	if tp.member(u.Index) {
-		tp.rec.Process(u)
-	}
-}
+// Process implements stream.Sink for the current pass, as a batch of one.
+func (tp *TwoPassL0Sampler) Process(u stream.Update) { tp.ProcessBatch([]stream.Update{u}) }
 
 // ProcessBatch implements stream.BatchSink for the current pass: pass 1
 // flows through the estimator's batched path; pass 2 filters the batch down
 // to the committed subsampling level and feeds the recoverer's transposed
-// kernel. State matches repeated Process calls exactly.
+// kernel.
 func (tp *TwoPassL0Sampler) ProcessBatch(batch []stream.Update) {
 	if tp.pass == 1 {
 		tp.est.ProcessBatch(batch)

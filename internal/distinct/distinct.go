@@ -96,31 +96,15 @@ func New(n, reps int, r *rand.Rand) *Estimator {
 	return e
 }
 
-// Process implements stream.Sink. One hash evaluation per repetition
-// determines the deepest level the coordinate survives to; the update then
-// touches levels 0..deepest of that repetition.
-func (e *Estimator) Process(u stream.Update) {
-	d := field.FromInt64(u.Delta)
-	for j := 0; j < e.reps; j++ {
-		h := e.member.Float64(j, uint64(u.Index))
-		contrib := field.Mul(d, e.rhoPow[j].Pow(uint64(u.Index)))
-		q := 1.0
-		for k := 0; k < e.levels; k++ {
-			if h >= q {
-				break
-			}
-			e.fp[k][j] = field.Add(e.fp[k][j], contrib)
-			q /= 2
-		}
-	}
-}
+// Process implements stream.Sink, as a batch of one.
+func (e *Estimator) Process(u stream.Update) { e.ProcessBatch([]stream.Update{u}) }
 
 // ProcessBatch implements stream.BatchSink: repetition-major delivery. The
 // batch's keys are extracted once; each repetition then evaluates its
-// membership row through the flat Float64Batch kernel and folds the
-// fingerprint contributions (rho_j^i via the repetition's PowCache) into its
-// level cells. Equivalent to repeated Process calls; steady-state calls
-// allocate nothing.
+// membership row through the flat Float64Batch kernel — one hash value h_j(i)
+// decides the deepest level the coordinate survives to — and adds the
+// fingerprint contribution delta·rho_j^i (rho_j^i via the repetition's
+// PowCache) to levels 0..deepest. Steady-state calls allocate nothing.
 func (e *Estimator) ProcessBatch(batch []stream.Update) {
 	n := len(batch)
 	idx := stream.Keys(batch, &e.scratchIdx)

@@ -1,11 +1,21 @@
 package distinct
 
 import (
+	"bytes"
+	"math"
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/codec"
+	"repro/internal/field"
 	"repro/internal/stream"
 )
+
+func stateBytes(e *Estimator) []byte {
+	enc := codec.NewEncoder(codec.KindInvalid)
+	e.AppendState(enc)
+	return enc.Bytes()
+}
 
 func TestZeroVector(t *testing.T) {
 	e := New(256, 8, rand.New(rand.NewPCG(1, 1)))
@@ -107,21 +117,48 @@ func BenchmarkProcess(b *testing.B) {
 	}
 }
 
+// TestMergeAndBatchMatchSerial holds the estimator fed in batches of 64, fed
+// one update at a time, and merged from two halves to the definition of its
+// cells, F_{k,j} = Σ_{i: h_j(i) < 2^-k} x_i·ρ_j^i, computed from the net
+// vector with the scalar hash and field.Pow and compared byte for byte
+// through AppendState.
 func TestMergeAndBatchMatchSerial(t *testing.T) {
-	mk := func() *Estimator { return New(512, 12, rand.New(rand.NewPCG(51, 52))) }
-	st := stream.SparseVector(512, 100, 30, rand.New(rand.NewPCG(53, 54)))
-	whole, a, b := mk(), mk(), mk()
+	const n = 512
+	mk := func() *Estimator { return New(n, 12, rand.New(rand.NewPCG(51, 52))) }
+	st := stream.SparseVector(n, 100, 30, rand.New(rand.NewPCG(53, 54)))
+	x := st.Apply(n)
+	def := mk()
+	for k := range def.fp {
+		for j := range def.fp[k] {
+			var f field.Elem
+			for i := 0; i < n; i++ {
+				if def.member.Float64(j, uint64(i)) < math.Ldexp(1, -k) {
+					f = field.Add(f, field.Mul(field.FromInt64(x.Get(i)), field.Pow(def.rho[j], uint64(i))))
+				}
+			}
+			def.fp[k][j] = f
+		}
+	}
+	want := stateBytes(def)
+
+	whole, single, a, b := mk(), mk(), mk(), mk()
 	st.FeedBatch(64, whole)
+	st.Feed(single)
 	half := len(st) / 2
 	st[:half].Feed(a)
 	st[half:].Feed(b)
 	if err := a.Merge(b); err != nil {
 		t.Fatalf("same-seed merge failed: %v", err)
 	}
+	for name, e := range map[string]*Estimator{"batches of 64": whole, "one at a time": single, "merged halves": a} {
+		if !bytes.Equal(stateBytes(e), want) {
+			t.Errorf("%s: state differs from the definition", name)
+		}
+	}
 	if a.Estimate() != whole.Estimate() {
 		t.Fatalf("merged estimate %d != serial %d", a.Estimate(), whole.Estimate())
 	}
-	if err := a.Merge(New(512, 12, rand.New(rand.NewPCG(55, 56)))); err == nil {
+	if err := a.Merge(New(n, 12, rand.New(rand.NewPCG(55, 56)))); err == nil {
 		t.Fatal("expected error merging differently seeded estimators")
 	}
 }

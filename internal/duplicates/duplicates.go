@@ -274,11 +274,7 @@ func NewShortFinder(n, s int, delta float64, r *rand.Rand) *ShortFinder {
 }
 
 // ProcessItem consumes one letter.
-func (sf *ShortFinder) ProcessItem(letter int) {
-	u := stream.Update{Index: letter, Delta: 1}
-	sf.rec.Process(u)
-	sf.pf.Process(u)
-}
+func (sf *ShortFinder) ProcessItem(letter int) { sf.Process(stream.Update{Index: letter, Delta: 1}) }
 
 // Process implements stream.Sink on the letters-as-updates encoding, so a
 // ShortFinder can sit behind the ingestion engine like the Theorem 3

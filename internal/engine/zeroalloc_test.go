@@ -48,12 +48,14 @@ func TestBatchedHotPathsZeroAlloc(t *testing.T) {
 }
 
 // TestScalarHotPathsZeroAlloc is the same contract on the one-update-at-a-time
-// paths — LpSampler.Process and, through it, every DuplicateFinder.Observe,
-// and the heavy-hitters and F_p sketches: each buffers its updates in an array
-// allocated by the first call and folds a full buffer through its batch path,
-// whose scratch the first fold grows. After one fill, no call allocates: the
-// measured run spans two and a half buffer fills and must allocate nothing at
-// all (a per-call average would round a few allocations away).
+// paths. The L0 and Lp samplers (and, through the latter, every
+// DuplicateFinder.Observe) and the heavy-hitters and F_p sketches buffer their
+// updates in an array allocated by the first call and fold a full buffer
+// through their batch path, whose scratch the first fold grows; the sparse
+// recoverer, the distinct estimator and the two-pass sampler fold each update
+// as a batch of one. After one fill, no call allocates: the measured run spans
+// two and a half buffer fills and must allocate nothing at all (a per-call
+// average would round a few allocations away).
 func TestScalarHotPathsZeroAlloc(t *testing.T) {
 	const n = 1 << 10
 	const fill = 256 // stream.Pending's buffer
@@ -63,6 +65,13 @@ func TestScalarHotPathsZeroAlloc(t *testing.T) {
 	dup := streamsample.NewDuplicateFinder(n, streamsample.WithSeed(16))
 	hh := streamsample.NewHeavyHitters(1, 0.1, n, streamsample.WithSeed(17))
 	fp := moments.NewFp(3, n, 2, seeded(18))
+	l0 := core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2}, seeded(19))
+	l0Nested := core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2, NestedLevels: true}, seeded(19))
+	rc := sparse.New(n, 8, seeded(20))
+	est := distinct.New(n, 8, seeded(21))
+	tp1 := core.NewTwoPassL0Sampler(n, 0.2, seeded(22))
+	tp2 := core.NewTwoPassL0Sampler(n, 0.2, seeded(22))
+	tp2.EndPass1()
 	paths := []struct {
 		name string
 		fn   func()
@@ -72,6 +81,12 @@ func TestScalarHotPathsZeroAlloc(t *testing.T) {
 		{"DuplicateFinder.Observe", func() { dup.Observe(77) }},
 		{"HeavyHitters.Update", func() { hh.Update(77, 3) }},
 		{"FpEstimator.Process", func() { fp.Process(u) }},
+		{"L0Sampler.Process", func() { l0.Process(u) }},
+		{"L0Sampler.Process nested", func() { l0Nested.Process(u) }},
+		{"sparse.Recoverer.Process", func() { rc.Process(u) }},
+		{"distinct.Estimator.Process", func() { est.Process(u) }},
+		{"TwoPassL0Sampler.Process pass 1", func() { tp1.Process(u) }},
+		{"TwoPassL0Sampler.Process pass 2", func() { tp2.Process(u) }},
 	}
 	for _, tc := range paths {
 		for range fill {

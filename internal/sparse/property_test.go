@@ -8,6 +8,9 @@ import (
 	"repro/internal/stream"
 )
 
+// add applies x_i += delta through Process.
+func (rc *Recoverer) add(i int, delta int64) { rc.Process(stream.Update{Index: i, Delta: delta}) }
+
 // TestPropertyLinearityOfMeasurements: feeding A then B equals feeding the
 // coordinate-wise sum; recovery sees only the net vector.
 func TestPropertyLinearityOfMeasurements(t *testing.T) {
@@ -22,9 +25,9 @@ func TestPropertyLinearityOfMeasurements(t *testing.T) {
 			}
 			i := k % n
 			// split: two half updates; direct: one.
-			split.Add(i, int64(v)/2)
-			split.Add(i, int64(v)-int64(v)/2)
-			direct.Add(i, int64(v))
+			split.add(i, int64(v)/2)
+			split.add(i, int64(v)-int64(v)/2)
+			direct.add(i, int64(v))
 			net[i] += int64(v)
 		}
 		for i, v := range net {
@@ -85,8 +88,9 @@ func TestPropertyRecoverInverseOfSparseStreams(t *testing.T) {
 
 // TestPropertyTransposedBatchMatchesScalar: the register-blocked column-major
 // ProcessBatch kernel must leave bit-identical state (all syndromes AND the
-// fingerprint, via the serialized state) to one-at-a-time Process calls, for every
-// batch length — exercising both the 4-wide groups and the scalar tail —
+// fingerprint, via the serialized state) to one-at-a-time Process calls —
+// batches of one, which take the two-chain fold — for every batch length,
+// exercising both the 4-wide groups and the two-chain tail,
 // and every index/delta mix, including negative deltas and repeats.
 func TestPropertyTransposedBatchMatchesScalar(t *testing.T) {
 	f := func(seed uint64, raw []int16, sRaw uint8) bool {
@@ -129,7 +133,7 @@ func TestPropertyExportImportIdentity(t *testing.T) {
 		src := mk()
 		for k, v := range raw {
 			if v != 0 {
-				src.Add(k%n, int64(v))
+				src.add(k%n, int64(v))
 			}
 		}
 		dst := mk()
@@ -169,7 +173,7 @@ func TestPropertyAliasResistance(t *testing.T) {
 		for j := 0; j < s; j++ {
 			i := rr.IntN(n)
 			d := rr.Int64N(100) + 1
-			rc.Add(i, d)
+			rc.add(i, d)
 			truth[i] += d
 		}
 		// dense perturbation
@@ -180,7 +184,7 @@ func TestPropertyAliasResistance(t *testing.T) {
 			if d == 0 {
 				d = 5
 			}
-			rc.Add(i, d)
+			rc.add(i, d)
 			truth[i] += d
 		}
 		for i, v := range truth {

@@ -128,8 +128,8 @@ func TestPropertyRecoverMatchesReferenceDecoder(t *testing.T) {
 func TestRecoverMemoization(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
 	rc := New(256, 4, r)
-	rc.Add(10, 5)
-	rc.Add(20, -3)
+	rc.add(10, 5)
+	rc.add(20, -3)
 	rec, ok := rc.Recover()
 	if !ok || len(rec) != 2 || rec[10] != 5 || rec[20] != -3 {
 		t.Fatalf("decode failed: %v %v", rec, ok)
@@ -142,13 +142,13 @@ func TestRecoverMemoization(t *testing.T) {
 		t.Errorf("cached Recover allocates %v times per call, want 0", allocs)
 	}
 	// Add invalidates: the next decode must see the new coordinate.
-	rc.Add(30, 7)
+	rc.add(30, 7)
 	rec, ok = rc.Recover()
 	if !ok || len(rec) != 3 || rec[30] != 7 {
 		t.Fatalf("post-Add decode stale: %v %v", rec, ok)
 	}
 	// Removing a coordinate via a canceling update also re-decodes.
-	rc.Add(10, -5)
+	rc.add(10, -5)
 	rec, ok = rc.Recover()
 	if !ok || len(rec) != 2 || rec[10] != 0 {
 		t.Fatalf("post-cancel decode stale: %v %v", rec, ok)
@@ -161,7 +161,7 @@ func TestRecoverMemoization(t *testing.T) {
 	// Merge invalidates the receiver.
 	r2 := rand.New(rand.NewPCG(7, 8))
 	other := New(256, 4, r2)
-	other.Add(50, 2)
+	other.add(50, 2)
 	other.Recover()
 	if err := rc.Merge(other); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestRecoverMemoization(t *testing.T) {
 	// decode it, not its own stale cache.
 	r3 := rand.New(rand.NewPCG(7, 8))
 	replica := New(256, 4, r3)
-	replica.Add(99, 1)
+	replica.add(99, 1)
 	if rec, ok = replica.Recover(); !ok || rec[99] != 1 {
 		t.Fatal("replica decode failed")
 	}
@@ -197,7 +197,7 @@ func TestChienScanEarlyExit(t *testing.T) {
 	// All support in the low 100 positions of a 16K-coordinate vector.
 	want := map[int]int64{3: 9, 40: -2, 99: 123}
 	for i, v := range want {
-		rc.Add(i, v)
+		rc.add(i, v)
 	}
 	rec, ok := rc.Recover()
 	if !ok || len(rec) != len(want) {

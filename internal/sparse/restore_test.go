@@ -32,7 +32,7 @@ func restoreState(rc *Recoverer, b []byte) error {
 // restore calls can leave a stale cached decode marked clean.
 func TestRestoreStateDirtyOnAllPaths(t *testing.T) {
 	rc := New(128, 4, rand.New(rand.NewPCG(21, 22)))
-	rc.Add(7, 3)
+	rc.add(7, 3)
 	if rec, ok := rc.Recover(); !ok || rec[7] != 3 || rc.dirty {
 		t.Fatalf("seed decode failed or left the dirty bit set: %v %v", rec, ok)
 	}
@@ -40,7 +40,7 @@ func TestRestoreStateDirtyOnAllPaths(t *testing.T) {
 	// An accepted restore must dirty the cache and the next Recover must
 	// serve the restored state, not the stale cache.
 	donor := New(128, 4, rand.New(rand.NewPCG(21, 22)))
-	donor.Add(90, -4)
+	donor.add(90, -4)
 	state := stateBytes(donor)
 	if err := restoreState(rc, state); err != nil {
 		t.Fatal(err)
@@ -66,8 +66,8 @@ func TestRestoreStateInvalidatesMemo(t *testing.T) {
 	r2 := rand.New(rand.NewPCG(31, 32))
 	rc := New(128, 4, r1)
 	donor := New(128, 4, r2)
-	rc.Add(5, 11)
-	donor.Add(60, 2)
+	rc.add(5, 11)
+	donor.add(60, 2)
 	if rec, ok := rc.Recover(); !ok || rec[5] != 11 {
 		t.Fatalf("seed decode failed: %v %v", rec, ok)
 	}

@@ -60,7 +60,7 @@ import (
 // Recoverer maintains the linear measurements of one vector x in Z^n.
 //
 // The query side is memoized: Recover caches its decode and a dirty bit —
-// set by Add/Process/ProcessBatch/Merge/RestoreState, cleared on decode —
+// set by Process/ProcessBatch/Merge/RestoreState, cleared on decode —
 // short-circuits repeated queries on an unchanged sketch. All decode
 // scratch (the reversed locator, the finite-difference table, the support
 // and value buffers, the Vandermonde solver state) lives on the Recoverer
@@ -114,18 +114,13 @@ func (rc *Recoverer) S() int { return rc.s }
 // N returns the vector dimension.
 func (rc *Recoverer) N() int { return rc.n }
 
-// Add applies x_i += delta.
-func (rc *Recoverer) Add(i int, delta int64) {
-	rc.dirty = true
-	rc.fold(i, field.FromInt64(delta))
-}
-
 // fold adds d·a^j to every syndrome j and d·rho^i to the fingerprint, a = i+1.
 // The chains carry the products themselves — q = d·a^j advancing by a², one
 // for the even syndromes and one for the odd — so each syndrome costs one
 // multiply (a power chain pw ← pw·a followed by d·pw costs two), and the two
 // chains are independent, so the multiplier pipeline overlaps them.
-// len(synd) = 2s is always even.
+// len(synd) = 2s is always even. It is ProcessBatch's fold for the tail of
+// fewer than four updates, which is cheaper than a zero-padded group of four.
 func (rc *Recoverer) fold(i int, d field.Elem) {
 	a := field.New(uint64(i) + 1)
 	a2 := field.Mul(a, a)
@@ -143,8 +138,8 @@ func (rc *Recoverer) fold(i int, d field.Elem) {
 	rc.fp = field.Add(rc.fp, field.Mul(d, rc.rhoPow.Pow(uint64(i))))
 }
 
-// Process implements stream.Sink.
-func (rc *Recoverer) Process(u stream.Update) { rc.Add(u.Index, u.Delta) }
+// Process implements stream.Sink: x_i += delta, as a batch of one.
+func (rc *Recoverer) Process(u stream.Update) { rc.ProcessBatch([]stream.Update{u}) }
 
 // ProcessBatch implements stream.BatchSink through the transposed syndrome
 // kernel: updates are taken in register-blocked groups of four and the
@@ -155,9 +150,10 @@ func (rc *Recoverer) Process(u stream.Update) { rc.Add(u.Index, u.Delta) }
 // flight per j step, so the multiplier pipeline stays full instead of
 // draining between syndromes, and the four products of a step are summed
 // into the cell with one reduction (kernel.SyndromeAdd4). Group order and
-// field arithmetic are exact, so the state is bit-identical to repeated
-// Process calls (pinned by TestPropertyTransposedBatchMatchesScalar); the
-// leftover tail (< 4 updates) takes the scalar fold. Nothing allocates.
+// field arithmetic are exact, so every split of a stream into batches
+// leaves the same state bit for bit (pinned by
+// TestPropertyTransposedBatchMatchesScalar); the leftover tail (< 4 updates)
+// takes the two-chain fold. Nothing allocates.
 func (rc *Recoverer) ProcessBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return

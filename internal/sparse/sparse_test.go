@@ -44,9 +44,9 @@ func TestRecoverExactForAllSparsities(t *testing.T) {
 
 func TestRecoverNegativeValues(t *testing.T) {
 	rc := New(50, 4, rand.New(rand.NewPCG(3, 3)))
-	rc.Add(7, -123)
-	rc.Add(49, 1)
-	rc.Add(0, -999999)
+	rc.add(7, -123)
+	rc.add(49, 1)
+	rc.add(0, -999999)
 	got, ok := rc.Recover()
 	if !ok {
 		t.Fatal("DENSE on 3-sparse vector")
@@ -95,11 +95,11 @@ func TestCancellationToSparse(t *testing.T) {
 	r := rand.New(rand.NewPCG(6, 6))
 	rc := New(300, 3, r)
 	for i := 0; i < 300; i++ {
-		rc.Add(i, 7)
+		rc.add(i, 7)
 	}
 	for i := 0; i < 300; i++ {
 		if i != 42 && i != 271 {
-			rc.Add(i, -7)
+			rc.add(i, -7)
 		}
 	}
 	got, ok := rc.Recover()
@@ -112,8 +112,8 @@ func TestCancellationToZero(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 7))
 	rc := New(100, 4, r)
 	for i := 0; i < 100; i++ {
-		rc.Add(i, int64(i+1))
-		rc.Add(i, -int64(i+1))
+		rc.add(i, int64(i+1))
+		rc.add(i, -int64(i+1))
 	}
 	if !rc.IsZero() {
 		t.Fatal("IsZero false after full cancellation")
@@ -130,9 +130,9 @@ func TestMerge(t *testing.T) {
 	r2 := rand.New(rand.NewPCG(8, 8))
 	a := New(100, 4, r1)
 	b := New(100, 4, r2)
-	a.Add(3, 10)
-	b.Add(3, -10)
-	b.Add(60, 5)
+	a.add(3, 10)
+	b.add(3, -10)
+	b.add(60, 5)
 	if err := a.Merge(b); err != nil {
 		t.Fatalf("same-seed merge failed: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestRecoverProperty(t *testing.T) {
 				v = 1
 			}
 			truth[pos] = v
-			rc.Add(pos, v)
+			rc.add(pos, v)
 		}
 		got, ok := rc.Recover()
 		if !ok || len(got) != len(truth) {
@@ -206,24 +206,17 @@ func TestSparsityClamp(t *testing.T) {
 	if rc.S() != 1 {
 		t.Fatalf("S() = %d, want clamp to 1", rc.S())
 	}
-	rc.Add(5, 3)
+	rc.add(5, 3)
 	got, ok := rc.Recover()
 	if !ok || got[5] != 3 {
 		t.Fatalf("1-sparse recovery got %v ok=%v", got, ok)
 	}
 }
 
-func BenchmarkAddS8(b *testing.B) {
-	rc := New(1<<20, 8, rand.New(rand.NewPCG(1, 1)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rc.Add(i%(1<<20), 1)
-	}
-}
-
 // BenchmarkProcessBatchS10 measures the transposed syndrome kernel at the L0
 // sampler's default budget (s=10, 20 syndromes); BenchmarkProcessScalarS10 is
-// the same work through one-at-a-time Process calls.
+// the same work through one-at-a-time Process calls, batches of one that take
+// the two-chain fold.
 func BenchmarkProcessBatchS10(b *testing.B) {
 	rc := New(1<<16, 10, rand.New(rand.NewPCG(1, 1)))
 	batch := make([]stream.Update, 4096)
@@ -261,7 +254,7 @@ func BenchmarkRecoverS8N4096(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 1))
 	rc := New(4096, 8, r)
 	for i := 0; i < 8; i++ {
-		rc.Add(r.IntN(4096), int64(i+1))
+		rc.add(r.IntN(4096), int64(i+1))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -279,13 +272,13 @@ func BenchmarkRecoverScan(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 1))
 	rc := New(4096, 8, r)
 	for i := 0; i < 8; i++ {
-		rc.Add(r.IntN(4096), int64(i+1))
+		rc.add(r.IntN(4096), int64(i+1))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rc.Add(0, 1)
-		rc.Add(0, -1)
+		rc.add(0, 1)
+		rc.add(0, -1)
 		if _, ok := rc.Recover(); !ok {
 			b.Fatal("decode failed")
 		}
