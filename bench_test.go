@@ -275,25 +275,45 @@ func BenchmarkQueryDuplicatesFind(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryLpSample is a dirty Theorem 1 query at the lp_stream shape of
-// bench/ (p = 1, n = 2^14, ε = 0.25, δ = 0.2, signed Zipf updates): a
-// zero-delta update drops the memo without moving the state, so every
-// iteration pays the full recovery stage — the blocked count-sketch scan and
-// the s-test in each of the 13 repetitions.
+// lpQueryN and lpQuerySketch are the lp_stream shape of bench/ (p = 1,
+// n = 2^14, ε = 0.25, δ = 0.2, 13 repetitions) fed signed Zipf updates.
+const lpQueryN = 1 << 14
+
+func lpQuerySketch() *core.LpSampler {
+	sk := core.NewLpSampler(core.LpConfig{P: 1, N: lpQueryN, Eps: 0.25, Delta: 0.2}, rand.New(rand.NewPCG(7, 11)))
+	stream.ZipfSigned(lpQueryN, 1.1, 60_000, rand.New(rand.NewPCG(17, 29))).FeedBatch(2048, sk)
+	return sk
+}
+
+// BenchmarkQueryLpSample is a dirty Theorem 1 query at the lp_stream shape: a
+// zero-delta update resets the recovery cursor without moving the state, so
+// every iteration runs the recovery stage (the blocked count-sketch scan and
+// the s-test) on the repetitions up to the first that emits — not all 13.
 func BenchmarkQueryLpSample(b *testing.B) {
-	const n = 1 << 14
-	sk := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.25, Delta: 0.2}, rand.New(rand.NewPCG(7, 11)))
-	stream.ZipfSigned(n, 1.1, 60_000, rand.New(rand.NewPCG(17, 29))).FeedBatch(2048, sk)
+	sk := lpQuerySketch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk.Process(stream.Update{Index: i % n, Delta: 0})
+		sk.Process(stream.Update{Index: i % lpQueryN, Delta: 0})
 		sk.Sample()
+	}
+}
+
+// BenchmarkQueryLpSampleAll is BenchmarkQueryLpSample with SampleAll: every
+// iteration resolves all 13 repetitions, the cost of a FAIL answer and the
+// one query path that still pays every repetition.
+func BenchmarkQueryLpSampleAll(b *testing.B) {
+	sk := lpQuerySketch()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk.Process(stream.Update{Index: i % lpQueryN, Delta: 0})
+		sk.SampleAll()
 	}
 }
 
 // BenchmarkQueryDuplicateFinderFind is the Theorem 3 query at dup_stream's
 // size: n = 2^16, a permutation of the letters plus one repeat, and a dirty
-// Find() per iteration (the same recovery stage over four times the keys).
+// Find() per iteration, which resolves repetitions (the same recovery stage
+// over four times the keys) until one yields a positive estimate.
 func BenchmarkQueryDuplicateFinderFind(b *testing.B) {
 	const n = 1 << 16
 	r := rand.New(rand.NewPCG(31, 32))

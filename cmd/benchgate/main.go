@@ -38,7 +38,7 @@ const defaultBench = "^(BenchmarkIngestSerial|BenchmarkIngestSerialBatched|Bench
 	"BenchmarkIngestL0Serial|BenchmarkIngestL0Engine|" +
 	"BenchmarkIngestLpSerialBatched|BenchmarkIngestDuplicateFinderObserve|BenchmarkQueryL0Sample|" +
 	"BenchmarkQueryDuplicatesFind|" +
-	"BenchmarkQueryLpSample|BenchmarkQueryDuplicateFinderFind|" +
+	"BenchmarkQueryLpSample|BenchmarkQueryLpSampleAll|BenchmarkQueryDuplicateFinderFind|" +
 	"BenchmarkServeIngestRaw|BenchmarkServeIngestSketch)$"
 
 func main() {

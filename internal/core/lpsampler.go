@@ -46,23 +46,27 @@
 // ProcessBatch hands it its input batchBlock updates at a time, so the batch
 // scratch the sampler and its sub-sketches retain is bounded by the block,
 // whatever batch sizes callers use. Process buffers single updates
-// (stream.Pending) and folds them 256 at a time; SampleAll, Merge (both sides)
-// and AppendState flush the buffer before they read the counters or guard
-// flags, RestoreState drops it, and ProcessBatch flushes it first to keep the
-// stream order. Every split of a stream into updates and batches therefore
+// (stream.Pending) and folds them 256 at a time; every query, Merge (both
+// sides) and AppendState flush the buffer before they read the counters or
+// guard flags, RestoreState drops it, and ProcessBatch flushes it first to
+// keep the stream order. Every split of a stream into updates and batches therefore
 // leaves bit-identical state.
 //
 // # The Lp recovery stage
 //
-// A dirty LpSampler query runs the recovery stage of Figure 1 once per
-// repetition: z* and its best m-sparse approximation ẑ come from the
-// count-sketch's blocked, threshold-pruned scan (countsketch.TopWith), the
-// s-test subtracts ẑ from the AMS sketch entry by entry in ẑ's rank order (a
-// fixed order: the subtraction cancels heavily, so its rounding depends on
-// it), and the top coordinate is emitted if it clears ε^{-1/p}·r. All
-// repetitions share one scan scratch and one ẑ buffer owned by the sampler,
-// so a query allocates nothing proportional to n — and is, like an update,
-// single-goroutine.
+// Theorem 1 outputs the first of the v repetitions that does not FAIL, so a
+// query resolves repetitions in order only until it has its answer: Sample
+// and First stop there, and only SampleAll (or a FAIL answer) resolves all v.
+// The recovery cursor (how many repetitions have run, and their outputs)
+// lives until the next mutation, so a later query continues where an earlier
+// one stopped. Resolving a repetition runs the recovery stage of Figure 1 on
+// it: z* and its best m-sparse approximation ẑ come from the count-sketch's
+// blocked, threshold-pruned scan (countsketch.TopWith), the s-test subtracts
+// ẑ from the AMS sketch entry by entry in ẑ's rank order (a fixed order: the
+// subtraction cancels heavily, so its rounding depends on it), and the top
+// coordinate is emitted if it clears ε^{-1/p}·r. All repetitions share one
+// scan scratch and one ẑ buffer owned by the sampler, so a query allocates
+// nothing proportional to n — and is, like an update, single-goroutine.
 package core
 
 import (
@@ -116,8 +120,8 @@ type Sample struct {
 	Estimate float64
 }
 
-// Diagnostics reports, per SampleAll call, how each repetition resolved —
-// the empirical counterpart of the event probabilities in Lemmas 3 and 4.
+// Diagnostics reports how the repetitions a query resolved came out — the
+// empirical counterpart of the event probabilities in Lemmas 3 and 4.
 type Diagnostics struct {
 	// Emitted repetitions produced a sample.
 	Emitted int
@@ -157,12 +161,15 @@ type LpSampler struct {
 	scratchIdx []uint64
 	scratchZ   []float64
 
-	// Query-side memoization: SampleAll's outputs (and the diagnostics they
-	// produced) are cached until the next mutation, so repeated queries on an
-	// unchanged sketch skip the per-repetition recovery stage entirely.
-	queryValid bool
-	cachedAll  []Sample
-	cachedDiag Diagnostics
+	// Query-side recovery cursor, reset by the first query after a mutation:
+	// the query constants, how many repetitions (in order) have run the
+	// recovery stage, and their non-FAIL outputs; diag counts the same
+	// repetitions. A query resolves repetitions only until it has its answer,
+	// and a later query on the unchanged sketch continues from the cursor.
+	queryValid        bool
+	threshold, sBound float64 // ε^{-1/p}·r and βm^{1/2}·r
+	resolved          int
+	cachedAll         []Sample
 
 	// Recovery-stage scratch, shared by all repetitions: the block buffers
 	// of the count-sketch scan, ẑ as Top returns it, and ẑ again as the
@@ -173,8 +180,9 @@ type LpSampler struct {
 	zhat []norm.Entry
 }
 
-// Diagnostics returns the per-repetition outcome counts of the most recent
-// SampleAll (or Sample) call.
+// Diagnostics returns the outcome counts of the repetitions resolved since the
+// last mutation: every repetition after SampleAll, and after Sample or First
+// those up to and including the one that answered.
 func (s *LpSampler) Diagnostics() Diagnostics { return s.diag }
 
 // lpCopy is one independent repetition of the Figure 1 round.
@@ -396,87 +404,109 @@ func (s *LpSampler) Merge(other *LpSampler) error {
 	return s.rNorm.Merge(other.rNorm)
 }
 
-// Sample runs the recovery stage of Figure 1 on each repetition in turn and
-// returns the first non-FAIL output. ok is false when every repetition fails
-// (probability at most δ, plus the always-fail case of the zero vector).
-func (s *LpSampler) Sample() (Sample, bool) {
-	all := s.SampleAll()
-	if len(all) == 0 {
-		return Sample{}, false
+// Sample returns the output of the first repetition whose recovery stage does
+// not FAIL, resolving repetitions only until one answers: SampleAll()[0]
+// without the rest. ok is false when every repetition fails (probability at
+// most δ, plus the always-fail case of the zero vector).
+func (s *LpSampler) Sample() (Sample, bool) { return s.First(acceptAny) }
+
+func acceptAny(Sample) bool { return true }
+
+// First returns the first non-FAIL output, in repetition order, that accept
+// admits — the duplicates reduction of Theorem 3, for one, accepts the first
+// sample whose estimate is positive. It resolves repetitions only until accept
+// admits an output, continuing from where earlier queries on the unchanged
+// sketch stopped, so a query pays about 1/ε recovery stages rather than v.
+// ok is false when no output is admitted, every repetition then resolved.
+// Recovery runs over scratch the sampler owns, so queries (like updates) are
+// single-goroutine.
+func (s *LpSampler) First(accept func(Sample) bool) (Sample, bool) {
+	s.startQuery()
+	for _, out := range s.cachedAll {
+		if accept(out) {
+			return out, true
+		}
 	}
-	return all[0], true
+	for s.resolved < len(s.copies) {
+		if out, ok := s.resolveNext(); ok && accept(out) {
+			return out, true
+		}
+	}
+	return Sample{}, false
 }
 
-// SampleAll runs the recovery stage on every repetition and returns each
-// non-FAIL output in repetition order. Consumers that filter outputs further
-// — e.g. the duplicates reduction of Theorem 3, which accepts the first
-// sample whose estimate is positive — need the full list rather than just
-// the first success.
-//
-// Results are memoized: repeated calls on an unchanged sketch return the
-// cached outputs (and restore the matching Diagnostics) without re-running
-// recovery. The returned slice is owned by the sampler and valid until the
-// next mutating call — callers must not modify it. Recovery runs over
-// scratch the sampler owns, so queries (like updates) are single-goroutine.
+// SampleAll resolves the repetitions not yet resolved since the last mutation
+// and returns every non-FAIL output in repetition order. It is the cost of a
+// FAIL answer: Sample and First stop at their answer. Repeated calls on an
+// unchanged sketch return the same outputs without re-running recovery. The
+// returned slice is owned by the sampler and valid until the next mutating
+// call — callers must not modify it.
 func (s *LpSampler) SampleAll() []Sample {
-	s.pending.Flush(s)
-	if s.queryValid {
-		s.diag = s.cachedDiag
-		return s.cachedAll
+	s.startQuery()
+	for s.resolved < len(s.copies) {
+		s.resolveNext()
 	}
-	s.cachedAll = s.sampleAll()
-	s.cachedDiag = s.diag
-	s.queryValid = true
 	return s.cachedAll
 }
 
-// sampleAll runs the actual recovery stage (the pre-memoization SampleAll).
-func (s *LpSampler) sampleAll() []Sample {
+// startQuery folds the buffered updates and, on a state changed since the
+// last query, resets the recovery cursor: the query constants are computed
+// once and no repetition is resolved. The zero vector (r = 0) resolves every
+// repetition at once, as FAIL, with nothing counted.
+func (s *LpSampler) startQuery() {
+	s.pending.Flush(s)
+	if s.queryValid {
+		return
+	}
+	s.queryValid = true
 	s.diag = Diagnostics{}
+	s.cachedAll = nil
+	s.resolved = 0
 	r := s.rNorm.UpperEstimate(nil)
 	if r == 0 {
-		return nil
+		s.resolved = len(s.copies)
+		return
 	}
-	p := s.cfg.P
-	invP := 1 / p
-	threshold := math.Pow(s.cfg.Eps, -invP) * r
-	sBound := s.beta * math.Sqrt(float64(s.m)) * r
-	var out []Sample
-	for _, c := range s.copies {
-		if c.guarded {
-			s.diag.Guarded++
-			continue
-		}
-		// z* and its best m-sparse approximation ẑ, in rank order.
-		s.top = c.cs.TopWith(&s.scan, s.cfg.N, s.m, s.top)
-		top := s.top
-		if len(top) == 0 {
-			s.diag.ThresholdFails++
-			continue
-		}
-		if !s.cfg.DisableSTest {
-			s.zhat = s.zhat[:0]
-			for _, e := range top {
-				s.zhat = append(s.zhat, norm.Entry{Index: uint64(e.Index), Value: e.Estimate})
-			}
-			if c.ams.UpperEstimate(s.zhat) > sBound {
-				s.diag.STestAborts++
-				continue // FAIL: tail too heavy (Lemma 3 event)
-			}
-		}
-		best := top[0] // Top sorts by decreasing |z*_i|
-		if math.Abs(best.Estimate) < threshold {
-			s.diag.ThresholdFails++
-			continue // FAIL: no coordinate passed the ε^{-1/p} r limit
-		}
-		s.diag.Emitted++
-		ti := c.t.Float64(uint64(best.Index))
-		out = append(out, Sample{
-			Index:    best.Index,
-			Estimate: best.Estimate * math.Pow(ti, invP),
-		})
+	s.threshold = math.Pow(s.cfg.Eps, -1/s.cfg.P) * r
+	s.sBound = s.beta * math.Sqrt(float64(s.m)) * r
+}
+
+// resolveNext runs the recovery stage of Figure 1 on the next unresolved
+// repetition, counts its outcome and records a non-FAIL output in cachedAll.
+func (s *LpSampler) resolveNext() (Sample, bool) {
+	c := s.copies[s.resolved]
+	s.resolved++
+	if c.guarded {
+		s.diag.Guarded++
+		return Sample{}, false
 	}
-	return out
+	// z* and its best m-sparse approximation ẑ, in rank order.
+	s.top = c.cs.TopWith(&s.scan, s.cfg.N, s.m, s.top)
+	top := s.top
+	if len(top) == 0 {
+		s.diag.ThresholdFails++
+		return Sample{}, false
+	}
+	if !s.cfg.DisableSTest {
+		s.zhat = s.zhat[:0]
+		for _, e := range top {
+			s.zhat = append(s.zhat, norm.Entry{Index: uint64(e.Index), Value: e.Estimate})
+		}
+		if c.ams.UpperEstimate(s.zhat) > s.sBound {
+			s.diag.STestAborts++
+			return Sample{}, false // FAIL: tail too heavy (Lemma 3 event)
+		}
+	}
+	best := top[0] // Top sorts by decreasing |z*_i|
+	if math.Abs(best.Estimate) < s.threshold {
+		s.diag.ThresholdFails++
+		return Sample{}, false // FAIL: no coordinate passed the ε^{-1/p} r limit
+	}
+	s.diag.Emitted++
+	ti := c.t.Float64(uint64(best.Index))
+	out := Sample{Index: best.Index, Estimate: best.Estimate * math.Pow(ti, 1/s.cfg.P)}
+	s.cachedAll = append(s.cachedAll, out)
+	return out, true
 }
 
 // SpaceBits accounts one repetition as count-sketch + AMS + scaling seed,
@@ -516,8 +546,7 @@ func (s *LpSampler) AppendState(e *codec.Encoder) {
 }
 
 // RestoreState replaces the sampler's linear state from a codec decoder,
-// discarding the updates Process buffered, and invalidates the memoized
-// recovery outputs.
+// discarding the updates Process buffered, and resets the recovery cursor.
 func (s *LpSampler) RestoreState(d *codec.Decoder) {
 	s.queryValid = false
 	s.pending.Drop()

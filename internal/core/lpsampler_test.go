@@ -255,8 +255,9 @@ func BenchmarkLpSamplerSample(b *testing.B) {
 }
 
 // BenchmarkLpSamplerSampleDirty measures the recovery stage itself: a
-// zero-delta update drops the memo and leaves the state exactly as it was, so
-// every Sample re-runs the scan and the s-test in all 8 repetitions.
+// zero-delta update resets the recovery cursor and leaves the state exactly as
+// it was, so every Sample re-runs the scan and the s-test in the repetitions
+// up to the first of the 8 that emits.
 func BenchmarkLpSamplerSampleDirty(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 1))
 	const n = 1 << 12

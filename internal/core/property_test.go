@@ -94,21 +94,26 @@ func TestPropertyLpSamplerEmitsNonzeroEstimates(t *testing.T) {
 }
 
 // TestPropertySampleConsistentWithSampleAll: Sample() is exactly the head of
-// SampleAll(). (Sample re-runs the recovery stage; with identical sketch
-// state the result must agree.)
+// SampleAll(), whether it answers from the outputs SampleAll resolved or, on
+// a dirty same-seed replica, resolves repetitions itself and stops at its
+// answer.
 func TestPropertySampleConsistentWithSampleAll(t *testing.T) {
 	f := func(seed uint64) bool {
-		rr := rand.New(rand.NewPCG(seed, 43))
 		const n = 64
-		st := stream.RandomTurnstile(n, 256, 20, rr)
-		s := NewLpSampler(LpConfig{P: 1.5, N: n, Eps: 0.4, Delta: 0.3}, rr)
-		st.Feed(s)
+		st := stream.RandomTurnstile(n, 256, 20, rand.New(rand.NewPCG(seed, 44)))
+		mk := func() *LpSampler {
+			s := NewLpSampler(LpConfig{P: 1.5, N: n, Eps: 0.4, Delta: 0.3}, rand.New(rand.NewPCG(seed, 43)))
+			st.Feed(s)
+			return s
+		}
+		s, lazy := mk(), mk()
 		all := s.SampleAll()
 		one, ok := s.Sample()
+		first, firstOK := lazy.Sample()
 		if len(all) == 0 {
-			return !ok
+			return !ok && !firstOK
 		}
-		return ok && one == all[0]
+		return ok && one == all[0] && firstOK && first == all[0]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

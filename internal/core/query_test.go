@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/stream"
@@ -131,5 +133,94 @@ func TestRecoverLevelMatchesSampleLevels(t *testing.T) {
 		if rec[i] != v {
 			t.Errorf("rec[%d] = %d, want %d", i, rec[i], v)
 		}
+	}
+}
+
+// firstEmitting is the index of the first repetition whose recovery stage
+// emits, found by the reference decode of each repetition on its own, or
+// len(s.copies) if none emits. It reads s's state and leaves its recovery
+// cursor alone.
+func firstEmitting(s *LpSampler) int {
+	for k := range s.copies {
+		one := &LpSampler{cfg: s.cfg, m: s.m, beta: s.beta, rNorm: s.rNorm, copies: s.copies[k : k+1]}
+		if out, _ := referenceSampleAll(one); len(out) > 0 {
+			return k
+		}
+	}
+	return len(s.copies)
+}
+
+func resolvedCount(d Diagnostics) int {
+	return d.Emitted + d.STestAborts + d.ThresholdFails + d.Guarded
+}
+
+// TestLpSampleIsLazy pins the recovery cursor. On a dirty state Sample
+// resolves exactly the repetitions up to and including the first that emits
+// (all of them when none does), read from Diagnostics, and answers what the
+// reference decode of every repetition answers first. SampleAll then
+// continues from the cursor to the outputs and Diagnostics of a fresh
+// same-seed sampler's SampleAll. An update between two queries resets the
+// cursor, whether it moves the state or not.
+func TestLpSampleIsLazy(t *testing.T) {
+	const n, copies = 1 << 10, 9
+	lazy, late := 0, 0
+	for seed := uint64(0); seed < 9; seed++ {
+		for _, cfg := range []LpConfig{{P: 0.5}, {P: 1}, {P: 1.5}, {P: 1, MFactor: 1}} {
+			cfg.N, cfg.Eps, cfg.Delta, cfg.Copies = n, 0.25, 0.2, copies
+			st := stream.ZipfSigned(n, 1.1, 1500, rand.New(rand.NewPCG(seed, 102)))
+			mk := func() *LpSampler {
+				s := NewLpSampler(cfg, rand.New(rand.NewPCG(seed, 101)))
+				st.FeedBatch(512, s)
+				if seed%3 == 0 {
+					s.copies[0].guarded = true // the answer comes later
+				}
+				return s
+			}
+			name := fmt.Sprintf("seed %d, %+v", seed, cfg)
+
+			s, fresh := mk(), mk()
+			first := firstEmitting(s)
+			want := min(first+1, copies)
+			if want < copies {
+				lazy++
+			} else {
+				late++
+			}
+			ref, _ := referenceSampleAll(s)
+			out, ok := s.Sample()
+			if got := resolvedCount(s.Diagnostics()); got != want {
+				t.Fatalf("%s: Sample resolved %d repetitions (%+v), first emit at %d", name, got, s.Diagnostics(), first)
+			}
+			if ok != (len(ref) > 0) || ok && out != ref[0] {
+				t.Fatalf("%s: Sample %+v %v, reference %v", name, out, ok, ref)
+			}
+
+			all, freshAll := s.SampleAll(), fresh.SampleAll()
+			if !reflect.DeepEqual(all, freshAll) || s.Diagnostics() != fresh.Diagnostics() {
+				t.Fatalf("%s: Sample then SampleAll %v %+v, fresh SampleAll %v %+v",
+					name, all, s.Diagnostics(), freshAll, fresh.Diagnostics())
+			}
+
+			s.Process(stream.Update{Index: 1, Delta: 0})
+			if again, _ := s.Sample(); again != out || resolvedCount(s.Diagnostics()) != want {
+				t.Fatalf("%s: after a zero-delta update Sample %+v resolved %+v, want %+v over %d",
+					name, again, s.Diagnostics(), out, want)
+			}
+
+			u := stream.Update{Index: int(seed) % n, Delta: 50}
+			s.Process(u)
+			fresh.Process(u)
+			moved, ok := s.Sample()
+			freshAll = fresh.SampleAll()
+			if ok != (len(freshAll) > 0) || ok && moved != freshAll[0] {
+				t.Fatalf("%s: after an update Sample %+v %v, fresh SampleAll %v", name, moved, ok, freshAll)
+			}
+			if got, want := resolvedCount(s.Diagnostics()), min(firstEmitting(fresh)+1, copies); got != want {
+				t.Fatalf("%s: after an update Sample resolved %d repetitions, want %d", name, got, want)
+			}
+		}
+	}
+	if lazy == 0 || late == 0 {
+		t.Fatalf("the sweep missed a case: %d answers before the last repetition, %d at or after it", lazy, late)
 	}
 }

@@ -109,15 +109,16 @@ func (f *PositiveFinder) AppendState(e *codec.Encoder) { f.sampler.AppendState(e
 // decoder.
 func (f *PositiveFinder) RestoreState(d *codec.Decoder) { f.sampler.RestoreState(d) }
 
-// Find returns the first sampled coordinate with positive estimate.
+// Find returns the first sampled coordinate with positive estimate,
+// resolving the sampler's repetitions only until one yields it.
 func (f *PositiveFinder) Find() Result {
-	for _, s := range f.sampler.SampleAll() {
-		if s.Estimate > 0 {
-			return Result{Kind: Duplicate, Index: s.Index, Value: s.Estimate}
-		}
+	if s, ok := f.sampler.First(positive); ok {
+		return Result{Kind: Duplicate, Index: s.Index, Value: s.Estimate}
 	}
 	return Result{Kind: Fail, Index: -1}
 }
+
+func positive(s core.Sample) bool { return s.Estimate > 0 }
 
 // SpaceBits reports the sampler state.
 func (f *PositiveFinder) SpaceBits() int64 { return f.sampler.SpaceBits() }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/countsketch"
 	"repro/internal/distinct"
+	"repro/internal/duplicates"
 	"repro/internal/moments"
 	"repro/internal/norm"
 	"repro/internal/prng"
@@ -182,29 +183,47 @@ func TestQueryPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLpDirtyQueryAllocBudget: a dirty Lp query re-runs the whole recovery
-// stage, and what it allocates is a small constant — the output list and the
+// TestLpDirtyQueryAllocBudget: a dirty Lp query runs the recovery stage
+// again, and what it allocates is a small constant — the output list and the
 // norm sketches' median buffers — that does not grow with the dimension: the
 // scan's block buffers, ẑ and its sparse-vector form are scratch the sampler
 // keeps. (Before PR 13 every repetition allocated n floats, n entries and a
-// map: about 5 MB per query at n = 2^14.)
+// map: about 5 MB per query at n = 2^14.) The budget holds for SampleAll,
+// which resolves every repetition, and for the lazy Sample and
+// PositiveFinder.Find, whose accept callbacks allocate no closure.
 func TestLpDirtyQueryAllocBudget(t *testing.T) {
 	const copies = 5
-	allocs := func(n int) float64 {
-		lp := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.3, Delta: 0.3, Copies: copies}, seeded(25))
-		stream.ZipfSigned(n, 1.1, 4000, seeded(26)).FeedBatch(512, lp)
-		lp.SampleAll() // grow the scratch
-		return testing.AllocsPerRun(5, func() {
-			lp.Process(stream.Update{Index: 1, Delta: 0}) // drops the memo, keeps the state
-			lp.SampleAll()
-		})
+	queries := map[string]func(n int) (stream.Sink, func()){
+		"SampleAll": func(n int) (stream.Sink, func()) {
+			lp := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.3, Delta: 0.3, Copies: copies}, seeded(25))
+			return lp, func() { lp.SampleAll() }
+		},
+		"Sample": func(n int) (stream.Sink, func()) {
+			lp := core.NewLpSampler(core.LpConfig{P: 1, N: n, Eps: 0.3, Delta: 0.3, Copies: copies}, seeded(25))
+			return lp, func() { lp.Sample() }
+		},
+		"PositiveFinder.Find": func(n int) (stream.Sink, func()) {
+			f := duplicates.NewPositiveFinder(n, 0.6, seeded(25)) // ⌈8·ln(1/0.6)⌉ = 5 repetitions
+			return f, func() { f.Find() }
+		},
 	}
-	small, large := allocs(1<<10), allocs(1<<16)
-	if budget := float64(2*copies + 6); small > budget || large > budget {
-		t.Errorf("dirty SampleAll allocates %v times at n=2^10 and %v at n=2^16, budget %v", small, large, budget)
-	}
-	if large > small+copies {
-		t.Errorf("allocations grow with n: %v at n=2^10, %v at n=2^16", small, large)
+	for name, build := range queries {
+		allocs := func(n int) float64 {
+			sk, query := build(n)
+			stream.ZipfSigned(n, 1.1, 4000, seeded(26)).FeedBatch(512, sk)
+			query() // grow the scratch
+			return testing.AllocsPerRun(5, func() {
+				sk.Process(stream.Update{Index: 1, Delta: 0}) // resets the cursor, keeps the state
+				query()
+			})
+		}
+		small, large := allocs(1<<10), allocs(1<<16)
+		if budget := float64(2*copies + 6); small > budget || large > budget {
+			t.Errorf("dirty %s allocates %v times at n=2^10 and %v at n=2^16, budget %v", name, small, large, budget)
+		}
+		if large > small+copies {
+			t.Errorf("%s allocations grow with n: %v at n=2^10, %v at n=2^16", name, small, large)
+		}
 	}
 }
 

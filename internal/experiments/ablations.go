@@ -102,13 +102,16 @@ func A2STest(cfg Config) Table {
 					P: p, N: n, Eps: eps, Delta: 0.15, MFactor: 3, DisableSTest: disable,
 				}, r)
 				st.Feed(s)
-				out, ok := s.Sample()
+				// SampleAll, not Sample: the columns count every
+				// repetition, and Sample stops at the first emit.
+				all := s.SampleAll()
 				d := s.Diagnostics()
 				reps += d.Emitted + d.STestAborts + d.ThresholdFails + d.Guarded
 				aborts += d.STestAborts
-				if !ok {
+				if len(all) == 0 {
 					continue
 				}
+				out := all[0]
 				got++
 				tv := truth.Get(out.Index)
 				if tv == 0 {
