@@ -115,15 +115,14 @@ fuzz-codec:
 	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 15s ./internal/sketchd
 	$(GO) test -run '^$$' -fuzz FuzzNegotiate -fuzztime 10s ./internal/sketchd
 
-# Serving-tier end-to-end (the CI serve-e2e job): builds the real sketchd,
-# sketchload and workload binaries, then (1) drives 10k concurrent
-# simulated exporters against a live server and requires the merged sketch
-# to be byte-identical to serial ingestion, (2) SIGKILLs the server
-# mid-ingest and requires the restart to serve exactly the last sealed
-# generation plus the journal tail, (3) exercises cmd/workload -push.
-# SERVE_E2E_SMOKE=1 runs the same paths under a lighter load.
+# Serving-tier end-to-end (the CI serve-e2e job): builds the real sketchd
+# and sketchload binaries, then (1) drives 10k concurrent simulated
+# exporters against a live server and requires the merged sketch to be
+# byte-identical to serial ingestion, (2) SIGKILLs the server mid-ingest and
+# requires the restart to serve exactly the last sealed generation plus the
+# journal tail. SERVE_E2E_SMOKE=1 runs the same paths under a lighter load.
 serve-e2e:
-	$(GO) test -count 1 -run 'TestSketchd|TestWorkloadPushBinary' ./integration
+	$(GO) test -count 1 -run 'TestSketchd' ./integration
 
 # The L0 fast-path benchmarks (the PR-3 and PR-24 headlines): the 1M-update
 # serial and engine ingest through the Theorem 2 sampler and the sampler's

@@ -12,13 +12,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand/v2"
+	"os"
 	"sort"
 
 	streamsample "repro"
 )
 
 func main() {
+	if !run(os.Stdout) {
+		os.Exit(1)
+	}
+}
+
+// run narrates the flow monitor to w and reports whether the heavy sources
+// came out as exactly [111].
+func run(w io.Writer) bool {
 	const sources = 4096
 	const phi = 0.2
 	r := rand.New(rand.NewPCG(7, 7))
@@ -49,11 +59,12 @@ func main() {
 	report := hh.Report()
 	sort.Ints(report)
 
-	fmt.Printf("net L1 mass: %d bytes over %d sources, φ = %.2f (threshold %d bytes)\n",
+	fmt.Fprintf(w, "net L1 mass: %d bytes over %d sources, φ = %.2f (threshold %d bytes)\n",
 		l1, sources, phi, int64(phi*float64(l1)))
-	fmt.Printf("reported heavy sources: %v\n", report)
-	fmt.Println("expected: [111] — source 2222's spike was deleted and must NOT appear")
+	fmt.Fprintf(w, "reported heavy sources: %v\n", report)
+	fmt.Fprintln(w, "expected: [111] — source 2222's spike was deleted and must NOT appear")
 
 	good := len(report) == 1 && report[0] == 111
-	fmt.Printf("report correct: %v   (sketch: %d bits)\n", good, hh.SpaceBits())
+	fmt.Fprintf(w, "report correct: %v   (sketch: %d bits)\n", good, hh.SpaceBits())
+	return good
 }

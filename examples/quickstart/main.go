@@ -11,11 +11,22 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	streamsample "repro"
 )
 
 func main() {
+	if !run(os.Stdout) {
+		os.Exit(1)
+	}
+}
+
+// run narrates both samplers to w and reports whether each sampled a
+// survivor: the L1 sample one of the three weighted indices, the L0 sample a
+// multiple of 97 with its exact value.
+func run(w io.Writer) bool {
 	const n = 1024
 
 	// --- L1 sampling under churn -----------------------------------------
@@ -41,11 +52,13 @@ func main() {
 
 	// Across independently seeded sketches, index 100 comes out ~71% of the
 	// time, 500 ~21%, 900 ~7% — the L1 distribution of the final vector.
-	fmt.Println("L1 sample from the post-churn vector:")
-	if idx, est, ok := s.Sample(); ok {
-		fmt.Printf("  sampled index %d, estimated value %.1f\n", idx, est)
+	fmt.Fprintln(w, "L1 sample from the post-churn vector:")
+	idx, est, l1ok := s.Sample()
+	if l1ok {
+		fmt.Fprintf(w, "  sampled index %d, estimated value %.1f\n", idx, est)
+		l1ok = idx == 100 || idx == 500 || idx == 900
 	} else {
-		fmt.Println("  sampler failed this round (probability ≤ δ); re-run with another seed")
+		fmt.Fprintln(w, "  sampler failed this round (probability ≤ δ); re-run with another seed")
 	}
 
 	// --- L0 sampling: uniform over survivors, exact values ---------------
@@ -58,13 +71,16 @@ func main() {
 			l0.Update(i, -int64(i+1))
 		}
 	}
-	if idx, val, ok := l0.Sample(); ok {
-		fmt.Printf("L0 sample: index %d with exact value %d (index %% 97 == 0: %v)\n",
+	idx, val, l0ok := l0.Sample()
+	if l0ok {
+		fmt.Fprintf(w, "L0 sample: index %d with exact value %d (index %% 97 == 0: %v)\n",
 			idx, val, idx%97 == 0)
+		l0ok = idx%97 == 0 && val == int64(idx+1)
 	}
 
 	// --- Space accounting --------------------------------------------------
-	fmt.Printf("sketch sizes: L1 sampler %d bits, L0 sampler %d bits (n = %d)\n",
+	fmt.Fprintf(w, "sketch sizes: L1 sampler %d bits, L0 sampler %d bits (n = %d)\n",
 		s.SpaceBits(), l0.SpaceBits(), n)
-	fmt.Println("both are polylog(n): the whole point of the paper.")
+	fmt.Fprintln(w, "both are polylog(n): the whole point of the paper.")
+	return l1ok && l0ok
 }

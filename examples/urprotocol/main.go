@@ -17,12 +17,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand/v2"
+	"os"
 
 	streamsample "repro"
 )
 
 func main() {
+	if !run(os.Stdout) {
+		os.Exit(1)
+	}
+}
+
+// run narrates the handoff to w and reports whether Bob learned a key that
+// actually drifted.
+func run(w io.Writer) bool {
 	const n = 1 << 16 // 65536 keys
 	r := rand.New(rand.NewPCG(4, 2))
 
@@ -40,7 +50,7 @@ func main() {
 			drifted[k] = true
 		}
 	}
-	fmt.Printf("replicas of %d keys, drifted keys: %v\n", n, keys(drifted))
+	fmt.Fprintf(w, "replicas of %d keys, drifted keys: %v\n", n, keys(drifted))
 
 	// Shared randomness: the seed travels in the message, so Bob rebuilds the
 	// same sampler from the bytes alone.
@@ -55,15 +65,17 @@ func main() {
 	}
 	message, err := aliceSketch.MarshalBinary()
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(w, "marshal:", err)
+		return false
 	}
-	fmt.Printf("Alice -> Bob: %d bytes (vs %d bytes to ship the table)\n",
+	fmt.Fprintf(w, "Alice -> Bob: %d bytes (vs %d bytes to ship the table)\n",
 		len(message), n/8)
 
 	// Bob loads, subtracts his replica, and samples the difference.
 	loaded, err := streamsample.Load(message)
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(w, "load:", err)
+		return false
 	}
 	bobSketch := loaded.(*streamsample.L0Sampler)
 	for i, v := range bob {
@@ -73,13 +85,14 @@ func main() {
 	}
 	index, _, ok := bobSketch.Sample()
 	if !ok {
-		fmt.Println("protocol failed this run (probability ≤ δ = 0.05)")
-		return
+		fmt.Fprintln(w, "protocol failed this run (probability ≤ δ = 0.05)")
+		return false
 	}
-	fmt.Printf("Bob learns drifted key %d (actually drifted: %v)\n",
+	fmt.Fprintf(w, "Bob learns drifted key %d (actually drifted: %v)\n",
 		index, drifted[index])
-	fmt.Println("re-running with fresh seeds enumerates further drifted keys;")
-	fmt.Println("Theorem 6 of the paper proves ~log²(n) bytes is unavoidable.")
+	fmt.Fprintln(w, "re-running with fresh seeds enumerates further drifted keys;")
+	fmt.Fprintln(w, "Theorem 6 of the paper proves ~log²(n) bytes is unavoidable.")
+	return drifted[index]
 }
 
 func keys(m map[int]bool) []int {

@@ -1,20 +1,15 @@
 package integration
 
 import (
-	"bytes"
-	"fmt"
 	"math/rand/v2"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"testing"
 
 	streamsample "repro"
 	"repro/internal/stream"
 )
 
-// shardStream slices st into cnt disjoint position-interleaved shards — the
-// partition cmd/workload's -shard i/N flag uses.
+// shardStream slices st into cnt disjoint position-interleaved shards:
+// shard i takes every cnt-th update starting at position i.
 func shardStream(st stream.Stream, cnt int) []stream.Stream {
 	shards := make([]stream.Stream, cnt)
 	for j, u := range st {
@@ -136,59 +131,5 @@ func TestCrossSeedShardRejected(t *testing.T) {
 	}
 	if err := la.Merge(lb); err == nil {
 		t.Fatal("cross-seed merge of loaded sketches must fail")
-	}
-}
-
-// TestWorkloadExportImportBinary drives the real cmd/workload binary through
-// the documented distributed flow: three exporter runs over disjoint shards,
-// one importer run merging their files — and checks the merged sample equals
-// the single-process export+import of the same stream.
-func TestWorkloadExportImportBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping binary exec test in -short mode")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "workload")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/workload")
-	build.Dir = ".."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	run := func(args ...string) string {
-		cmd := exec.Command(bin, args...)
-		cmd.Dir = dir
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("workload %v: %v\n%s", args, err, stderr.String())
-		}
-		return stdout.String()
-	}
-
-	common := []string{"-len", "30000", "-n", "1024", "-seed", "5", "-sketch", "l0"}
-	files := make([]string, 3)
-	for i := range files {
-		files[i] = filepath.Join(dir, fmt.Sprintf("s%d.bin", i))
-		run(append(append([]string{}, common...),
-			"-shard", fmt.Sprintf("%d/3", i), "-export", files[i])...)
-	}
-	single := filepath.Join(dir, "all.bin")
-	run(append(append([]string{}, common...), "-shard", "0/1", "-export", single)...)
-
-	mergedOut := run("-import", files[0]+","+files[1]+","+files[2])
-	singleOut := run("-import", single)
-	if mergedOut != singleOut {
-		t.Fatalf("sharded merge output %q differs from single-process output %q", mergedOut, singleOut)
-	}
-	if len(mergedOut) == 0 {
-		t.Fatal("importer produced no output")
-	}
-	// The shard files must actually exist and be nontrivial sketches.
-	for _, f := range files {
-		st, err := os.Stat(f)
-		if err != nil || st.Size() < 64 {
-			t.Fatalf("shard file %s missing or trivial: %v", f, err)
-		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"math/rand/v2"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -231,64 +229,6 @@ func TestSketchdKillRestartDurability(t *testing.T) {
 	}
 	if !bytes.Equal(got, wantAcked) {
 		t.Fatalf("recovered sketch lost ACKed updates (journal under-replayed)")
-	}
-}
-
-// TestWorkloadPushBinary drives cmd/workload's -push mode against a real
-// sketchd: three exporters over disjoint shards push to one sketch, a
-// single-process exporter pushes the whole stream to another, and the two
-// merged sketches must be byte-identical on the server.
-func TestWorkloadPushBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping binary exec test in -short mode")
-	}
-	dir := t.TempDir()
-	sketchdBin := buildBinary(t, dir, "sketchd")
-	workloadBin := buildBinary(t, dir, "workload")
-
-	addr, server := startSketchd(t, sketchdBin)
-	defer stopProcess(server)
-
-	common := []string{"-len", "30000", "-n", "1024", "-seed", "5", "-sketch", "l0", "-push", addr, "-tenant", "acme"}
-	run := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command(workloadBin, append(append([]string{}, common...), args...)...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("workload %v: %v\n%s", args, err, out)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		run("-name", "sharded", "-shard", fmt.Sprintf("%d/3", i))
-	}
-	run("-name", "single", "-shard", "0/1")
-
-	ctx := context.Background()
-	client := sketchd.NewClient(addr)
-	sharded, err := client.Bytes(ctx, "acme", "sharded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := client.Bytes(ctx, "acme", "single")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sharded, single) {
-		t.Fatal("three pushed shards do not merge to the single-process push")
-	}
-	if len(sharded) < 64 {
-		t.Fatalf("merged sketch suspiciously small: %d bytes", len(sharded))
-	}
-
-	// The tier is also reachable by bare HTTP — a curl-shaped v1 client
-	// with no negotiation header gets the negotiated default.
-	resp, err := http.Get(addr + "/v1/tenants/acme/sketches/sharded/sample")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("bare GET sample: %d\n%s", resp.StatusCode, body)
 	}
 }
 

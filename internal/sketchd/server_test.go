@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -338,6 +339,18 @@ func TestServerNegotiationOverWire(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusUpgradeRequired {
 		t.Fatalf("bare red GET sample status = %d, want 426", resp.StatusCode)
+	}
+
+	// A curl-shaped client offering no version header at all gets the
+	// negotiated default.
+	resp, err = http.Get(ts.URL + "/v1/tenants/t/sketches/s/sample")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("bare GET sample without a version header = %d, want 200\n%s", resp.StatusCode, body)
 	}
 }
 
