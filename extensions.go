@@ -60,9 +60,6 @@ func (s *TwoPassL0Sampler) Sample() (index int, value int64, ok bool) {
 	return out.Index, int64(out.Estimate), ok
 }
 
-// SpaceBits reports the sketch size.
-func (s *TwoPassL0Sampler) SpaceBits() int64 { return s.inner.SpaceBits() }
-
 // FpEstimator estimates the frequency moment F_p = Σ|x_i|^p for p > 2 by
 // importance sampling over L1 samples — the [23] application the paper's
 // samplers were designed to speed up.
@@ -104,6 +101,3 @@ func (e *FpEstimator) Merge(other Sketch) error {
 // Estimate returns the F_p estimate; ok is false when the vector is zero or
 // every sampler failed.
 func (e *FpEstimator) Estimate() (float64, bool) { return e.inner.Estimate() }
-
-// SpaceBits reports the sketch size.
-func (e *FpEstimator) SpaceBits() int64 { return e.inner.SpaceBits() }

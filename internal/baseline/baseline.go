@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"repro/internal/codec"
 	"repro/internal/countsketch"
 	"repro/internal/hash"
 	"repro/internal/norm"
@@ -119,13 +120,14 @@ func (s *AKOSampler) Sample() (int, float64, bool) {
 	return -1, 0, false
 }
 
-// SpaceBits reports the O(ε^{-p} log³ n)-bit footprint.
-func (s *AKOSampler) SpaceBits() int64 {
-	var bits int64
+// AppendState writes the linear state, every repetition's count-sketch
+// cells and then the norm counters, into a codec encoder: the
+// O(ε^{-p} log³ n) bits codec.PayloadBits measures.
+func (s *AKOSampler) AppendState(e *codec.Encoder) {
 	for _, c := range s.copies {
-		bits += c.cs.SpaceBits() + c.t.SpaceBits()
+		c.cs.AppendState(e)
 	}
-	return bits + s.rNorm.SpaceBits()
+	s.rNorm.AppendState(e)
 }
 
 // FISL0 is the [12]-style L0 sampler: per level, Θ(log n) independent
@@ -197,15 +199,14 @@ func (f *FISL0) Sample() (int, int64, bool) {
 	return -1, 0, false
 }
 
-// SpaceBits reports the O(log³ n)-bit footprint: levels × reps × O(1) words.
-func (f *FISL0) SpaceBits() int64 {
-	var bits int64
-	for k := 0; k < f.levels; k++ {
-		for j := 0; j < f.reps; j++ {
-			bits += f.detectors[k][j].SpaceBits() + f.members[k][j].SpaceBits()
+// AppendState writes every detector's measurements into a codec encoder:
+// the O(log³ n) bits, levels × reps × O(1) words, codec.PayloadBits measures.
+func (f *FISL0) AppendState(e *codec.Encoder) {
+	for _, lvl := range f.detectors {
+		for _, d := range lvl {
+			d.AppendState(e)
 		}
 	}
-	return bits
 }
 
 // Bitmap is the deterministic duplicate finder: one bit per letter. Linear
@@ -230,6 +231,3 @@ func (b *Bitmap) ProcessItem(letter int) {
 
 // Duplicate reports the first repeated letter.
 func (b *Bitmap) Duplicate() (int, bool) { return b.dup, b.found }
-
-// SpaceBits is n bits.
-func (b *Bitmap) SpaceBits() int64 { return int64(len(b.seen)) }

@@ -186,6 +186,15 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len reports the bytes written so far.
 func (e *Encoder) Len() int { return len(e.buf) }
 
+// PayloadBits reports the bits s.AppendState writes: the repository's one space
+// accounting below the public layer, and the message of the §4 public-coin
+// protocols. AppendState may fold buffered updates first, as serializing does.
+func PayloadBits(s interface{ AppendState(e *Encoder) }) int64 {
+	var e Encoder
+	s.AppendState(&e)
+	return 8 * int64(len(e.buf))
+}
+
 // ---------------------------------------------------------------------------
 // Decoder
 // ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@
 // Conventions. All protocols run in the joint-random-source (public-coin)
 // model of Lemma 6: both players construct the same sketch object (shared
 // randomness is free), Alice feeds her input and "sends" the linear counter
-// state — counted by StateBits() — and Bob continues feeding his input into
-// the same linear sketch, exploiting linearity, then queries.
+// state — the bytes the sketch's AppendState writes, counted by
+// codec.PayloadBits — and Bob continues feeding his input into the same
+// linear sketch, exploiting linearity, then queries.
 package commlb
 
 import (
@@ -17,6 +18,7 @@ import (
 	"math/rand/v2"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/distinct"
 	"repro/internal/duplicates"
@@ -124,7 +126,7 @@ func OneRoundUR(inst URInstance, delta float64, r *rand.Rand) Result {
 			sampler.Process(stream.Update{Index: i, Delta: int64(v)})
 		}
 	}
-	msg := sampler.StateBits()
+	msg := codec.PayloadBits(sampler)
 	// Bob's phase on the same linear sketch.
 	for i, v := range inst.Y {
 		if v != 0 {
@@ -161,7 +163,7 @@ func TwoRoundUR(inst URInstance, delta float64, r *rand.Rand) Result {
 			est.Process(stream.Update{Index: i, Delta: int64(v)})
 		}
 	}
-	msg1 := est.StateBits()
+	msg1 := codec.PayloadBits(est)
 	// Bob: subtract y on the shared linear sketch, estimate d = |x-y|_0.
 	for i, v := range inst.Y {
 		if v != 0 {
@@ -191,7 +193,7 @@ func TwoRoundUR(inst URInstance, delta float64, r *rand.Rand) Result {
 			rec.Process(stream.Update{Index: i, Delta: -int64(v)})
 		}
 	}
-	msg2 := rec.StateBits() + 64 // counters + the level q
+	msg2 := codec.PayloadBits(rec) + 64 // counters + the level q
 	// Alice: add her restricted x and decode.
 	for i, v := range inst.X {
 		if v != 0 && member.Float64(uint64(i)) < q {
@@ -318,7 +320,7 @@ func URviaDuplicates(inst URInstance, delta float64, r *rand.Rand) Result {
 			fed++
 		}
 	}
-	msg := finder.StateBits() + 64 // counter state + |S∩P|
+	msg := codec.PayloadBits(finder) + 64 // counter state + |S∩P|
 	// Bob: feed n+1-fed elements of T∩P.
 	need := n + 1 - fed
 	var bobLetters []int
@@ -373,7 +375,7 @@ func AIviaHeavyHitters(inst AIInstance, p, phi float64, r *rand.Rand) Result {
 		pos := j<<inst.T + inst.Z[j]
 		hh.Process(stream.Update{Index: pos, Delta: mag})
 	}
-	msg := hh.StateBits()
+	msg := codec.PayloadBits(hh)
 	// Bob: x := u - v (delete the digits he already knows).
 	for j := 0; j < inst.I; j++ {
 		mag := int64(math.Ceil(math.Pow(b, float64(inst.S-1-j))))

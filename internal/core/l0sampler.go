@@ -376,32 +376,9 @@ func (l *L0Sampler) Merge(other *L0Sampler) error {
 	return nil
 }
 
-// SpaceBits reports the streaming state: per-level syndromes plus the PRG
-// seed — the O(log² n log(1/δ)) bits of Theorem 2. (The PRG output is
-// recomputed on demand and is not stored.)
-func (l *L0Sampler) SpaceBits() int64 {
-	var bits int64
-	for _, lv := range l.levels {
-		bits += lv.SpaceBits()
-	}
-	return bits + l.gen.SpaceBits()
-}
-
-// StateBits reports the linear-measurement contents only — the message a
-// player sends in the public-coin protocols of §4.1 (Proposition 5), where
-// the PRG seed and verification points are shared randomness.
-func (l *L0Sampler) StateBits() int64 {
-	var bits int64
-	for _, lv := range l.levels {
-		bits += lv.StateBits()
-	}
-	return bits
-}
-
 // AppendState writes every level's linear measurements into a codec encoder
-// — the public wire format, the engine checkpoints, the graph sketches and
-// the one-round message of Proposition 5, whose payload is StateBits bits.
-// The updates Process buffered are folded first.
+// — the public wire format, the engine checkpoints and the one-round message
+// of Proposition 5. The updates Process buffered are folded first.
 func (l *L0Sampler) AppendState(e *codec.Encoder) {
 	l.pending.Flush(l)
 	for _, lv := range l.levels {

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/stream"
 	"repro/internal/vector"
 )
@@ -159,11 +160,12 @@ func TestL0SamplerSpacePolylog(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 7))
 	small := NewL0Sampler(L0Config{N: 1 << 8, Delta: 0.2}, r)
 	big := NewL0Sampler(L0Config{N: 1 << 16, Delta: 0.2}, r)
-	if big.SpaceBits() <= small.SpaceBits() {
+	smallBits, bigBits := codec.PayloadBits(small), codec.PayloadBits(big)
+	if bigBits <= smallBits {
 		t.Error("space must grow with log n")
 	}
-	if big.SpaceBits() > 8*small.SpaceBits() {
-		t.Errorf("space not polylog: %d -> %d for 256x dimension", small.SpaceBits(), big.SpaceBits())
+	if bigBits > 8*smallBits {
+		t.Errorf("space not polylog: %d -> %d for 256x dimension", smallBits, bigBits)
 	}
 	// s grows with log(1/δ).
 	loose := NewL0Sampler(L0Config{N: 1 << 10, Delta: 0.4}, r)

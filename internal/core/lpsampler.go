@@ -94,14 +94,10 @@ type LpConfig struct {
 	// Delta is the failure probability after repetition (Theorem 1).
 	Delta float64
 
-	// Rows overrides the count-sketch depth l = O(log n).
-	Rows int
 	// MFactor scales the count-sketch parameter m ("large enough constant").
 	MFactor float64
 	// Copies overrides the repetition count v = O(log(1/δ)/ε).
 	Copies int
-	// NormCounters overrides the size of the shared ||x||_p estimator.
-	NormCounters int
 
 	// KOverride forces the independence of the scaling factors t_i
 	// (ablation A1; the paper uses k = 10⌈1/|p-1|⌉, and k = O(log 1/ε)
@@ -242,8 +238,11 @@ type LpSize struct {
 // (p, ε and δ in range), applying the defaults of the zero override fields.
 func SizeLp(cfg LpConfig) LpSize {
 	p, eps := cfg.P, cfg.Eps
-	z := LpSize{K: float64(cfg.KOverride), Rows: float64(cfg.Rows),
-		NormCounters: float64(cfg.NormCounters), Copies: float64(cfg.Copies)}
+	z := LpSize{K: float64(cfg.KOverride), Copies: float64(cfg.Copies),
+		Rows: math.Max(7, math.Ceil(math.Log2(float64(cfg.N)))+4), NormCounters: 80}
+	if p < 0.75 {
+		z.NormCounters = 140
+	}
 	if z.K <= 0 {
 		if p == 1 {
 			z.K = math.Ceil(4 * math.Log2(1/eps))
@@ -262,15 +261,6 @@ func SizeLp(cfg LpConfig) LpSize {
 		z.M = math.Ceil(mf * math.Pow(eps, -math.Max(0, p-1)))
 	}
 	z.M = math.Max(z.M, 2)
-	if z.Rows <= 0 {
-		z.Rows = math.Max(7, math.Ceil(math.Log2(float64(cfg.N)))+4)
-	}
-	if z.NormCounters <= 0 {
-		z.NormCounters = 80
-		if p < 0.75 {
-			z.NormCounters = 140
-		}
-	}
 	if z.Copies <= 0 {
 		// Per-round success is at least ~ε/2^p (Theorem 1 proof).
 		perRound := eps / math.Pow(2, p)
@@ -507,27 +497,6 @@ func (s *LpSampler) resolveNext() (Sample, bool) {
 	out := Sample{Index: best.Index, Estimate: best.Estimate * math.Pow(ti, 1/s.cfg.P)}
 	s.cachedAll = append(s.cachedAll, out)
 	return out, true
-}
-
-// SpaceBits accounts one repetition as count-sketch + AMS + scaling seed,
-// plus the shared norm sketch — the O(vm log² n) bits of Theorem 1.
-func (s *LpSampler) SpaceBits() int64 {
-	var bits int64
-	for _, c := range s.copies {
-		bits += c.cs.SpaceBits() + c.ams.SpaceBits() + c.t.SpaceBits()
-	}
-	return bits + s.rNorm.SpaceBits()
-}
-
-// StateBits reports the linear-measurement contents only (counters, no
-// seeds) — the message size when the sampler state is shipped in a
-// public-coin protocol, as in the reductions of §4.
-func (s *LpSampler) StateBits() int64 {
-	var bits int64
-	for _, c := range s.copies {
-		bits += c.cs.StateBits() + c.ams.StateBits()
-	}
-	return bits + s.rNorm.StateBits()
 }
 
 // AppendState writes the sampler's linear state into a codec encoder: per

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/stream"
 	"repro/internal/vector"
 )
@@ -207,13 +208,14 @@ func TestLpSamplerSpaceAccounting(t *testing.T) {
 	r := rand.New(rand.NewPCG(8, 8))
 	small := NewLpSampler(LpConfig{P: 1.5, N: 1 << 8, Eps: 0.5, Delta: 0.2, Copies: 4}, r)
 	big := NewLpSampler(LpConfig{P: 1.5, N: 1 << 16, Eps: 0.5, Delta: 0.2, Copies: 4}, r)
-	if big.SpaceBits() <= small.SpaceBits() {
+	smallBits, bigBits := codec.PayloadBits(small), codec.PayloadBits(big)
+	if bigBits <= smallBits {
 		t.Error("space must grow with log n (rows)")
 	}
 	// Growth from n=2^8 to n=2^16 should be roughly the rows ratio (~2x),
 	// nowhere near the 256x dimension ratio: the sketch is polylog.
-	if big.SpaceBits() > 6*small.SpaceBits() {
-		t.Errorf("space grew too fast: %d -> %d", small.SpaceBits(), big.SpaceBits())
+	if bigBits > 6*smallBits {
+		t.Errorf("space grew too fast: %d -> %d", smallBits, bigBits)
 	}
 }
 

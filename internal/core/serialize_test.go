@@ -18,10 +18,6 @@ func TestL0ExportImportRoundTrip(t *testing.T) {
 		alice.Process(stream.Update{Index: i, Delta: int64(i + 1)})
 	}
 	msg := stateBytes(alice)
-	const header = 8 // magic, version, kind
-	if int64(len(msg)-header)*8 != alice.StateBits() {
-		t.Fatalf("exported %d state bytes, StateBits says %d bits", len(msg)-header, alice.StateBits())
-	}
 	// Bob restores and subtracts y (= x except coordinate 7): the handoff of
 	// Proposition 5's one-round protocol, over real bytes.
 	if err := restoreState(bob, msg); err != nil {

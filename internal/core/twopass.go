@@ -191,10 +191,3 @@ func (tp *TwoPassL0Sampler) Sample() (Sample, bool) {
 	idx := support[int(u*float64(len(support)))%len(support)]
 	return Sample{Index: idx, Estimate: float64(rec[idx])}, true
 }
-
-// SpaceBits reports pass-1 estimator plus pass-2 recoverer plus PRG seed.
-// Only one pass is active at a time, but we report the sum (the conservative
-// accounting; the estimator could be freed before pass 2).
-func (tp *TwoPassL0Sampler) SpaceBits() int64 {
-	return tp.est.SpaceBits() + tp.rec.SpaceBits() + tp.gen.SpaceBits()
-}

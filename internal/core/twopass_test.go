@@ -99,19 +99,6 @@ func TestTwoPassUniformity(t *testing.T) {
 	}
 }
 
-func TestTwoPassSpaceBelowOnePass(t *testing.T) {
-	// The point of the remark: for large n the two-pass sampler undercuts
-	// the one-pass O(log² n) structure.
-	r := rand.New(rand.NewPCG(5, 5))
-	const n = 1 << 16
-	two := NewTwoPassL0Sampler(n, 0.2, r)
-	one := NewL0Sampler(L0Config{N: n, Delta: 0.2}, r)
-	if two.SpaceBits() >= one.SpaceBits() {
-		t.Errorf("two-pass (%d bits) should undercut one-pass (%d bits) at n=2^16",
-			two.SpaceBits(), one.SpaceBits())
-	}
-}
-
 func TestTwoPassMisuse(t *testing.T) {
 	r := rand.New(rand.NewPCG(6, 6))
 	tp := NewTwoPassL0Sampler(64, 0.2, r)

@@ -13,9 +13,9 @@
 // Err^m_2(x) <= ||x - xhat||_2 <= 10*Err^m_2(x).
 //
 // The sketch stores float64 cells because the Lp sampler feeds it the
-// randomly scaled vector z (z_i = x_i / t_i^{1/p}); for space accounting each
-// cell counts as one O(log n)-bit word, the paper's convention after its
-// (omitted) discretization step.
+// randomly scaled vector z (z_i = x_i / t_i^{1/p}). Each cell is one 64-bit
+// word on the wire, standing in for the paper's O(log n)-bit counter after
+// its (omitted) discretization step.
 //
 // The (h_j, g_j) pairs live in two flat hash.FlatFamily structures, and the
 // batched hot paths drive the fused hash.BucketSignBatch kernel row-major
@@ -200,18 +200,6 @@ func (s *Sketch) Estimate(i uint64) float64 {
 // estimateStackRows bounds the stack-resident estimate buffer; rows is
 // l = O(log n), so 64 covers any input a 64-bit index can address.
 const estimateStackRows = 64
-
-// SpaceBits reports cells plus hash seeds at 64 bits per word, matching the
-// paper's O(m log n)-counters => O(m log^2 n)-bits accounting.
-func (s *Sketch) SpaceBits() int64 {
-	return int64(s.rows)*int64(s.buckets)*64 + s.h.SpaceBits() + s.g.SpaceBits()
-}
-
-// StateBits reports only the cell contents — the transmissible part in a
-// public-coin communication protocol.
-func (s *Sketch) StateBits() int64 {
-	return int64(s.rows) * int64(s.buckets) * 64
-}
 
 // AppendState writes the cell contents row-major into a codec encoder.
 func (s *Sketch) AppendState(e *codec.Encoder) {

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/stream"
 	"repro/internal/vector"
 )
@@ -181,10 +182,10 @@ func TestSpaceBitsScalesWithM(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 9))
 	small := New(4, 10, r)
 	big := New(8, 10, r)
-	if big.SpaceBits() <= small.SpaceBits() {
+	if codec.PayloadBits(big) <= codec.PayloadBits(small) {
 		t.Error("space must grow with m")
 	}
-	if small.SpaceBits() < int64(10*6*4*64) {
+	if codec.PayloadBits(small) < int64(10*6*4*64) {
 		t.Error("space accounting forgot the cells")
 	}
 }

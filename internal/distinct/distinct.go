@@ -190,14 +190,6 @@ func (e *Estimator) Estimate() int64 {
 	return int64(2) << deepest
 }
 
-// SpaceBits reports fingerprints plus per-repetition seeds.
-func (e *Estimator) SpaceBits() int64 {
-	return int64(e.levels*e.reps)*64 + e.member.SpaceBits() + int64(e.reps)*64 // + rho per repetition
-}
-
-// StateBits reports the transmissible fingerprints only (public-coin model).
-func (e *Estimator) StateBits() int64 { return int64(e.levels*e.reps) * 64 }
-
 // AppendState writes the level fingerprints into a codec encoder.
 func (e *Estimator) AppendState(enc *codec.Encoder) {
 	for _, lvl := range e.fp {

@@ -89,14 +89,11 @@ func TestSpaceBitsGrowth(t *testing.T) {
 	r := rand.New(rand.NewPCG(6, 6))
 	small := New(1<<8, 8, r)
 	big := New(1<<16, 8, r)
-	if big.SpaceBits() <= small.SpaceBits() {
+	if codec.PayloadBits(big) <= codec.PayloadBits(small) {
 		t.Error("space must grow with log n")
 	}
-	if big.SpaceBits() > 4*small.SpaceBits() {
+	if codec.PayloadBits(big) > 4*codec.PayloadBits(small) {
 		t.Error("space must stay logarithmic in n")
-	}
-	if small.StateBits() >= small.SpaceBits() {
-		t.Error("StateBits must exclude seeds")
 	}
 }
 

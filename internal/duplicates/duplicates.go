@@ -120,13 +120,6 @@ func (f *PositiveFinder) Find() Result {
 
 func positive(s core.Sample) bool { return s.Estimate > 0 }
 
-// SpaceBits reports the sampler state.
-func (f *PositiveFinder) SpaceBits() int64 { return f.sampler.SpaceBits() }
-
-// StateBits reports the transmissible counter state (public-coin message
-// size for the Theorem 7 reduction).
-func (f *PositiveFinder) StateBits() int64 { return f.sampler.StateBits() }
-
 // itemsToUpdates converts letters to +1 updates in a reusable buffer — the
 // shared shim between the item-stream APIs of §3 and the batched update
 // sinks underneath.
@@ -240,12 +233,6 @@ func (f *Finder) AppendState(e *codec.Encoder) { f.pf.AppendState(e) }
 // RestoreState replaces the finder's sampler state from a codec decoder.
 func (f *Finder) RestoreState(d *codec.Decoder) { f.pf.RestoreState(d) }
 
-// SpaceBits reports the streaming state.
-func (f *Finder) SpaceBits() int64 { return f.pf.SpaceBits() }
-
-// StateBits reports the transmissible counter state.
-func (f *Finder) StateBits() int64 { return f.pf.StateBits() }
-
 // ShortFinder is the Theorem 4 algorithm for streams of length n-s.
 type ShortFinder struct {
 	n   int
@@ -351,12 +338,6 @@ func (sf *ShortFinder) RestoreState(d *codec.Decoder) {
 	sf.pf.RestoreState(d)
 }
 
-// SpaceBits reports recovery plus sampler state — the O(s log n + log² n)
-// bits of Theorem 4.
-func (sf *ShortFinder) SpaceBits() int64 {
-	return sf.rec.SpaceBits() + sf.pf.SpaceBits()
-}
-
 // LongFinder handles streams of length n+s (§3 end).
 type LongFinder struct {
 	useSampler bool
@@ -436,10 +417,12 @@ func (lf *LongFinder) Find() Result {
 	return Result{Kind: Fail, Index: -1}
 }
 
-// SpaceBits reports the state of whichever algorithm runs.
+// SpaceBits reports the state of whichever algorithm runs: the sampler's
+// serialized linear state, or the reservoir's remembered letters and
+// positions, which have no wire form.
 func (lf *LongFinder) SpaceBits() int64 {
 	if lf.useSampler {
-		return lf.finder.pf.SpaceBits()
+		return codec.PayloadBits(lf.finder.pf)
 	}
 	return lf.items.SpaceBits()
 }

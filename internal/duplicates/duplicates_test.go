@@ -238,22 +238,6 @@ func TestLongFinderAutoSelection(t *testing.T) {
 	}
 }
 
-func TestSpaceBitsRegimes(t *testing.T) {
-	r := rand.New(rand.NewPCG(9, 9))
-	// ShortFinder space grows with s (the 5s-sparse recovery part).
-	a := NewShortFinder(256, 1, 0.2, r)
-	b := NewShortFinder(256, 50, 0.2, r)
-	if b.SpaceBits() <= a.SpaceBits() {
-		t.Error("ShortFinder space must grow with s")
-	}
-	// LongFinder in position-sampling mode shrinks as s grows.
-	c := NewLongFinder(1024, 256, 0.2, 2, r)
-	d := NewLongFinder(1024, 512, 0.2, 2, r)
-	if d.SpaceBits() > c.SpaceBits() {
-		t.Error("position-sampling space must shrink with s")
-	}
-}
-
 func BenchmarkFinderProcess(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 1))
 	const n = 1 << 12

@@ -60,7 +60,7 @@
 // every Config.CheckpointEvery updates. Binding a store that already holds
 // state adopts it — the replicas are rebuilt from the last good generation
 // plus the journal tail, for any saved shard count — so a killed process
-// resumes byte-identical from disk. See examples/checkpoint.
+// resumes byte-identical from disk (TestDurableKillRestartExactness).
 package engine
 
 import (

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/vector"
@@ -173,7 +174,7 @@ func A3SketchWidth(cfg Config) Table {
 		tv, succ, _ := ablationRun(func() *core.LpSampler {
 			s := core.NewLpSampler(core.LpConfig{P: p, N: n, Eps: eps, Delta: 0.15, MFactor: pol.mf}, r)
 			m = s.M()
-			space = s.SpaceBits()
+			space = codec.PayloadBits(s)
 			return s
 		}, st, truth, p, trials)
 		t.Rows = append(t.Rows, []string{

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/commlb"
 	"repro/internal/core"
 	"repro/internal/moments"
@@ -26,7 +27,8 @@ func E12Extensions(cfg Config) Table {
 	for _, n := range []int{1 << 10, 1 << 14} {
 		trials := cfg.trials(40)
 		okCount, exact := 0, 0
-		var twoBits, oneBits int64
+		var twoBits int64
+		oneBits := codec.PayloadBits(core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2}, r))
 		for trial := 0; trial < trials; trial++ {
 			st := stream.SparseVector(n, 20+trial%200, 100, r)
 			truth := st.Apply(n)
@@ -34,9 +36,9 @@ func E12Extensions(cfg Config) Table {
 			st.Feed(tp)
 			tp.EndPass1()
 			st.Feed(tp)
-			twoBits = tp.SpaceBits()
-			one := core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2}, r)
-			oneBits = one.SpaceBits()
+			if trial == 0 {
+				twoBits = codec.PayloadBits(tp)
+			}
 			out, ok := tp.Sample()
 			if !ok {
 				continue
@@ -94,7 +96,9 @@ func E12Extensions(cfg Config) Table {
 		for trial := 0; trial < trials; trial++ {
 			e := moments.NewFp(p, n, 24, r)
 			st.Feed(e)
-			space = e.SpaceBits()
+			if trial == 0 {
+				space = codec.PayloadBits(e)
+			}
 			got, ok := e.Estimate()
 			if !ok {
 				continue

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/baseline"
+	"repro/internal/codec"
 	"repro/internal/duplicates"
 	"repro/internal/stream"
 )
@@ -34,7 +35,9 @@ func E4Duplicates(cfg Config) Table {
 				for _, it := range items {
 					oracle.ProcessItem(it)
 				}
-				space = fd.SpaceBits()
+				if trial == 0 {
+					space = codec.PayloadBits(fd)
+				}
 				res := fd.Find()
 				if res.Kind != duplicates.Duplicate {
 					continue
@@ -89,7 +92,9 @@ func E5DuplicatesShort(cfg Config) Table {
 			items := stream.ShortItems(n, s, false, 0, r)
 			sf := duplicates.NewShortFinder(n, s, 0.1, r)
 			sf.ProcessItems(items)
-			space = sf.SpaceBits()
+			if trial == 0 {
+				space = codec.PayloadBits(sf)
+			}
 			if sf.Find().Kind == duplicates.NoDuplicate {
 				noDupOK++
 			}
@@ -156,7 +161,9 @@ func E6DuplicatesLong(cfg Config) Table {
 			lfP := duplicates.NewLongFinder(n, s, 0.1, 2, r)
 			lfS.ProcessItems(items)
 			lfP.ProcessItems(items)
-			bitsS, bitsP = lfS.SpaceBits(), lfP.SpaceBits()
+			if trial == 0 {
+				bitsS, bitsP = lfS.SpaceBits(), lfP.SpaceBits()
+			}
 			if lfS.Find().Kind == duplicates.Duplicate {
 				foundS++
 			}

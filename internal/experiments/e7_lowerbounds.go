@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/commlb"
 	"repro/internal/heavyhitters"
 	"repro/internal/stream"
@@ -102,7 +103,9 @@ func E8HeavyHitters(cfg Config) Table {
 				truth := st.Apply(n)
 				hh := heavyhitters.New(heavyhitters.Config{P: p, Phi: phi, N: n}, r)
 				st.Feed(hh)
-				space = hh.SpaceBits()
+				if trial == 0 {
+					space = codec.PayloadBits(hh)
+				}
 				if ok, _, _ := heavyhitters.Valid(truth, p, phi, hh.HeavyHitters()); ok {
 					valid++
 				}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/commlb"
 	"repro/internal/countsketch"
 	"repro/internal/norm"
@@ -35,7 +36,9 @@ func E9CountSketchTail(cfg Config) Table {
 		for trial := 0; trial < trials; trial++ {
 			cs := countsketch.New(m, rows, r)
 			st.Feed(cs)
-			space = cs.SpaceBits()
+			if trial == 0 {
+				space = codec.PayloadBits(cs)
+			}
 			worstTrial := 0.0
 			for i := 0; i < n; i++ {
 				d := math.Abs(float64(truth.Get(i)) - cs.Estimate(uint64(i)))
@@ -198,7 +201,9 @@ func E11URAndSparse(cfg Config) Table {
 			st := stream.SparseVector(n, e, 1000, r)
 			truth := st.Apply(n)
 			st.Feed(rc)
-			space = rc.SpaceBits()
+			if trial == 0 {
+				space = codec.PayloadBits(rc)
+			}
 			rec, ok := rc.Recover()
 			good := ok && len(rec) == truth.L0()
 			if good {

@@ -106,9 +106,6 @@ func (f *FlatFamily) Equal(other *FlatFamily) bool {
 	return slices.Equal(f.coef, other.coef)
 }
 
-// SpaceBits reports the seed footprint: rows*k field elements at word size.
-func (f *FlatFamily) SpaceBits() int64 { return int64(f.rows) * int64(f.k) * 64 }
-
 // Eval returns row j's field value at key x.
 func (f *FlatFamily) Eval(j int, x uint64) field.Elem { return evalPoly(f.rowCoef(j), x) }
 

@@ -106,12 +106,6 @@ func (h *KWise) Equal(other *KWise) bool {
 	return true
 }
 
-// SpaceBits reports the storage footprint of the seed: k field elements of 61
-// bits, rounded to words, matching the paper's space accounting.
-func (h *KWise) SpaceBits() int64 {
-	return int64(len(h.coef)) * 64
-}
-
 // Family draws many independent KWise functions with a shared independence k,
 // as count-sketch needs one (h_j, g_j) pair per row j in [l]. The returned
 // functions are views over a single flat coefficient allocation, drawn in the

@@ -143,14 +143,6 @@ func TestFamily(t *testing.T) {
 	}
 }
 
-func TestSpaceBits(t *testing.T) {
-	r := rand.New(rand.NewPCG(9, 9))
-	h := NewKWise(7, r)
-	if h.SpaceBits() != 7*64 {
-		t.Errorf("SpaceBits = %d, want %d", h.SpaceBits(), 7*64)
-	}
-}
-
 func TestNewKWisePanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -30,13 +30,6 @@ type Config struct {
 	Phi float64
 	// N is the dimension.
 	N int
-	// Rows overrides the count-sketch depth (default O(log n)).
-	Rows int
-	// MFactor scales m = ceil(MFactor/φ)^p-style sizing (default 12).
-	MFactor float64
-	// NormCounters sizes the norm estimator; the decision threshold needs a
-	// (1±0.1)-accurate ‖x‖_p, tighter than Lemma 2's factor 2 (default 400).
-	NormCounters int
 }
 
 // Sketch is the streaming Lp heavy hitters structure.
@@ -82,22 +75,15 @@ type Size struct {
 	M, Rows, NormCounters float64
 }
 
-// SizeOf derives the shape from cfg (p and φ in range), applying the
-// defaults of the zero override fields: m = ⌈12·φ^{-p}⌉, max(7, ⌈log₂ n⌉+4)
-// rows and 400 counters.
+// SizeOf derives the shape from cfg (p and φ in range): m = ⌈12·φ^{-p}⌉,
+// max(7, ⌈log₂ n⌉+4) rows and 400 counters, because the decision threshold
+// needs a (1±0.1)-accurate ‖x‖_p, tighter than Lemma 2's factor 2.
 func SizeOf(cfg Config) Size {
-	z := Size{M: cfg.MFactor, Rows: float64(cfg.Rows), NormCounters: float64(cfg.NormCounters)}
-	if z.M <= 0 {
-		z.M = 12
+	return Size{
+		M:            math.Ceil(12 * math.Pow(cfg.Phi, -cfg.P)),
+		Rows:         math.Max(7, math.Ceil(math.Log2(float64(cfg.N)))+4),
+		NormCounters: 400,
 	}
-	z.M = math.Ceil(z.M * math.Pow(cfg.Phi, -cfg.P))
-	if z.Rows <= 0 {
-		z.Rows = math.Max(7, math.Ceil(math.Log2(float64(cfg.N)))+4)
-	}
-	if z.NormCounters <= 0 {
-		z.NormCounters = 400
-	}
-	return z
 }
 
 // Words prices the shape in 64-bit words: the count-sketch cells plus the
@@ -158,13 +144,6 @@ func (s *Sketch) HeavyHitters() []int {
 	}
 	return s.cs.AtLeast(s.cfg.N, 0.75*s.cfg.Phi*rhat)
 }
-
-// SpaceBits reports count-sketch plus norm estimator state — the
-// O(φ^{-p} log² n) bits of §4.4.
-func (s *Sketch) SpaceBits() int64 { return s.cs.SpaceBits() + s.nrm.SpaceBits() }
-
-// StateBits reports counters only — the Theorem 9 protocol message.
-func (s *Sketch) StateBits() int64 { return s.cs.StateBits() + s.nrm.StateBits() }
 
 // AppendState writes the count-sketch cells and norm counters into a codec
 // encoder, after folding the updates Process buffered.

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/stream"
 )
 
@@ -145,7 +146,7 @@ func TestSpaceBitsScaling(t *testing.T) {
 	r := rand.New(rand.NewPCG(6, 6))
 	coarse := New(Config{P: 1, Phi: 0.5, N: 1 << 10}, r)
 	fine := New(Config{P: 1, Phi: 0.1, N: 1 << 10}, r)
-	if fine.SpaceBits() <= coarse.SpaceBits() {
+	if codec.PayloadBits(fine) <= codec.PayloadBits(coarse) {
 		t.Error("space must grow as phi^{-p}")
 	}
 }

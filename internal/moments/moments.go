@@ -149,12 +149,3 @@ func (e *FpEstimator) Estimate() (float64, bool) {
 	}
 	return l1 * sum / float64(count), true
 }
-
-// SpaceBits reports the combined sketch footprint.
-func (e *FpEstimator) SpaceBits() int64 {
-	bits := e.l1.SpaceBits()
-	for _, s := range e.samplers {
-		bits += s.SpaceBits()
-	}
-	return bits
-}

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/stream"
 )
 
@@ -105,7 +106,7 @@ func TestFpSpaceGrowsWithSamples(t *testing.T) {
 	r := rand.New(rand.NewPCG(6, 6))
 	a := NewFp(3, 128, 2, r)
 	b := NewFp(3, 128, 16, r)
-	if b.SpaceBits() <= a.SpaceBits() {
+	if codec.PayloadBits(b) <= codec.PayloadBits(a) {
 		t.Error("space must grow with the sample count")
 	}
 }

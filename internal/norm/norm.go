@@ -85,10 +85,6 @@ type Estimator interface {
 	// Merge adds another estimator's counters (sketch linearity); it errors
 	// unless other is a same-seed replica of the same concrete type.
 	Merge(other Estimator) error
-	SpaceBits() int64
-	// StateBits counts only the counters, excluding seeds — the message
-	// size in a public-coin protocol.
-	StateBits() int64
 	// AppendState writes the counters into a codec encoder; RestoreState
 	// replaces them from one (shape and seeds stay with the receiver).
 	AppendState(e *codec.Encoder)
@@ -266,14 +262,6 @@ func (a *AMS) Estimate(subtract []Entry) float64 {
 func (a *AMS) UpperEstimate(subtract []Entry) float64 {
 	return a.Estimate(subtract) * 4 / 3
 }
-
-// SpaceBits reports counters plus 4-wise seeds.
-func (a *AMS) SpaceBits() int64 {
-	return int64(len(a.counters))*64 + a.signs.SpaceBits()
-}
-
-// StateBits reports counters only.
-func (a *AMS) StateBits() int64 { return int64(len(a.counters)) * 64 }
 
 // AppendState writes the counters into a codec encoder.
 func (a *AMS) AppendState(e *codec.Encoder) {
@@ -494,14 +482,6 @@ func (s *Stable) Estimate(subtract []Entry) float64 {
 func (s *Stable) UpperEstimate(subtract []Entry) float64 {
 	return s.Estimate(subtract) * 4 / 3
 }
-
-// SpaceBits reports counters plus seeds.
-func (s *Stable) SpaceBits() int64 {
-	return int64(len(s.counters))*64 + s.seeds.SpaceBits()
-}
-
-// StateBits reports counters only.
-func (s *Stable) StateBits() int64 { return int64(len(s.counters)) * 64 }
 
 // AppendState writes the counters into a codec encoder.
 func (s *Stable) AppendState(e *codec.Encoder) {

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/stream"
 )
 
@@ -188,11 +189,11 @@ func TestSpaceBitsGrowth(t *testing.T) {
 	r := rand.New(rand.NewPCG(10, 10))
 	small := NewStable(1, 10, r)
 	big := NewStable(1, 40, r)
-	if big.SpaceBits() <= small.SpaceBits() {
+	if codec.PayloadBits(big) <= codec.PayloadBits(small) {
 		t.Error("space must grow with counter count")
 	}
 	a := NewAMS(4, 4, r)
-	if a.SpaceBits() < 16*64 {
+	if codec.PayloadBits(a) < 16*64 {
 		t.Error("AMS space accounting too small")
 	}
 }

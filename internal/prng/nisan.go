@@ -290,9 +290,3 @@ func (g *Nisan) Float64At(b uint64) float64 {
 func (g *Nisan) SeedBits() int64 {
 	return int64(2*g.depth+1) * BlockBits
 }
-
-// SpaceBits reports storage rounded to 64-bit words, matching the space
-// accounting used by the sketches.
-func (g *Nisan) SpaceBits() int64 {
-	return int64(2*g.depth+1) * 64
-}

@@ -63,10 +63,6 @@ func (l *L1) Sample() (int, bool) {
 	return l.sample, true
 }
 
-// SpaceBits is O(1) words — the paper's point of contrast with the
-// general-update problem.
-func (l *L1) SpaceBits() int64 { return 3 * 64 }
-
 // Items is a k-item sampler over an item stream of known length: it fixes k
 // uniformly random positions up front (with replacement), remembers the
 // letters landing there, and reports any letter it has remembered that

@@ -150,9 +150,6 @@ func TestItemsSectionThreeRegime(t *testing.T) {
 
 func TestSpaceBits(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 9))
-	if NewL1(r).SpaceBits() > 4*64 {
-		t.Error("reservoir L1 must be O(1) words")
-	}
 	small := NewItems(10, 100, r)
 	big := NewItems(100, 1000, r)
 	if big.SpaceBits() <= small.SpaceBits() {

@@ -1,6 +1,7 @@
 // Package retry implements capped, jittered exponential backoff for the
-// transient failures of the durability layer: checkpoint-store I/O
-// (internal/checkpoint) and the file imports of cmd/workload. The policy is
+// transient failures of the durability layer and the serving tier:
+// checkpoint-store I/O (internal/checkpoint) and the sketchd client's
+// requests (internal/sketchd). The policy is
 // deliberately small — attempts, base, cap, jitter — because every caller in
 // this repository wants the same shape: try a handful of times with growing
 // pauses, stop immediately on context cancellation or a permanent error, and

@@ -16,8 +16,8 @@ import (
 	"repro/internal/stream"
 )
 
-// Client is the typed client of the serving tier — what cmd/sketchload and
-// cmd/workload -push speak. It negotiates the wire version up front, turns
+// Client is the typed client of the serving tier — what cmd/sketchload
+// speaks. It negotiates the wire version up front, turns
 // error envelopes back into errors.Is-able sentinels, and transparently
 // retries failures the envelope marks retryable (plus transport errors,
 // which never carry an envelope). Safe for concurrent use.

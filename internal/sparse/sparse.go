@@ -416,23 +416,9 @@ func growElems(buf *[]field.Elem, n int) []field.Elem {
 	return *buf
 }
 
-// SpaceBits reports the measurement state: 2s syndromes, the fingerprint and
-// the seed word, at 64 bits per word — O(s log n) as in Lemma 5.
-func (rc *Recoverer) SpaceBits() int64 {
-	return int64(len(rc.synd)+2) * 64
-}
-
-// StateBits reports only the linear-measurement contents (syndromes and
-// fingerprint), excluding the seed. In the public-coin communication
-// protocols of §4 this is what one player transmits — the randomness is
-// shared for free.
-func (rc *Recoverer) StateBits() int64 {
-	return int64(len(rc.synd)+1) * 64
-}
-
 // AppendState writes the linear measurements (syndromes then fingerprint)
 // into a codec encoder: the public wire format, the engine checkpoints and
-// the message of the §4 public-coin protocols, StateBits bits of payload.
+// the message of the §4 public-coin protocols.
 func (rc *Recoverer) AppendState(e *codec.Encoder) {
 	for _, v := range rc.synd {
 		e.U64(uint64(v))

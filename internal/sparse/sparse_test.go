@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/codec"
 	"repro/internal/stream"
 )
 
@@ -193,11 +194,11 @@ func TestSpaceBitsLinearInS(t *testing.T) {
 	r := rand.New(rand.NewPCG(12, 12))
 	s4 := New(1000, 4, r)
 	s8 := New(1000, 8, r)
-	if s8.SpaceBits() <= s4.SpaceBits() {
+	if codec.PayloadBits(s8) <= codec.PayloadBits(s4) {
 		t.Error("space must grow with s")
 	}
-	if s4.SpaceBits() != int64(2*4+2)*64 {
-		t.Errorf("SpaceBits = %d, want %d", s4.SpaceBits(), (2*4+2)*64)
+	if got := codec.PayloadBits(s4); got != int64(2*4+1)*64 {
+		t.Errorf("payload = %d bits, want %d: 2s syndromes and the fingerprint", got, (2*4+1)*64)
 	}
 }
 

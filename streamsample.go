@@ -13,7 +13,7 @@
 //		Process(Update)            // one turnstile update
 //		ProcessBatch([]Update)     // the batched ingestion hot path
 //		Merge(Sketch) error        // fold a same-seed replica's state in
-//		SpaceBits() int64          // the paper's space accounting
+//		SpaceBits() int64          // the serialized size, 8 × len(MarshalBinary())
 //		encoding.BinaryMarshaler   // serialize: config + seed + state
 //		encoding.BinaryUnmarshaler // rebuild in place from those bytes
 //	}
@@ -80,7 +80,14 @@ type Sketch interface {
 	// anything else fails with ErrNilMerge, ErrConfigMismatch or
 	// ErrSeedMismatch (match with errors.Is).
 	Merge(other Sketch) error
-	// SpaceBits reports the sketch size under the paper's accounting.
+	// SpaceBits is the serialized size, 8 × len(MarshalBinary()): the one
+	// space accounting of the repository. Theorems 1–3 state their bounds in
+	// bits of sketch state, and §4's lower bounds in bits of the message
+	// Alice sends; both are these bytes. The seed counts as the one 64-bit
+	// construction seed on the wire, because Load rebuilds every hash
+	// coefficient, Nisan block and scaling factor from it (in §4's
+	// public-coin model shared randomness is free anyway). Like
+	// MarshalBinary, it first folds the updates Process buffered.
 	SpaceBits() int64
 	// MarshalBinary serializes the sketch — config block, construction
 	// seed and linear state — into the versioned wire format that Load and
@@ -291,6 +298,12 @@ func (b *base[I]) wire() (config, linearState) { return b.cfg, b.inner }
 // block of the sketch's kind, the sealing fingerprint and the linear state.
 func (b *base[I]) MarshalBinary() ([]byte, error) { return encode(b.cfg, b.inner) }
 
+// SpaceBits is the serialized size, 8 × len(MarshalBinary()).
+func (b *base[I]) SpaceBits() int64 {
+	data, _ := encode(b.cfg, b.inner)
+	return 8 * int64(len(data))
+}
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler: MarshalBinary bytes
 // of the receiver's kind — the kind whose inner sketch has the receiver's
 // type — rebuild the receiver in place. On error it is left unchanged.
@@ -373,9 +386,6 @@ func (s *LpSampler) Sample() (index int, estimate float64, ok bool) {
 	return out.Index, out.Estimate, ok
 }
 
-// SpaceBits reports the sketch size under the paper's accounting.
-func (s *LpSampler) SpaceBits() int64 { return s.inner.SpaceBits() }
-
 // ---------------------------------------------------------------------------
 // L0 sampler
 // ---------------------------------------------------------------------------
@@ -418,9 +428,6 @@ func (s *L0Sampler) Merge(other Sketch) error {
 	}
 	return s.inner.Merge(o.inner)
 }
-
-// SpaceBits reports the sketch size.
-func (s *L0Sampler) SpaceBits() int64 { return s.inner.SpaceBits() }
 
 // ---------------------------------------------------------------------------
 // Duplicates
@@ -468,9 +475,6 @@ func (d *DuplicateFinder) Find() (letter int, ok bool) {
 	return res.Index, true
 }
 
-// SpaceBits reports the sketch size.
-func (d *DuplicateFinder) SpaceBits() int64 { return d.inner.SpaceBits() }
-
 // ---------------------------------------------------------------------------
 // Heavy hitters
 // ---------------------------------------------------------------------------
@@ -513,6 +517,3 @@ func (h *HeavyHitters) Merge(other Sketch) error {
 
 // Report returns the heavy-hitter set.
 func (h *HeavyHitters) Report() []int { return h.inner.HeavyHitters() }
-
-// SpaceBits reports the sketch size.
-func (h *HeavyHitters) SpaceBits() int64 { return h.inner.SpaceBits() }
