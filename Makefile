@@ -106,9 +106,11 @@ bench-codec:
 bench-serve:
 	$(GO) test -run '^$$' -bench 'ServeIngest' -benchtime 20x .
 
-# Short-budget fuzz smoke for the wire format: the codec decoder surface and
-# the public Load (header validation, config sanity bounds, payload framing).
-# CI runs this; locally raise -fuzztime for a real hunt.
+# Short-budget fuzz smoke for the wire format, four targets: FuzzDecoder (the
+# codec decoder surface), FuzzLoad (the public Load: header validation, config
+# sanity bounds, payload framing), FuzzIngestFrame (sketchd's frame parser)
+# and FuzzNegotiate (its version negotiator). CI runs this; locally raise
+# -fuzztime for a real hunt.
 fuzz-codec:
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime 15s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 15s .

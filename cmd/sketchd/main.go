@@ -41,10 +41,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7931", "listen address (host:port; :0 picks a free port)")
 	data := flag.String("data", "", "durable state directory (empty = in-memory only, no crash recovery)")
 	shards := flag.Int("shards", 0, "engine shards per sketch (0 = default 4)")
-	batch := flag.Int("batch", 0, "engine batch size (0 = default 2048)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "raw updates between durable generations per sketch (0 = default 65536)")
 	uploadEvery := flag.Int("upload-checkpoint-every", 0, "sketch uploads between durable seals per sketch (0 = default 64)")
-	leaves := flag.Int("leaves", 0, "merge-tree leaf aggregators per sketch (0 = default 8)")
 	fanIn := flag.Int("fanin", 0, "merge-tree leaf fan-in (0 = default 64)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	flag.Parse()
@@ -57,10 +55,8 @@ func main() {
 	if err := run(*addr, sketchd.RegistryConfig{
 		Dir:                   *data,
 		Shards:                *shards,
-		BatchSize:             *batch,
 		CheckpointEvery:       *ckptEvery,
 		UploadCheckpointEvery: *uploadEvery,
-		Leaves:                *leaves,
 		FanIn:                 *fanIn,
 		Injector:              inj,
 	}, *drainTimeout); err != nil {

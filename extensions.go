@@ -16,6 +16,12 @@ import (
 // Protocol: feed the whole stream, call EndPass1, feed the whole stream
 // again, then Sample. A sampler serialized between the passes resumes
 // exactly where it stopped.
+//
+// Merge adds another sampler's state for the current pass: shard the
+// stream, merge the pass-1 replicas, EndPass1 everywhere with the merged
+// estimate's level, then shard pass 2 the same way. Both samplers must be
+// same-seed replicas in the same pass (pass-2 merges additionally require
+// an identical committed level).
 type TwoPassL0Sampler struct{ base[*core.TwoPassL0Sampler] }
 
 var _ Sketch = (*TwoPassL0Sampler)(nil)
@@ -30,29 +36,9 @@ func (s *TwoPassL0Sampler) Update(i int, delta int64) {
 	s.inner.Process(stream.Update{Index: i, Delta: delta})
 }
 
-// Process implements the stream.Sink interface.
-func (s *TwoPassL0Sampler) Process(u Update) { s.inner.Process(u) }
-
-// ProcessBatch implements the stream.BatchSink fast path for the current
-// pass.
-func (s *TwoPassL0Sampler) ProcessBatch(batch []Update) { s.inner.ProcessBatch(batch) }
-
 // EndPass1 commits the subsampling level; call exactly once between the two
 // replays of the stream.
 func (s *TwoPassL0Sampler) EndPass1() { s.inner.EndPass1() }
-
-// Merge adds another sampler's state for the current pass: shard the
-// stream, merge the pass-1 replicas, EndPass1 everywhere with the merged
-// estimate's level, then shard pass 2 the same way. Both samplers must be
-// same-seed replicas in the same pass (pass-2 merges additionally require
-// an identical committed level).
-func (s *TwoPassL0Sampler) Merge(other Sketch) error {
-	o, err := mergeTarget[TwoPassL0Sampler](other)
-	if err != nil {
-		return err
-	}
-	return s.inner.Merge(o.inner)
-}
 
 // Sample returns a uniform support element with its exact value.
 func (s *TwoPassL0Sampler) Sample() (index int, value int64, ok bool) {
@@ -80,22 +66,6 @@ func NewFpEstimator(p float64, n, samples int, opts ...Option) *FpEstimator {
 // Update applies x[i] += delta.
 func (e *FpEstimator) Update(i int, delta int64) {
 	e.inner.Process(stream.Update{Index: i, Delta: delta})
-}
-
-// Process implements the stream.Sink interface.
-func (e *FpEstimator) Process(u Update) { e.inner.Process(u) }
-
-// ProcessBatch implements the stream.BatchSink fast path.
-func (e *FpEstimator) ProcessBatch(batch []Update) { e.inner.ProcessBatch(batch) }
-
-// Merge adds another estimator's state; both must be *FpEstimator built
-// with the same parameters and WithSeed value.
-func (e *FpEstimator) Merge(other Sketch) error {
-	o, err := mergeTarget[FpEstimator](other)
-	if err != nil {
-		return err
-	}
-	return e.inner.Merge(o.inner)
 }
 
 // Estimate returns the F_p estimate; ok is false when the vector is zero or

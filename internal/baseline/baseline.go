@@ -41,7 +41,7 @@ type AKOSampler struct {
 }
 
 type akoCopy struct {
-	t       *hash.KWise
+	t       *hash.FlatFamily
 	cs      *countsketch.Sketch
 	guarded bool
 }
@@ -71,7 +71,7 @@ func NewAKO(p float64, n int, eps float64, copies int, r *rand.Rand) *AKOSampler
 	}
 	for c := range s.copies {
 		s.copies[c] = &akoCopy{
-			t:  hash.NewKWise(2, r), // pairwise, per [1]
+			t:  hash.NewFlatFamily(1, 2, r), // pairwise, per [1]
 			cs: countsketch.New(m, rows, r),
 		}
 	}
@@ -88,7 +88,7 @@ func (s *AKOSampler) Process(u stream.Update) {
 	s.rNorm.Process(u)
 	invP := 1 / s.p
 	for _, c := range s.copies {
-		ti := c.t.Float64(i)
+		ti := c.t.Float64(0, i)
 		if ti < s.tMin {
 			c.guarded = true
 			continue
@@ -114,7 +114,7 @@ func (s *AKOSampler) Sample() (int, float64, bool) {
 		if len(top) == 0 || math.Abs(top[0].Estimate) < threshold {
 			continue
 		}
-		ti := c.t.Float64(uint64(top[0].Index))
+		ti := c.t.Float64(0, uint64(top[0].Index))
 		return top[0].Index, top[0].Estimate * math.Pow(ti, invP), true
 	}
 	return -1, 0, false
@@ -137,7 +137,7 @@ type FISL0 struct {
 	levels    int
 	reps      int
 	detectors [][]*sparse.Recoverer // [level][rep], sparsity 1 each
-	members   [][]*hash.KWise       // membership hash per (level, rep)
+	members   [][]*hash.FlatFamily  // membership hash per (level, rep)
 }
 
 // NewFISL0 constructs the baseline with reps = Θ(log(n)·log(1/δ))-ish
@@ -150,13 +150,13 @@ func NewFISL0(n, reps int, r *rand.Rand) *FISL0 {
 	levels++
 	f := &FISL0{n: n, levels: levels, reps: reps}
 	f.detectors = make([][]*sparse.Recoverer, levels)
-	f.members = make([][]*hash.KWise, levels)
+	f.members = make([][]*hash.FlatFamily, levels)
 	for k := 0; k < levels; k++ {
 		f.detectors[k] = make([]*sparse.Recoverer, reps)
-		f.members[k] = make([]*hash.KWise, reps)
+		f.members[k] = make([]*hash.FlatFamily, reps)
 		for j := 0; j < reps; j++ {
 			f.detectors[k][j] = sparse.New(n, 1, r)
-			f.members[k][j] = hash.NewKWise(2, r)
+			f.members[k][j] = hash.NewFlatFamily(1, 2, r)
 		}
 	}
 	return f
@@ -169,7 +169,7 @@ func (f *FISL0) member(k, j, i int) bool {
 		return true
 	}
 	q := math.Pow(2, -float64(k))
-	return f.members[k][j].Float64(uint64(i)) < q
+	return f.members[k][j].Float64(0, uint64(i)) < q
 }
 
 // Process implements stream.Sink.

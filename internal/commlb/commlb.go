@@ -186,17 +186,17 @@ func TwoRoundUR(inst URInstance, delta float64, r *rand.Rand) Result {
 	}
 	// Shared randomness for the level: both players derive the same
 	// membership hash and recoverer seeds from the joint source.
-	member := hash.NewKWise(2, r)
+	member := hash.NewFlatFamily(1, 2, r)
 	rec := sparse.New(n, s, r)
 	for i, v := range inst.Y {
-		if v != 0 && member.Float64(uint64(i)) < q {
+		if v != 0 && member.Float64(0, uint64(i)) < q {
 			rec.Process(stream.Update{Index: i, Delta: -int64(v)})
 		}
 	}
 	msg2 := codec.PayloadBits(rec) + 64 // counters + the level q
 	// Alice: add her restricted x and decode.
 	for i, v := range inst.X {
-		if v != 0 && member.Float64(uint64(i)) < q {
+		if v != 0 && member.Float64(0, uint64(i)) < q {
 			rec.Process(stream.Update{Index: i, Delta: int64(v)})
 		}
 	}

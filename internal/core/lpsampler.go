@@ -183,7 +183,7 @@ func (s *LpSampler) Diagnostics() Diagnostics { return s.diag }
 
 // lpCopy is one independent repetition of the Figure 1 round.
 type lpCopy struct {
-	t       *hash.KWise         // k-wise scaling factors t_i ∈ (0,1]
+	t       *hash.FlatFamily    // one k-wise row: scaling factors t_i ∈ (0,1]
 	cs      *countsketch.Sketch // count-sketch of z, z_i = x_i t_i^{-1/p}
 	ams     *norm.AMS           // L2 sketch of z for s ≈ ||z - ẑ||₂
 	guarded bool                // true once some t_i fell below tMin
@@ -217,7 +217,7 @@ func NewLpSampler(cfg LpConfig, r *rand.Rand) *LpSampler {
 	}
 	for c := range s.copies {
 		s.copies[c] = &lpCopy{
-			t:   hash.NewKWise(k, r),
+			t:   hash.NewFlatFamily(1, k, r),
 			cs:  countsketch.New(m, rows, r),
 			ams: norm.NewAMS(9, 6, r),
 		}
@@ -341,7 +341,7 @@ func (s *LpSampler) processBlock(batch []stream.Update) {
 	}
 	ts := s.scratchT[:n]
 	for _, c := range s.copies {
-		c.t.Float64Batch(keys, ts)
+		c.t.Float64Batch(0, keys, ts)
 		idx, zd := s.scratchIdx[:0], s.scratchZ[:0]
 		for t, u := range batch {
 			ti := ts[t]
@@ -493,7 +493,7 @@ func (s *LpSampler) resolveNext() (Sample, bool) {
 		return Sample{}, false // FAIL: no coordinate passed the ε^{-1/p} r limit
 	}
 	s.diag.Emitted++
-	ti := c.t.Float64(uint64(best.Index))
+	ti := c.t.Float64(0, uint64(best.Index))
 	out := Sample{Index: best.Index, Estimate: best.Estimate * math.Pow(ti, 1/s.cfg.P)}
 	s.cachedAll = append(s.cachedAll, out)
 	return out, true

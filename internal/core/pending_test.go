@@ -35,7 +35,7 @@ func TestLpPendingFillGuardAndRestore(t *testing.T) {
 		for i := 0; i < n && (trips < 0 || clean < 0); i++ {
 			guards := 0
 			for _, c := range s.copies {
-				if c.t.Float64(uint64(i)) < s.tMin {
+				if c.t.Float64(0, uint64(i)) < s.tMin {
 					guards++
 				}
 			}

@@ -76,7 +76,7 @@ func referenceSampleAll(s *LpSampler) ([]Sample, Diagnostics) {
 			continue
 		}
 		diag.Emitted++
-		ti := c.t.Float64(uint64(best.Index))
+		ti := c.t.Float64(0, uint64(best.Index))
 		out = append(out, Sample{
 			Index:    best.Index,
 			Estimate: best.Estimate * math.Pow(ti, invP),

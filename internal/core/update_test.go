@@ -82,9 +82,9 @@ func TestReciprocalScaleMatchesPow(t *testing.T) {
 		tMin := math.Pow(n, -2) / 16
 		ts = append(ts, tMin, math.Nextafter(tMin, 0), math.Nextafter(tMin, 1))
 	}
-	h := hash.NewKWise(2, rand.New(rand.NewPCG(51, 52)))
+	h := hash.NewFlatFamily(1, 2, rand.New(rand.NewPCG(51, 52)))
 	for i := uint64(0); i < 1_000_000; i++ {
-		ts = append(ts, h.Float64(i))
+		ts = append(ts, h.Float64(0, i))
 	}
 	for _, ti := range ts {
 		if got, want := s.tScale(ti), math.Pow(ti, -1); math.Float64bits(got) != math.Float64bits(want) {

@@ -1,24 +1,25 @@
 // Package duplicates implements §3 of the paper: finding a repeated letter
 // in a stream over the alphabet [n].
 //
-// Three algorithms, one per stream-length regime:
+// Three algorithms, one per stream-length regime, all built on the first:
 //
 //   - Finder (Theorem 3): length n+1 — a duplicate always exists by
 //     pigeonhole. Feed x_i = (#occurrences of i) - 1 to an L1 sampler with
 //     ε = δ = 1/2; since Σx_i = 1, a sample with positive estimate is a
 //     duplicate with high probability. O(log² n · log(1/δ)) bits.
 //   - ShortFinder (Theorem 4): length n-s — runs exact 5s-sparse recovery
-//     (Lemma 5) in parallel with the L1 sampler. If recovery returns the
-//     vector, the answer is exact (including NO-DUPLICATE with probability 1
-//     on duplicate-free streams); otherwise ‖x‖⁺₁/‖x‖₁ > 2/5 and the sampler
-//     finds a positive coordinate. O(s log n + log² n log(1/δ)) bits.
+//     (Lemma 5) beside a Finder. If recovery returns the vector, the answer
+//     is exact (including NO-DUPLICATE with probability 1 on duplicate-free
+//     streams); otherwise ‖x‖⁺₁/‖x‖₁ > 2/5 and the Finder's sampler finds a
+//     positive coordinate. O(s log n + log² n log(1/δ)) bits.
 //   - LongFinder (§3 end): length n+s — samples 4⌈n/s⌉ positions and checks
-//     recurrence, O((n/s) log n) bits; automatically switches to the
-//     Theorem 3 sampler when n/s ≥ log n, realizing the
-//     O(min{log² n, (n/s) log n}) bound.
+//     recurrence, O((n/s) log n) bits; automatically switches to a Finder
+//     when n/s ≥ log n (Σx_i = s ≥ 1 there, so positive coordinates exist),
+//     realizing the O(min{log² n, (n/s) log n}) bound.
 //
 // The generalized form (remark after Theorem 4) is exposed as
-// PositiveFinder: given any update stream, find an index with x_i > 0.
+// PositiveFinder: given any update stream, find an index with x_i > 0. A
+// Finder is a PositiveFinder fed the pigeonhole prefix.
 package duplicates
 
 import (
@@ -159,10 +160,11 @@ func feedLetters(n int, delta int64, buf *[]stream.Update, sinks ...stream.Batch
 	*buf = b[:0]
 }
 
-// Finder is the Theorem 3 algorithm for item streams of length n+1 over [n].
+// Finder is the Theorem 3 algorithm for item streams of length n+1 over [n]:
+// the PositiveFinder over x_i = (#occurrences of i) - 1.
 type Finder struct {
+	*PositiveFinder
 	n   int
-	pf  *PositiveFinder
 	buf []stream.Update
 }
 
@@ -170,7 +172,7 @@ type Finder struct {
 // every letter, so x_i counts occurrences minus one from the start.
 func NewFinder(n int, delta float64, r *rand.Rand) *Finder {
 	f := NewFinderForRestore(n, delta, r)
-	feedLetters(n, -1, &f.buf, f.pf)
+	feedLetters(n, -1, &f.buf, f)
 	return f
 }
 
@@ -180,26 +182,19 @@ func NewFinder(n int, delta float64, r *rand.Rand) *Finder {
 // contain the prefix. Using it without a RestoreState is wrong: the
 // invariant x_i = occurrences - 1 would not hold.
 func NewFinderForRestore(n int, delta float64, r *rand.Rand) *Finder {
-	return &Finder{n: n, pf: NewPositiveFinder(n, delta, r)}
+	return &Finder{PositiveFinder: NewPositiveFinder(n, delta, r), n: n}
 }
 
 // ProcessItem consumes one letter of the stream.
 func (f *Finder) ProcessItem(letter int) {
-	f.pf.Process(stream.Update{Index: letter, Delta: 1})
+	f.Process(stream.Update{Index: letter, Delta: 1})
 }
 
 // ProcessItems consumes a batch of letters through the sampler's batched
 // hot path, reusing an internal conversion buffer.
 func (f *Finder) ProcessItems(letters []int) {
-	f.pf.ProcessBatch(itemsToUpdates(letters, &f.buf))
+	f.ProcessBatch(itemsToUpdates(letters, &f.buf))
 }
-
-// Process implements stream.Sink on the letters-as-updates encoding
-// (stream.Items.Updates), so a Finder can sit behind the ingestion engine.
-func (f *Finder) Process(u stream.Update) { f.pf.Process(u) }
-
-// ProcessBatch implements stream.BatchSink.
-func (f *Finder) ProcessBatch(batch []stream.Update) { f.pf.ProcessBatch(batch) }
 
 // Merge combines another same-seed replica's observations. Each replica's
 // constructor fed the (i, -1) pigeonhole prefix, so a plain linear merge
@@ -213,51 +208,29 @@ func (f *Finder) Merge(other *Finder) error {
 	if f.n != other.n {
 		return fmt.Errorf("duplicates: merging finders of different alphabet sizes: %w", codec.ErrConfigMismatch)
 	}
-	if err := f.pf.Merge(other.pf); err != nil {
+	if err := f.PositiveFinder.Merge(other.PositiveFinder); err != nil {
 		return err
 	}
-	feedLetters(f.n, 1, &f.buf, f.pf)
+	feedLetters(f.n, 1, &f.buf, f)
 	return nil
 }
 
-// Find outputs a duplicate letter or Fail. A returned letter is a true
-// duplicate except with low probability (the sampler's estimate would need
-// the wrong sign).
-func (f *Finder) Find() Result { return f.pf.Find() }
-
-// AppendState writes the finder's sampler state into a codec encoder. The
-// pigeonhole prefix the constructor fed is part of that linear state, so a
-// restored finder continues exactly where the exporter stopped.
-func (f *Finder) AppendState(e *codec.Encoder) { f.pf.AppendState(e) }
-
-// RestoreState replaces the finder's sampler state from a codec decoder.
-func (f *Finder) RestoreState(d *codec.Decoder) { f.pf.RestoreState(d) }
-
-// ShortFinder is the Theorem 4 algorithm for streams of length n-s.
+// ShortFinder is the Theorem 4 algorithm for streams of length n-s: the
+// Theorem 3 Finder beside exact 5s-sparse recovery of the same vector.
 type ShortFinder struct {
-	n   int
-	s   int
-	rec *sparse.Recoverer
-	pf  *PositiveFinder
-	buf []stream.Update
+	s      int
+	rec    *sparse.Recoverer
+	finder *Finder
 }
 
 // NewShortFinder creates the finder for streams of length n-s.
 func NewShortFinder(n, s int, delta float64, r *rand.Rand) *ShortFinder {
-	if s < 0 {
-		s = 0
-	}
-	budget := 5 * s
-	if budget < 1 {
-		budget = 1
-	}
-	sf := &ShortFinder{
-		n:   n,
-		s:   s,
-		rec: sparse.New(n, budget, r),
-		pf:  NewPositiveFinder(n, delta, r),
-	}
-	feedLetters(n, -1, &sf.buf, sf.rec, sf.pf)
+	s = max(s, 0)
+	sf := &ShortFinder{s: s, rec: sparse.New(n, max(5*s, 1), r)}
+	// One pass over the (i, -1) prefix feeds both the recoverer and the
+	// Finder.
+	sf.finder = NewFinderForRestore(n, delta, r)
+	feedLetters(n, -1, &sf.finder.buf, sf.rec, sf.finder)
 	return sf
 }
 
@@ -269,7 +242,7 @@ func (sf *ShortFinder) ProcessItem(letter int) { sf.Process(stream.Update{Index:
 // finder.
 func (sf *ShortFinder) Process(u stream.Update) {
 	sf.rec.Process(u)
-	sf.pf.Process(u)
+	sf.finder.Process(u)
 }
 
 // ProcessBatch implements stream.BatchSink: both the 5s-sparse recoverer
@@ -277,36 +250,36 @@ func (sf *ShortFinder) Process(u stream.Update) {
 // their batched paths.
 func (sf *ShortFinder) ProcessBatch(batch []stream.Update) {
 	sf.rec.ProcessBatch(batch)
-	sf.pf.ProcessBatch(batch)
+	sf.finder.ProcessBatch(batch)
 }
 
 // ProcessItems consumes a batch of letters through both batched paths.
 func (sf *ShortFinder) ProcessItems(letters []int) {
-	sf.ProcessBatch(itemsToUpdates(letters, &sf.buf))
+	sf.ProcessBatch(itemsToUpdates(letters, &sf.finder.buf))
 }
 
 // Merge combines another same-seed replica's observations. Both replicas'
 // constructors fed the (i, -1) pigeonhole prefix to the recoverer and the
-// sampler, so a plain linear merge counts that prefix twice; Merge
-// compensates with +1 per letter on both structures, exactly like
-// Finder.Merge. Validation runs before any mutation.
+// Finder, so a plain linear merge counts that prefix twice; the Finder's
+// Merge compensates its half and Merge re-adds +1 per letter to the
+// recoverer. Validation runs before any mutation.
 func (sf *ShortFinder) Merge(other *ShortFinder) error {
 	if other == nil {
 		return fmt.Errorf("duplicates: %w", codec.ErrNilMerge)
 	}
-	if sf.n != other.n || sf.s != other.s {
+	if sf.finder.n != other.finder.n || sf.s != other.s {
 		return fmt.Errorf("duplicates: merging short finders of different shapes: %w", codec.ErrConfigMismatch)
 	}
 	if !sf.rec.Compatible(other.rec) {
 		return fmt.Errorf("duplicates: %w", codec.ErrSeedMismatch)
 	}
-	if err := sf.pf.Merge(other.pf); err != nil {
+	if err := sf.finder.Merge(other.finder); err != nil {
 		return err
 	}
 	if err := sf.rec.Merge(other.rec); err != nil {
 		return err
 	}
-	feedLetters(sf.n, 1, &sf.buf, sf.rec, sf.pf)
+	feedLetters(sf.finder.n, 1, &sf.finder.buf, sf.rec)
 	return nil
 }
 
@@ -322,36 +295,28 @@ func (sf *ShortFinder) Find() Result {
 		}
 		return Result{Kind: NoDuplicate, Index: -1}
 	}
-	return sf.pf.Find()
+	return sf.finder.Find()
 }
 
 // AppendState writes the recoverer and sampler state into a codec encoder.
 func (sf *ShortFinder) AppendState(e *codec.Encoder) {
 	sf.rec.AppendState(e)
-	sf.pf.AppendState(e)
+	sf.finder.AppendState(e)
 }
 
 // RestoreState replaces the recoverer and sampler state from a codec
 // decoder.
 func (sf *ShortFinder) RestoreState(d *codec.Decoder) {
 	sf.rec.RestoreState(d)
-	sf.pf.RestoreState(d)
+	sf.finder.RestoreState(d)
 }
 
-// LongFinder handles streams of length n+s (§3 end).
+// LongFinder handles streams of length n+s (§3 end). In sampler mode it is
+// the Theorem 3 Finder: feeding occurrences-minus-one leaves sum(x) = s >= 1
+// for length n+s, so positive coordinates exist and the sampler finds one.
 type LongFinder struct {
-	useSampler bool
-	items      *reservoir.Items
-	finder     *positiveItemFinder
-	buf        []stream.Update
-}
-
-// positiveItemFinder adapts PositiveFinder to item streams without the
-// pigeonhole prefix trick needing length exactly n+1: feeding occurrences-
-// minus-one still leaves sum(x) = s >= 1 for length n+s, so positive
-// coordinates exist and the sampler finds one.
-type positiveItemFinder struct {
-	pf *PositiveFinder
+	finder *Finder          // sampler mode
+	items  *reservoir.Items // position-sampling mode
 }
 
 // NewLongFinder picks the cheaper algorithm: position sampling when
@@ -359,9 +324,7 @@ type positiveItemFinder struct {
 // (0 = auto, 1 = sampler, 2 = position sampling) for the E6 crossover
 // experiment.
 func NewLongFinder(n, s int, delta float64, force int, r *rand.Rand) *LongFinder {
-	if s < 1 {
-		s = 1
-	}
+	s = max(s, 1)
 	useSampler := float64(n)/float64(s) >= math.Log2(float64(n))
 	switch force {
 	case 1:
@@ -369,25 +332,19 @@ func NewLongFinder(n, s int, delta float64, force int, r *rand.Rand) *LongFinder
 	case 2:
 		useSampler = false
 	}
-	lf := &LongFinder{useSampler: useSampler}
 	if useSampler {
-		pf := NewPositiveFinder(n, delta, r)
-		feedLetters(n, -1, &lf.buf, pf)
-		lf.finder = &positiveItemFinder{pf: pf}
-	} else {
-		k := 4 * int(math.Ceil(float64(n)/float64(s)))
-		lf.items = reservoir.NewItems(k, n+s, r)
+		return &LongFinder{finder: NewFinder(n, delta, r)}
 	}
-	return lf
+	return &LongFinder{items: reservoir.NewItems(4*int(math.Ceil(float64(n)/float64(s))), n+s, r)}
 }
 
 // UsesSampler reports which algorithm was selected.
-func (lf *LongFinder) UsesSampler() bool { return lf.useSampler }
+func (lf *LongFinder) UsesSampler() bool { return lf.finder != nil }
 
 // ProcessItem consumes one letter.
 func (lf *LongFinder) ProcessItem(letter int) {
-	if lf.useSampler {
-		lf.finder.pf.Process(stream.Update{Index: letter, Delta: 1})
+	if lf.finder != nil {
+		lf.finder.ProcessItem(letter)
 		return
 	}
 	lf.items.ProcessItem(letter)
@@ -397,8 +354,8 @@ func (lf *LongFinder) ProcessItem(letter int) {
 // through the L1 sampler's batched path, in position-sampling mode the
 // reservoir consumes items one by one (its per-item work is O(1) already).
 func (lf *LongFinder) ProcessItems(letters []int) {
-	if lf.useSampler {
-		lf.finder.pf.ProcessBatch(itemsToUpdates(letters, &lf.buf))
+	if lf.finder != nil {
+		lf.finder.ProcessItems(letters)
 		return
 	}
 	for _, it := range letters {
@@ -408,8 +365,8 @@ func (lf *LongFinder) ProcessItems(letters []int) {
 
 // Find reports a duplicate or Fail.
 func (lf *LongFinder) Find() Result {
-	if lf.useSampler {
-		return lf.finder.pf.Find()
+	if lf.finder != nil {
+		return lf.finder.Find()
 	}
 	if d, ok := lf.items.Duplicate(); ok {
 		return Result{Kind: Duplicate, Index: d}
@@ -421,8 +378,8 @@ func (lf *LongFinder) Find() Result {
 // serialized linear state, or the reservoir's remembered letters and
 // positions, which have no wire form.
 func (lf *LongFinder) SpaceBits() int64 {
-	if lf.useSampler {
-		return codec.PayloadBits(lf.finder.pf)
+	if lf.finder != nil {
+		return codec.PayloadBits(lf.finder)
 	}
 	return lf.items.SpaceBits()
 }

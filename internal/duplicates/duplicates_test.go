@@ -366,7 +366,7 @@ func TestProcessItemsMatchesProcessItem(t *testing.T) {
 	if ra, rb := la.Find(), lb.Find(); ra != rb {
 		t.Fatalf("LongFinder(sampler): scalar %+v != batched %+v", ra, rb)
 	}
-	if !bytes.Equal(stateBytes(la.finder.pf.AppendState), stateBytes(lb.finder.pf.AppendState)) {
+	if !bytes.Equal(stateBytes(la.finder.AppendState), stateBytes(lb.finder.AppendState)) {
 		t.Fatal("LongFinder(sampler): scalar state differs from batched")
 	}
 }

@@ -31,7 +31,7 @@ func TestPropertyFindIsFirstPositive(t *testing.T) {
 		}
 		lazy, eager := mk(), mk()
 		got := lazy.Find()
-		all := eager.pf.sampler.SampleAll()
+		all := eager.sampler.SampleAll()
 		want := Result{Kind: Fail, Index: -1}
 		for i, s := range all {
 			if s.Estimate > 0 {
@@ -43,8 +43,8 @@ func TestPropertyFindIsFirstPositive(t *testing.T) {
 			}
 		}
 		return got == want && eager.Find() == want &&
-			reflect.DeepEqual(lazy.pf.sampler.SampleAll(), all) &&
-			lazy.pf.sampler.Diagnostics() == eager.pf.sampler.Diagnostics()
+			reflect.DeepEqual(lazy.sampler.SampleAll(), all) &&
+			lazy.sampler.Diagnostics() == eager.sampler.Diagnostics()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@ func stateBytes(appendState func(*codec.Encoder)) []byte {
 	return e.Bytes()
 }
 
-// TestPrefixFeederMatchesScalarPrefix pins the block feeder behind all five
-// pigeonhole-prefix sites to what they did before it: the n-entry
+// TestPrefixFeederMatchesScalarPrefix pins the block feeder behind every
+// pigeonhole-prefix site to what it did before it: the n-entry
 // stream.DecrementAll / IncrementAll slice, here fed one scalar Process at a
 // time. n is not a multiple of the block, so the last block is short.
 func TestPrefixFeederMatchesScalarPrefix(t *testing.T) {
@@ -46,7 +46,7 @@ func TestPrefixFeederMatchesScalarPrefix(t *testing.T) {
 	if err := f.Merge(other); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.pf.Merge(refOther.pf); err != nil {
+	if err := ref.PositiveFinder.Merge(refOther.PositiveFinder); err != nil {
 		t.Fatal(err)
 	}
 	scalar(ref, stream.IncrementAll(n))
@@ -58,7 +58,8 @@ func TestPrefixFeederMatchesScalarPrefix(t *testing.T) {
 	const s = 4
 	sf := NewShortFinder(n, s, 0.3, seeded())
 	r := seeded()
-	sfRef := &ShortFinder{n: n, s: s, rec: sparse.New(n, 5*s, r), pf: NewPositiveFinder(n, 0.3, r)}
+	sfRef := &ShortFinder{s: s, rec: sparse.New(n, 5*s, r)}
+	sfRef.finder = NewFinderForRestore(n, 0.3, r)
 	scalar(sfRef, stream.DecrementAll(n))
 	if !bytes.Equal(stateBytes(sf.AppendState), stateBytes(sfRef.AppendState)) {
 		t.Fatal("NewShortFinder: block-fed prefix differs from the scalar prefix")
@@ -67,7 +68,7 @@ func TestPrefixFeederMatchesScalarPrefix(t *testing.T) {
 	if err := sf.Merge(sfOther); err != nil {
 		t.Fatal(err)
 	}
-	if err := sfRef.pf.Merge(sfOther.pf); err != nil {
+	if err := sfRef.finder.PositiveFinder.Merge(sfOther.finder.PositiveFinder); err != nil {
 		t.Fatal(err)
 	}
 	if err := sfRef.rec.Merge(sfOther.rec); err != nil {
@@ -83,7 +84,7 @@ func TestPrefixFeederMatchesScalarPrefix(t *testing.T) {
 	lf := NewLongFinder(n, 1, 0.3, 1, seeded())
 	lfRef := NewPositiveFinder(n, 0.3, seeded())
 	scalar(lfRef, stream.DecrementAll(n))
-	if !bytes.Equal(stateBytes(lf.finder.pf.AppendState), stateBytes(lfRef.AppendState)) {
+	if !bytes.Equal(stateBytes(lf.finder.AppendState), stateBytes(lfRef.AppendState)) {
 		t.Fatal("NewLongFinder: block-fed prefix differs from the scalar prefix")
 	}
 }

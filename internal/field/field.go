@@ -138,9 +138,6 @@ type PowCache struct {
 // NewPowCache returns the cache for base; its windows are built by Pow.
 func NewPowCache(base Elem) *PowCache { return &PowCache{base: base} }
 
-// Base returns the cached base.
-func (pc *PowCache) Base() Elem { return pc.base }
-
 // Pow returns base^e, identical to Pow(base, e) for every e.
 func (pc *PowCache) Pow(e uint64) Elem {
 	win := pc.win

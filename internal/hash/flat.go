@@ -41,21 +41,16 @@ func signFloat(v field.Elem) float64 {
 // independent degree-(k-1) polynomials over GF(2^61-1) whose coefficients all
 // live in one contiguous slice, row-major. The flat layout is what the batch
 // kernels below iterate over — one row's two (or k) coefficients stay in
-// registers for a whole batch, instead of being re-fetched through a *KWise
-// pointer chain per key as the scalar API does.
-//
-// A FlatFamily drawn from r is coefficient-for-coefficient identical to
-// Family(rows, k, r) drawn from an identically positioned r: the scalar KWise
-// API is a thin row view over this storage (see Row/Views), so same-seed
-// equality checks interoperate across both representations.
+// registers for a whole batch.
 type FlatFamily struct {
 	rows int
 	k    int
 	coef []field.Elem // len rows*k; coef[j*k+i] multiplies x^i in row j
 }
 
-// NewFlatFamily draws rows independent k-wise functions from r, in the same
-// randomness order as Family(rows, k, r).
+// NewFlatFamily draws rows independent k-wise functions from r, row by row.
+// k must be >= 1; k=2 gives the pairwise families used by count-sketch, and
+// the Lp sampler passes the paper's k = 10*ceil(1/|p-1|).
 func NewFlatFamily(rows, k int, r *rand.Rand) *FlatFamily {
 	if rows < 1 {
 		panic("hash: rows must be >= 1")
@@ -80,21 +75,6 @@ func (f *FlatFamily) K() int { return f.k }
 // buggy caller cannot bleed into the next row).
 func (f *FlatFamily) rowCoef(j int) []field.Elem {
 	return f.coef[j*f.k : (j+1)*f.k : (j+1)*f.k]
-}
-
-// Row returns row j as a scalar KWise view sharing this family's storage.
-// The view stays valid for the family's lifetime; mutating neither is
-// possible through the public API.
-func (f *FlatFamily) Row(j int) *KWise { return &KWise{coef: f.rowCoef(j)} }
-
-// Views returns all rows as KWise views over the shared flat storage —
-// the compatibility bridge for callers holding []*KWise.
-func (f *FlatFamily) Views() []*KWise {
-	out := make([]*KWise, f.rows)
-	for j := range out {
-		out[j] = f.Row(j)
-	}
-	return out
 }
 
 // Equal reports whether two families are the same polynomials — the same-seed
@@ -125,18 +105,29 @@ func (f *FlatFamily) Float64(j int, x uint64) float64 { return toUnit(f.Eval(j, 
 
 // EvalBatch writes row j's field value at each key of xs into out[:len(xs)].
 func (f *FlatFamily) EvalBatch(j int, xs []uint64, out []field.Elem) {
-	evalBatch(f.rowCoef(j), xs, out)
+	kernel.PolyEvalBatch(field.Words(f.rowCoef(j)), xs, field.Words(out[:len(xs)]))
 }
 
 // SignBatch writes row j's sign (±1.0) for each key of xs into out[:len(xs)].
+// Like Float64Batch it evaluates in place: the kernel writes the field values
+// into out's own storage (a stack buffer handed to the dispatched call would
+// escape to the heap), then each word is converted where it lies.
 func (f *FlatFamily) SignBatch(j int, xs []uint64, out []float64) {
-	signBatch(f.rowCoef(j), xs, out)
+	out = out[:len(xs)]
+	f.EvalBatch(j, xs, floatElems(out))
+	for t, v := range floatElems(out) {
+		out[t] = signFloat(v)
+	}
 }
 
 // Float64Batch writes row j's unit-interval value for each key of xs into
 // out[:len(xs)], bit-identical to scalar Float64 per key.
 func (f *FlatFamily) Float64Batch(j int, xs []uint64, out []float64) {
-	float64Batch(f.rowCoef(j), xs, out)
+	out = out[:len(xs)]
+	f.EvalBatch(j, xs, floatElems(out))
+	for t, v := range floatElems(out) {
+		out[t] = toUnit(v)
+	}
 }
 
 // BucketSignBatch is the fused count-sketch row kernel: one pass over xs
@@ -160,7 +151,7 @@ func BucketSignBatch(h, g *FlatFamily, j int, m uint64, xs []uint64, buckets []u
 }
 
 // ---------------------------------------------------------------------------
-// Coefficient-slice kernels (shared by FlatFamily rows and KWise views)
+// Coefficient-slice kernels over one row
 // ---------------------------------------------------------------------------
 
 // evalPoly is Horner evaluation of the degree-(len(coef)-1) polynomial at x,
@@ -178,44 +169,10 @@ func evalPoly(coef []field.Elem, x uint64) field.Elem {
 	return acc
 }
 
-func evalBatch(coef []field.Elem, xs []uint64, out []field.Elem) {
-	out = out[:len(xs)]
-	kernel.PolyEvalBatch(field.Words(coef), xs, field.Words(out))
-}
-
-// signBatch and float64Batch evaluate the row in place: the kernel writes the
-// field values into out's own storage (a stack buffer handed to the dispatched
-// call would escape to the heap), then each word is converted where it lies.
-func signBatch(coef []field.Elem, xs []uint64, out []float64) {
-	out = out[:len(xs)]
-	evalBatch(coef, xs, floatElems(out))
-	signsInPlace(out)
-}
-
-func float64Batch(coef []field.Elem, xs []uint64, out []float64) {
-	out = out[:len(xs)]
-	evalBatch(coef, xs, floatElems(out))
-	unitsInPlace(out)
-}
-
 // floatElems views a []float64 as field elements occupying the same memory
 // (both are 8-byte words; field.Words is the same cast one level down): the
 // batch evaluators park field values in the output slice, then convert each
 // word where it lies.
 func floatElems(fs []float64) []field.Elem {
 	return unsafe.Slice((*field.Elem)(unsafe.Pointer(unsafe.SliceData(fs))), len(fs))
-}
-
-// signsInPlace replaces the field value parked in each word of out by its
-// sign (±1.0); unitsInPlace by its unit-interval value.
-func signsInPlace(out []float64) {
-	for t, v := range floatElems(out) {
-		out[t] = signFloat(v)
-	}
-}
-
-func unitsInPlace(out []float64) {
-	for t, v := range floatElems(out) {
-		out[t] = toUnit(v)
-	}
 }

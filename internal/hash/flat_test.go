@@ -2,17 +2,19 @@ package hash
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
 )
 
-// TestFlatFamilyMatchesKWise: a FlatFamily and a Family drawn from
-// identically positioned randomness are the same polynomials, and every batch
-// kernel is bit-identical to the scalar KWise path, for the independence
+// TestFlatFamilyBatchMatchesScalar: every batch kernel is bit-identical to
+// the scalar Eval / Sign / Float64 of the same row, for the independence
 // parameters the sketches actually use (pairwise, AMS's 4-wise, and a
-// precision-sampling k=10).
-func TestFlatFamilyMatchesKWise(t *testing.T) {
+// precision-sampling k=10), and a one-row family is the first row of a wider
+// one drawn from identically positioned randomness; Equal tells same-seed
+// families from different-seed ones.
+func TestFlatFamilyBatchMatchesScalar(t *testing.T) {
 	const rows = 5
 	keys := make([]uint64, 257) // odd length exercises kernel tails
 	r := rand.New(rand.NewPCG(11, 13))
@@ -23,32 +25,31 @@ func TestFlatFamilyMatchesKWise(t *testing.T) {
 
 	for _, k := range []int{2, 4, 10} {
 		flat := NewFlatFamily(rows, k, rand.New(rand.NewPCG(3, 4)))
-		fam := Family(rows, k, rand.New(rand.NewPCG(3, 4)))
 		if flat.Rows() != rows || flat.K() != k {
 			t.Fatalf("k=%d: FlatFamily shape (%d,%d)", k, flat.Rows(), flat.K())
+		}
+		if first := NewFlatFamily(1, k, rand.New(rand.NewPCG(3, 4))); !slices.Equal(first.coef, flat.rowCoef(0)) {
+			t.Fatalf("k=%d: one-row family differs from row 0 of a wider draw", k)
+		}
+		if !flat.Equal(NewFlatFamily(rows, k, rand.New(rand.NewPCG(3, 4)))) || flat.Equal(NewFlatFamily(rows, k, rand.New(rand.NewPCG(5, 6)))) {
+			t.Fatalf("k=%d: Equal does not tell same-seed from different-seed families", k)
 		}
 		evals := make([]field.Elem, len(keys))
 		signs := make([]float64, len(keys))
 		floats := make([]float64, len(keys))
 		for j := 0; j < rows; j++ {
-			if !flat.Row(j).Equal(fam[j]) {
-				t.Fatalf("k=%d row %d: flat row differs from Family row", k, j)
-			}
 			flat.EvalBatch(j, keys, evals)
 			flat.SignBatch(j, keys, signs)
 			flat.Float64Batch(j, keys, floats)
 			for t2, x := range keys {
-				if want := fam[j].Eval(x); evals[t2] != want {
+				if want := flat.Eval(j, x); evals[t2] != want {
 					t.Fatalf("k=%d row %d key %d: EvalBatch %d != scalar %d", k, j, x, evals[t2], want)
 				}
-				if want := float64(fam[j].Sign(x)); signs[t2] != want {
+				if want := float64(flat.Sign(j, x)); signs[t2] != want {
 					t.Fatalf("k=%d row %d key %d: SignBatch %v != scalar %v", k, j, x, signs[t2], want)
 				}
-				if want := fam[j].Float64(x); floats[t2] != want {
+				if want := flat.Float64(j, x); floats[t2] != want {
 					t.Fatalf("k=%d row %d key %d: Float64Batch %v != scalar %v", k, j, x, floats[t2], want)
-				}
-				if got, want := flat.Eval(j, x), fam[j].Eval(x); got != want {
-					t.Fatalf("k=%d row %d key %d: flat scalar Eval %d != KWise %d", k, j, x, got, want)
 				}
 			}
 		}
@@ -114,35 +115,17 @@ func TestLemireBucketDeterministicInRange(t *testing.T) {
 // uniform for a non-power-of-two m (the reduction must not skew low or high
 // buckets beyond the 2^-61 discretization budget).
 func TestLemireBucketUniformity(t *testing.T) {
-	h := NewKWise(2, rand.New(rand.NewPCG(41, 42)))
+	h := NewFlatFamily(1, 2, rand.New(rand.NewPCG(41, 42)))
 	const m, nkeys = 12, 1 << 16
 	counts := make([]int, m)
 	for x := uint64(0); x < nkeys; x++ {
-		counts[h.Bucket(x, m)]++
+		counts[h.Bucket(0, x, m)]++
 	}
 	mean := float64(nkeys) / m
 	for b, c := range counts {
 		if d := float64(c) - mean; d > 6*82 || d < -6*82 { // 6*sqrt(mean)≈6*74, slack
 			t.Errorf("bucket %d count %d too far from mean %.0f", b, c, mean)
 		}
-	}
-}
-
-// TestViewsShareStorage: KWise views over a FlatFamily are equal to the rows
-// they wrap and interoperate with FamilyEqual.
-func TestViewsShareStorage(t *testing.T) {
-	f := NewFlatFamily(4, 3, rand.New(rand.NewPCG(51, 52)))
-	views := f.Views()
-	fam := Family(4, 3, rand.New(rand.NewPCG(51, 52)))
-	if !FamilyEqual(views, fam) {
-		t.Fatal("FlatFamily views differ from Family drawn from the same seed")
-	}
-	g := NewFlatFamily(4, 3, rand.New(rand.NewPCG(53, 54)))
-	if f.Equal(g) {
-		t.Fatal("different seeds compare Equal")
-	}
-	if !f.Equal(f) {
-		t.Fatal("family not Equal to itself")
 	}
 }
 
@@ -162,7 +145,7 @@ func TestBatchEvaluatorsZeroAlloc(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-benchmarks: scalar KWise chains vs the flat batch kernels.
+// Micro-benchmarks: scalar per-key evaluation vs the flat batch kernels.
 // ---------------------------------------------------------------------------
 
 func benchKeys(n int) []uint64 {
@@ -175,17 +158,17 @@ func benchKeys(n int) []uint64 {
 }
 
 // BenchmarkScalarBucketSignK2 is the pre-kernel count-sketch row cost: two
-// scalar pairwise evaluations per key through the KWise API.
+// scalar pairwise evaluations per key.
 func BenchmarkScalarBucketSignK2(b *testing.B) {
-	h := NewKWise(2, rand.New(rand.NewPCG(1, 1)))
-	g := NewKWise(2, rand.New(rand.NewPCG(2, 2)))
+	h := NewFlatFamily(1, 2, rand.New(rand.NewPCG(1, 1)))
+	g := NewFlatFamily(1, 2, rand.New(rand.NewPCG(2, 2)))
 	keys := benchKeys(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		x := keys[i&4095]
-		sink += h.Bucket(x, 384) + uint64(g.Sign(x))
+		sink += h.Bucket(0, x, 384) + uint64(g.Sign(0, x))
 	}
 	_ = sink
 }
@@ -209,13 +192,13 @@ func BenchmarkBucketSignBatchK2(b *testing.B) {
 // BenchmarkScalarFloat64K10 vs BenchmarkFloat64BatchK10: the Lp sampler's
 // high-independence scaling-factor evaluation, scalar vs batched.
 func BenchmarkScalarFloat64K10(b *testing.B) {
-	h := NewKWise(10, rand.New(rand.NewPCG(1, 1)))
+	h := NewFlatFamily(1, 10, rand.New(rand.NewPCG(1, 1)))
 	keys := benchKeys(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += h.Float64(keys[i&4095])
+		sink += h.Float64(0, keys[i&4095])
 	}
 	_ = sink
 }

@@ -10,26 +10,26 @@ import (
 
 func TestEvalDeterministic(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 1))
-	h := NewKWise(4, r)
-	a, b := h.Eval(42), h.Eval(42)
+	h := NewFlatFamily(1, 4, r)
+	a, b := h.Eval(0, 42), h.Eval(0, 42)
 	if a != b {
 		t.Fatal("hash must be deterministic per seed")
 	}
 }
 
 func TestEvalMatchesPolynomial(t *testing.T) {
-	h := &KWise{coef: []field.Elem{7, 3, 2}} // 7 + 3x + 2x^2
-	if got := h.Eval(5); got != field.New(7+15+50) {
+	h := &FlatFamily{rows: 1, k: 3, coef: []field.Elem{7, 3, 2}} // 7 + 3x + 2x^2
+	if got := h.Eval(0, 5); got != field.New(7+15+50) {
 		t.Fatalf("Eval(5) = %d, want %d", got, 72)
 	}
 }
 
 func TestBucketRange(t *testing.T) {
 	r := rand.New(rand.NewPCG(2, 2))
-	h := NewKWise(2, r)
+	h := NewFlatFamily(1, 2, r)
 	const m = 13
 	for x := uint64(0); x < 10000; x++ {
-		if b := h.Bucket(x, m); b >= m {
+		if b := h.Bucket(0, x, m); b >= m {
 			t.Fatalf("bucket %d out of range", b)
 		}
 	}
@@ -38,11 +38,11 @@ func TestBucketRange(t *testing.T) {
 func TestBucketUniformity(t *testing.T) {
 	// chi-square-ish check: no bucket should deviate far from mean.
 	r := rand.New(rand.NewPCG(3, 3))
-	h := NewKWise(2, r)
+	h := NewFlatFamily(1, 2, r)
 	const m, nkeys = 16, 1 << 16
 	counts := make([]int, m)
 	for x := uint64(0); x < nkeys; x++ {
-		counts[h.Bucket(x, m)]++
+		counts[h.Bucket(0, x, m)]++
 	}
 	mean := float64(nkeys) / m
 	for b, c := range counts {
@@ -54,11 +54,11 @@ func TestBucketUniformity(t *testing.T) {
 
 func TestSignBalance(t *testing.T) {
 	r := rand.New(rand.NewPCG(4, 4))
-	h := NewKWise(4, r)
+	h := NewFlatFamily(1, 4, r)
 	var sum int64
 	const nkeys = 1 << 16
 	for x := uint64(0); x < nkeys; x++ {
-		s := h.Sign(x)
+		s := h.Sign(0, x)
 		if s != 1 && s != -1 {
 			t.Fatalf("sign %d not in {-1,1}", s)
 		}
@@ -76,8 +76,8 @@ func TestPairwiseSignDecorrelation(t *testing.T) {
 	const draws = 4000
 	var corr int64
 	for d := 0; d < draws; d++ {
-		h := NewKWise(2, r)
-		corr += h.Sign(1) * h.Sign(2)
+		h := NewFlatFamily(1, 2, r)
+		corr += h.Sign(0, 1) * h.Sign(0, 2)
 	}
 	if math.Abs(float64(corr)) > 6*math.Sqrt(draws) {
 		t.Errorf("pairwise sign correlation %d too large over %d draws", corr, draws)
@@ -86,11 +86,11 @@ func TestPairwiseSignDecorrelation(t *testing.T) {
 
 func TestFloat64RangeAndMean(t *testing.T) {
 	r := rand.New(rand.NewPCG(6, 6))
-	h := NewKWise(4, r)
+	h := NewFlatFamily(1, 4, r)
 	var sum float64
 	const nkeys = 1 << 16
 	for x := uint64(0); x < nkeys; x++ {
-		f := h.Float64(x)
+		f := h.Float64(0, x)
 		if f <= 0 || f > 1 {
 			t.Fatalf("Float64 %g out of (0,1]", f)
 		}
@@ -102,17 +102,17 @@ func TestFloat64RangeAndMean(t *testing.T) {
 	}
 }
 
-func TestKWiseMomentIndependence(t *testing.T) {
+func TestMomentIndependence(t *testing.T) {
 	// For a 4-wise family, E over draws of prod_{j in S} f(x_j) for distinct
 	// keys with f = Float64 - 1/2 should be ~0 for |S| <= 4.
 	r := rand.New(rand.NewPCG(7, 7))
 	const draws = 3000
 	sums := make([]float64, 5)
 	for d := 0; d < draws; d++ {
-		h := NewKWise(4, r)
+		h := NewFlatFamily(1, 4, r)
 		prod := 1.0
 		for j := 1; j <= 4; j++ {
-			prod *= h.Float64(uint64(j)) - 0.5
+			prod *= h.Float64(0, uint64(j)) - 0.5
 			sums[j] += prod
 		}
 	}
@@ -126,42 +126,25 @@ func TestKWiseMomentIndependence(t *testing.T) {
 	}
 }
 
-func TestFamily(t *testing.T) {
-	r := rand.New(rand.NewPCG(8, 8))
-	fs := Family(5, 3, r)
-	if len(fs) != 5 {
-		t.Fatalf("Family returned %d functions", len(fs))
-	}
-	// Functions must be distinct (w.h.p.)
-	if fs[0].Eval(1) == fs[1].Eval(1) && fs[0].Eval(2) == fs[1].Eval(2) && fs[0].Eval(3) == fs[1].Eval(3) {
-		t.Error("family members look identical")
-	}
-	for _, f := range fs {
-		if f.K() != 3 {
-			t.Errorf("K() = %d, want 3", f.K())
-		}
-	}
-}
-
-func TestNewKWisePanicsOnBadK(t *testing.T) {
+func TestNewFlatFamilyPanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for k=0")
 		}
 	}()
-	NewKWise(0, rand.New(rand.NewPCG(1, 1)))
+	NewFlatFamily(1, 0, rand.New(rand.NewPCG(1, 1)))
 }
 
 func BenchmarkEvalK2(b *testing.B) {
-	h := NewKWise(2, rand.New(rand.NewPCG(1, 1)))
+	h := NewFlatFamily(1, 2, rand.New(rand.NewPCG(1, 1)))
 	for i := 0; i < b.N; i++ {
-		h.Eval(uint64(i))
+		h.Eval(0, uint64(i))
 	}
 }
 
 func BenchmarkEvalK20(b *testing.B) {
-	h := NewKWise(20, rand.New(rand.NewPCG(1, 1)))
+	h := NewFlatFamily(1, 20, rand.New(rand.NewPCG(1, 1)))
 	for i := 0; i < b.N; i++ {
-		h.Eval(uint64(i))
+		h.Eval(0, uint64(i))
 	}
 }

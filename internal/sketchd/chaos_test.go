@@ -73,8 +73,7 @@ func runServerChaos(t *testing.T, seed uint64, rate float64) string {
 		Shards:                2,
 		CheckpointEvery:       500, // force the periodic checkpoint path under fire
 		UploadCheckpointEvery: 2,   // and the upload-seal path
-		Leaves:                2,
-		FanIn:                 2,
+		FanIn:                 1,   // every upload is a leaf-to-root fold
 		Injector:              inj,
 	}
 	reg, err := OpenRegistry(cfg)

@@ -1,6 +1,7 @@
 package sketchd
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,13 +50,11 @@ type RegistryConfig struct {
 	// ephemeral tiers): engines run without a checkpoint store and restarts
 	// start empty.
 	Dir string
-	// Shards / BatchSize / QueueDepth configure every sketch's ingestion
-	// engine (defaults 4 / 2048 / 8 — a serving tier hosts many sketches, so
-	// per-sketch engines stay narrow by default; raise Shards for a
-	// single-hot-sketch deployment).
-	Shards     int
-	BatchSize  int
-	QueueDepth int
+	// Shards is every sketch's ingestion engine width (default 4 — a serving
+	// tier hosts many sketches, so per-sketch engines stay narrow by default;
+	// raise it for a single-hot-sketch deployment). The engines take their
+	// default batch size and queue depth.
+	Shards int
 	// CheckpointEvery is the engine's periodic durable-generation interval
 	// in accepted raw updates (default 1<<16).
 	CheckpointEvery int
@@ -64,33 +63,26 @@ type RegistryConfig struct {
 	// 64). Uploads between seals survive in memory but not a SIGKILL; the
 	// ?durable=1 ingest form forces a seal before acknowledging.
 	UploadCheckpointEvery int
-	// Leaves / FanIn shape every sketch's hierarchical merge tree (defaults
-	// 8 leaves, fan-in 64).
-	Leaves int
-	FanIn  int
+	// FanIn is the leaf fan-in of every sketch's hierarchical merge tree
+	// (default 64); the tree has mergeLeaves leaves.
+	FanIn int
 	// Injector drives deterministic fault injection through the engines and
 	// checkpoint stores (chaos tests). Nil disables.
 	Injector *faultinject.Injector
 }
 
+// mergeLeaves is the number of leaf aggregators in every sketch's merge tree.
+const mergeLeaves = 8
+
 func (c RegistryConfig) withDefaults() RegistryConfig {
 	if c.Shards < 1 {
 		c.Shards = 4
-	}
-	if c.BatchSize < 1 {
-		c.BatchSize = 2048
-	}
-	if c.QueueDepth < 1 {
-		c.QueueDepth = 8
 	}
 	if c.CheckpointEvery < 1 {
 		c.CheckpointEvery = 1 << 16
 	}
 	if c.UploadCheckpointEvery < 1 {
 		c.UploadCheckpointEvery = 64
-	}
-	if c.Leaves < 1 {
-		c.Leaves = 8
 	}
 	if c.FanIn < 1 {
 		c.FanIn = 64
@@ -267,13 +259,11 @@ func (r *Registry) newEntry(tenant, name string, spec Spec, zero streamsample.Sk
 		specBytes: specBytes,
 		eng: engine.New(engine.Config{
 			Shards:          r.cfg.Shards,
-			BatchSize:       r.cfg.BatchSize,
-			QueueDepth:      r.cfg.QueueDepth,
 			CheckpointEvery: r.cfg.CheckpointEvery,
 			Injector:        r.cfg.Injector,
 		}, factory, mergeSketch),
 	}
-	e.tree = NewMergeTree(r.cfg.Leaves, r.cfg.FanIn, func() (streamsample.Sketch, error) {
+	e.tree = NewMergeTree(mergeLeaves, r.cfg.FanIn, func() (streamsample.Sketch, error) {
 		return streamsample.Load(specBytes)
 	})
 	if r.cfg.Dir == "" {
@@ -313,7 +303,7 @@ func (r *Registry) newEntry(tenant, name string, spec Spec, zero streamsample.Sk
 		}
 		e.folded = folded
 		if len(rec.States) >= 2 && len(rec.States[1]) == 8 {
-			e.foldedUploads = int64(leU64(rec.States[1]))
+			e.foldedUploads = int64(binary.LittleEndian.Uint64(rec.States[1]))
 			e.foldedSealed = e.foldedUploads
 		}
 	case err == nil, errors.Is(err, checkpoint.ErrNoCheckpoint):
@@ -505,22 +495,6 @@ func marshalSketch(s streamsample.Sketch) ([]byte, error) {
 }
 func restoreSketch(s streamsample.Sketch, b []byte) error { return s.UnmarshalBinary(b) }
 
-func leU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func appendLeU64(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return b
-}
-
 // IngestRaw feeds one validated update batch through the sketch's sharded
 // engine (journaled write-ahead when durable). If journaling broke, the
 // entry tries to heal itself with an immediate checkpoint — a fresh sealed
@@ -608,7 +582,7 @@ func (e *entry) checkpointLocked() error {
 		if err != nil {
 			return fmt.Errorf("sketchd: marshaling upload fold: %w", err)
 		}
-		if _, err := e.foldSt.Save([][]byte{blob, appendLeU64(uint64(e.foldedUploads))}); err != nil {
+		if _, err := e.foldSt.Save([][]byte{blob, binary.LittleEndian.AppendUint64(nil, uint64(e.foldedUploads))}); err != nil {
 			return fmt.Errorf("%w: sealing upload fold: %v", ErrNotDurable, err)
 		}
 		e.foldedSealed = e.foldedUploads

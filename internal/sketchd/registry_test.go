@@ -208,7 +208,7 @@ func TestDeleteRemovesDurableStateBeforeUnregistering(t *testing.T) {
 // tree was discarded — once Delete returns, every new upload is a clean
 // typed ErrNotFound, never a silent fold into dead state.
 func TestIngestSketchDeleteRace(t *testing.T) {
-	reg, err := OpenRegistry(RegistryConfig{Leaves: 2, FanIn: 4})
+	reg, err := OpenRegistry(RegistryConfig{FanIn: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

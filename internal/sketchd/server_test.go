@@ -127,7 +127,10 @@ func TestServerIngestAgreement(t *testing.T) {
 
 	for _, mode := range []string{"raw", "sketch", "mixed"} {
 		t.Run(mode, func(t *testing.T) {
-			_, c := newTestServer(t, RegistryConfig{Shards: 3, Leaves: 2, FanIn: 4})
+			// Fan-in 2 over the 8 merge-tree leaves: the 10 uploads of the
+			// "sketch" mode fill two leaves, which fold into the root, and
+			// leave six partial leaves for the flush.
+			_, c := newTestServer(t, RegistryConfig{Shards: 3, FanIn: 2})
 			ctx := context.Background()
 			if err := c.Create(ctx, "t", "s", Spec{Kind: "l0", N: n, Seed: seed}); err != nil {
 				t.Fatal(err)
@@ -165,6 +168,15 @@ func TestServerIngestAgreement(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("mode %s: merged sketch differs from serial ingestion", mode)
+			}
+			if mode == "sketch" {
+				sz, err := c.Statsz(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(sz.Sketches) != 1 || sz.Sketches[0].MergeTree.LeafFolds == 0 {
+					t.Fatalf("sketch mode: merge tree stats %+v, want a leaf folded into the root", sz.Sketches)
+				}
 			}
 			// Sample determinism: same state, same seed, same draw.
 			res, err := c.Sample(ctx, "t", "s")

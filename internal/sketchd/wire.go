@@ -122,9 +122,6 @@ var ErrBadFrame = errors.New("sketchd: malformed update frame")
 // frames, not one giant one. 16 MiB is 1M updates per frame.
 const MaxFrameLen = 1 << 24
 
-// MaxFrameUpdates is the update count implied by MaxFrameLen.
-const MaxFrameUpdates = MaxFrameLen / 16
-
 // AppendFrame frames one update batch as a length-prefixed, fingerprinted
 // codec record appended to dst: the exact record format the checkpoint
 // journal uses, so one framing layer serves disk and wire.

@@ -76,21 +76,6 @@ func FloatDeltas(batch []Update, buf *[]float64) []float64 {
 	return del
 }
 
-// Int64Deltas writes the update deltas of batch into *buf, growing the
-// buffer on demand, and returns the filled view — a flat 8-byte view that
-// integer sketches fold from once per row instead of re-reading the 16-byte
-// Update structs.
-func Int64Deltas(batch []Update, buf *[]int64) []int64 {
-	if cap(*buf) < len(batch) {
-		*buf = make([]int64, len(batch))
-	}
-	del := (*buf)[:len(batch)]
-	for t, u := range batch {
-		del[t] = u.Delta
-	}
-	return del
-}
-
 // ProcessAll delivers a batch through the sink's ProcessBatch fast path when
 // it has one, falling back to one Process call per update.
 func ProcessAll(s Sink, batch []Update) {

@@ -398,7 +398,48 @@ func TestMergeErrorSentinels(t *testing.T) {
 	if err := tp.Merge(NewTwoPassL0Sampler(64, WithSeed(12))); !errors.Is(err, ErrSeedMismatch) {
 		t.Fatalf("two-pass cross-seed merge = %v, want ErrSeedMismatch", err)
 	}
+
+	// Every kind: nil, a typed nil of its own type, every other kind, a
+	// typed nil of every other kind and a Sketch implemented outside the
+	// package.
+	all := []struct {
+		sk       Sketch
+		typedNil Sketch
+	}{
+		{NewLpSampler(1, 64, WithSeed(13)), (*LpSampler)(nil)},
+		{NewL0Sampler(64, WithSeed(13)), (*L0Sampler)(nil)},
+		{NewDuplicateFinder(64, WithSeed(13)), (*DuplicateFinder)(nil)},
+		{NewHeavyHitters(1, 0.2, 64, WithSeed(13)), (*HeavyHitters)(nil)},
+		{NewTwoPassL0Sampler(64, WithSeed(13)), (*TwoPassL0Sampler)(nil)},
+		{NewFpEstimator(3, 64, 2, WithSeed(13)), (*FpEstimator)(nil)},
+	}
+	for i, k := range all {
+		if err := k.sk.Merge(nil); !errors.Is(err, ErrNilMerge) {
+			t.Fatalf("%T.Merge(nil) = %v, want ErrNilMerge", k.sk, err)
+		}
+		if err := k.sk.Merge(k.typedNil); !errors.Is(err, ErrNilMerge) {
+			t.Fatalf("%T.Merge(typed nil) = %v, want ErrNilMerge", k.sk, err)
+		}
+		if err := k.sk.Merge(foreignSketch{k.sk}); !errors.Is(err, ErrConfigMismatch) {
+			t.Fatalf("%T.Merge(foreign Sketch) = %v, want ErrConfigMismatch", k.sk, err)
+		}
+		for j, other := range all {
+			if i == j {
+				continue
+			}
+			if err := k.sk.Merge(other.sk); !errors.Is(err, ErrConfigMismatch) {
+				t.Fatalf("%T.Merge(%T) = %v, want ErrConfigMismatch", k.sk, other.sk, err)
+			}
+			// A typed nil is nil before it is another kind.
+			if err := k.sk.Merge(other.typedNil); !errors.Is(err, ErrNilMerge) {
+				t.Fatalf("%T.Merge(typed nil %T) = %v, want ErrNilMerge", k.sk, other.typedNil, err)
+			}
+		}
+	}
 }
+
+// foreignSketch is a Sketch implemented outside the package's kinds.
+type foreignSketch struct{ Sketch }
 
 // TestUnseededSketchesStillSerialize pins the materialized-seed behavior: a
 // sketch built without WithSeed draws a concrete random seed and must

@@ -18,6 +18,10 @@
 //		encoding.BinaryUnmarshaler // rebuild in place from those bytes
 //	}
 //
+// Every kind implements it with the same code over its own inner sketch, so
+// the contract holds alike for all six; a kind adds only its constructor,
+// its query and, for the turnstile kinds, Update(i, delta).
+//
 // Because the structures are linear, same-seed sketches summarize sums of
 // vectors: shard a stream across processes, give every process the same
 // WithSeed value, MarshalBinary each shard's sketch, move the bytes, Load
@@ -52,6 +56,7 @@ import (
 	"encoding"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"strings"
 
@@ -283,14 +288,23 @@ func Query(s Sketch) Answer {
 	return kinds[c.kind].answer(s)
 }
 
+// innerSketch is what a kind's inner sketch provides: its linear state on
+// the wire, its update paths and its Merge with a same-kind replica.
+type innerSketch[I any] interface {
+	linearState
+	stream.BatchSink
+	Merge(other I) error
+}
+
 // base is what every public type embeds: the config block the sketch was
-// built from and the inner sketch holding its linear state.
-type base[I linearState] struct {
+// built from and the inner sketch holding its linear state. It implements
+// the Sketch contract once for every kind.
+type base[I innerSketch[I]] struct {
 	cfg   config
 	inner I
 }
 
-func newBase[I linearState](c config, inner I) base[I] { return base[I]{c, inner} }
+func newBase[I innerSketch[I]](c config, inner I) base[I] { return base[I]{c, inner} }
 
 func (b *base[I]) wire() (config, linearState) { return b.cfg, b.inner }
 
@@ -321,21 +335,33 @@ func (b *base[I]) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// mergeTarget resolves the Sketch argument of a Merge call to the concrete
-// type T, mapping nil interfaces, typed nils and foreign types onto the
-// error sentinels.
-func mergeTarget[T any](other Sketch) (*T, error) {
-	o, ok := any(other).(*T)
+// Process implements stream.Sink: it applies one update.
+func (b *base[I]) Process(u Update) { b.inner.Process(u) }
+
+// ProcessBatch implements the stream.BatchSink fast path: the inner
+// sketch's batched fold, leaving exactly the state of repeated Process calls.
+func (b *base[I]) ProcessBatch(batch []Update) { b.inner.ProcessBatch(batch) }
+
+// Merge adds another sketch's state, so the receiver summarizes the sum of
+// the two vectors. The argument must be the receiver's own type: nil and
+// typed-nil sketches of any kind fail with ErrNilMerge, other kinds and Sketches from
+// outside this package with ErrConfigMismatch. The inner sketch then holds
+// the two to the same parameters (ErrConfigMismatch) and the same WithSeed
+// value (ErrSeedMismatch).
+func (b *base[I]) Merge(other Sketch) error {
+	w, ok := other.(wired)
+	switch {
+	case other == nil || ok && reflect.ValueOf(w).IsNil():
+		return fmt.Errorf("streamsample: %w", ErrNilMerge)
+	case !ok:
+		return fmt.Errorf("streamsample: merging %T into a %v: %w", other, b.cfg.kind, ErrConfigMismatch)
+	}
+	c, state := w.wire()
+	o, ok := state.(I)
 	if !ok {
-		if other == nil {
-			return nil, fmt.Errorf("streamsample: %w", ErrNilMerge)
-		}
-		return nil, fmt.Errorf("streamsample: merging %T into %T: %w", other, (*T)(nil), ErrConfigMismatch)
+		return fmt.Errorf("streamsample: merging a %v into a %v: %w", c.kind, b.cfg.kind, ErrConfigMismatch)
 	}
-	if o == nil {
-		return nil, fmt.Errorf("streamsample: %w", ErrNilMerge)
-	}
-	return o, nil
+	return b.inner.Merge(o)
 }
 
 // ---------------------------------------------------------------------------
@@ -358,24 +384,6 @@ func NewLpSampler(p float64, n int, opts ...Option) *LpSampler {
 // Update applies x[i] += delta.
 func (s *LpSampler) Update(i int, delta int64) {
 	s.inner.Process(stream.Update{Index: i, Delta: delta})
-}
-
-// Process implements the stream.Sink interface used by internal generators.
-func (s *LpSampler) Process(u Update) { s.inner.Process(u) }
-
-// ProcessBatch implements the stream.BatchSink fast path: hash evaluations
-// and scaling factors are amortized across the batch.
-func (s *LpSampler) ProcessBatch(batch []Update) { s.inner.ProcessBatch(batch) }
-
-// Merge adds another sampler's state; both must be *LpSampler built with
-// the same parameters and WithSeed value so they share randomness. After
-// merging, this sampler summarizes the sum of the two vectors.
-func (s *LpSampler) Merge(other Sketch) error {
-	o, err := mergeTarget[LpSampler](other)
-	if err != nil {
-		return err
-	}
-	return s.inner.Merge(o.inner)
 }
 
 // Sample returns an index distributed ≈ proportionally to |x_i|^p, with a
@@ -405,28 +413,10 @@ func (s *L0Sampler) Update(i int, delta int64) {
 	s.inner.Process(stream.Update{Index: i, Delta: delta})
 }
 
-// Process implements the stream.Sink interface.
-func (s *L0Sampler) Process(u Update) { s.inner.Process(u) }
-
-// ProcessBatch implements the stream.BatchSink fast path.
-func (s *L0Sampler) ProcessBatch(batch []Update) { s.inner.ProcessBatch(batch) }
-
 // Sample returns a uniform support element and its exact value x_i.
 func (s *L0Sampler) Sample() (index int, value int64, ok bool) {
 	out, ok := s.inner.Sample()
 	return out.Index, int64(out.Estimate), ok
-}
-
-// Merge adds another sampler's state; both must be *L0Sampler built with
-// the same dimension and WithSeed value so they share randomness. After
-// merging, this sampler summarizes the sum of the two vectors. Replicas
-// that do not share a seed are rejected with ErrSeedMismatch.
-func (s *L0Sampler) Merge(other Sketch) error {
-	o, err := mergeTarget[L0Sampler](other)
-	if err != nil {
-		return err
-	}
-	return s.inner.Merge(o.inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +424,10 @@ func (s *L0Sampler) Merge(other Sketch) error {
 // ---------------------------------------------------------------------------
 
 // DuplicateFinder finds a repeated letter in a stream of n+1 letters over
-// the alphabet {0, ..., n-1} (Theorem 3).
+// the alphabet {0, ..., n-1} (Theorem 3). Process and ProcessBatch take the
+// letters-as-updates encoding; Merge compensates the pigeonhole prefix each
+// constructor fed, so the merged finder behaves as if it had seen the
+// concatenated stream.
 type DuplicateFinder struct{ base[*duplicates.Finder] }
 
 var _ Sketch = (*DuplicateFinder)(nil)
@@ -446,23 +439,6 @@ func NewDuplicateFinder(n int, opts ...Option) *DuplicateFinder {
 
 // Observe consumes the next letter of the stream.
 func (d *DuplicateFinder) Observe(letter int) { d.inner.ProcessItem(letter) }
-
-// Process implements stream.Sink on the letters-as-updates encoding.
-func (d *DuplicateFinder) Process(u Update) { d.inner.Process(u) }
-
-// ProcessBatch implements the stream.BatchSink fast path.
-func (d *DuplicateFinder) ProcessBatch(batch []Update) { d.inner.ProcessBatch(batch) }
-
-// Merge combines another same-seed finder's observations; the pigeonhole
-// prefix each constructor fed is compensated so the merged finder behaves as
-// if it had seen the concatenated stream.
-func (d *DuplicateFinder) Merge(other Sketch) error {
-	o, err := mergeTarget[DuplicateFinder](other)
-	if err != nil {
-		return err
-	}
-	return d.inner.Merge(o.inner)
-}
 
 // Find returns a letter that appeared at least twice. ok is false with
 // probability at most δ; a returned letter is wrong only with low
@@ -497,22 +473,6 @@ func NewHeavyHitters(p, phi float64, n int, opts ...Option) *HeavyHitters {
 // Update applies x[i] += delta.
 func (h *HeavyHitters) Update(i int, delta int64) {
 	h.inner.Process(stream.Update{Index: i, Delta: delta})
-}
-
-// Process implements the stream.Sink interface.
-func (h *HeavyHitters) Process(u Update) { h.inner.Process(u) }
-
-// ProcessBatch implements the stream.BatchSink fast path.
-func (h *HeavyHitters) ProcessBatch(batch []Update) { h.inner.ProcessBatch(batch) }
-
-// Merge adds another sketch's state; both must be *HeavyHitters built with
-// the same parameters and WithSeed value so they share randomness.
-func (h *HeavyHitters) Merge(other Sketch) error {
-	o, err := mergeTarget[HeavyHitters](other)
-	if err != nil {
-		return err
-	}
-	return h.inner.Merge(o.inner)
 }
 
 // Report returns the heavy-hitter set.
