@@ -141,6 +141,8 @@ bench-l0:
 
 # The Lp update path (the PR-14 headline): one k-wise row over a batch of keys
 # (SIMD key lanes) beside the per-key scalar loop it replaced in hash, the
+# kernel's one-row Horner at the degree of the Stable and scaling rows (k = 8)
+# and its multi-row evaluation of a norm sketch's row group (k = 4 and 8), the
 # Cauchy transform of the p = 1 stable sketch in kernel (2^20 distinct inputs
 # per op: a short repeated slice lets the branch predictor learn math.tan),
 # the AMS and p-stable sketches on top in norm, the whole sampler in core, and
@@ -148,6 +150,7 @@ bench-l0:
 # buffered into the same fold) at the root.
 bench-lp:
 	$(GO) test -run '^$$' -bench 'SignBatchK4|ScalarSignK4|Float64BatchK8|ScalarFloat64K8' -benchtime 20000x ./internal/hash
+	$(GO) test -run '^$$' -bench 'KernelPolyEvalBatchK8|KernelPolyEvalRowsK[48]' -benchtime 20000x ./internal/kernel
 	$(GO) test -run '^$$' -bench 'KernelCauchy' -benchtime 20x ./internal/kernel
 	$(GO) test -run '^$$' -bench 'StableAdd|AMSAdd' -benchtime 2000x ./internal/norm
 	$(GO) test -run '^$$' -bench 'LpSamplerProcess' -benchtime 200x ./internal/core

@@ -103,9 +103,23 @@ func (f *FlatFamily) Sign(j int, x uint64) int64 {
 // Float64 maps key x to a uniform real in (0, 1] through row j.
 func (f *FlatFamily) Float64(j int, x uint64) float64 { return toUnit(f.Eval(j, x)) }
 
-// EvalBatch writes row j's field value at each key of xs into out[:len(xs)].
-func (f *FlatFamily) EvalBatch(j int, xs []uint64, out []field.Elem) {
-	kernel.PolyEvalBatch(field.Words(f.rowCoef(j)), xs, field.Words(out[:len(xs)]))
+// EvalRows writes the field values of rows j..j+rows-1 at each key of xs into
+// out, row after row: row j+r's value at xs[t] lands in out[r*len(xs)+t].
+// The rows share one kernel call, which on the IFMA tier builds each key
+// block's powers once for all of them and reduces each row's sum once; a
+// single row runs the one-row Horner kernel.
+func (f *FlatFamily) EvalRows(j, rows int, xs []uint64, out []field.Elem) {
+	kernel.PolyEvalRows(field.Words(f.coef[j*f.k:(j+rows)*f.k]), f.k, xs, field.Words(out[:rows*len(xs)]))
+}
+
+// Float64Rows is EvalRows' unit-interval form: row j+r's value for xs[t] in
+// out[r*len(xs)+t], bit-identical to scalar Float64 per row and key.
+func (f *FlatFamily) Float64Rows(j, rows int, xs []uint64, out []float64) {
+	out = out[:rows*len(xs)]
+	f.EvalRows(j, rows, xs, floatElems(out))
+	for t, v := range floatElems(out) {
+		out[t] = toUnit(v)
+	}
 }
 
 // SignBatch writes row j's sign (±1.0) for each key of xs into out[:len(xs)].
@@ -114,7 +128,7 @@ func (f *FlatFamily) EvalBatch(j int, xs []uint64, out []field.Elem) {
 // escape to the heap), then each word is converted where it lies.
 func (f *FlatFamily) SignBatch(j int, xs []uint64, out []float64) {
 	out = out[:len(xs)]
-	f.EvalBatch(j, xs, floatElems(out))
+	f.EvalRows(j, 1, xs, floatElems(out))
 	for t, v := range floatElems(out) {
 		out[t] = signFloat(v)
 	}
@@ -122,13 +136,7 @@ func (f *FlatFamily) SignBatch(j int, xs []uint64, out []float64) {
 
 // Float64Batch writes row j's unit-interval value for each key of xs into
 // out[:len(xs)], bit-identical to scalar Float64 per key.
-func (f *FlatFamily) Float64Batch(j int, xs []uint64, out []float64) {
-	out = out[:len(xs)]
-	f.EvalBatch(j, xs, floatElems(out))
-	for t, v := range floatElems(out) {
-		out[t] = toUnit(v)
-	}
-}
+func (f *FlatFamily) Float64Batch(j int, xs []uint64, out []float64) { f.Float64Rows(j, 1, xs, out) }
 
 // BucketSignBatch is the fused count-sketch row kernel: one pass over xs
 // evaluating bucket row j of h and sign row j of g together. For the pairwise

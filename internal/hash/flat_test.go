@@ -38,12 +38,12 @@ func TestFlatFamilyBatchMatchesScalar(t *testing.T) {
 		signs := make([]float64, len(keys))
 		floats := make([]float64, len(keys))
 		for j := 0; j < rows; j++ {
-			flat.EvalBatch(j, keys, evals)
+			flat.EvalRows(j, 1, keys, evals)
 			flat.SignBatch(j, keys, signs)
 			flat.Float64Batch(j, keys, floats)
 			for t2, x := range keys {
 				if want := flat.Eval(j, x); evals[t2] != want {
-					t.Fatalf("k=%d row %d key %d: EvalBatch %d != scalar %d", k, j, x, evals[t2], want)
+					t.Fatalf("k=%d row %d key %d: EvalRows %d != scalar %d", k, j, x, evals[t2], want)
 				}
 				if want := float64(flat.Sign(j, x)); signs[t2] != want {
 					t.Fatalf("k=%d row %d key %d: SignBatch %v != scalar %v", k, j, x, signs[t2], want)
@@ -139,6 +139,8 @@ func TestBatchEvaluatorsZeroAlloc(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() {
 		f.SignBatch(3, keys, batch)
 		f.Float64Batch(3, keys, batch)
+		f.Float64Rows(3, 1, keys, batch)
+		f.Float64Rows(40, 4, keys[:512], batch)
 	}); got != 0 {
 		t.Errorf("batch evaluators allocate %v times per call, want 0", got)
 	}
@@ -262,7 +264,7 @@ func BenchmarkEvalBatchK2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.EvalBatch(0, keys, out)
+		f.EvalRows(0, 1, keys, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys)), "ns/key")
 }

@@ -20,11 +20,12 @@
 // sampler's scaling factors, a membership hash — is a one-row family.
 //
 // The Lp and norm update paths evaluate a family one way: a batch of keys
-// meets one row at a time (EvalBatch, SignBatch, Float64Batch,
-// BucketSignBatch). The keys sit in the SIMD lanes of internal/kernel's Horner
-// kernel, for every k, and the sign and unit-interval forms convert the field
-// values in place in the output slice; single updates reach it as part of a
-// buffered batch. Field arithmetic is exact and every result canonical, so the
+// meets a group of rows (EvalRows, Float64Rows) or one row (SignBatch,
+// Float64Batch, BucketSignBatch) per kernel call. The keys sit in the
+// SIMD lanes of internal/kernel's evaluators, for every k; a row group shares
+// each key block's powers on the IFMA tier. The sign and unit-interval forms
+// convert the field values in place in the output slice; single updates
+// reach them as part of a buffered batch. Field arithmetic is exact and every result canonical, so the
 // batch kernels agree bit for bit with the scalar Eval / Sign / Float64 /
 // Bucket of the same row and key, which serve queries and the scalar
 // count-sketch and L0 paths, and remain the reference the tests compare

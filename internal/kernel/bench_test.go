@@ -61,6 +61,40 @@ func BenchmarkKernelPolyEvalBatchK4(b *testing.B) {
 	}
 }
 
+func BenchmarkKernelPolyEvalBatchK8(b *testing.B) {
+	xs := benchKeys(1024)
+	out := make([]uint64, len(xs))
+	coef := benchKeys(8)
+	for i := range coef {
+		coef[i] %= modulus
+	}
+	b.SetBytes(int64(len(xs)))
+	for i := 0; i < b.N; i++ {
+		PolyEvalBatch(coef, xs, out)
+	}
+}
+
+// benchPolyEvalRows evaluates a four-row group of degree k-1 over 256 keys,
+// the shape of one norm sketch row group over one fold chunk; ns/row-key is
+// the figure to set beside PolyEvalBatch's ns per key.
+func benchPolyEvalRows(b *testing.B, k int) {
+	const rows = 4
+	xs := benchKeys(256)
+	coef := benchKeys(rows * k)
+	for i := range coef {
+		coef[i] %= modulus
+	}
+	out := make([]uint64, rows*len(xs))
+	b.SetBytes(int64(rows * len(xs)))
+	for i := 0; i < b.N; i++ {
+		PolyEvalRows(coef, k, xs, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(out)), "ns/row-key")
+}
+
+func BenchmarkKernelPolyEvalRowsK4(b *testing.B) { benchPolyEvalRows(b, 4) }
+func BenchmarkKernelPolyEvalRowsK8(b *testing.B) { benchPolyEvalRows(b, 8) }
+
 func BenchmarkKernelFDScan9(b *testing.B) {
 	d := make([]uint64, 9)
 	copy(d, benchKeys(9))

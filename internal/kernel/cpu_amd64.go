@@ -39,6 +39,9 @@ func bucketSign2AVX512(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, 
 func polyEvalBatchIFMA(coef []uint64, xs []uint64, out []uint64)
 
 //go:noescape
+func polyEvalRowsIFMA(cs []uint64, k int, xs []uint64, out []uint64, stride int)
+
+//go:noescape
 func bucketSign2IFMA(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
 
 //go:noescape
@@ -85,11 +88,13 @@ func detect() {
 	}
 	if b7&(1<<21) != 0 { // AVX512_IFMA: 52-bit multiply-add limb kernels
 		avx512Table.polyEvalBatch = avx512PolyEvalBatchIFMA
+		avx512Table.polyEvalRows = avx512PolyEvalRowsIFMA
 		avx512Table.bucketSign2 = avx512BucketSign2IFMA
 		// Keep the VPMULUDQ flavor reachable for the differential tests:
 		// an IFMA machine can run both, so both get pinned against scalar.
 		alt := avx512Table
 		alt.polyEvalBatch = avx512PolyEvalBatch
+		alt.polyEvalRows = nil
 		alt.bucketSign2 = avx512BucketSign2
 		testAltTables = append(testAltTables, &alt)
 	}
@@ -219,6 +224,42 @@ func avx512PolyEvalBatchIFMA(coef, xs, out []uint64) {
 	}
 	if n < len(xs) {
 		scalarPolyEvalBatch(coef, xs[n:], out[n:])
+	}
+}
+
+// ifmaRowsPerCall bounds the rows of one polyEvalRowsIFMA call: the wrapper
+// splits their coefficients into a 2 KiB stack block, 16 words per row.
+const ifmaRowsPerCall = 16
+
+// avx512PolyEvalRowsIFMA runs the multi-row kernel over the 8-point blocks of
+// xs for 2 <= k <= 8 and two or more rows; a single row, other k and the
+// tail points take the per-row paths.
+func avx512PolyEvalRowsIFMA(coef []uint64, k int, xs, out []uint64) {
+	n, rows := len(xs), len(coef)/k
+	n8 := n &^ 7
+	if k < 2 || k > 8 || rows < 2 || n8 == 0 {
+		for j := range rows {
+			avx512PolyEvalBatchIFMA(coef[j*k:(j+1)*k], xs, out[j*n:(j+1)*n])
+		}
+		return
+	}
+	const mask52 = 1<<52 - 1
+	var cs [ifmaRowsPerCall * 16]uint64
+	for j0 := 0; j0 < rows; j0 += ifmaRowsPerCall {
+		rs := min(ifmaRowsPerCall, rows-j0)
+		for j := range rs {
+			c, b := coef[(j0+j)*k:][:k], cs[j*16:][:16]
+			b[0] = c[0]
+			for i := 1; i < k; i++ {
+				b[2*i-1], b[2*i] = c[i]&mask52, c[i]>>52
+			}
+		}
+		polyEvalRowsIFMA(cs[:rs*16], k, xs[:n8], out[j0*n:], n)
+	}
+	if n8 < n {
+		for j := range rows {
+			scalarPolyEvalBatch(coef[j*k:(j+1)*k], xs[n8:], out[j*n+n8:(j+1)*n])
+		}
 	}
 }
 

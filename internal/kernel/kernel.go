@@ -56,16 +56,25 @@ const (
 const EnvVar = "REPRO_KERNEL"
 
 // table is the per-primitive function-pointer set of one variant. Every
-// entry is always non-nil; variants that vectorize only some primitives
-// inherit another variant's implementation for the rest.
+// entry but polyEvalRows is always non-nil; variants that vectorize only some
+// primitives inherit another variant's implementation for the rest.
 type table struct {
 	name string
 
-	// polyEvalBatch writes the Horner evaluation of the polynomial with
-	// ascending coefficients coef at each point of xs into out[:len(xs)].
+	// polyEvalBatch writes the evaluation of the polynomial with ascending
+	// canonical coefficients coef at each point of xs into out[:len(xs)].
 	// Points are arbitrary uint64s, reduced to canonical form first (a
-	// no-op for already-canonical field elements).
+	// no-op for already-canonical field elements). Horner's rule makes each
+	// point one chain of dependent multiplies, so the vector variants keep
+	// several blocks of points in flight (the IFMA kernel four, 32 points).
 	polyEvalBatch func(coef, xs, out []uint64)
+
+	// polyEvalRows evaluates len(coef)/k polynomials of k coefficients each,
+	// stored row after row, at every point of xs: row j's value at xs[t]
+	// goes to out[j*len(xs)+t]. Only the IFMA tier has one (a shared power
+	// table per block of points and one reduction per row, for k <= 8);
+	// nil evaluates the rows one at a time through polyEvalBatch.
+	polyEvalRows func(coef []uint64, k int, xs, out []uint64)
 
 	// bucketSign2 is the fused count-sketch row kernel for pairwise (k=2)
 	// families: buckets[t] = Lemire(h1·x+h0, m), signs[t] = ±1.0 from the
@@ -182,6 +191,29 @@ func Select(name string) error {
 // point of xs into out[:len(xs)], Horner order, over GF(2^61-1). A nil/empty
 // coef writes zeros.
 func PolyEvalBatch(coef, xs, out []uint64) { active.Load().polyEvalBatch(coef, xs, out) }
+
+// PolyEvalRows evaluates the len(coef)/k polynomials of k ascending canonical
+// coefficients each, stored row after row (hash.FlatFamily's layout), at
+// every (raw uint64) point of xs: row j's value at xs[t] goes to
+// out[j*len(xs)+t], so out holds len(coef)/k·len(xs) values. k must be >= 1.
+func PolyEvalRows(coef []uint64, k int, xs, out []uint64) {
+	active.Load().evalRows(coef, k, xs, out)
+}
+
+func (t *table) evalRows(coef []uint64, k int, xs, out []uint64) {
+	n := len(xs)
+	if n == 0 {
+		return
+	}
+	out = out[:len(coef)/k*n]
+	if t.polyEvalRows != nil {
+		t.polyEvalRows(coef, k, xs, out)
+		return
+	}
+	for j := range len(coef) / k {
+		t.polyEvalBatch(coef[j*k:(j+1)*k], xs, out[j*n:(j+1)*n])
+	}
+}
 
 // BucketSign2 is the fused pairwise count-sketch row kernel; see table.
 // h0,h1,g0,g1 must be canonical field elements and m ≥ 1.

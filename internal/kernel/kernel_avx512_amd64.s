@@ -21,6 +21,19 @@
 //                            2^104·h ≡ 2^43·h; the recombined sum is
 //                            < 2^63, one Mersenne fold away from [0, 2p).
 //
+// polyEvalRowsIFMA evaluates a·x^i products lazily: a row of degree k-1 <= 7
+// adds its k-1 coefficient·power products into one set of limb sums and
+// reduces once. For canonical operands split as above, each product adds
+// < 2^52 to r, < 3·2^52 to m and < 2^18+2^10 to h, so with at most 7 of them
+//   r < 2^55,   m < 21·2^52 < 2^57,   h < 2^21.
+// The 2^43·h term of MODMUL512I would then overflow, so h folds once more:
+// 2^104·h ≡ 2^43·(h mod 2^18) + (h>>18). With
+// 2^52·m ≡ 2^52·(m mod 2^9) + (m>>9) as before, the sum
+//   r + 2^52·(m mod 2^9) + (m>>9) + 2^43·(h mod 2^18) + (h>>18) + a0
+//   < 2^55 + 2^61 + 2^48 + 2^61 + 8 + 2^61 < 2^63,
+// and one Mersenne fold leaves at most p+3, which the conditional subtract
+// makes canonical.
+//
 // The conditional subtract uses an opmask compare instead of AVX2's
 // float-domain blend: VPCMPUQ sets K where r >= p, and a merge-masked
 // VPSUBQ subtracts p in exactly those lanes.
@@ -197,9 +210,33 @@ store:
 	VZEROUPPER
 	RET
 
+// HSTEP512I(acc, aL, xL, xH, r, mm, hh, k): one IFMA Horner step of a chain,
+// acc = acc·x + coef[j] with coef[j] broadcast from (R9). acc is split in
+// place (aL its low limb, acc its high one); aL doubles as MODMUL512I's
+// temporary, read only after the last multiply.
+#define HSTEP512I(acc, aL, xL, xH, r, mm, hh, k) \
+	VPANDQ     Z30, acc, aL                         \
+	VPSRLQ     $52, acc, acc                        \
+	MODMUL512I(aL, acc, xL, xH, r, mm, hh, aL, k)   \
+	VPADDQ.BCST (R9), r, acc                        \
+	CONDSUB512(acc, k)
+
+// HLOAD512I(off, acc, xL, xH, t0, t1, k): start a chain on the eight points
+// at off(DI): split the canonical points into limbs, acc = coef[k-1].
+#define HLOAD512I(off, acc, xL, xH, t0, t1, k) \
+	VMOVDQU64    off(DI), t0       \
+	REDUCE512(t0, t1, acc, k)      \
+	VPANDQ       Z30, t1, xL       \
+	VPSRLQ       $52, t1, xH       \
+	VPBROADCASTQ (R11), acc
+
 // func polyEvalBatchIFMA(coef []uint64, xs []uint64, out []uint64)
-// Same contract as polyEvalBatchAVX512; IFMA52 flavor. The point limbs are
-// split once per 8-point block, the accumulator limbs once per step.
+// Same contract as polyEvalBatchAVX512; IFMA52 flavor. One Horner step is a
+// chain of dependent multiplies, so the main loop runs four independent
+// 8-point chains (32 points) per coefficient step and keeps the multiplier
+// busy while each waits on its own previous step; the 8-point loop after it
+// takes the remaining blocks. The point limbs are split once per block, the
+// accumulator limbs once per step.
 TEXT ·polyEvalBatchIFMA(SB), NOSPLIT, $0-72
 	MOVQ         coef_base+0(FP), SI
 	MOVQ         coef_len+8(FP), DX
@@ -208,35 +245,190 @@ TEXT ·polyEvalBatchIFMA(SB), NOSPLIT, $0-72
 	MOVQ         out_base+48(FP), R8
 	VPBROADCASTQ modP512<>(SB), ZP
 	VPBROADCASTQ mask52v<>(SB), Z30
+	LEAQ         -8(SI)(DX*8), R11    // &coef[k-1]
 
-pointloop:
-	VMOVDQU64 (DI), Z0
-	REDUCE512(Z0, Z1, Z2, K1)         // Z1 = canonical points
-	VPANDQ    Z30, Z1, Z9             // xL
-	VPSRLQ    $52, Z1, Z10            // xH
-
-	VPBROADCASTQ -8(SI)(DX*8), Z3     // acc = coef[k-1]
+quadloop:
+	CMPQ CX, $32
+	JB   pointloop
+	HLOAD512I(0, Z0, Z2, Z3, Z4, Z5, K1)
+	HLOAD512I(64, Z7, Z9, Z10, Z11, Z12, K2)
+	HLOAD512I(128, Z14, Z16, Z17, Z18, Z19, K3)
+	HLOAD512I(192, Z21, Z23, Z24, Z25, Z26, K4)
 	MOVQ         DX, R10
 	DECQ         R10
-	JZ           store
+	JZ           quadstore
 	LEAQ         -16(SI)(DX*8), R9    // &coef[k-2]
 
+quadcoef:
+	HSTEP512I(Z0, Z1, Z2, Z3, Z4, Z5, Z6, K1)
+	HSTEP512I(Z7, Z8, Z9, Z10, Z11, Z12, Z13, K2)
+	HSTEP512I(Z14, Z15, Z16, Z17, Z18, Z19, Z20, K3)
+	HSTEP512I(Z21, Z22, Z23, Z24, Z25, Z26, Z27, K4)
+	SUBQ $8, R9
+	DECQ R10
+	JNZ  quadcoef
+
+quadstore:
+	VMOVDQU64 Z0, (R8)
+	VMOVDQU64 Z7, 64(R8)
+	VMOVDQU64 Z14, 128(R8)
+	VMOVDQU64 Z21, 192(R8)
+	ADDQ      $256, DI
+	ADDQ      $256, R8
+	SUBQ      $32, CX
+	JMP       quadloop
+
+pointloop:
+	TESTQ CX, CX
+	JZ    done
+	HLOAD512I(0, Z0, Z2, Z3, Z4, Z5, K1)
+	MOVQ  DX, R10
+	DECQ  R10
+	JZ    store
+	LEAQ  -16(SI)(DX*8), R9           // &coef[k-2]
+
 coefloop:
-	VPANDQ       Z30, Z3, Z0          // accL
-	VPSRLQ       $52, Z3, Z1          // accH
-	MODMUL512I(Z0, Z1, Z9, Z10, Z5, Z6, Z7, Z8, K1)
-	VPBROADCASTQ (R9), Z4
-	MODADD512(Z5, Z4, Z3, K1)         // acc = acc*x + coef[j]
-	SUBQ         $8, R9
-	DECQ         R10
-	JNZ          coefloop
+	HSTEP512I(Z0, Z1, Z2, Z3, Z4, Z5, Z6, K1)
+	SUBQ $8, R9
+	DECQ R10
+	JNZ  coefloop
 
 store:
-	VMOVDQU64 Z3, (R8)
+	VMOVDQU64 Z0, (R8)
 	ADDQ      $64, DI
 	ADDQ      $64, R8
 	SUBQ      $8, CX
-	JNZ       pointloop
+	JMP       pointloop
+
+done:
+	VZEROUPPER
+	RET
+
+// POWER512I(aL, aH, bL, bH, oL, oH): the limbs of the canonical product
+// a·b, for the power table of polyEvalRowsIFMA. Clobbers Z14-Z17 and K1.
+#define POWER512I(aL, aH, bL, bH, oL, oH) \
+	MODMUL512I(aL, aH, bL, bH, Z14, Z15, Z16, Z17, K1) \
+	VPANDQ Z30, Z14, oL                                \
+	VPSRLQ $52, Z14, oH
+
+// LAZYTERM512I(pL, pH, off): add the unreduced limb products of the power
+// (pL, pH) and the coefficient whose limbs sit at off(CX), off+8(CX) into
+// the row's sums: r (Z14), m (Z15 + Z16) and h (Z17 + Z18). Two registers
+// each for m and h halve the longest dependent chain.
+#define LAZYTERM512I(pL, pH, off) \
+	VPMADD52LUQ.BCST off(CX), pL, Z14      \
+	VPMADD52HUQ.BCST off(CX), pL, Z15      \
+	VPMADD52LUQ.BCST off+8(CX), pL, Z16    \
+	VPMADD52LUQ.BCST off(CX), pH, Z16      \
+	VPMADD52HUQ.BCST off+8(CX), pL, Z17    \
+	VPMADD52LUQ.BCST off+8(CX), pH, Z17    \
+	VPMADD52HUQ.BCST off(CX), pH, Z18
+
+// func polyEvalRowsIFMA(cs []uint64, k int, xs []uint64, out []uint64, stride int)
+// Multi-row IFMA evaluation of len(cs)/16 polynomials of k coefficients,
+// 2 <= k <= 8, at the points xs (len(xs) > 0 and %8 == 0): row j's value at
+// xs[t] goes to out[j*stride+t]. cs holds 16 words per row: a0, then the
+// 52/9-bit limbs of a1..a(k-1), all canonical. Per 8-point block the points
+// are reduced and split once and the power table x..x^(k-1) (Z0-Z13, limb
+// pairs) is built once, as a product tree of depth 3; each row then adds
+// its k-1 coefficient·power products unreduced (see the file header for the
+// bounds) and pays one recombination, where Horner pays one per step.
+TEXT ·polyEvalRowsIFMA(SB), NOSPLIT, $0-88
+	MOVQ         cs_base+0(FP), SI
+	MOVQ         cs_len+8(FP), R12
+	SHRQ         $4, R12                 // rows
+	MOVQ         k+24(FP), DX
+	MOVQ         xs_base+32(FP), DI
+	MOVQ         xs_len+40(FP), R13
+	MOVQ         out_base+56(FP), R8
+	MOVQ         stride+80(FP), R11
+	SHLQ         $3, R11                 // row stride in bytes
+	VPBROADCASTQ modP512<>(SB), ZP
+	VPBROADCASTQ mask52v<>(SB), Z30
+
+block:
+	VMOVDQU64 (DI), Z19
+	REDUCE512(Z19, Z14, Z15, K1)         // canonical points
+	VPANDQ    Z30, Z14, Z0               // x
+	VPSRLQ    $52, Z14, Z1
+	CMPQ      DX, $3
+	JB        rows
+	POWER512I(Z0, Z1, Z0, Z1, Z2, Z3)    // x^2
+	CMPQ      DX, $4
+	JB        rows
+	POWER512I(Z2, Z3, Z0, Z1, Z4, Z5)    // x^3 = x^2·x
+	CMPQ      DX, $5
+	JB        rows
+	POWER512I(Z2, Z3, Z2, Z3, Z6, Z7)    // x^4 = x^2·x^2
+	CMPQ      DX, $6
+	JB        rows
+	POWER512I(Z6, Z7, Z0, Z1, Z8, Z9)    // x^5 = x^4·x
+	CMPQ      DX, $7
+	JB        rows
+	POWER512I(Z6, Z7, Z2, Z3, Z10, Z11)  // x^6 = x^4·x^2
+	CMPQ      DX, $8
+	JB        rows
+	POWER512I(Z6, Z7, Z4, Z5, Z12, Z13)  // x^7 = x^4·x^3
+
+rows:
+	MOVQ SI, CX
+	MOVQ R8, BX
+	MOVQ R12, R10
+
+row:
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	LAZYTERM512I(Z0, Z1, 8)
+	CMPQ   DX, $2
+	JEQ    recombine
+	LAZYTERM512I(Z2, Z3, 24)
+	CMPQ   DX, $3
+	JEQ    recombine
+	LAZYTERM512I(Z4, Z5, 40)
+	CMPQ   DX, $4
+	JEQ    recombine
+	LAZYTERM512I(Z6, Z7, 56)
+	CMPQ   DX, $5
+	JEQ    recombine
+	LAZYTERM512I(Z8, Z9, 72)
+	CMPQ   DX, $6
+	JEQ    recombine
+	LAZYTERM512I(Z10, Z11, 88)
+	CMPQ   DX, $7
+	JEQ    recombine
+	LAZYTERM512I(Z12, Z13, 104)
+
+recombine:
+	VPADDQ      Z16, Z15, Z15            // m
+	VPADDQ      Z18, Z17, Z17            // h
+	VPSLLQ      $55, Z15, Z19            // 2^52·(m mod 2^9)
+	VPSRLQ      $3, Z19, Z19
+	VPADDQ      Z19, Z14, Z14
+	VPSRLQ      $9, Z15, Z15             // m>>9
+	VPADDQ      Z15, Z14, Z14
+	VPSLLQ      $46, Z17, Z19            // 2^43·(h mod 2^18)
+	VPSRLQ      $3, Z19, Z19
+	VPADDQ      Z19, Z14, Z14
+	VPSRLQ      $18, Z17, Z17            // h>>18
+	VPADDQ      Z17, Z14, Z14
+	VPADDQ.BCST (CX), Z14, Z14           // + a0; the sum is < 2^63
+	VPANDQ      ZP, Z14, Z19
+	VPSRLQ      $61, Z14, Z14
+	VPADDQ      Z19, Z14, Z14
+	CONDSUB512(Z14, K2)
+	VMOVDQU64   Z14, (BX)
+	ADDQ        $128, CX
+	ADDQ        R11, BX
+	DECQ        R10
+	JNZ         row
+
+	ADDQ $64, DI
+	ADDQ $64, R8
+	SUBQ $8, R13
+	JNZ  block
 	VZEROUPPER
 	RET
 

@@ -121,15 +121,29 @@ func randPoints(r *rand.Rand, n int) []uint64 {
 	return xs
 }
 
+// evalLengths are the batch lengths the Horner differentials sweep: around
+// the 8-point block and the IFMA kernel's 32-point unroll, and past both.
+var evalLengths = []int{0, 1, 3, 4, 5, 7, 8, 9, 16, 24, 31, 32, 33, 40, 63, 64, 65, 95, 96, 97, 100, 255, 256, 257, 300}
+
+// randCoefs returns n canonical coefficients; maxed sets every one to p-1,
+// whose limbs are (nearly) all ones: the largest lazy limb sums.
+func randCoefs(r *rand.Rand, n int, maxed bool) []uint64 {
+	coef := make([]uint64, n)
+	for i := range coef {
+		coef[i] = randCanonical(r)
+		if maxed {
+			coef[i] = modulus - 1
+		}
+	}
+	return coef
+}
+
 func TestPolyEvalBatchDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7001))
 	for _, vt := range vectorTables() {
-		for _, k := range []int{0, 1, 2, 3, 4, 5, 7, 12} {
-			for _, n := range []int{0, 1, 3, 4, 5, 8, 31, 64} {
-				coef := make([]uint64, k)
-				for i := range coef {
-					coef[i] = randCanonical(r)
-				}
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12} {
+			for ni, n := range evalLengths {
+				coef := randCoefs(r, k, ni%4 == 0)
 				xs := randPoints(r, n)
 				want := make([]uint64, n)
 				got := make([]uint64, n)
@@ -139,6 +153,58 @@ func TestPolyEvalBatchDifferential(t *testing.T) {
 					if want[i] != got[i] {
 						t.Fatalf("%s polyEvalBatch k=%d n=%d: out[%d] = %#x, scalar %#x (x=%#x)",
 							vt.name, k, n, i, got[i], want[i], xs[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// heavyPoints are points whose powers x..x^7 all have 9-bit high limbs of 470
+// or more (sums 3 441-3 503 of at most 3 577), found by a search over 2^28
+// random points: with all-(p-1) coefficients they drive a k = 8 row's h sum
+// to about 2^20.8, where a plain 2^43·h recombination overflows 64 bits.
+var heavyPoints = []uint64{0x1fcaf63d15a54bdb, 0x1fd634f6780fc801, 0x1e8cbba703a014d9, 0x1fbc5490ab05837a}
+
+// TestPolyEvalRowsDifferential pins every table's multi-row evaluation to
+// the scalar per-row Horner reference: rows 1-9 and past one IFMA call's 16,
+// k 1-9 (k = 9 is past the lazy kernel's limit), lengths on both sides of
+// the 8- and 32-point blocks, raw points at and above p, heavyPoints and
+// all-(p-1) coefficients; a sentinel past the last row catches overruns.
+func TestPolyEvalRowsDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(7009))
+	tables := append([]*table{&scalarTable}, vectorTables()...)
+	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9} {
+		for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 33} {
+			for ni, n := range evalLengths {
+				coef := randCoefs(r, rows*k, (ni+rows)%3 == 0)
+				xs := randPoints(r, n)
+				switch ni % 5 {
+				case 0:
+					for i := range xs {
+						xs[i] = ^uint64(0) - uint64(i%3)*modulus
+					}
+				case 1:
+					for i := range xs {
+						xs[i] = heavyPoints[i%len(heavyPoints)]
+					}
+				}
+				want := make([]uint64, rows*n)
+				for j := range rows {
+					scalarPolyEvalBatch(coef[j*k:(j+1)*k], xs, want[j*n:(j+1)*n])
+				}
+				for _, vt := range tables {
+					got := make([]uint64, rows*n+1)
+					got[rows*n] = 42
+					vt.evalRows(coef, k, xs, got)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s polyEvalRows k=%d rows=%d n=%d: row %d out[%d] = %#x, scalar %#x (x=%#x)",
+								vt.name, k, rows, n, i/n, i%n, got[i], want[i], xs[i%n])
+						}
+					}
+					if got[rows*n] != 42 {
+						t.Fatalf("%s polyEvalRows k=%d rows=%d n=%d wrote past rows·len(xs)", vt.name, k, rows, n)
 					}
 				}
 			}
@@ -326,6 +392,8 @@ func TestDispatchEntryPoints(t *testing.T) {
 		}
 		out := make([]uint64, len(xs))
 		PolyEvalBatch(coef, xs, out)
+		rowsOut := make([]uint64, 3*len(xs))
+		PolyEvalRows([]uint64{coef[0], coef[1], coef[2], coef[2], coef[1], coef[0], coef[1], coef[2], coef[0]}, 3, xs, rowsOut)
 		buckets := make([]uint64, len(xs))
 		signs := make([]float64, len(xs))
 		BucketSign2(coef[0], coef[1], coef[2], coef[0], 97, xs, buckets, signs)
@@ -340,7 +408,7 @@ func TestDispatchEntryPoints(t *testing.T) {
 		SyndromeAdd4(synd, du, au)
 		tan := []float64{0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 1, 0.3}
 		Cauchy(tan, tan)
-		flat := append(append(append(append([]uint64(nil), out...), buckets...), scan...), synd...)
+		flat := append(append(append(append(append([]uint64(nil), out...), rowsOut...), buckets...), scan...), synd...)
 		for _, v := range tan {
 			flat = append(flat, math.Float64bits(v))
 		}

@@ -24,20 +24,23 @@
 // work, and no logarithm.
 //
 // Both sketches have one update path, AddFloatBatch. It walks the batch in
-// chunks of foldChunk keys and the counters in groups of foldGroup rows: each
-// of a group's rows runs over the chunk through the SIMD kernel
-// (hash.EvalBatch / Float64Batch) into one scratch block, at p = 1 one
-// kernel.Cauchy call transforms the whole block, and the group's counters
-// then fold together, one accumulator each — four independent add chains in
-// flight instead of one chain as long as the batch, over a block that stays
-// in L1 whatever the batch size. Every counter adds its terms in update order
-// and each term is the same product, so any split of a stream into batches or
-// chunks leaves bit-identical counters. Process is a batch of one, there for
-// stream.Sink; the samplers that take single updates buffer them
-// (stream.Pending) and fold them a chunk at a time. The AMS term g·δ with
-// g = ±1 is δ with its sign bit flipped when g = -1, exactly, so the fold XORs
-// the hash value's low bit into δ's sign instead of converting it to ±1.0
-// first.
+// chunks of foldChunk keys and the counters in groups of evalGroup rows. One
+// hash.EvalRows (Float64Rows) call evaluates a group's rows over the chunk
+// into one scratch block: on the IFMA tier each block of eight keys has its
+// powers x..x^(k-1) built once for all the group's rows, and each row sums
+// its coefficient·power products unreduced and reduces once, where per-row
+// Horner pays a reduction and a multiply latency per coefficient. At p = 1
+// one kernel.Cauchy call then transforms the whole block, and the counters
+// fold foldGroup at a time, one accumulator each — four independent add
+// chains in flight instead of one chain as long as the batch, over a block
+// that stays in L1 whatever the batch size. Every counter adds its terms in
+// update order and each term is the same product, so any split of a stream
+// into batches or chunks leaves bit-identical counters. Process is a batch of
+// one, there for stream.Sink; the samplers that take single updates buffer
+// them (stream.Pending) and fold them a batch at a time. The AMS term g·δ
+// with g = ±1 is δ with its sign bit flipped when g = -1, exactly, so the
+// fold XORs the hash value's low bit into δ's sign instead of converting it
+// to ±1.0 first.
 //
 // Both sketches are linear, so callers may estimate ||x - v||, for a sparse v
 // they know explicitly, by subtracting the sketch of v — exactly how the
@@ -48,6 +51,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 
@@ -92,13 +96,16 @@ type Estimator interface {
 }
 
 // foldChunk is how many keys of a batch the batch paths evaluate per pass,
-// and foldGroup how many counters' rows: a group's scratch block is 8 KiB,
-// L1-resident, and the group's counters are four independent accumulators in
-// the fold. (Eight rows measured no faster: the compiler spills two of eight
+// evalGroup how many counters' rows one kernel call evaluates over them (a
+// 16 KiB block, L1-resident; one IFMA call takes up to 16 rows, and the
+// shared power table costs less per row the more rows share it), and
+// foldGroup how many of those counters fold together, four independent
+// accumulators. (Eight measured no faster: the compiler spills two of eight
 // accumulators.)
 const (
-	foldChunk = 256
+	foldChunk = 128
 	foldGroup = 4
+	evalGroup = 16
 )
 
 // growBlock returns (*buf)[:n], reallocating when its capacity falls short.
@@ -123,10 +130,12 @@ type AMS struct {
 
 	// Batch scratch (key/delta views of the batch, one row group's hash
 	// values over one chunk), grown on demand: steady-state batched calls
-	// allocate nothing.
-	scratchIdx []uint64
-	scratchDel []float64
-	scratchBlk []field.Elem
+	// allocate nothing. Estimate reuses the key view and block for the
+	// subtracted keys and keeps its group means in scratchMeans.
+	scratchIdx   []uint64
+	scratchDel   []float64
+	scratchBlk   []field.Elem
+	scratchMeans []float64
 }
 
 // NewAMS creates an AMS sketch with the given number of groups (median width,
@@ -149,23 +158,23 @@ func NewAMS(groups, perGroup int, r *rand.Rand) *AMS {
 }
 
 // AddFloatBatch applies the batch chunk by chunk and, within a chunk, row
-// group by row group: the group's 4-wise sign rows run through the SIMD
-// kernel into one block of field values, then the group's counters fold the
-// chunk's deltas together, each with the delta's sign bit flipped where the
-// value's low bit gives g = -1. Every counter adds its terms in update order,
-// so any split of a stream into batches leaves bit-identical state;
-// steady-state calls allocate nothing.
+// group by row group: the group's 4-wise sign rows run through one kernel
+// call into one block of field values, then the group's counters fold the
+// chunk's deltas foldGroup at a time, each with the delta's sign bit flipped
+// where the value's low bit gives g = -1. Every counter adds its terms in
+// update order, so any split of a stream into batches leaves bit-identical
+// state; steady-state calls allocate nothing.
 func (a *AMS) AddFloatBatch(indices []uint64, deltas []float64) {
 	for lo := 0; lo < len(indices); lo += foldChunk {
 		keys := indices[lo:min(lo+foldChunk, len(indices))]
 		n := len(keys)
-		blk := growBlock(&a.scratchBlk, foldGroup*n)
-		for j := 0; j < len(a.counters); j += foldGroup {
-			c := a.counters[j:min(j+foldGroup, len(a.counters))]
-			for r := range c {
-				a.signs.EvalBatch(j+r, keys, blk[r*n:(r+1)*n])
+		blk := growBlock(&a.scratchBlk, evalGroup*n)
+		for j := 0; j < len(a.counters); j += evalGroup {
+			rows := min(evalGroup, len(a.counters)-j)
+			a.signs.EvalRows(j, rows, keys, blk)
+			for g := 0; g < rows; g += foldGroup {
+				foldSigns(a.counters[j+g:j+min(g+foldGroup, rows)], blk[g*n:], deltas[lo:lo+n])
 			}
-			foldSigns(c, blk, deltas[lo:lo+n])
 		}
 	}
 }
@@ -231,22 +240,32 @@ func (a *AMS) Merge(other Estimator) error {
 	return nil
 }
 
-// Estimate returns the median-of-means estimate of ||x - subtract||_2.
+// Estimate returns the median-of-means estimate of ||x - subtract||_2. Every
+// sign row meets subtract's keys in one kernel call, into scratch the sketch
+// owns beside the median buffer, so Estimate (like the updates) is
+// single-goroutine.
 func (a *AMS) Estimate(subtract []Entry) float64 {
-	means := make([]float64, a.groups)
-	for gi := 0; gi < a.groups; gi++ {
+	n := len(subtract)
+	keys := growBlock(&a.scratchIdx, n)
+	for t, e := range subtract {
+		keys[t] = e.Index
+	}
+	signs := growBlock(&a.scratchBlk, len(a.counters)*n)
+	a.signs.EvalRows(0, len(a.counters), keys, signs)
+	means := growBlock(&a.scratchMeans, a.groups)
+	for gi := range means {
 		var sum float64
 		for k := 0; k < a.perGroup; k++ {
 			j := gi*a.perGroup + k
 			c := a.counters[j]
-			for _, e := range subtract {
-				c -= float64(a.signs.Sign(j, e.Index)) * e.Value
+			for t, e := range subtract {
+				c -= float64(int64(signs[j*n+t]&1)<<1-1) * e.Value // signs.Sign(j, e.Index)·e.Value
 			}
 			sum += c * c
 		}
 		means[gi] = sum / float64(a.perGroup)
 	}
-	sort.Float64s(means)
+	slices.Sort(means)
 	var med float64
 	if a.groups%2 == 1 {
 		med = means[a.groups/2]
@@ -351,10 +370,10 @@ func cmsStable(p, u1, u2 float64) float64 {
 
 // AddFloatBatch applies the batch chunk by chunk and, within a chunk, row
 // group by row group: the group's 8-wise rows produce the CMS uniforms over
-// the chunk through the SIMD Float64Batch kernel into one block (a second
-// block for the 2i+1 uniforms unless p = 1), the block is transformed in
-// place — at p = 1 by one kernel.Cauchy call — and the group's counters fold
-// the chunk's deltas together. Every counter adds its terms in update order,
+// the chunk in one Float64Rows call into one block (a second call and block
+// for the 2i+1 uniforms unless p = 1), the block is transformed in place —
+// at p = 1 by one kernel.Cauchy call — and the group's counters fold the
+// chunk's deltas foldGroup at a time. Every counter adds its terms in update order,
 // so any split of a stream into batches leaves bit-identical state;
 // steady-state calls allocate nothing.
 func (s *Stable) AddFloatBatch(indices []uint64, deltas []float64) {
@@ -365,7 +384,7 @@ func (s *Stable) AddFloatBatch(indices []uint64, deltas []float64) {
 		for t, i := range keys {
 			k1[t] = 2 * i
 		}
-		blk := growBlock(&s.scratchBlk, foldGroup*n)
+		blk := growBlock(&s.scratchBlk, evalGroup*n)
 		var k2 []uint64
 		var blk2 []float64
 		if s.p != 1 {
@@ -373,25 +392,23 @@ func (s *Stable) AddFloatBatch(indices []uint64, deltas []float64) {
 			for t, i := range keys {
 				k2[t] = 2*i + 1
 			}
-			blk2 = growBlock(&s.scratchBlk2, foldGroup*n)
+			blk2 = growBlock(&s.scratchBlk2, evalGroup*n)
 		}
-		for j := 0; j < len(s.counters); j += foldGroup {
-			c := s.counters[j:min(j+foldGroup, len(s.counters))]
-			a := blk[:len(c)*n]
-			for r := range c {
-				s.seeds.Float64Batch(j+r, k1, a[r*n:(r+1)*n])
-			}
+		for j := 0; j < len(s.counters); j += evalGroup {
+			rows := min(evalGroup, len(s.counters)-j)
+			a := blk[:rows*n]
+			s.seeds.Float64Rows(j, rows, k1, a)
 			if s.p == 1 {
 				kernel.Cauchy(a, a)
 			} else {
-				for r := range c {
-					s.seeds.Float64Batch(j+r, k2, blk2[r*n:(r+1)*n])
-				}
+				s.seeds.Float64Rows(j, rows, k2, blk2)
 				for t, u := range a {
 					a[t] = cmsStable(s.p, u, blk2[t])
 				}
 			}
-			foldProducts(c, a, deltas[lo:lo+n])
+			for g := 0; g < rows; g += foldGroup {
+				foldProducts(s.counters[j+g:j+min(g+foldGroup, rows)], a[g*n:], deltas[lo:lo+n])
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"repro/internal/kernel"
@@ -35,6 +36,30 @@ func refAMSAddFloatBatch(a *AMS, indices []uint64, deltas []float64) {
 		}
 		a.counters[j] = cj
 	}
+}
+
+// refAMSEstimate is AMS.Estimate as it stood before the subtracted keys went
+// through the multi-row kernel: one scalar Sign per counter and entry, and a
+// fresh means slice per call.
+func refAMSEstimate(a *AMS, subtract []Entry) float64 {
+	means := make([]float64, a.groups)
+	for gi := 0; gi < a.groups; gi++ {
+		var sum float64
+		for k := 0; k < a.perGroup; k++ {
+			j := gi*a.perGroup + k
+			c := a.counters[j]
+			for _, e := range subtract {
+				c -= float64(a.signs.Sign(j, e.Index)) * e.Value
+			}
+			sum += c * c
+		}
+		means[gi] = sum / float64(a.perGroup)
+	}
+	sort.Float64s(means)
+	if a.groups%2 == 1 {
+		return math.Sqrt(means[a.groups/2])
+	}
+	return math.Sqrt((means[a.groups/2-1] + means[a.groups/2]) / 2)
 }
 
 func refStableAt(s *Stable, j int, i uint64) float64 {
@@ -242,4 +267,32 @@ func BenchmarkAMSAddBatch(b *testing.B) {
 		a.AddFloatBatch(idx, del)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(idx)), "ns/update")
+}
+
+// TestAMSEstimateMatchesReference pins Estimate, whose subtracted keys meet
+// every sign row in one kernel call, to the per-entry scalar reference bit
+// for bit under every variant, for ẑ sizes around the 8- and 32-key blocks
+// and both group-count parities; once warm it allocates nothing.
+func TestAMSEstimateMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(91, 92))
+	idx, del := refUpdates(3000, r)
+	zhat := make([]Entry, 40)
+	for k := range zhat {
+		zhat[k] = Entry{Index: idx[3*k], Value: del[3*k] * (1 + 0.01*r.Float64())}
+	}
+	for _, shape := range [][2]int{{9, 6}, {4, 5}} {
+		a := NewAMS(shape[0], shape[1], rand.New(rand.NewPCG(93, uint64(shape[0]))))
+		a.AddFloatBatch(idx, del)
+		sweepKernels(t, func(t *testing.T) {
+			for _, m := range []int{0, 1, 7, 8, 9, 32, 33, 40} {
+				got, want := a.Estimate(zhat[:m]), refAMSEstimate(a, zhat[:m])
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("groups=%d |ẑ|=%d: Estimate %v, reference %v", shape[0], m, got, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { a.Estimate(zhat) }); allocs != 0 {
+				t.Errorf("groups=%d: Estimate allocates %v times per call, want 0", shape[0], allocs)
+			}
+		})
+	}
 }

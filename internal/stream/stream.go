@@ -88,8 +88,8 @@ func ProcessAll(s Sink, batch []Update) {
 	}
 }
 
-// pendingLen is how many single updates a Pending holds before they fold: one
-// chunk of the norm sketches' batch fold (norm.foldChunk).
+// pendingLen is how many single updates a Pending holds before they fold: two
+// chunks of the norm sketches' batch fold (norm.foldChunk).
 const pendingLen = 256
 
 // Pending buffers a BatchSink's single updates so that they reach its batched
