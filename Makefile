@@ -22,10 +22,13 @@ race:
 # everywhere and the sweep additionally exercises that fallback under -race.
 # -count 1: the variant is chosen in a package init, before the test cache
 # starts watching the environment, so a cached result would stand in for a
-# variant that never ran.
+# variant that never ran. Each leg first names, under -v, the tier it runs and
+# whether its IFMA kernels are installed (TestActiveKernel): the tier name
+# alone does not say whether the IFMA kernels ran on this machine.
 race-kernels:
 	for k in scalar avx2 avx512 neon; do \
 		echo "== REPRO_KERNEL=$$k =="; \
+		REPRO_KERNEL=$$k $(GO) test -count 1 -v -run '^TestActiveKernel$$' ./internal/kernel || exit 1; \
 		REPRO_KERNEL=$$k $(GO) test -race -count 1 \
 			./internal/kernel ./internal/field ./internal/hash \
 			./internal/prng ./internal/sparse ./internal/countsketch \
@@ -129,13 +132,15 @@ serve-e2e:
 # The L0 fast-path benchmarks (the PR-3 and PR-24 headlines): the 1M-update
 # serial and engine ingest through the Theorem 2 sampler and the sampler's
 # own scalar and 2048-frame folds, plus the layers underneath — window-table
-# block access in prng, the one-multiply syndrome kernel, the windowed rho^i
-# and the recoverer's batch and scalar folds.
+# block access in prng, the one-multiply syndrome kernel, the syndrome fold
+# per tier at the sampler's 20 syndromes, the windowed rho^i and the
+# recoverer's batch and scalar folds.
 bench-l0:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestL0' -benchtime 2x .
 	$(GO) test -run '^$$' -bench 'L0SamplerProcess' -benchtime 2000x ./internal/core
 	$(GO) test -run '^$$' -bench 'Block' -benchtime 100000x ./internal/prng
 	$(GO) test -run '^$$' -bench 'KernelSyndromeAdd4' -benchtime 100000x ./internal/kernel
+	$(GO) test -run '^$$' -bench 'KernelSyndromeFold' -benchtime 20000x ./internal/kernel
 	$(GO) test -run '^$$' -bench 'PowCache|PowLadder' -benchtime 100000x ./internal/field
 	$(GO) test -run '^$$' -bench 'ProcessBatchS10|ProcessScalarS10' -benchtime 2000x ./internal/sparse
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -114,6 +115,29 @@ func BenchmarkKernelSyndromeAdd4(b *testing.B) {
 	a := [4]uint64{5, 6, 7, 8}
 	for i := 0; i < b.N; i++ {
 		SyndromeAdd4(synd, d, a)
+	}
+}
+
+// BenchmarkKernelSyndromeFold folds m updates into the L0 sampler's 20
+// syndromes (s = 10) through every table this CPU runs, scalar first, and
+// reports ns per update: level 0 takes 2 048-update frames in blocks of 64,
+// the subsampled levels 1-64 members per 128-update chunk.
+func BenchmarkKernelSyndromeFold(b *testing.B) {
+	for _, m := range []int{8, 32, 128, 2048} {
+		keys := benchKeys(2 * m)
+		d, a := keys[:m], keys[m:]
+		for i := range keys {
+			keys[i] %= modulus
+		}
+		for _, vt := range append([]*table{&scalarTable}, available...) {
+			b.Run(fmt.Sprintf("m=%d/%s", m, vt.name), func(b *testing.B) {
+				synd := make([]uint64, 20)
+				for i := 0; i < b.N; i++ {
+					vt.syndromeFold(synd, d, a)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/update")
+			})
+		}
 	}
 }
 

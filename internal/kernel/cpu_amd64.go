@@ -42,6 +42,9 @@ func polyEvalBatchIFMA(coef []uint64, xs []uint64, out []uint64)
 func polyEvalRowsIFMA(cs []uint64, k int, xs []uint64, out []uint64, stride int)
 
 //go:noescape
+func syndromeFoldIFMA(synd, d, a []uint64)
+
+//go:noescape
 func bucketSign2IFMA(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
 
 //go:noescape
@@ -90,12 +93,14 @@ func detect() {
 		avx512Table.polyEvalBatch = avx512PolyEvalBatchIFMA
 		avx512Table.polyEvalRows = avx512PolyEvalRowsIFMA
 		avx512Table.bucketSign2 = avx512BucketSign2IFMA
+		avx512Table.ifma = true
 		// Keep the VPMULUDQ flavor reachable for the differential tests:
 		// an IFMA machine can run both, so both get pinned against scalar.
 		alt := avx512Table
 		alt.polyEvalBatch = avx512PolyEvalBatch
 		alt.polyEvalRows = nil
 		alt.bucketSign2 = avx512BucketSign2
+		alt.ifma = false
 		testAltTables = append(testAltTables, &alt)
 	}
 	available = append(available, &avx512Table)
@@ -261,6 +266,22 @@ func avx512PolyEvalRowsIFMA(coef []uint64, k int, xs, out []uint64) {
 			scalarPolyEvalBatch(coef[j*k:(j+1)*k], xs[n8:], out[j*n+n8:(j+1)*n])
 		}
 	}
+}
+
+// ifmaMaxSyndromes bounds the syndromes one syndromeFoldIFMA call folds: its
+// lane accumulators, eight words per syndrome, fill its 1.5 KiB frame.
+const ifmaMaxSyndromes = 24
+
+// avx512SyndromeFoldIFMA runs SyndromeFold's IFMA kernel over the whole
+// batch for up to ifmaMaxSyndromes syndromes (2s <= 24, the L0 sampler's
+// s = 10 among them). A longer vector takes the scalar groups: no workload
+// folds one yet, so no measurement says a windowed IFMA path would win.
+func avx512SyndromeFoldIFMA(synd, d, a []uint64) {
+	if len(synd) > ifmaMaxSyndromes {
+		scalarSyndromeFold(synd, d, a)
+		return
+	}
+	syndromeFoldIFMA(synd, d, a[:len(d)])
 }
 
 func avx512BucketSign2IFMA(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []float64) {

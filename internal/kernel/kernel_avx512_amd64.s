@@ -34,6 +34,22 @@
 // and one Mersenne fold leaves at most p+3, which the conditional subtract
 // makes canonical.
 //
+// syndromeFoldIFMA steps each update's product chain q ← q·a with
+// MODMUL512I's limb algebra and no conditional subtract, so chains carry
+// half-reduced q below 2^61+4: the recombined sum is below 2^63, and one
+// fold leaves at most p+3. Such a q can have a 10-bit high limb
+// qH = q>>52 <= 2^9, so
+//   r < 2^52,   m < 3·2^52,   h < 2^9 + 2^9 + 2^9·(2^9-1) < 2^19,
+// and r + 2^52·(m mod 2^9) + (m>>9) + 2^43·h < 2^52 + 2^61 + 2^45 + 2^62
+// < 2^63 still holds. Each syndrome j has a lane accumulator, acc[j], that
+// starts as (synd[j], 0, ..., 0). A four-chain step adds its four q to it,
+// acc + 4·(2^61+3) < 2^64 for acc <= 2^61+4, and folds once: the sum is
+// below 5·2^61+17, so the fold leaves acc <= p+5 = 2^61+4 again. The
+// one-chain group, always a call's last, adds one q unfolded, acc < 2^62+8.
+// At the end of the call each lane is folded (<= p+2) and made canonical,
+// the eight lanes sum below 8p < 2^64, and one fold and a conditional
+// subtract give the new canonical synd[j].
+//
 // The conditional subtract uses an opmask compare instead of AVX2's
 // float-domain blend: VPCMPUQ sets K where r >= p, and a merge-masked
 // VPSUBQ subtracts p in exactly those lanes.
@@ -521,5 +537,184 @@ keyloop:
 	ADDQ $64, R9
 	SUBQ $8, CX
 	JNZ  keyloop
+	VZEROUPPER
+	RET
+
+// SMUL512I(q, a, aH, t, r, mm, hh): one step of a syndrome product chain,
+// q ← q·a half-reduced, for q < 2^61+4 and a with its high limb aH = a>>52.
+// VPMADD52 reads only bits 51:0 of its sources, so q and a serve as their
+// own low limbs unmasked; t takes q's high limb (at most 2^9), then serves as
+// the temporary. MODMUL512I's limb algebra with no conditional subtract:
+// see the file header for the bounds.
+#define SMUL512I(q, a, aH, t, r, mm, hh) \
+	VPSRLQ      $52, q, t     \
+	VPXORQ      r, r, r       \
+	VPXORQ      mm, mm, mm    \
+	VPXORQ      hh, hh, hh    \
+	VPMADD52LUQ a, q, r       \
+	VPMADD52HUQ a, q, mm      \
+	VPMADD52LUQ aH, q, mm     \
+	VPMADD52LUQ a, t, mm      \
+	VPMADD52HUQ aH, q, hh     \
+	VPMADD52HUQ a, t, hh      \
+	VPMADD52LUQ aH, t, hh     \
+	VPSLLQ      $55, mm, t    \
+	VPSRLQ      $3, t, t      \
+	VPADDQ      t, r, r       \
+	VPSRLQ      $9, mm, mm    \
+	VPADDQ      mm, r, r      \
+	VPSLLQ      $43, hh, hh   \
+	VPADDQ      hh, r, r      \
+	VPANDQ      ZP, r, t      \
+	VPSRLQ      $61, r, r     \
+	VPADDQ      t, r, q
+
+// SLOAD512I(off, k, q, a, aH): start a chain on the lanes of k at off(DI)
+// and off(BX): q = d, a and its high limb; lanes outside k load as zero, a
+// padding update with d = 0 whose products are all exactly 0.
+#define SLOAD512I(off, k, q, a, aH) \
+	VMOVDQU64.Z off(DI), k, q \
+	VMOVDQU64.Z off(BX), k, a \
+	VPSRLQ      $52, a, aH
+
+// SFOLD512(x, t): x ← (x mod 2^61) + (x >> 61), the lane accumulators' fold.
+#define SFOLD512(x, t) \
+	VPANDQ ZP, x, t  \
+	VPSRLQ $61, x, x \
+	VPADDQ t, x, x
+
+// SMASK(off, k): k = the lanes of the 8-update block that starts off updates
+// into the group, from the R13 updates left: min(max(R13-off, 0), 8) ones.
+#define SMASK(off, k) \
+	MOVQ    R13, CX  \
+	SUBQ    $off, CX \
+	XORQ    AX, AX   \
+	CMPQ    CX, AX   \
+	CMOVQLT AX, CX   \
+	MOVQ    $8, AX   \
+	CMPQ    CX, AX   \
+	CMOVQGT AX, CX   \
+	MOVQ    $1, AX   \
+	SHLQ    CX, AX   \
+	DECQ    AX       \
+	KMOVW   AX, k
+
+// func syndromeFoldIFMA(synd []uint64, d []uint64, a []uint64)
+// synd[j] += Σ_t d[t]·a[t]^j for j < len(synd), 1 <= len(synd) <= 24,
+// 1 <= len(d) <= len(a); d below 2^61+4, a and synd canonical. Lanes are
+// updates: each chain carries eight updates' products q = d·a^j and steps
+// by q ← q·a. Groups of 32 updates run four chains in flight per step j; a
+// last group of at most 8 runs one. Partial blocks load masked, their
+// missing lanes as zero. Syndrome j's lane accumulator acc[8j:8j+8] starts
+// as (synd[j], 0, ..., 0), takes each step's products lazily (see the file
+// header) and is summed across its lanes once, at the end of the call. The
+// accumulators live in this function's own 1.5 KiB frame, which, unlike a Go
+// array, nobody zeroes first: the call's fixed cost stays small for the few
+// members of a subsampled level.
+TEXT ·syndromeFoldIFMA(SB), $1536-72
+	MOVQ         synd_base+0(FP), SI
+	MOVQ         synd_len+8(FP), R11
+	MOVQ         d_base+24(FP), DI
+	MOVQ         d_len+32(FP), R13
+	MOVQ         a_base+48(FP), BX
+	MOVQ         SP, R8                     // acc: the frame, 64 bytes a syndrome
+	VPBROADCASTQ modP512<>(SB), ZP
+
+	// acc[j] = (synd[j], 0, ..., 0): VMOVQ zeroes the rest of the register.
+	MOVQ SI, DX
+	MOVQ R8, R9
+	MOVQ R11, R10
+
+sinit:
+	VMOVQ     (DX), X0
+	VMOVDQU64 Z0, (R9)
+	ADDQ      $8, DX
+	ADDQ      $64, R9
+	DECQ      R10
+	JNZ       sinit
+
+sgroup:
+	CMPQ R13, $8
+	JLE  ssingle
+	SMASK(0, K1)
+	SMASK(8, K2)
+	SMASK(16, K3)
+	SMASK(24, K4)
+	SLOAD512I(0, K1, Z0, Z1, Z2)
+	SLOAD512I(64, K2, Z7, Z8, Z9)
+	SLOAD512I(128, K3, Z14, Z15, Z16)
+	SLOAD512I(192, K4, Z21, Z22, Z23)
+	MOVQ R8, R9
+	MOVQ R11, R10
+
+squadstep:
+	VPADDQ    Z0, Z7, Z28
+	VPADDQ    Z14, Z21, Z29
+	VPADDQ    Z29, Z28, Z28
+	VPADDQ    (R9), Z28, Z28
+	SFOLD512(Z28, Z29)
+	VMOVDQU64 Z28, (R9)
+	ADDQ      $64, R9
+	DECQ      R10
+	JZ        squadnext
+	SMUL512I(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	SMUL512I(Z7, Z8, Z9, Z10, Z11, Z12, Z13)
+	SMUL512I(Z14, Z15, Z16, Z17, Z18, Z19, Z20)
+	SMUL512I(Z21, Z22, Z23, Z24, Z25, Z26, Z27)
+	JMP       squadstep
+
+squadnext:
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $32, R13
+	JG   sgroup
+	JMP  ssums
+
+ssingle:
+	SMASK(0, K1)
+	SLOAD512I(0, K1, Z0, Z1, Z2)
+	MOVQ R8, R9
+	MOVQ R11, R10
+
+ssinglestep:
+	VPADDQ    (R9), Z0, Z28
+	VMOVDQU64 Z28, (R9)
+	ADDQ      $64, R9
+	DECQ      R10
+	JZ        ssums
+	SMUL512I(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	JMP       ssinglestep
+
+	// synd[j] = the sum of acc[j]'s lanes: each lane made canonical by a
+	// fold and a conditional subtract, eight of them below 2^64, then one
+	// fold and a conditional subtract of the sum.
+ssums:
+	MOVQ $0x1FFFFFFFFFFFFFFF, DX
+	MOVQ R8, R9
+	MOVQ R11, R10
+
+ssumloop:
+	VMOVDQU64     (R9), Z0
+	SFOLD512(Z0, Z1)
+	CONDSUB512(Z0, K5)
+	VEXTRACTI64X4 $1, Z0, Y1
+	VPADDQ        Y1, Y0, Y0
+	VEXTRACTI128  $1, Y0, X1
+	VPADDQ        X1, X0, X0
+	VPSHUFD       $0x4E, X0, X1
+	VPADDQ        X1, X0, X0
+	VMOVQ         X0, AX
+	MOVQ          AX, CX
+	SHRQ          $61, CX
+	ANDQ          DX, AX
+	ADDQ          CX, AX
+	MOVQ          AX, CX
+	SUBQ          DX, CX
+	CMOVQCC       CX, AX
+	MOVQ          AX, (SI)
+	ADDQ          $8, SI
+	ADDQ          $64, R9
+	DECQ          R10
+	JNZ           ssumloop
 	VZEROUPPER
 	RET

@@ -90,6 +90,18 @@ func TestInitFromEnv(t *testing.T) {
 	}
 }
 
+// TestActiveKernel names, under -v, the tier this process runs and whether
+// its IFMA52 entries (the Horner, row and syndrome-fold kernels) are
+// installed: the tier name avx512 alone does not say, so a CI log could not
+// tell whether those kernels ran on its runner.
+func TestActiveKernel(t *testing.T) {
+	at := active.Load()
+	t.Logf("kernel %s, IFMA %v (%s=%q, selectable %v)", at.name, at.ifma, EnvVar, os.Getenv(EnvVar), Variants())
+	if at.ifma && at.name != AVX512 {
+		t.Fatalf("tier %s has the IFMA entries installed; only avx512 may", at.name)
+	}
+}
+
 func TestVariantsListsScalarFirst(t *testing.T) {
 	vs := Variants()
 	if len(vs) == 0 || vs[0] != Scalar {
@@ -378,6 +390,85 @@ func TestSyndromeAdd4Differential(t *testing.T) {
 	}
 }
 
+// syndromeFoldLengths are the syndrome-vector lengths the fold differential
+// sweeps: 0-24 (the L0 sampler's 20 among them, and the IFMA kernel's
+// limit of 24), then past it, where the IFMA tier takes the scalar groups.
+var syndromeFoldLengths = append(func() []int {
+	ls := make([]int, 25)
+	for i := range ls {
+		ls[i] = i
+	}
+	return ls
+}(), 25, 33, 48, 49, 70)
+
+// foldInputs returns m canonical deltas and points for one case: mixed draws
+// {0, 1, p-1, random} and {1, p-1, high limb >= 2^8, random}, or with maxed
+// every delta and point p-1.
+func foldInputs(r *rand.Rand, m int, maxed bool) (d, a []uint64) {
+	d, a = make([]uint64, m), make([]uint64, m)
+	for t := range d {
+		d[t] = [4]uint64{0, 1, modulus - 1, randCanonical(r)}[r.Intn(4)]
+		a[t] = [4]uint64{1, modulus - 1, randCanonical(r) | 1<<60, randCanonical(r)}[r.Intn(4)]
+		if maxed {
+			d[t], a[t] = modulus-1, modulus-1
+		}
+	}
+	return d, a
+}
+
+// TestSyndromeFoldDifferential pins every table's syndrome fold — scalar,
+// each available tier and testAltTables — to the defining power sums computed
+// the slow way (a power chain per update, one canonical add per term):
+// syndrome lengths 0-24 and past the IFMA kernel's 24, update counts 0-300
+// on both sides of 4, 8 and 32, deltas and points
+// at 0, 1 and p-1, points with large high limbs, and all-(p-1) cells. A
+// sentinel past synd catches overruns; the inputs must come back unchanged.
+func TestSyndromeFoldDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(7011))
+	tables := append([]*table{&scalarTable}, vectorTables()...)
+	counts := append([]int{2, 6, 12, 20, 28, 36, 44}, evalLengths...)
+	for _, sn := range syndromeFoldLengths {
+		for ci, m := range counts {
+			maxed := (ci+sn)%5 == 0
+			d, a := foldInputs(r, m, maxed)
+			start := make([]uint64, sn)
+			for j := range start {
+				start[j] = randCanonical(r)
+				if maxed || ci%3 == 0 {
+					start[j] = modulus - 1
+				}
+			}
+			want := append([]uint64(nil), start...)
+			for i := range d {
+				pw := uint64(1)
+				for j := range want {
+					want[j] = modAdd(want[j], modMul(d[i], pw))
+					pw = modMul(pw, a[i])
+				}
+			}
+			d0, a0 := append([]uint64(nil), d...), append([]uint64(nil), a...)
+			for _, vt := range tables {
+				got := append(append([]uint64(nil), start...), 42)
+				vt.syndromeFold(got[:sn], d, a)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%s (ifma %v) syndromeFold |synd|=%d m=%d maxed=%v: synd[%d] = %#x, power sums %#x",
+							vt.name, vt.ifma, sn, m, maxed, j, got[j], want[j])
+					}
+				}
+				if got[sn] != 42 {
+					t.Fatalf("%s syndromeFold |synd|=%d m=%d wrote past synd", vt.name, sn, m)
+				}
+				for i := range d {
+					if d[i] != d0[i] || a[i] != a0[i] {
+						t.Fatalf("%s syndromeFold |synd|=%d m=%d changed its input at %d", vt.name, sn, m, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDispatchEntryPoints drives every exported wrapper under each selectable
 // variant, checking the dispatch plumbing end to end.
 func TestDispatchEntryPoints(t *testing.T) {
@@ -406,9 +497,13 @@ func TestDispatchEntryPoints(t *testing.T) {
 		}
 		synd := make([]uint64, 6)
 		SyndromeAdd4(synd, du, au)
+		fd, fa := foldInputs(rand.New(rand.NewSource(7012)), 45, false)
+		fold := make([]uint64, 20)
+		SyndromeFold(fold, fd, fa)
 		tan := []float64{0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 1, 0.3}
 		Cauchy(tan, tan)
 		flat := append(append(append(append(append([]uint64(nil), out...), rowsOut...), buckets...), scan...), synd...)
+		flat = append(flat, fold...)
 		for _, v := range tan {
 			flat = append(flat, math.Float64bits(v))
 		}

@@ -94,6 +94,24 @@ func scalarPolyEvalBatch(coef, xs, out []uint64) {
 	}
 }
 
+// scalarSyndromeFold is SyndromeFold on every table without the IFMA
+// kernel, and the IFMA table's below ifmaFoldMin updates: groups of four
+// scalar chains (SyndromeAdd4), then the tail of up to three updates one at a
+// time.
+func scalarSyndromeFold(synd, d, a []uint64) {
+	a = a[:len(d)]
+	if len(synd) == 0 {
+		return
+	}
+	i := 0
+	for ; i+4 <= len(d); i += 4 {
+		SyndromeAdd4(synd, [4]uint64(d[i:i+4]), [4]uint64(a[i:i+4]))
+	}
+	for ; i < len(d); i++ {
+		syndromeAdd1(synd, d[i], a[i])
+	}
+}
+
 func scalarBucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []float64) {
 	buckets = buckets[:len(xs)]
 	signs = signs[:len(xs)]

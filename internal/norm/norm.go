@@ -310,7 +310,8 @@ type Stable struct {
 	// Batch scratch (index/delta views of the batch, one chunk's doubled key
 	// views 2i/2i+1, one row group's uniforms over the chunk), grown on
 	// demand: steady-state batched calls allocate nothing. At p = 1 the 2i+1
-	// views and the second block stay empty.
+	// views and the second block stay empty. Estimate sorts the counters'
+	// magnitudes in scratchBlk.
 	scratchIdx  []uint64
 	scratchDel  []float64
 	scratchK1   []uint64
@@ -473,9 +474,11 @@ func (s *Stable) Merge(other Estimator) error {
 }
 
 // Estimate returns median_j |y_j| / median(|Stable_p|), the classical Indyk
-// estimator of ||x - subtract||_p.
+// estimator of ||x - subtract||_p. The magnitudes are sorted in scratch the
+// sketch owns, so Estimate (like the updates) is single-goroutine and, once
+// warm, allocates nothing.
 func (s *Stable) Estimate(subtract []Entry) float64 {
-	abs := make([]float64, len(s.counters))
+	abs := growBlock(&s.scratchBlk, len(s.counters))
 	for j := range s.counters {
 		c := s.counters[j]
 		for _, e := range subtract {
@@ -483,7 +486,7 @@ func (s *Stable) Estimate(subtract []Entry) float64 {
 		}
 		abs[j] = math.Abs(c)
 	}
-	sort.Float64s(abs)
+	slices.Sort(abs)
 	n := len(abs)
 	var med float64
 	if n%2 == 1 {

@@ -62,6 +62,28 @@ func refAMSEstimate(a *AMS, subtract []Entry) float64 {
 	return math.Sqrt((means[a.groups/2-1] + means[a.groups/2]) / 2)
 }
 
+// refStableEstimate is Stable.Estimate as it stood before its magnitudes
+// moved to sketch-owned scratch: a fresh slice per call and sort.Float64s.
+func refStableEstimate(s *Stable, subtract []Entry) float64 {
+	abs := make([]float64, len(s.counters))
+	for j := range s.counters {
+		c := s.counters[j]
+		for _, e := range subtract {
+			c -= s.stableAt(j, e.Index) * e.Value
+		}
+		abs[j] = math.Abs(c)
+	}
+	sort.Float64s(abs)
+	n := len(abs)
+	var med float64
+	if n%2 == 1 {
+		med = abs[n/2]
+	} else {
+		med = (abs[n/2-1] + abs[n/2]) / 2
+	}
+	return med / s.scale
+}
+
 func refStableAt(s *Stable, j int, i uint64) float64 {
 	u1 := s.seeds.Float64(j, 2*i)
 	u2 := s.seeds.Float64(j, 2*i+1)
@@ -294,5 +316,37 @@ func TestAMSEstimateMatchesReference(t *testing.T) {
 				t.Errorf("groups=%d: Estimate allocates %v times per call, want 0", shape[0], allocs)
 			}
 		})
+	}
+}
+
+// TestStableEstimateMatchesReference pins Estimate, which sorts in the
+// sketch's own scratch, to the allocating reference bit for bit: p at and off
+// 1, both counter-count parities, ẑ sizes 0-40, on a folded sketch and on a
+// fresh one whose scratch is still unallocated. Once warm it allocates
+// nothing: every dirty Lp query reaches it through UpperEstimate.
+func TestStableEstimateMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(95, 96))
+	idx, del := refUpdates(3000, r)
+	zhat := make([]Entry, 40)
+	for k := range zhat {
+		zhat[k] = Entry{Index: idx[3*k], Value: del[3*k] * (1 + 0.01*r.Float64())}
+	}
+	for _, p := range []float64{0.5, 1, 1.5} {
+		for _, counters := range []int{80, 81} {
+			s := NewStable(p, counters, rand.New(rand.NewPCG(97, uint64(counters))))
+			if got, want := s.Estimate(zhat[:3]), refStableEstimate(s, zhat[:3]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("p=%v counters=%d fresh: Estimate %v, reference %v", p, counters, got, want)
+			}
+			s.AddFloatBatch(idx, del)
+			for _, m := range []int{0, 1, 7, 8, 9, 32, 33, 40} {
+				got, want := s.Estimate(zhat[:m]), refStableEstimate(s, zhat[:m])
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("p=%v counters=%d |ẑ|=%d: Estimate %v, reference %v", p, counters, m, got, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { s.UpperEstimate(nil) }); allocs != 0 {
+				t.Errorf("p=%v counters=%d: UpperEstimate allocates %v times per call, want 0", p, counters, allocs)
+			}
+		}
 	}
 }

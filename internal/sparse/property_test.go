@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -86,41 +87,54 @@ func TestPropertyRecoverInverseOfSparseStreams(t *testing.T) {
 	}
 }
 
-// TestPropertyTransposedBatchMatchesScalar: the register-blocked column-major
-// ProcessBatch kernel must leave bit-identical state (all syndromes AND the
-// fingerprint, via the serialized state) to one-at-a-time Process calls —
-// batches of one, which take the two-chain fold — for every batch length,
-// exercising both the 4-wide groups and the two-chain tail,
-// and every index/delta mix, including negative deltas and repeats.
+// TestPropertyTransposedBatchMatchesScalar: ProcessBatch's syndrome fold must
+// leave bit-identical state (all syndromes AND the fingerprint, via the
+// serialized state) to one-at-a-time Process calls — batches of one, which
+// take the scalar two-chain tail — for every batch length and every
+// index/delta mix, including negative deltas and repeats. Random batches come
+// from quick.Check; a sweep then feeds batch lengths on both sides of the
+// kernel's cut-over (6), its 32-update group and ProcessBatch's short and
+// 64-update blocks, whole and split at those lengths, at s = 10 (the L0
+// sampler's 20 syndromes) and s = 17 (34 syndromes, past the IFMA kernel's
+// 24, where the scalar groups take over).
 func TestPropertyTransposedBatchMatchesScalar(t *testing.T) {
-	f := func(seed uint64, raw []int16, sRaw uint8) bool {
-		n := 64 + int(seed%1000)
-		s := 1 + int(sRaw)%12
+	matches := func(seed uint64, n, s int, batch []stream.Update, step int) bool {
 		mk := func() *Recoverer { return New(n, s, rand.New(rand.NewPCG(seed, 23))) }
 		batched, scalar := mk(), mk()
+		for lo := 0; lo < len(batch); lo += step {
+			batched.ProcessBatch(batch[lo:min(lo+step, len(batch))])
+		}
+		for _, u := range batch {
+			scalar.Process(u)
+		}
+		return bytes.Equal(stateBytes(batched), stateBytes(scalar))
+	}
+	f := func(seed uint64, raw []int16, sRaw uint8) bool {
+		n := 64 + int(seed%1000)
 		var batch []stream.Update
 		for k, v := range raw {
 			if v != 0 {
 				batch = append(batch, stream.Update{Index: k % n, Delta: int64(v)})
 			}
 		}
-		batched.ProcessBatch(batch)
-		for _, u := range batch {
-			scalar.Process(u)
-		}
-		a, b := stateBytes(batched), stateBytes(scalar)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		return matches(seed, n, 1+int(sRaw)%12, batch, max(len(batch), 1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+	r := rand.New(rand.NewPCG(29, 31))
+	for _, m := range []int{1, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300, 700} {
+		batch := make([]stream.Update, m)
+		for k := range batch {
+			batch[k] = stream.Update{Index: r.IntN(1 << 16), Delta: r.Int64N(1<<40) - 1<<39}
+		}
+		for _, s := range []int{10, 17} {
+			for _, step := range []int{m, 5, 6, 8, 9, 32, 33, 65, 129} {
+				if !matches(uint64(m), 1<<16, s, batch, step) {
+					t.Fatalf("s=%d: %d updates in batches of %d differ from Process one at a time", s, m, step)
+				}
+			}
+		}
 	}
 }
 

@@ -22,11 +22,16 @@
 // sense); we then report DENSE.
 //
 // Update path. Each syndrome chain carries the product q = d·a^j itself and
-// advances by q ← q·a — one field multiply per syndrome per update; batches
-// run four such chains abreast (kernel.SyndromeAdd4) and sum a step's four
-// products into the cell with a single reduction. rho^i comes from radix-16
-// windows of rho (field.PowCache) that the first fold builds; New tabulates
-// nothing.
+// advances by q ← q·a — one field multiply per syndrome per update.
+// ProcessBatch writes a block's canonical deltas and points to the stack and
+// folds them with one kernel.SyndromeFold call. On the AVX-512 IFMA tier a
+// vector carries eight updates' chains and four vectors (32 updates) are in
+// flight per syndrome step; each syndrome accumulates lane-wise and is
+// summed across its lanes once per call. Every other tier runs four scalar
+// chains abreast (kernel.SyndromeAdd4), whose step sums into the cell with a
+// single reduction, and a two-chain tail. The fingerprint's rho^i comes from
+// radix-16 windows of rho (field.PowCache) that the first fold builds; New
+// tabulates nothing.
 //
 // Query engine (PR 4). The decode is built on three structured kernels,
 // behind an exact split test (field.SplitTester: a locator that is not a
@@ -114,81 +119,64 @@ func (rc *Recoverer) S() int { return rc.s }
 // N returns the vector dimension.
 func (rc *Recoverer) N() int { return rc.n }
 
-// fold adds d·a^j to every syndrome j and d·rho^i to the fingerprint, a = i+1.
-// The chains carry the products themselves — q = d·a^j advancing by a², one
-// for the even syndromes and one for the odd — so each syndrome costs one
-// multiply (a power chain pw ← pw·a followed by d·pw costs two), and the two
-// chains are independent, so the multiplier pipeline overlaps them.
-// len(synd) = 2s is always even. It is ProcessBatch's fold for the tail of
-// fewer than four updates, which is cheaper than a zero-padded group of four.
-func (rc *Recoverer) fold(i int, d field.Elem) {
-	a := field.New(uint64(i) + 1)
-	a2 := field.Mul(a, a)
-	qe, qo := d, field.Mul(d, a)
-	synd := rc.synd
-	for j := 0; ; j += 2 {
-		synd[j] = field.Add(synd[j], qe)
-		synd[j+1] = field.Add(synd[j+1], qo)
-		if j+4 > len(synd) {
-			break
-		}
-		qe = field.Mul(qe, a2)
-		qo = field.Mul(qo, a2)
-	}
-	rc.fp = field.Add(rc.fp, field.Mul(d, rc.rhoPow.Pow(uint64(i))))
-}
-
 // Process implements stream.Sink: x_i += delta, as a batch of one.
 func (rc *Recoverer) Process(u stream.Update) { rc.ProcessBatch([]stream.Update{u}) }
 
-// ProcessBatch implements stream.BatchSink through the transposed syndrome
-// kernel: updates are taken in register-blocked groups of four and the
-// syndromes are walked column-major — outer loop over syndrome index j,
-// inner over the group's per-update product chains q_i = d_i·a_i^j. A lone
-// update's cost is its serial chain q ← q·a (2s dependent field multiplies,
-// each waiting on the last); transposing keeps four independent chains in
-// flight per j step, so the multiplier pipeline stays full instead of
-// draining between syndromes, and the four products of a step are summed
-// into the cell with one reduction (kernel.SyndromeAdd4). Group order and
-// field arithmetic are exact, so every split of a stream into batches
-// leaves the same state bit for bit (pinned by
-// TestPropertyTransposedBatchMatchesScalar); the leftover tail (< 4 updates)
-// takes the two-chain fold. Nothing allocates.
+// foldBlock is how many updates ProcessBatch hands the syndrome kernel per
+// call. Their canonical deltas and points are two 512-byte stack blocks, so a
+// recoverer owns no fold scratch (a serving process keeps thousands live)
+// and the goroutines that fold keep small stacks. A batch of at most
+// shortFold updates — a lone Process, the few members of a subsampled level
+// — takes 64-byte blocks instead, because Go zeroes a stack array on every
+// call. Measured on a 2-vCPU AVX-512 IFMA Xeon, five alternated runs a side:
+// one Process at a time (BenchmarkProcessScalarS10) reads 605-672 µs per
+// 4 096 updates with the short blocks and 736-774 µs with 64-update blocks
+// only; the sampler's 2 048-update frames do not tell the two apart
+// (BenchmarkL0SamplerProcessBatch 388-497 against 412-472 µs).
+const (
+	foldBlock = 64
+	shortFold = 8
+)
+
+// ProcessBatch implements stream.BatchSink. Per block of foldBlock updates it
+// writes the canonical deltas d and points a = i+1 to the stack, folds them
+// into the 2s syndromes with one kernel.SyndromeFold call (32 updates' power
+// chains in flight on the IFMA multiplier, four scalar chains elsewhere)
+// and adds each d·rho^i to the fingerprint here, rho^i from the PowCache.
+// Field arithmetic is exact, so every split of a stream into batches leaves
+// the same state bit for bit (pinned by
+// TestPropertyTransposedBatchMatchesScalar). Nothing allocates.
 func (rc *Recoverer) ProcessBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return
 	}
 	rc.dirty = true
-	sw := field.Words(rc.synd)
-	pc := rc.rhoPow
-	fp := rc.fp
-	i := 0
-	for ; i+4 <= len(batch); i += 4 {
-		u0, u1, u2, u3 := batch[i], batch[i+1], batch[i+2], batch[i+3]
-		d := [4]uint64{
-			uint64(field.FromInt64(u0.Delta)),
-			uint64(field.FromInt64(u1.Delta)),
-			uint64(field.FromInt64(u2.Delta)),
-			uint64(field.FromInt64(u3.Delta)),
-		}
-		a := [4]uint64{
-			uint64(field.New(uint64(u0.Index) + 1)),
-			uint64(field.New(uint64(u1.Index) + 1)),
-			uint64(field.New(uint64(u2.Index) + 1)),
-			uint64(field.New(uint64(u3.Index) + 1)),
-		}
-		kernel.SyndromeAdd4(sw, d, a)
-		f := field.Add(
-			field.Mul(field.Elem(d[0]), pc.Pow(uint64(u0.Index))),
-			field.Mul(field.Elem(d[1]), pc.Pow(uint64(u1.Index))))
-		f = field.Add(f, field.Mul(field.Elem(d[2]), pc.Pow(uint64(u2.Index))))
-		f = field.Add(f, field.Mul(field.Elem(d[3]), pc.Pow(uint64(u3.Index))))
-		fp = field.Add(fp, f)
+	if len(batch) <= shortFold {
+		var d, a [shortFold]uint64
+		rc.foldBlock(batch, d[:], a[:])
+		return
+	}
+	var d, a [foldBlock]uint64
+	for len(batch) > 0 {
+		n := min(len(batch), foldBlock)
+		rc.foldBlock(batch[:n], d[:], a[:])
+		batch = batch[n:]
+	}
+}
+
+// foldBlock folds blk (len(blk) <= len(d), len(a)) through the stack blocks
+// d and a.
+func (rc *Recoverer) foldBlock(blk []stream.Update, d, a []uint64) {
+	d, a = d[:len(blk)], a[:len(blk)]
+	fp, pc := rc.fp, rc.rhoPow
+	for t, u := range blk {
+		dt := field.FromInt64(u.Delta)
+		d[t] = uint64(dt)
+		a[t] = uint64(field.New(uint64(u.Index) + 1))
+		fp = field.Add(fp, field.Mul(dt, pc.Pow(uint64(u.Index))))
 	}
 	rc.fp = fp
-	for ; i < len(batch); i++ {
-		rc.fold(batch[i].Index, field.FromInt64(batch[i].Delta))
-	}
+	kernel.SyndromeFold(field.Words(rc.synd), d, a)
 }
 
 // Compatible reports whether other is a same-seed replica: identical
@@ -432,8 +420,8 @@ func (rc *Recoverer) AppendState(e *codec.Encoder) {
 // constructed with the same parameters and randomness; restoring into a fresh
 // instance and continuing to Add realizes the linear-sketch handoff of the §4
 // protocols. Cells are reduced on the way in: every fold assumes canonical
-// cells (the lazy five-term sum of kernel.SyndromeAdd4 has no headroom for a
-// word near 2^64), and the words come from a peer.
+// cells (the lazy sums of kernel.SyndromeFold have no headroom for a word
+// near 2^64), and the words come from a peer.
 func (rc *Recoverer) RestoreState(d *codec.Decoder) {
 	rc.dirty = true
 	for j := range rc.synd {

@@ -33,9 +33,21 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
 cleanup() { [ "${KEEP:-0}" = 1 ] && echo "kept $work" >&2 || rm -rf "$work"; }
 trap cleanup EXIT
 
+# changefiles: the working tree's tracked and untracked files, NUL-separated,
+# without the tracked files deleted from it (git ls-files -d), which -c still
+# lists and tar could not stat.
+changefiles() {
+	local -A gone=()
+	local f
+	while IFS= read -r -d '' f; do gone[$f]=1; done < <(git ls-files -z -d)
+	git ls-files -z -co --exclude-standard | while IFS= read -r -d '' f; do
+		[ -n "${gone[$f]+x}" ] || printf '%s\0' "$f"
+	done
+}
+
 mkdir "$work/parent" "$work/change"
 git -C "$root" archive "$ref" | tar -x -C "$work/parent"
-(cd "$root" && git ls-files -z -co --exclude-standard | tar --null -T - -cf -) | tar -x -C "$work/change"
+(cd "$root" && changefiles | tar --null -T - -cf -) | tar -x -C "$work/change"
 for side in parent change; do
 	(cd "$work/$side/bench" && go build -o "$work/$side.bench" .)
 done
