@@ -163,13 +163,14 @@ bench-lp:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestDuplicateFinderObserve' -benchtime 20000x .
 
 # Query-side benchmarks (the PR-4 and PR-13 headlines): memoized vs dirty L0
-# and Lp sampling, the finite-difference recovery scan, the blocked
-# count-sketch decode and pruned top-m, and the end-to-end L0 sample, Lp
-# sample and duplicates queries built on top (the root BenchmarkQuery*
-# suite).
+# and Lp sampling, the memoized and the dirty sparse-recovery decode (root
+# finding at n = 2^12, 2^16 and 2^24), the blocked count-sketch decode and
+# pruned top-m, and the end-to-end L0 sample (memoized, and dirty at
+# n = 2^16 and 2^24), Lp sample and duplicates queries built on top (the
+# root BenchmarkQuery* suite).
 bench-query:
 	$(GO) test -run '^$$' -bench 'L0SamplerSample|LpSamplerSample' -benchtime 200x ./internal/core
-	$(GO) test -run '^$$' -bench 'RecoverScan|RecoverS8N4096' -benchtime 200x ./internal/sparse
+	$(GO) test -run '^$$' -bench 'RecoverDirty|RecoverS8N4096' -benchtime 200x ./internal/sparse
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$|BenchmarkTop$$' -benchtime 200x ./internal/countsketch
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchtime 20x .
 
@@ -197,8 +198,11 @@ profile:
 
 lint: lint-vet lint-fmt
 
+# The arm64 pass is the one asmdecl check of kernel_arm64.s: the arm64 CI
+# runners only build and test, and go test's vet subset has no asmdecl.
 lint-vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 lint-fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -9,6 +9,7 @@
 package streamsample_test
 
 import (
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"sync"
@@ -240,9 +241,9 @@ func BenchmarkIngestDuplicateFinderObserve(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // BenchmarkQueryL0Sample measures repeated Sample() calls on an L0 sampler
-// holding the 1M-update ingest prefix: the Theorem 2 recovery path (Chien
-// scan + Vandermonde solve per level) and, after PR 4, the memoized decode
-// on an unchanged sketch.
+// holding the 1M-update ingest prefix: after the first, every call reads the
+// memoized decode of the unchanged sketch. BenchmarkQueryL0SampleDirty
+// measures the decode itself.
 func BenchmarkQueryL0Sample(b *testing.B) {
 	st := ingestWorkload()[:1_000_000]
 	sk := core.NewL0Sampler(core.L0Config{N: ingestN, Delta: 0.2}, rand.New(rand.NewPCG(7, 11)))
@@ -250,6 +251,34 @@ func BenchmarkQueryL0Sample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sk.Sample()
+	}
+}
+
+// BenchmarkQueryL0SampleDirty is a dirty Theorem 2 query on an 8-sparse
+// vector at n = 2^16 and 2^24: a zero-delta update re-dirties level 0 each
+// iteration without moving the state, so every Sample re-decodes it —
+// Berlekamp-Massey, the locator's roots, the value solve and verification —
+// and answers from it. No step of that decode depends on n.
+func BenchmarkQueryL0SampleDirty(b *testing.B) {
+	for _, lg := range []int{16, 24} {
+		n := 1 << lg
+		b.Run(fmt.Sprintf("n=2^%d", lg), func(b *testing.B) {
+			sk := core.NewL0Sampler(core.L0Config{N: n, Delta: 0.2}, rand.New(rand.NewPCG(7, 11)))
+			r := rand.New(rand.NewPCG(17, 29))
+			for support := map[int]bool{}; len(support) < 8; {
+				if i := r.IntN(n); !support[i] {
+					support[i] = true
+					sk.Process(stream.Update{Index: i, Delta: int64(r.IntN(1000)) + 1})
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sk.Process(stream.Update{Index: i % n, Delta: 0})
+				if _, ok := sk.Sample(); !ok {
+					b.Fatal("an 8-sparse vector failed to sample")
+				}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,8 @@
 package field
 
 import (
+	"math/bits"
 	"unsafe"
-
-	"repro/internal/kernel"
 )
 
 // Words reinterprets a []Elem as the raw []uint64 view the internal/kernel
@@ -16,103 +15,19 @@ func Words(es []Elem) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&es[0])), len(es))
 }
 
-// Fast multi-point polynomial evaluation and the structured Vandermonde
-// solve behind the query-side recovery engine (internal/sparse). Three
-// kernels, each pinned bit-identical to its scalar reference by the property
-// tests in eval_test.go, and the exact split test (SplitTester, at the end of
-// this file) that lets a dense decode skip the root scan:
+// The structured Vandermonde solve and the root finder behind the query-side
+// recovery engine (internal/sparse), each pinned to a plain reference by the
+// property tests in eval_test.go:
 //
-//   - FDStepper: evaluation at the consecutive points x0, x0+1, x0+2, … by
-//     forward finite differences. After an O(e²) setup the degree-e Horner
-//     chain (e dependent Muls per point) collapses to e independent Adds per
-//     point — the access pattern of the Chien scan, which probes rev(loc) at
-//     a_i = 1..n.
-//   - Poly.EvalBatch: multi-point Horner for arbitrary point sets, dispatched
-//     through internal/kernel — 4-lane transposed chains on AVX2, a plain
-//     per-point loop on the scalar reference — so the multiplier pipeline
-//     stays full instead of one chain draining per point.
 //   - VandermondeSolver: the transposed-Vandermonde system
 //     Σ_t v_t·a_t^j = y_j (the value solve of Lemma 5 recovery) in O(e²)
 //     through the master polynomial Π(x-a_t), per-point synthetic division,
 //     and one batched inversion — replacing O(e³) Gaussian elimination with
 //     e full inversions.
-
-// FDStepper evaluates a polynomial at the consecutive points x0, x0+1, …
-// using forward finite differences: d[k] holds Δᵏp at the current point, and
-// one step updates d[k] += d[k+1] for all k — deg(p) field additions, no
-// multiplications. Field arithmetic is exact, so every value is bit-identical
-// to Poly.Eval at the same point.
-//
-// The zero value is ready for Reset. Resetting costs deg+1 Horner
-// evaluations plus an O(deg²) difference table — worth it from roughly deg
-// consecutive points onward.
-type FDStepper struct {
-	d []Elem
-}
-
-// NewFDStepper returns a stepper positioned at x0.
-func NewFDStepper(p Poly, x0 Elem) *FDStepper {
-	fd := &FDStepper{}
-	fd.Reset(p, x0)
-	return fd
-}
-
-// Reset repositions the stepper at x0 for polynomial p, reusing its internal
-// table (no allocation once the table has grown to the largest degree seen).
-func (fd *FDStepper) Reset(p Poly, x0 Elem) {
-	deg := p.Degree()
-	if deg < 0 {
-		// Zero polynomial: every value is 0.
-		fd.d = append(fd.d[:0], 0)
-		return
-	}
-	if cap(fd.d) < deg+1 {
-		fd.d = make([]Elem, deg+1)
-	}
-	d := fd.d[:deg+1]
-	fd.d = d
-	// d[j] = p(x0 + j), then difference in place: after pass k,
-	// d[j] = Δᵏp(x0 + j - k) for j >= k, so d[k] = Δᵏp(x0).
-	x := x0
-	for j := 0; j <= deg; j++ {
-		d[j] = p.Eval(x)
-		x = Add(x, 1)
-	}
-	for k := 1; k <= deg; k++ {
-		for j := deg; j >= k; j-- {
-			d[j] = Sub(d[j], d[j-1])
-		}
-	}
-}
-
-// Next returns p at the current point and advances to the next one. The i-th
-// call after Reset(p, x0) returns exactly p.Eval(x0 + i).
-func (fd *FDStepper) Next() Elem {
-	d := fd.d
-	v := d[0]
-	for k := 0; k+1 < len(d); k++ {
-		d[k] = Add(d[k], d[k+1])
-	}
-	return v
-}
-
-// NextBlock fills out with the next len(out) consecutive values — out[t] is
-// what the (t+1)-th of len(out) Next calls would return, bit for bit. The
-// block form amortizes one kernel dispatch over the whole run and lets the
-// vector backends update the difference table SIMD-wide, which is where the
-// Chien scan of sparse recovery spends its time.
-func (fd *FDStepper) NextBlock(out []Elem) {
-	kernel.FDScan(Words(fd.d), Words(out))
-}
-
-// EvalBatch evaluates p at every point of xs into out (len(out) must be at
-// least len(xs)) through the dispatched kernel: four transposed Horner chains
-// per SIMD step on vector backends, a straight per-point Horner loop on the
-// scalar one. Per point the operation sequence is exact mod-p Horner in
-// canonical form, so results are bit-identical to Eval across all backends.
-func (p Poly) EvalBatch(xs []Elem, out []Elem) {
-	kernel.PolyEvalBatch(Words(p), Words(xs), Words(out))
-}
+//   - SplitTester: the roots of a polynomial that is a product of distinct
+//     linear factors, found by equal-degree splitting, and the verdict that
+//     a polynomial is not one — in time independent of any domain a scan for
+//     the roots would have to walk.
 
 // VandermondeSolver solves transposed Vandermonde systems
 //
@@ -207,82 +122,196 @@ func (vs *VandermondeSolver) Solve(points, y, out []Elem) bool {
 	return true
 }
 
-// SplitTester decides whether a monic polynomial is a product of distinct
-// linear factors over the field — whether it has as many roots as its degree
-// — without looking for them. The product of all x - a, a in GF(p), is
-// x^p - x, so f splits into distinct linear factors exactly when f divides
-// x^p - x, i.e. when x^p ≡ x (mod f). With p = 2^61 - 1 the test runs as
-// x^(2^61) ≡ x² (mod f): 61 modular squarings of a polynomial of degree below
-// deg f, about 61·1.5·(deg f)² multiplications, whatever the size of the
-// domain a root search would have to walk.
+// SplitTester finds the roots of a monic polynomial f of degree e that is a
+// product of e distinct linear factors, and tells a polynomial that is not.
 //
-// The Chien scan of sparse recovery uses it as its gate: a locator that does
-// not split cannot have deg-many roots among the n candidate positions, and
-// the n-point scan that would discover as much is skipped.
+// The test: the product of all x - a, a in GF(p), is x^p - x, so f splits
+// into distinct linear factors exactly when x^p ≡ x (mod f). With
+// p = 2^61 - 1 that is x^(2^61) ≡ x² (mod f) — multiplying by x loses
+// nothing unless x² divides f, which is ruled out first: 61 modular
+// squarings of a polynomial of degree below e, about 61·1.5·e²
+// multiplications, whatever the size of the domain a scan for the roots
+// would have to walk.
 //
-// The zero value is ready for use; scratch is reused across calls.
+// The roots: (p-1)/2 = 2^60 - 1, so at each root r the polynomial
+// u = x^(2^60) - x takes the value r·(χ(r) - 1) for the quadratic character
+// χ, and gcd(f, u) is the product of the factors x - r with r zero or a
+// square. The test computes x^(2^60) on its way, so on most inputs f is
+// split in two with no further exponentiation. Each part g is split again
+// the same way by gcd(g, (x+a)^(2^60) - (x+a)) for a = 1, 2, … (equal-degree
+// splitting with a fixed shift sequence), until every part is linear. Roots
+// that share χ(r+a) land in the same part, so a part split off at shift a
+// resumes at a+1. A split polynomial's root set is unique, so the roots are
+// the same whichever shifts split them; only their order depends on the
+// shifts.
+//
+// The zero value is ready for use; scratch is reused across calls (no
+// allocation once grown), and the parts being split live in the output
+// buffer itself, each held by its low coefficients (it is monic) in the
+// slots its roots will take.
 type SplitTester struct {
 	r, want, prod []Elem
 }
 
-// Splits reports whether f, monic of degree e >= 1 (f[e] == 1), has e
-// distinct roots in the field.
-func (st *SplitTester) Splits(f Poly) bool {
+// Roots returns the e roots of f, monic of degree e >= 0 (f[e] == 1), in
+// out[:e] — reusing out's storage, which must not alias f — and true when f
+// is a product of e distinct linear factors; otherwise false, and the
+// contents of the returned slice are unspecified.
+func (st *SplitTester) Roots(f Poly, out []Elem) ([]Elem, bool) {
 	e := f.Degree()
-	if e >= 1 && f[0] == 0 {
-		// Root 0: split the factor x off; a second one is a repeated root.
-		f, e = f[1:], e-1
-		if e >= 1 && f[0] == 0 {
-			return false
+	if e >= 2 && (f[0] == 0 && f[1] == 0 || !st.splits(f[:e])) {
+		return out[:0], false
+	}
+	out = append(out[:0], f[:e]...)
+	d1 := 0
+	if e >= 2 {
+		d1 = st.splitAt(out, st.r, 0)
+	}
+	st.split(out[:d1], 1)
+	st.split(out[d1:], 1)
+	return out, true
+}
+
+// splits reports whether x^(2^61) ≡ x² (mod f), f monic of degree
+// e = len(low) >= 2 given by low = f[:e]. It leaves x^(2^60) mod f in st.r.
+func (st *SplitTester) splits(low []Elem) bool {
+	e := len(low)
+	sq := growElems(&st.want, e)
+	copy(sq, st.power(low, 0))
+	st.squareMod(sq, low)
+	// x² mod f is x² itself when e > 2, and x² - f when e == 2.
+	for j, c := range sq {
+		want := Elem(0)
+		if e == 2 {
+			want = Neg(low[j])
+		} else if j == 2 {
+			want = 1
 		}
-	}
-	if e <= 1 {
-		return true
-	}
-	// f(0) != 0 from here on, so x is invertible mod f and
-	// x^(p+1) ≡ x² (mod f) is equivalent to x^p ≡ x (mod f).
-	r := growElems(&st.r, e)
-	clear(r)
-	r[1] = 1
-	st.squareMod(r, f[:e])
-	want := growElems(&st.want, e)
-	copy(want, r)
-	for i := 1; i < 61; i++ {
-		st.squareMod(r, f[:e])
-	}
-	for i := range r {
-		if r[i] != want[i] {
+		if c != want {
 			return false
 		}
 	}
 	return true
 }
 
+// split replaces seg, the low coefficients of a monic g that is a product of
+// len(seg) distinct linear factors, with g's roots, splitting by the shifts
+// from a on.
+func (st *SplitTester) split(seg []Elem, a Elem) {
+	for len(seg) > 1 {
+		d1 := st.splitAt(seg, st.power(seg, a), a)
+		a = Add(a, 1)
+		if d1 > 0 && d1 < len(seg) {
+			st.split(seg[:d1], a)
+			seg = seg[d1:]
+		}
+	}
+	if len(seg) == 1 {
+		seg[0] = Neg(seg[0]) // x + c has the root -c
+	}
+}
+
+// power returns (x+a)^(2^60) mod g in st.r — sixty squarings — for g monic
+// of degree d = len(low) >= 2 given by its low coefficients low = g[:d].
+func (st *SplitTester) power(low []Elem, a Elem) []Elem {
+	r := growElems(&st.r, len(low))
+	clear(r)
+	r[0], r[1] = a, 1
+	for i := 0; i < 60; i++ {
+		st.squareMod(r, low)
+	}
+	return r
+}
+
+// splitAt splits g — monic of degree d = len(seg), seg = g[:d], a product of
+// distinct linear factors — by g1 = gcd(g, u - (x+a)) for u =
+// (x+a)^(2^60) mod g, which it clobbers. It returns d1 = deg g1; when
+// 0 < d1 < d, seg[:d1] then holds g1 and seg[d1:] the cofactor g/g1, both by
+// their low coefficients, and otherwise seg is unchanged.
+func (st *SplitTester) splitAt(seg, u []Elem, a Elem) int {
+	d := len(seg)
+	u[0], u[1] = Sub(u[0], a), Sub(u[1], 1)
+	a1 := growElems(&st.prod, d+1)
+	copy(a1, seg)
+	a1[d] = 1
+	// Euclid: a1 ← a1 mod b, then swap, until b is zero. Each division step
+	// cancels a1's top coefficient exactly, so it is dropped, not computed.
+	b := Poly(u).trim()
+	for len(b) > 0 {
+		inv := Inv(b[len(b)-1])
+		for len(a1) >= len(b) {
+			c := Mul(a1[len(a1)-1], inv)
+			off := len(a1) - len(b)
+			for j, bj := range b[:len(b)-1] {
+				a1[off+j] = Sub(a1[off+j], Mul(c, bj))
+			}
+			a1 = Poly(a1[:len(a1)-1]).trim()
+		}
+		a1, b = b, a1
+	}
+	g1 := a1
+	d1 := len(g1) - 1
+	if d1 == 0 || d1 == d {
+		return d1
+	}
+	inv := Inv(g1[d1])
+	for j := range g1 {
+		g1[j] = Mul(g1[j], inv)
+	}
+	// Cofactor q = g/g1 of degree d2 = d - d1, matched coefficient by
+	// coefficient from the top: g_m = Σ_i g1_i·q_(m-i).
+	d2 := d - d1
+	q := growElems(&st.want, d2+1)
+	q[d2] = 1
+	for k := d2 - 1; k >= 0; k-- {
+		c := seg[k+d1]
+		for i := max(0, k+d1-d2); i < d1; i++ {
+			c = Sub(c, Mul(g1[i], q[k+d1-i]))
+		}
+		q[k] = c
+	}
+	copy(seg, g1[:d1])
+	copy(seg[d1:], q[:d2])
+	return d1
+}
+
 // squareMod replaces r (degree below e = len(r)) with r² mod f, f monic of
-// degree e given by its low coefficients low = f[:e].
+// degree e given by its low coefficients low = f[:e]. Since
+// x^k ≡ -Σ_j low[j]·x^(k-e+j) for k >= e, column m of the result, taken from
+// the top, is
+//
+//	Σ_{i+j=m} r_i·r_j + Σ_{k>m, k>=e} c_k·(p - low[m-k+e])
+//
+// with c_k the final value of column k >= e. Each column sums its products
+// in a 192-bit accumulator, which no column can overflow, and is reduced
+// once, without a branch: a modular add per product would mispredict every
+// other time.
 func (st *SplitTester) squareMod(r []Elem, low []Elem) {
 	e := len(r)
-	prod := growElems(&st.prod, 2*e-1)
-	clear(prod)
-	for i, ri := range r {
-		if ri == 0 {
-			continue
+	col := growElems(&st.prod, 2*e-1)
+	for m := 2*e - 2; m >= 0; m-- {
+		var h0, h1, h2 uint64
+		for i := max(0, m-e+1); i < m-i; i++ {
+			h0, h1, h2 = mac(h0, h1, h2, uint64(r[i]), uint64(r[m-i]))
 		}
-		prod[2*i] = Add(prod[2*i], Mul(ri, ri))
-		ri2 := Add(ri, ri)
-		for j := i + 1; j < e; j++ {
-			prod[i+j] = Add(prod[i+j], Mul(ri2, r[j]))
+		h0, h1, h2 = h0<<1, h1<<1|h0>>63, h2<<1|h1>>63 // the cross terms count twice
+		if m%2 == 0 {
+			h0, h1, h2 = mac(h0, h1, h2, uint64(r[m/2]), uint64(r[m/2]))
 		}
+		for k := max(m+1, e); k <= min(2*e-2, m+e); k++ {
+			h0, h1, h2 = mac(h0, h1, h2, uint64(col[k]), Modulus-uint64(low[m-k+e]))
+		}
+		// 2^64 ≡ 2^3 and 2^128 ≡ 2^6 (mod 2^61 - 1).
+		col[m] = reduce(h0&Modulus + h0>>61 + (h1<<3)&Modulus + h1>>58 + (h2<<6)&Modulus + h2>>55)
 	}
-	// x^k ≡ -Σ_j low[j]·x^(k-e+j) for k >= e, top coefficient first.
-	for k := 2*e - 2; k >= e; k-- {
-		c := prod[k]
-		if c == 0 {
-			continue
-		}
-		for j, fj := range low {
-			prod[k-e+j] = Sub(prod[k-e+j], Mul(c, fj))
-		}
-	}
-	copy(r, prod[:e])
+	copy(r, col[:e])
+}
+
+// mac adds x·y to the 192-bit sum h2:h1:h0.
+func mac(h0, h1, h2, x, y uint64) (uint64, uint64, uint64) {
+	hi, lo := bits.Mul64(x, y)
+	var c uint64
+	h0, c = bits.Add64(h0, lo, 0)
+	h1, c = bits.Add64(h1, hi, c)
+	return h0, h1, h2 + c
 }

@@ -3,6 +3,7 @@ package field
 import (
 	"encoding/binary"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,83 +18,6 @@ func randPoly(r *rand.Rand, deg int) Poly {
 		p[deg] = New(r.Uint64())
 	}
 	return p
-}
-
-// TestPropertyFDStepperMatchesEval pins the finite-difference stepper
-// bit-identical to scalar Horner evaluation: for random polynomials of every
-// degree the Chien scan uses, stepping through a run of consecutive points
-// returns exactly Poly.Eval at each one — including runs that wrap the field
-// modulus and the zero and constant polynomials.
-func TestPropertyFDStepperMatchesEval(t *testing.T) {
-	f := func(seed uint64, degRaw uint8, x0Raw uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 999))
-		deg := int(degRaw) % 16
-		p := randPoly(r, deg)
-		x0 := New(x0Raw)
-		fd := NewFDStepper(p, x0)
-		x := x0
-		for i := 0; i < 200; i++ {
-			if got, want := fd.Next(), p.Eval(x); got != want {
-				t.Logf("deg %d point %d: fd %d, eval %d", deg, i, got, want)
-				return false
-			}
-			x = Add(x, 1)
-		}
-		// Reset must reposition exactly, reusing the table.
-		fd.Reset(p, x0)
-		return fd.Next() == p.Eval(x0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-	// Degenerate polynomials.
-	for _, p := range []Poly{nil, {}, {0}, {7}, {0, 0}} {
-		fd := NewFDStepper(p, 3)
-		for i := 0; i < 5; i++ {
-			if got, want := fd.Next(), p.Eval(New(uint64(3+i))); got != want {
-				t.Errorf("poly %v point %d: fd %d, eval %d", p, i, got, want)
-			}
-		}
-	}
-	// A run crossing the modulus: x0 + i wraps to 0, 1, ...
-	r := rand.New(rand.NewPCG(5, 5))
-	p := randPoly(r, 4)
-	x0 := Elem(Modulus - 3)
-	fd := NewFDStepper(p, x0)
-	x := x0
-	for i := 0; i < 10; i++ {
-		if got, want := fd.Next(), p.Eval(x); got != want {
-			t.Fatalf("wrap point %d: fd %d, eval %d", i, got, want)
-		}
-		x = Add(x, 1)
-	}
-}
-
-// TestPropertyEvalBatchMatchesEval pins the transposed 4-wide multi-point
-// kernel bit-identical to scalar evaluation for every batch length
-// (exercising both the blocked groups and the scalar tail) and degree.
-func TestPropertyEvalBatchMatchesEval(t *testing.T) {
-	f := func(seed uint64, degRaw, lenRaw uint8) bool {
-		r := rand.New(rand.NewPCG(seed, 1234))
-		deg := int(degRaw) % 12
-		n := int(lenRaw) % 23
-		p := randPoly(r, deg)
-		xs := make([]Elem, n)
-		for i := range xs {
-			xs[i] = New(r.Uint64())
-		}
-		out := make([]Elem, n)
-		p.EvalBatch(xs, out)
-		for i, x := range xs {
-			if out[i] != p.Eval(x) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestPropertyVandermondeSolveMatchesGaussian: the O(e²) structured solver
@@ -303,45 +227,36 @@ func nonResidue(r *rand.Rand) Elem {
 func TestSplitTesterKnownFactorizations(t *testing.T) {
 	r := rand.New(rand.NewPCG(81, 82))
 	var st SplitTester
-	distinct := func(e int) []Elem {
-		seen := map[Elem]bool{}
-		var roots []Elem
-		for len(roots) < e {
-			a := New(r.Uint64())
-			if r.IntN(8) == 0 {
-				a = Elem(r.IntN(3)) // small roots, 0 among them
-			}
-			if !seen[a] {
-				seen[a] = true
-				roots = append(roots, a)
-			}
-		}
-		return roots
+	var buf []Elem
+	splits := func(f Poly) bool {
+		var ok bool
+		buf, ok = st.Roots(f, buf)
+		return ok
 	}
 	for e := 1; e <= 12; e++ {
 		for trial := 0; trial < 40; trial++ {
-			roots := distinct(e)
-			if !st.Splits(polyFromRoots(roots)) {
+			roots := distinctRoots(r, e)
+			if !splits(polyFromRoots(roots)) {
 				t.Fatalf("e=%d: product of distinct roots %v rejected", e, roots)
 			}
 			if e >= 2 {
 				roots[r.IntN(e-1)+1] = roots[0]
-				if st.Splits(polyFromRoots(roots)) {
+				if splits(polyFromRoots(roots)) {
 					t.Fatalf("e=%d: repeated root %d accepted", e, roots[0])
 				}
 			}
 			if e >= 3 {
 				quad := Poly{Neg(nonResidue(r)), 0, 1}
-				if st.Splits(polyMul(polyFromRoots(roots[2:]), quad)) {
+				if splits(polyMul(polyFromRoots(roots[2:]), quad)) {
 					t.Fatalf("e=%d: irreducible quadratic factor accepted", e)
 				}
 			}
 		}
 	}
-	if !st.Splits(Poly{0, 1}) || !st.Splits(Poly{5, 1}) || !st.Splits(polyFromRoots([]Elem{0, Elem(Modulus - 1)})) {
+	if !splits(Poly{0, 1}) || !splits(Poly{5, 1}) || !splits(polyFromRoots([]Elem{0, Elem(Modulus - 1)})) {
 		t.Fatal("x, x+5 or x(x+1) rejected")
 	}
-	if st.Splits(Poly{0, 0, 1}) || st.Splits(polyMul(Poly{0, 0, 1}, Poly{3, 1})) {
+	if splits(Poly{0, 0, 1}) || splits(polyMul(Poly{0, 0, 1}, Poly{3, 1})) {
 		t.Fatal("a double root at 0 accepted")
 	}
 	// Degree 2 against an independent oracle: x² + bx + c splits into
@@ -350,15 +265,106 @@ func TestSplitTesterKnownFactorizations(t *testing.T) {
 		b, c := New(r.Uint64()), New(r.Uint64())
 		disc := Sub(Mul(b, b), Mul(4, c))
 		want := disc != 0 && Pow(disc, (Modulus-1)/2) == 1
-		if got := st.Splits(Poly{c, b, 1}); got != want {
-			t.Fatalf("x²+%dx+%d: Splits = %v, discriminant says %v", b, c, got, want)
+		if got := splits(Poly{c, b, 1}); got != want {
+			t.Fatalf("x²+%dx+%d: Roots reports %v, discriminant says %v", b, c, got, want)
 		}
 	}
 	for trial := 0; trial < 100; trial++ {
 		f := randPoly(r, 8+r.IntN(5))
 		f[len(f)-1] = 1
-		if st.Splits(f) {
+		if splits(f) {
 			t.Fatalf("random monic polynomial of degree %d accepted", len(f)-1)
+		}
+	}
+}
+
+// distinctRoots draws e distinct field elements, one in eight of them from
+// {0, 1, 2, p-3, p-2, p-1} so that the edges of the field turn up.
+func distinctRoots(r *rand.Rand, e int) []Elem {
+	seen := map[Elem]bool{}
+	var roots []Elem
+	for len(roots) < e {
+		a := New(r.Uint64())
+		if r.IntN(8) == 0 {
+			a = Sub(Elem(r.IntN(3)), Elem(3*r.IntN(2)))
+		}
+		if !seen[a] {
+			seen[a] = true
+			roots = append(roots, a)
+		}
+	}
+	return roots
+}
+
+// TestPropertyRootsFindEveryFactor: on products of 1-12 distinct linear
+// factors with roots anywhere in the field, Roots returns exactly the root
+// set, whatever the buffer it is handed; the same product times a repeated
+// linear factor, or times an irreducible quadratic, is reported not split.
+func TestPropertyRootsFindEveryFactor(t *testing.T) {
+	var st SplitTester
+	f := func(seed uint64, eRaw uint8, capRaw uint8) bool {
+		r := rand.New(rand.NewPCG(seed, 0x2007))
+		e := 1 + int(eRaw)%12
+		roots := distinctRoots(r, e)
+		got, ok := st.Roots(polyFromRoots(roots), make([]Elem, 0, int(capRaw)%16))
+		if !ok || len(got) != e {
+			t.Logf("roots %v: Roots = %v, %v", roots, got, ok)
+			return false
+		}
+		want := slices.Clone(roots)
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Logf("roots %v: Roots = %v", want, got)
+			return false
+		}
+		twice := polyFromRoots(append(roots, roots[r.IntN(e)]))
+		quad := polyMul(polyFromRoots(roots), Poly{Neg(nonResidue(r)), 0, 1})
+		if _, ok := st.Roots(twice, nil); ok {
+			t.Logf("roots %v: a repeated root accepted", roots)
+			return false
+		}
+		if _, ok := st.Roots(quad, nil); ok {
+			t.Logf("roots %v: an irreducible quadratic factor accepted", roots)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSquareModMatchesSchoolbook pins the lazily reduced squareMod to
+// squaring and reducing with one modular operation per product, for every
+// degree 1..70, with the extreme coefficients 0 and p-1 mixed in.
+func TestSquareModMatchesSchoolbook(t *testing.T) {
+	r := rand.New(rand.NewPCG(83, 84))
+	var st SplitTester
+	for e := 1; e <= 70; e++ {
+		for trial := 0; trial < 20; trial++ {
+			low, x := make([]Elem, e), make([]Elem, e)
+			for i := range low {
+				low[i], x[i] = New(r.Uint64()), New(r.Uint64())
+				if r.IntN(3) == 0 {
+					low[i], x[i] = 0, Elem(Modulus-1)
+				}
+			}
+			want := make([]Elem, 2*e-1)
+			for i := range x {
+				for j := range x {
+					want[i+j] = Add(want[i+j], Mul(x[i], x[j]))
+				}
+			}
+			for k := 2*e - 2; k >= e; k-- {
+				for j, fj := range low {
+					want[k-e+j] = Sub(want[k-e+j], Mul(want[k], fj))
+				}
+			}
+			st.squareMod(x, low)
+			if !slices.Equal(x, want[:e]) {
+				t.Fatalf("e=%d: squareMod %v, schoolbook %v", e, x, want[:e])
+			}
 		}
 	}
 }

@@ -7,16 +7,13 @@
 // Berlekamp-Massey minimal-LFSR solver and a small Gaussian elimination —
 // exactly the toolkit needed by the k-wise independent hash families
 // (internal/hash) and the exact sparse recovery of Lemma 5 (internal/sparse)
-// — plus the query-side evaluation kernels (eval.go): FDStepper walks
-// consecutive evaluation points by forward finite differences (e Adds per
-// point after O(e²) setup, the Chien-scan access pattern), Poly.EvalBatch is
-// the transposed 4-wide multi-point Horner for arbitrary point sets,
-// VandermondeSolver solves the transposed Vandermonde value system of
-// Lemma 5 recovery in O(e²), and SplitTester decides in 61 modular squarings
-// whether a locator has as many roots as its degree, so that a dense decode
-// skips the scan. On the update side, PowCache serves rho^index from radix-16
-// windows of rho — three multiplies for an index below 2^16 — built by the
-// first Pow, never by the constructor.
+// — plus the query side of that recovery (eval.go): VandermondeSolver solves
+// the transposed Vandermonde value system in O(e²), and SplitTester finds the
+// roots of a locator that is a product of distinct linear factors by
+// equal-degree splitting, or tells that it is not one, in about 60 modular
+// squarings per split whatever the dimension. On the update side, PowCache
+// serves rho^index from radix-16 windows of rho — three multiplies for an
+// index below 2^16 — built by the first Pow, never by the constructor.
 package field
 
 import "math/bits"

@@ -30,9 +30,8 @@ func (p Poly) Eval(x Elem) Elem {
 }
 
 // Reverse returns the reversal x^d * p(1/x) where d = Degree(p). A nonzero
-// alpha is a root of Reverse(p) iff 1/alpha is a root of p — this lets the
-// Chien search in internal/sparse scan candidate positions without field
-// inversions.
+// alpha is a root of Reverse(p) iff 1/alpha is a root of p — the reversed
+// locator Π(x - a_i) of a sparse vector has its support points a_i as roots.
 func (p Poly) Reverse() Poly {
 	d := p.Degree()
 	if d < 0 {

@@ -96,19 +96,6 @@ func benchPolyEvalRows(b *testing.B, k int) {
 func BenchmarkKernelPolyEvalRowsK4(b *testing.B) { benchPolyEvalRows(b, 4) }
 func BenchmarkKernelPolyEvalRowsK8(b *testing.B) { benchPolyEvalRows(b, 8) }
 
-func BenchmarkKernelFDScan9(b *testing.B) {
-	d := make([]uint64, 9)
-	copy(d, benchKeys(9))
-	for i := range d {
-		d[i] %= modulus
-	}
-	out := make([]uint64, 4096)
-	b.SetBytes(int64(len(out)))
-	for i := 0; i < b.N; i++ {
-		FDScan(d, out)
-	}
-}
-
 func BenchmarkKernelSyndromeAdd4(b *testing.B) {
 	synd := make([]uint64, 16)
 	d := [4]uint64{1, 2, 3, 4}

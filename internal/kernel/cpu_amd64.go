@@ -24,12 +24,6 @@ func polyEvalBatchAVX2(coef []uint64, xs []uint64, out []uint64)
 func bucketSign2AVX2(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
 
 //go:noescape
-func fdScanAVX2(d []uint64, out []uint64)
-
-//go:noescape
-func fdScan12AVX2(d *[12]uint64, out []uint64)
-
-//go:noescape
 func polyEvalBatchAVX512(coef []uint64, xs []uint64, out []uint64)
 
 //go:noescape
@@ -106,7 +100,7 @@ func detect() {
 	available = append(available, &avx512Table)
 }
 
-// avx2Table vectorizes the three field primitives at 4 lanes. The Go wrappers
+// avx2Table vectorizes the two field primitives at 4 lanes. The Go wrappers
 // route 4-lane blocks to assembly and delegate tails and degenerate shapes
 // to the scalar reference, so the assembly only ever sees its documented
 // preconditions. The counter scatter is the prefetched scalar-order loop —
@@ -118,18 +112,15 @@ var avx2Table = table{
 	name:          AVX2,
 	polyEvalBatch: avx2PolyEvalBatch,
 	bucketSign2:   avx2BucketSign2,
-	fdScan:        avx2FDScan,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
 	cauchy:        scalarCauchy,
 }
 
-// avx512Table widens the modmul-bound primitives to 8 lanes. The
-// add-dominated fdScan inherits the AVX2 kernel: it is store-forwarding-bound,
-// so doubling lane width buys nothing, and the 256-bit form avoids
-// license-based frequency dips. The counter scatter keeps the prefetched scalar-order
-// loop as well: a zmm gather+scatter pair costs the same store-port budget
-// as eight scalar read-modify-writes and cannot prefetch ahead. The Cauchy
+// avx512Table widens the modmul-bound primitives to 8 lanes. The counter
+// scatter keeps the prefetched scalar-order loop: a zmm gather+scatter pair
+// costs the same store-port budget as eight scalar read-modify-writes and
+// cannot prefetch ahead. The Cauchy
 // transform runs math.tan's sequence eight lanes at a time
 // (kernel_cauchy_amd64.s). detect() swaps the modmul pair to the IFMA52
 // flavor when the CPU has it.
@@ -137,7 +128,6 @@ var avx512Table = table{
 	name:          AVX512,
 	polyEvalBatch: avx512PolyEvalBatch,
 	bucketSign2:   avx512BucketSign2,
-	fdScan:        avx2FDScan,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
 	cauchy:        avx512Cauchy,
@@ -168,26 +158,6 @@ func avx2BucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []flo
 	if n < len(xs) {
 		scalarBucketSign2(h0, h1, g0, g1, m, xs[n:], buckets[n:], signs[n:])
 	}
-}
-
-func avx2FDScan(d, out []uint64) {
-	// Below 4 vector lanes of difference entries the per-step loop overhead
-	// outweighs the SIMD add; the scalar path is faster and bit-identical.
-	if len(out) == 0 || len(d) < 5 {
-		scalarFDScan(d, out)
-		return
-	}
-	if len(d) <= 12 {
-		// Common case (Chien scan: deg(locator)+1 <= s+1 entries): run the
-		// whole scan out of registers on a zero-padded copy. The pad lanes
-		// stay zero under d[k] += d[k+1], so the copy-back is exact.
-		var buf [12]uint64
-		copy(buf[:], d)
-		fdScan12AVX2(&buf, out)
-		copy(d, buf[:len(d)])
-		return
-	}
-	fdScanAVX2(d, out)
 }
 
 func avx512PolyEvalBatch(coef, xs, out []uint64) {

@@ -6,12 +6,7 @@ package kernel
 // (polyEvalBatch, bucketSign2) are not vector code: they are
 // hand-scheduled scalar assembly that interleaves two independent
 // MUL/UMULH limb chains per iteration, hiding the multiplier latency the
-// compiled one-key-at-a-time reference cannot (see kernel_arm64.s). The
-// add-dominated finite-difference scan is genuinely vectorized at two
-// lanes.
-
-//go:noescape
-func fdScanNEON(d []uint64, out []uint64)
+// compiled one-key-at-a-time reference cannot (see kernel_arm64.s).
 
 //go:noescape
 func polyEvalBatchNEON(coef []uint64, xs []uint64, out []uint64)
@@ -27,18 +22,9 @@ var neonTable = table{
 	name:          NEON,
 	polyEvalBatch: neonPolyEvalBatch,
 	bucketSign2:   neonBucketSign2,
-	fdScan:        neonFDScan,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
 	cauchy:        scalarCauchy,
-}
-
-func neonFDScan(d, out []uint64) {
-	if len(out) == 0 || len(d) < 4 {
-		scalarFDScan(d, out)
-		return
-	}
-	fdScanNEON(d, out)
 }
 
 func neonPolyEvalBatch(coef, xs, out []uint64) {

@@ -1,7 +1,7 @@
 // Package kernel is the runtime-dispatched vector-kernel layer under the
 // ingest/query hot paths. The primitives that dominate every sketch's
-// cycle budget — k-wise hash evaluation (internal/hash), mod-p polynomial
-// arithmetic (internal/field, internal/sparse), the affine maps of the PRG's
+// cycle budget — k-wise hash evaluation (internal/hash), the syndrome fold
+// of sparse recovery (internal/sparse), the affine maps of the PRG's
 // window tables (internal/prng) and the counter scatter under the count-sketch
 // fold — call through a per-primitive function table selected once at
 // init: the pure-Go scalar reference always exists, and SIMD variants
@@ -10,8 +10,8 @@
 //
 // All kernels operate on raw uint64 values carrying elements of GF(2^61-1)
 // in canonical form [0, Modulus) — the same representation as
-// internal/field.Elem. kernel cannot import field (field's own batch entry
-// points dispatch through this package), so the few lines of Mersenne
+// internal/field.Elem (field.Words is the zero-copy view callers pass in).
+// kernel imports no package of this module, so the few lines of Mersenne
 // arithmetic are restated in scalar.go; the differential tests in
 // kernel_test.go and the per-package variant sweeps pin every variant
 // bit-identical to the scalar reference.
@@ -90,11 +90,6 @@ type table struct {
 	// families: buckets[t] = Lemire(h1·x+h0, m), signs[t] = ±1.0 from the
 	// low bit of g1·x+g0.
 	bucketSign2 func(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []float64)
-
-	// fdScan advances a forward-finite-difference table len(out) steps,
-	// writing the value before each step into out: the Chien-scan inner
-	// loop of sparse recovery.
-	fdScan func(d, out []uint64)
 
 	// scatterAddF64 folds cells[idx[t]] += del[t] for t ascending — the
 	// count-sketch counter scatter. Per-cell accumulation order is batch
@@ -252,10 +247,6 @@ func (t *table) syndromeFold(synd, d, a []uint64) {
 	}
 	scalarSyndromeFold(synd, d, a)
 }
-
-// FDScan writes len(out) consecutive finite-difference values and advances
-// the table d in place; out[t] is the polynomial value at the t-th point.
-func FDScan(d, out []uint64) { active.Load().fdScan(d, out) }
 
 // Cauchy writes out[t] = math.Tan(math.Pi*(u[t]-0.5)) into out[:len(u)], bit
 // for bit, for every u[t] in [0, 1] (outside it the result is unspecified).

@@ -215,91 +215,3 @@ keyloop:
 	JNZ  keyloop
 	VZEROUPPER
 	RET
-
-// func fdScanAVX2(d []uint64, out []uint64)
-// Forward-finite-difference scan: per step emit d[0] then d[k] += d[k+1]
-// (old values — the overlapped loads of each 4-lane chunk happen before its
-// store, and chunks advance left to right). len(d) >= 5, len(out) >= 1.
-TEXT ·fdScanAVX2(SB), NOSPLIT, $0-48
-	MOVQ         d_base+0(FP), SI
-	MOVQ         d_len+8(FP), DX
-	MOVQ         out_base+24(FP), DI
-	MOVQ         out_len+32(FP), CX
-	VPBROADCASTQ modP<>(SB), YP
-	MOVQ         $0x1FFFFFFFFFFFFFFF, R15
-	DECQ         DX             // DX = len(d)-1 entries updated per step
-	MOVQ         DX, R12
-	ANDQ         $-4, R12       // R12 = vectorized prefix length
-
-steploop:
-	MOVQ (SI), AX
-	MOVQ AX, (DI)
-
-	XORQ R11, R11
-vecloop:
-	VMOVDQU (SI)(R11*8), Y0
-	VMOVDQU 8(SI)(R11*8), Y1
-	MODADD(Y0, Y1, Y0, Y2)
-	VMOVDQU Y0, (SI)(R11*8)
-	ADDQ    $4, R11
-	CMPQ    R11, R12
-	JLT     vecloop
-
-	CMPQ R11, DX
-	JGE  stepdone
-tailloop:
-	MOVQ     (SI)(R11*8), AX
-	ADDQ     8(SI)(R11*8), AX
-	MOVQ     AX, BX
-	SUBQ     R15, BX
-	CMOVQCC  BX, AX
-	MOVQ     AX, (SI)(R11*8)
-	INCQ     R11
-	CMPQ     R11, DX
-	JLT      tailloop
-
-stepdone:
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  steploop
-	VZEROUPPER
-	RET
-
-// func fdScan12AVX2(d *[12]uint64, out []uint64)
-// Register-resident finite-difference scan for tables of up to 12 entries
-// (zero-padded by the wrapper; pad lanes stay zero under d[k] += d[k+1]).
-// The whole table lives in Y0..Y2 across all steps — the memory-walking
-// variant above is store-forward-latency-bound at these sizes, which is
-// exactly the shape the Chien scan runs (deg(locator) <= sparsity budget).
-// The shift-by-one-lane uses VPERM2I128 to fetch the cross-lane neighbor and
-// VPALIGNR to splice: S = [d1..d4] from Y = [d0..d3], carry from the next
-// register (zero for the last). len(out) >= 1.
-TEXT ·fdScan12AVX2(SB), NOSPLIT, $0-32
-	MOVQ         d+0(FP), SI
-	MOVQ         out_base+8(FP), DI
-	MOVQ         out_len+16(FP), CX
-	VPBROADCASTQ modP<>(SB), YP
-	VMOVDQU      (SI), Y0
-	VMOVDQU      32(SI), Y1
-	VMOVDQU      64(SI), Y2
-
-steploop:
-	VMOVQ      X0, (DI)            // out[t] = d[0]
-	VPERM2I128 $0x21, Y1, Y0, Y3   // [d2 d3 | d4 d5]
-	VPALIGNR   $8, Y0, Y3, Y3      // [d1 d2 d3 d4]
-	VPERM2I128 $0x21, Y2, Y1, Y4
-	VPALIGNR   $8, Y1, Y4, Y4      // [d5 d6 d7 d8]
-	VPERM2I128 $0x81, Y2, Y2, Y5   // [d10 d11 | 0 0]
-	VPALIGNR   $8, Y2, Y5, Y5      // [d9 d10 d11 0]
-	MODADD(Y0, Y3, Y0, Y6)
-	MODADD(Y1, Y4, Y1, Y7)
-	MODADD(Y2, Y5, Y2, Y8)
-	ADDQ       $8, DI
-	DECQ       CX
-	JNZ        steploop
-
-	VMOVDQU Y0, (SI)
-	VMOVDQU Y1, 32(SI)
-	VMOVDQU Y2, 64(SI)
-	VZEROUPPER
-	RET

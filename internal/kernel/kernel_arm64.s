@@ -1,20 +1,14 @@
-// NEON kernel over GF(2^61-1), two 64-bit lanes per vector register.
+// arm64 kernels over GF(2^61-1) for the NEON tier.
 //
-// Only the add-dominated finite-difference scan is genuinely vectorized on
-// arm64: AdvSIMD has no 64-bit lane multiply, and assembling 61-bit modular
-// products from 32x32 UMULL limbs loses to MUL+UMULH. The multiply-heavy
-// primitives (polyEvalBatch, bucketSign2) are instead
-// hand-scheduled scalar assembly that processes two keys per iteration as
-// two fully independent MUL/UMULH limb chains, instruction-interleaved so
-// the second chain's multiplies issue in the first chain's latency shadow —
-// parallelism the compiled one-key-at-a-time reference never exposes. Same
-// bit-identity contract as every other variant: all arithmetic is exact
-// mod-p algebra on canonical representatives.
-//
-// Modular add without a 64-bit unsigned lane compare (VCMHS is not in the
-// Go assembler): s = a+b < 2^62, t = s-p wraps negative exactly when s < p,
-// so the lane's top bit selects — mask = 0-(t>>>63) is all-ones where s < p,
-// and the result is t + (mask & p).
+// AdvSIMD has no 64-bit lane multiply, and assembling 61-bit modular
+// products from 32x32 UMULL limbs loses to MUL+UMULH, so the modmul-bound
+// primitives (polyEvalBatch, bucketSign2) are hand-scheduled scalar
+// assembly that processes two keys per iteration as two fully independent
+// MUL/UMULH limb chains, instruction-interleaved so the second chain's
+// multiplies issue in the first chain's latency shadow — parallelism the
+// compiled one-key-at-a-time reference never exposes. Same bit-identity
+// contract as every other variant: all arithmetic is exact mod-p algebra on
+// canonical representatives.
 //
 // Scalar-chain building blocks (p = 2^61-1 in a register):
 //   reduce:  e = (x&p) + (x>>61); if e >= p { e -= p }      (ADD x>>61 fused)
@@ -24,62 +18,6 @@
 //            CSEL CS picks the reduced value
 
 #include "textflag.h"
-
-// func fdScanNEON(d []uint64, out []uint64)
-// Per step: emit d[0], then d[k] += d[k+1] over old values, 2-lane chunks
-// left to right (each chunk's overlapped loads happen before its store).
-// len(d) >= 3, len(out) >= 1.
-TEXT ·fdScanNEON(SB), NOSPLIT, $0-48
-	MOVD d_base+0(FP), R0
-	MOVD d_len+8(FP), R1
-	MOVD out_base+24(FP), R2
-	MOVD out_len+32(FP), R3
-	MOVD $0x1FFFFFFFFFFFFFFF, R4
-	VDUP R4, V30.D2
-	VEOR V31.B16, V31.B16, V31.B16
-	SUB  $1, R1, R1              // entries updated per step
-	AND  $-2, R1, R5             // vectorized prefix length (>= 2 here)
-
-steploop:
-	MOVD (R0), R6
-	MOVD R6, (R2)
-
-	MOVD $0, R7                  // k
-vecloop:
-	ADD   R7<<3, R0, R8          // &d[k]
-	ADD   $8, R8, R9             // &d[k+1]
-	VLD1  (R8), [V0.D2]
-	VLD1  (R9), [V1.D2]
-	VADD  V1.D2, V0.D2, V2.D2    // s
-	VSUB  V30.D2, V2.D2, V3.D2   // t = s - p
-	VUSHR $63, V3.D2, V4.D2
-	VSUB  V4.D2, V31.D2, V4.D2   // all-ones where s < p
-	VAND  V30.B16, V4.B16, V4.B16
-	VADD  V4.D2, V3.D2, V2.D2    // s < p ? s : s-p
-	VST1  [V2.D2], (R8)
-	ADD   $2, R7
-	CMP   R5, R7
-	BLT   vecloop
-
-	CMP R1, R7
-	BGE stepdone
-tailloop:
-	ADD  R7<<3, R0, R8
-	MOVD (R8), R9
-	MOVD 8(R8), R10
-	ADD  R10, R9, R9
-	SUBS R4, R9, R10
-	CSEL CS, R10, R9, R9
-	MOVD R9, (R8)
-	ADD  $1, R7
-	CMP  R1, R7
-	BLT  tailloop
-
-stepdone:
-	ADD  $8, R2
-	SUB  $1, R3
-	CBNZ R3, steploop
-	RET
 
 // func polyEvalBatchNEON(coef []uint64, xs []uint64, out []uint64)
 // Transposed Horner, two independent accumulator chains per iteration.

@@ -249,37 +249,6 @@ func TestBucketSign2Differential(t *testing.T) {
 	}
 }
 
-func TestFDScanDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(7004))
-	for _, vt := range vectorTables() {
-		for _, dn := range []int{1, 2, 3, 4, 5, 6, 9, 11, 12, 13, 17, 33} {
-			for _, steps := range []int{0, 1, 2, 7, 50} {
-				d := make([]uint64, dn)
-				for i := range d {
-					d[i] = randCanonical(r)
-				}
-				dRef := append([]uint64(nil), d...)
-				want := make([]uint64, steps)
-				got := make([]uint64, steps)
-				scalarTable.fdScan(dRef, want)
-				vt.fdScan(d, got)
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s fdScan |d|=%d steps=%d: out[%d] = %#x, scalar %#x",
-							vt.name, dn, steps, i, got[i], want[i])
-					}
-				}
-				for i := range d {
-					if d[i] != dRef[i] {
-						t.Fatalf("%s fdScan |d|=%d steps=%d: d[%d] = %#x, scalar %#x",
-							vt.name, dn, steps, i, d[i], dRef[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // cauchyInputs returns the Cauchy kernel's test inputs: the edges of its
 // domain and of math.tan's branches, then random values of the form
 // hash.toUnit produces, (v+1)/2^61 for a field element v.
@@ -488,9 +457,6 @@ func TestDispatchEntryPoints(t *testing.T) {
 		buckets := make([]uint64, len(xs))
 		signs := make([]float64, len(xs))
 		BucketSign2(coef[0], coef[1], coef[2], coef[0], 97, xs, buckets, signs)
-		d := append([]uint64(nil), coef...)
-		scan := make([]uint64, 5)
-		FDScan(d, scan)
 		var du, au [4]uint64
 		for i := range du {
 			du[i], au[i] = randCanonical(rand.New(rand.NewSource(int64(i)))), uint64(i+2)
@@ -502,7 +468,7 @@ func TestDispatchEntryPoints(t *testing.T) {
 		SyndromeFold(fold, fd, fa)
 		tan := []float64{0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 1, 0.3}
 		Cauchy(tan, tan)
-		flat := append(append(append(append(append([]uint64(nil), out...), rowsOut...), buckets...), scan...), synd...)
+		flat := append(append(append(append([]uint64(nil), out...), rowsOut...), buckets...), synd...)
 		flat = append(flat, fold...)
 		for _, v := range tan {
 			flat = append(flat, math.Float64bits(v))

@@ -7,7 +7,7 @@ import (
 
 // Scalar reference implementations: the bit-identity baseline every vector
 // variant is pinned against. The Mersenne-prime arithmetic restates
-// internal/field (kernel sits below field in the import graph); both work on
+// internal/field (kernel imports no package of this module); both work on
 // canonical representatives of GF(2^61-1) in [0, modulus), so equal values
 // always have equal bits and "bit-identical" reduces to exact mod-p algebra.
 
@@ -18,7 +18,6 @@ var scalarTable = table{
 	name:          Scalar,
 	polyEvalBatch: scalarPolyEvalBatch,
 	bucketSign2:   scalarBucketSign2,
-	fdScan:        scalarFDScan,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
 	cauchy:        scalarCauchy,
@@ -119,17 +118,6 @@ func scalarBucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []f
 		xe := reduce(x)
 		buckets[t] = lemire(modAdd(modMul(h1, xe), h0), m)
 		signs[t] = signFloat(modAdd(modMul(g1, xe), g0))
-	}
-}
-
-func scalarFDScan(d, out []uint64) {
-	// One step: emit d[0], then d[k] += d[k+1] left to right — each d[k]
-	// reads the not-yet-updated d[k+1], exactly field.FDStepper.Next.
-	for t := range out {
-		out[t] = d[0]
-		for k := 0; k+1 < len(d); k++ {
-			d[k] = modAdd(d[k], d[k+1])
-		}
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 // TestRecoverVariantsBitIdentical feeds the same update stream through
 // ProcessBatch under every selectable kernel variant and pins the full
 // measurement state and the decode byte-for-byte against the scalar Process
-// path — syndrome accumulation, Chien scan and value solve all dispatch
-// through internal/kernel, so this exercises the whole recovery pipeline per
-// variant.
+// path — the syndrome fold dispatches through internal/kernel, so this
+// exercises the whole recovery pipeline per variant.
 func TestRecoverVariantsBitIdentical(t *testing.T) {
 	prev := kernel.Active()
 	t.Cleanup(func() {

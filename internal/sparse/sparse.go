@@ -13,13 +13,13 @@
 // * rho^i. If x is e-sparse with e <= s, the syndrome sequence obeys the
 // linear recurrence whose connection polynomial is the locator
 // prod (1 - a_i x); Berlekamp-Massey finds it from 2e <= 2s syndromes
-// deterministically, a reversed-polynomial Chien scan over [n] locates the
-// support without field inversions, and a transposed Vandermonde solve
-// recovers the values — recovery is exact with probability 1, as Lemma 5
-// demands. If x is not s-sparse, any spuriously decoded sparse candidate x”
-// differs from x, so the random evaluation F catches it except with
-// probability <= n/2^61 per query (a "low probability" event in the paper's
-// sense); we then report DENSE.
+// deterministically, the roots of the reversed locator prod (x - a_i) are the
+// support points, and a transposed Vandermonde solve recovers the values —
+// recovery is exact with probability 1, as Lemma 5 demands. If x is not
+// s-sparse, any spuriously decoded sparse candidate x” differs from x, so
+// the random evaluation F catches it except with probability <= n/2^61 per
+// query (a "low probability" event in the paper's sense); we then report
+// DENSE.
 //
 // Update path. Each syndrome chain carries the product q = d·a^j itself and
 // advances by q ← q·a — one field multiply per syndrome per update.
@@ -33,20 +33,18 @@
 // radix-16 windows of rho (field.PowCache) that the first fold builds; New
 // tabulates nothing.
 //
-// Query engine (PR 4). The decode is built on three structured kernels,
-// behind an exact split test (field.SplitTester: a locator that is not a
-// product of distinct linear factors has too few roots anywhere, so a dense
-// sketch is told DENSE without the n-point scan): the Chien scan walks its consecutive evaluation points a_i = 1..n with a
-// forward finite-difference stepper (field.FDStepper — e field Adds per
-// position instead of a degree-e Horner chain) and exits once all
-// e = deg(locator) roots are found; the value solve uses the O(e²)
+// Query engine. The decode finds the locator's roots instead of scanning
+// [n] for them: field.SplitTester tells a locator that is not a product of
+// distinct linear factors (a dense sketch's, all but always) and splits one
+// that is into its roots by equal-degree splitting, in time independent of
+// n; a root outside [1, n] means DENSE. The value solve uses the O(e²)
 // transposed-Vandermonde algorithm (field.VandermondeSolver) in place of
-// generic Gaussian elimination; and syndrome verification advances one
+// generic Gaussian elimination, and syndrome verification advances one
 // shared power chain per support point rather than re-exponentiating. All
-// three are exact field arithmetic on the unique candidate, so decodes stay
-// bit-identical to the generic pipeline. Results are memoized behind a
-// dirty bit, so repeated queries on an unchanged sketch are O(1) and
-// allocation-free.
+// of it is exact field arithmetic on the unique candidate, so decodes are
+// bit-identical to a full Horner scan over [n] with a Gaussian solve.
+// Results are memoized behind a dirty bit, so repeated queries on an
+// unchanged sketch are O(1) and allocation-free.
 //
 // Space: 2s+1 field elements plus the O(log n)-bit seed — the O(s log n) bits
 // Lemma 5 promises.
@@ -67,9 +65,9 @@ import (
 // The query side is memoized: Recover caches its decode and a dirty bit —
 // set by Process/ProcessBatch/Merge/RestoreState, cleared on decode —
 // short-circuits repeated queries on an unchanged sketch. All decode
-// scratch (the reversed locator, the finite-difference table, the support
-// and value buffers, the Vandermonde solver state) lives on the Recoverer
-// and is reused, so steady-state Recover calls allocate nothing.
+// scratch (the reversed locator, the root finder's and the Vandermonde
+// solver's state, the support and value buffers) lives on the Recoverer and
+// is reused, so steady-state Recover calls allocate nothing.
 type Recoverer struct {
 	n      int
 	s      int
@@ -79,18 +77,15 @@ type Recoverer struct {
 	fp     field.Elem      // F = sum_i x_i rho^i
 
 	// Query-side memoization and decode scratch.
-	dirty     bool          // measurements changed since the last decode
-	decoded   map[int]int64 // cached decode result (reused across decodes)
-	decodeOK  bool          // cached DENSE/sparse verdict
-	rev       field.Poly    // reversed locator buffer
-	split     field.SplitTester
-	fd        field.FDStepper
-	scan      []field.Elem // Chien-scan block buffer (see decode)
-	positions []int        // decoded support positions
-	pts       []field.Elem // evaluation points a_t = pos_t + 1
-	vals      []field.Elem // recovered values
-	pw        []field.Elem // shared per-position power chain (verification)
-	solver    field.VandermondeSolver
+	dirty    bool          // measurements changed since the last decode
+	decoded  map[int]int64 // cached decode result (reused across decodes)
+	decodeOK bool          // cached DENSE/sparse verdict
+	rev      field.Poly    // reversed locator buffer
+	split    field.SplitTester
+	pts      []field.Elem // the locator's roots: support points a_t = pos_t + 1
+	vals     []field.Elem // recovered values
+	pw       []field.Elem // shared per-position power chain (verification)
+	solver   field.VandermondeSolver
 }
 
 // New creates a recoverer for vectors of dimension n with sparsity budget s.
@@ -243,42 +238,29 @@ func (rc *Recoverer) Recover() (map[int]int64, bool) {
 	return rc.decoded, true
 }
 
-// splitTestFloor gates the split test of decode on the size of the scan it
-// can save: the test costs about 61·1.5·e² multiplications whatever n is
-// (≈ 220 ns·e² measured), the finite-difference Chien scan ≈ 5.5 ns per
-// position whatever e is, so the two meet near n = 40·e². The test runs when
-// n > splitTestFloor·e² — from where it is the cheaper way to a DENSE
-// verdict, and at most a fraction of the scan it precedes when the locator
-// does split. Below that the scan alone is faster and decides the same thing.
-const splitTestFloor = 64
-
 // decode runs one full recovery into rc.decoded. The pipeline is the
-// classical syndrome decoder of Lemma 5, rebuilt on the query kernels:
+// classical syndrome decoder of Lemma 5:
 //
 //  1. Berlekamp-Massey finds the locator polynomial from the 2s syndromes
 //     (locator).
-//  2. Split test, on dimensions large enough for it to pay: the reversed
-//     locator must be a product of e distinct linear factors to have e roots
-//     anywhere, let alone among the n positions, and field.SplitTester decides
-//     that in 61 modular squarings. A dense vector's locator is a random
-//     degree-s polynomial and all but never splits, so the n-point scan that
-//     would find it short of roots is skipped; a locator that does split goes
-//     on to the unchanged scan. The verdict and the decoded map are those of
-//     the scan alone on every input.
-//  3. The Chien scan locates the support (scanRoots): position i is in it iff
-//     rev(loc)(a_i) = 0 with a_i = i+1. The points are consecutive, so a
-//     field.FDStepper walks them by forward differences — deg(loc) Adds per
-//     position instead of a full Horner chain — and the scan exits as soon
-//     as e = deg(loc) roots are found (a degree-e polynomial has no more).
-//  4. The values come from the transposed Vandermonde solve
+//  2. The support points a_t = pos_t + 1 are the roots of the reversed
+//     locator, and field.SplitTester finds them: it first tests in 61
+//     modular squarings whether the locator is a product of e = deg(loc)
+//     distinct linear factors — a dense vector's locator is a random
+//     degree-s polynomial and all but never is, so DENSE costs no search —
+//     and if so splits it into its roots. A root outside [1, n] is no
+//     position, so the decode is DENSE, as it is when the locator does not
+//     split. Neither step depends on n.
+//  3. The values come from the transposed Vandermonde solve
 //     Σ_t v_t a_t^j = S_j (j < e) in O(e²) via field.VandermondeSolver, and
 //     verification replays all 2s syndromes through one shared per-position
 //     power chain (pw_t ← pw_t·a_t per syndrome step — two Muls per entry
 //     instead of a fresh field.Pow ladder), then checks the rho fingerprint
 //     (solveAndVerify).
 //
-// Every step is exact field arithmetic producing the unique candidate, so
-// decodes are bit-identical to the pre-PR-4 Horner-scan/Gaussian decoder.
+// Every step is exact field arithmetic producing the unique candidate, and a
+// split locator's root set is unique, so decodes are bit-identical to a full
+// Horner scan of [n] followed by a Gaussian value solve.
 func (rc *Recoverer) decode() bool {
 	if rc.decoded == nil {
 		rc.decoded = make(map[int]int64, rc.s)
@@ -292,10 +274,17 @@ func (rc *Recoverer) decode() bool {
 	if rev == nil {
 		return false
 	}
-	if e := len(rev) - 1; rc.n > splitTestFloor*e*e && !rc.split.Splits(rev) {
+	pts, ok := rc.split.Roots(rev, rc.pts)
+	rc.pts = pts
+	if !ok {
 		return false
 	}
-	return rc.scanRoots(rev) && rc.solveAndVerify()
+	for _, a := range pts {
+		if uint64(a)-1 >= uint64(rc.n) { // position a-1 outside [0, n)
+			return false
+		}
+	}
+	return rc.solveAndVerify()
 }
 
 // locator returns the reversed locator polynomial of the current syndromes
@@ -317,47 +306,14 @@ func (rc *Recoverer) locator() field.Poly {
 	return rev
 }
 
-// scanRoots fills rc.positions with the roots of rev among the points
-// a_i = i+1, i < n, and reports whether there are deg(rev) of them.
-func (rc *Recoverer) scanRoots(rev field.Poly) bool {
-	e := len(rev) - 1
-	// Finite-difference Chien scan over the consecutive points 1..n in blocks
-	// of chienBlock values per kernel dispatch (field.FDStepper.NextBlock),
-	// early exit once all e roots are found. The block granularity computes at
-	// most chienBlock-1 values past the last root — e extra Adds each — which
-	// is noise next to the per-position dispatch the block form removes.
-	const chienBlock = 256
-	positions := rc.positions[:0]
-	rc.fd.Reset(rev, 1)
-	scan := growElems(&rc.scan, min(chienBlock, rc.n))
-scanLoop:
-	for base := 0; base < rc.n; base += len(scan) {
-		blk := scan[:min(len(scan), rc.n-base)]
-		rc.fd.NextBlock(blk)
-		for t, v := range blk {
-			if v == 0 {
-				positions = append(positions, base+t)
-				if len(positions) == e {
-					break scanLoop
-				}
-			}
-		}
-	}
-	rc.positions = positions
-	return len(positions) == e
-}
-
-// solveAndVerify solves for the values at rc.positions, checks the candidate
-// against every measurement and, if it stands, stores it in rc.decoded.
+// solveAndVerify solves for the values at the support points rc.pts, checks
+// the candidate against every measurement and, if it stands, stores it in
+// rc.decoded.
 func (rc *Recoverer) solveAndVerify() bool {
-	positions := rc.positions
-	e := len(positions)
+	pts := rc.pts
+	e := len(pts)
 	// Structured transposed-Vandermonde value solve on S_0..S_{e-1}.
-	pts := growElems(&rc.pts, e)
 	vals := growElems(&rc.vals, e)
-	for t, pos := range positions {
-		pts[t] = field.New(uint64(pos) + 1)
-	}
 	if !rc.solver.Solve(pts, rc.synd[:e], vals) {
 		return false
 	}
@@ -378,20 +334,20 @@ func (rc *Recoverer) solveAndVerify() bool {
 		}
 	}
 	var f field.Elem
-	for t, pos := range positions {
-		f = field.Add(f, field.Mul(vals[t], rc.rhoPow.Pow(uint64(pos))))
+	for t, a := range pts {
+		f = field.Add(f, field.Mul(vals[t], rc.rhoPow.Pow(uint64(a)-1)))
 	}
 	if f != rc.fp {
 		return false
 	}
-	for t, pos := range positions {
+	for t, a := range pts {
 		v := vals[t].ToInt64()
 		if v == 0 {
 			// A zero value contradicts membership in the support; the
 			// decoded candidate is inconsistent.
 			return false
 		}
-		rc.decoded[pos] = v
+		rc.decoded[int(a)-1] = v
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -264,24 +265,30 @@ func BenchmarkRecoverS8N4096(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoverScan measures one full decode per iteration —
-// Berlekamp-Massey, the Chien scan over [n], the Vandermonde value solve and
-// the 2s+1-point verification. A canceling update pair re-dirties the sketch
-// each round without changing its state, so the memoized decoder cannot
-// short-circuit and the number is comparable before and after PR 4.
-func BenchmarkRecoverScan(b *testing.B) {
-	r := rand.New(rand.NewPCG(1, 1))
-	rc := New(4096, 8, r)
-	for i := 0; i < 8; i++ {
-		rc.add(r.IntN(4096), int64(i+1))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rc.add(0, 1)
-		rc.add(0, -1)
-		if _, ok := rc.Recover(); !ok {
-			b.Fatal("decode failed")
-		}
+// BenchmarkRecoverDirty measures one full decode per iteration of an
+// 8-sparse vector at n = 2^12, 2^16 and 2^24 — Berlekamp-Massey, the root
+// finder, the Vandermonde value solve and the 2s+1-point verification. A
+// canceling update pair re-dirties the sketch each round without changing
+// its state, so the memoized decoder cannot short-circuit. No step depends on
+// n; a scan of [n] would, and the three sizes show it.
+func BenchmarkRecoverDirty(b *testing.B) {
+	for _, lg := range []int{12, 16, 24} {
+		n := 1 << lg
+		b.Run(fmt.Sprintf("n=2^%d", lg), func(b *testing.B) {
+			r := rand.New(rand.NewPCG(1, 1))
+			rc := New(n, 8, r)
+			for i := 0; i < 8; i++ {
+				rc.add(r.IntN(n), int64(i+1))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc.add(0, 1)
+				rc.add(0, -1)
+				if _, ok := rc.Recover(); !ok {
+					b.Fatal("decode failed")
+				}
+			}
+		})
 	}
 }
