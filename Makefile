@@ -3,13 +3,19 @@
 
 GO ?= go
 
-.PHONY: build test race race-kernels chaos bench bench-module pairs loc microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
+.PHONY: build test test-scalar race race-kernels chaos bench bench-module pairs loc microbench bench-codec bench-l0 bench-lp bench-query bench-serve bench-gate bench-baseline fuzz-codec serve-e2e profile lint lint-vet lint-fmt fmt
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The whole suite on the portable scalar kernels. -count 1: the variant is
+# read in a package init, which the test cache does not watch, so a cached
+# run would re-report the default tier's results.
+test-scalar:
+	REPRO_KERNEL=scalar $(GO) test -count 1 ./...
 
 # Race-detector run with coverage, the CI test job. Coverage lands in
 # coverage.out (uploaded as a CI artifact).

@@ -95,9 +95,9 @@ func BenchmarkIngestSerialBatched(b *testing.B) {
 }
 
 // BenchmarkIngestSerialBatchedWide drives the same stream through a wide
-// count-sketch (m = 2^14: 98304 buckets per row, DRAM-resident) — the regime
-// the prefetched counter-scatter kernel targets. Not part of the bench-gate
-// baseline set (the gate regexp is $-anchored).
+// count-sketch (m = 2^14: 98304 buckets per row, DRAM-resident), where the
+// counter scatter waits on random cell-line fetches. Not part of the
+// bench-gate baseline set (the gate regexp is $-anchored).
 func BenchmarkIngestSerialBatchedWide(b *testing.B) {
 	st := ingestWorkload()
 	b.ResetTimer()

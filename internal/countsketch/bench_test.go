@@ -58,10 +58,9 @@ func BenchmarkProcessSerial(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(st)), "ns/update")
 }
 
-// BenchmarkAddBatchWide is the counter-scatter acceptance regime: m = 2^14
-// gives 98304 buckets per row (~768 KiB of float64), past L2 on the gate
-// hardware, so the fold is bound on the random cell-line fetch the
-// prefetched kernel.ScatterAdd path hides.
+// BenchmarkAddBatchWide is the wide-row regime of the counter scatter:
+// m = 2^14 gives 98304 buckets per row (~768 KiB of float64), past L2 on
+// the benchmark hardware, so the fold waits on random cell-line fetches.
 func BenchmarkAddBatchWide(b *testing.B) {
 	s := New(1<<14, 4, rand.New(rand.NewPCG(3, 5)))
 	r := rand.New(rand.NewPCG(17, 29))

@@ -139,12 +139,11 @@ func (s *Sketch) AddBatch(indices []uint64, deltas []float64) {
 }
 
 // addBatch runs the fused bucket+sign kernel once per row, pre-multiplies the
-// signed deltas (a dense vectorizable pass), and folds them through the
-// kernel.ScatterAdd primitive: all hash coefficients stay in registers across
-// the batch, the kernel outputs stay L1-resident, the scatter fold prefetches
-// the random cell lines ahead of the adds, and nothing allocates. Per-cell
-// accumulation order is batch order (the ScatterAdd contract), so the state
-// is bit-identical to the serial Add path.
+// signed deltas (a dense vectorizable pass), and folds them through
+// kernel.ScatterAddF64: all hash coefficients stay in registers across the
+// batch, the kernel outputs stay L1-resident, and nothing allocates. Per-cell
+// accumulation order is batch order (the ScatterAddF64 contract), so the
+// state is bit-identical to the serial Add path.
 func (s *Sketch) addBatch(idx []uint64, del []float64) {
 	n := len(idx)
 	bkt, sgn, sd := s.scratchBkt[:n], s.scratchSgn[:n], s.scratchSD[:n]

@@ -275,31 +275,35 @@ func TestProcessBatchEqualsProcess(t *testing.T) {
 }
 
 // TestAddBatchWideBitIdentical pins the scatter-fold contract at sketch
-// level: on a wide (m = 2^14, DRAM-sized rows) sketch, batched ingestion with
-// real-valued mixed-magnitude deltas must leave every cell bit-identical to
-// the serial Add path — per-cell accumulation order is batch order.
+// level: batched ingestion with real-valued mixed-magnitude deltas must leave
+// every cell bit-identical to the serial Add path — per-cell accumulation
+// order is batch order. It runs on a wide sketch (m = 2^14, DRAM-sized rows)
+// and on a narrow one (m = 8), where every cell takes hundreds of adds per
+// batch, so any reordering of a hot cell's sum changes its rounding.
 func TestAddBatchWideBitIdentical(t *testing.T) {
-	mk := func() *Sketch { return New(1<<14, 3, rand.New(rand.NewPCG(41, 42))) }
-	r := rand.New(rand.NewPCG(43, 44))
-	const n = 6000
-	idx := make([]uint64, n)
-	del := make([]float64, n)
-	for i := range idx {
-		idx[i] = r.Uint64N(1 << 20)
-		del[i] = r.NormFloat64() * math.Ldexp(1, r.IntN(60)-30)
-	}
-	serial, batched := mk(), mk()
-	for i := range idx {
-		serial.Add(idx[i], del[i])
-	}
-	batched.AddBatch(idx[:n/2], del[:n/2]) // two chunks: exercise scratch reuse
-	batched.AddBatch(idx[n/2:], del[n/2:])
-	for j := range serial.cells {
-		for k := range serial.cells[j] {
-			sv, bv := serial.cells[j][k], batched.cells[j][k]
-			if math.Float64bits(sv) != math.Float64bits(bv) {
-				t.Fatalf("row %d cell %d: batched %x, serial %x", j, k,
-					math.Float64bits(bv), math.Float64bits(sv))
+	for _, m := range []int{1 << 14, 8} {
+		mk := func() *Sketch { return New(m, 3, rand.New(rand.NewPCG(41, 42))) }
+		r := rand.New(rand.NewPCG(43, 44))
+		const n = 6000
+		idx := make([]uint64, n)
+		del := make([]float64, n)
+		for i := range idx {
+			idx[i] = r.Uint64N(1 << 20)
+			del[i] = r.NormFloat64() * math.Ldexp(1, r.IntN(60)-30)
+		}
+		serial, batched := mk(), mk()
+		for i := range idx {
+			serial.Add(idx[i], del[i])
+		}
+		batched.AddBatch(idx[:n/2], del[:n/2]) // two chunks: exercise scratch reuse
+		batched.AddBatch(idx[n/2:], del[n/2:])
+		for j := range serial.cells {
+			for k := range serial.cells[j] {
+				sv, bv := serial.cells[j][k], batched.cells[j][k]
+				if math.Float64bits(sv) != math.Float64bits(bv) {
+					t.Fatalf("m=%d row %d cell %d: batched %x, serial %x", m, j, k,
+						math.Float64bits(bv), math.Float64bits(sv))
+				}
 			}
 		}
 	}

@@ -44,13 +44,6 @@ func (p Poly) Reverse() Poly {
 	return r
 }
 
-// Clone returns an independent copy of p.
-func (p Poly) Clone() Poly {
-	q := make(Poly, len(p))
-	copy(q, p)
-	return q
-}
-
 // BerlekampMassey returns the minimal connection polynomial C with C[0] = 1
 // such that for all j >= L (L = Degree(C)):
 //
@@ -60,16 +53,28 @@ func (p Poly) Clone() Poly {
 // distinct nonzero evaluation points a_i and len(s) >= 2e, the result is
 // exactly the locator polynomial prod_i (1 - a_i x), which is the fact the
 // sparse recovery of Lemma 5 relies on.
-func BerlekampMassey(s []Elem) Poly {
-	c := Poly{1} // current connection polynomial
-	b := Poly{1} // copy at last length change
-	var l int    // current LFSR length
-	m := 1       // steps since last length change
+func BerlekampMassey(s []Elem) Poly { return BerlekampMasseyBuf(s, new([]Elem)) }
+
+// BerlekampMasseyBuf is BerlekampMassey over the caller's buffer: its two
+// working polynomials, len(s)+1 elements each, live in *buf, which is grown
+// when shorter, so a caller that keeps buf runs it without allocating. The
+// result aliases *buf. Neither polynomial outgrows len(s)+1 coefficients:
+// deg C <= L <= len(s), and the shifted copy x^m·B subtracted at step i has
+// degree at most i+1-L, the length the step leaves when it changes L.
+func BerlekampMasseyBuf(s []Elem, buf *[]Elem) Poly {
+	n := len(s) + 1
+	w := growElems(buf, 2*n)
+	clear(w)
+	c := Poly(w[:n]) // current connection polynomial
+	b := Poly(w[n:]) // c as it was at the last length change
+	c[0], b[0] = 1, 1
+	var l int // current LFSR length
+	m := 1    // steps since last length change
 	bd := Elem(1)
 	for i := 0; i < len(s); i++ {
 		// discrepancy d = s[i] + sum_{k=1..l} c[k] s[i-k]
 		d := s[i]
-		for k := 1; k <= l && k < len(c); k++ {
+		for k := 1; k <= l; k++ {
 			d = Add(d, Mul(c[k], s[i-k]))
 		}
 		if d == 0 {
@@ -79,35 +84,24 @@ func BerlekampMassey(s []Elem) Poly {
 		// c(x) -= (d/bd) * x^m * b(x)
 		coef := Mul(d, Inv(bd))
 		if 2*l <= i {
-			t := c.Clone()
-			c = subShifted(c, b, coef, m)
+			// The new c goes into b's buffer, top down so that each b[k-m]
+			// is read before it is overwritten; the old c becomes b.
+			for k := n - 1; k >= m; k-- {
+				b[k] = Sub(c[k], Mul(coef, b[k-m]))
+			}
+			copy(b[:m], c[:m])
+			c, b = b, c
 			l = i + 1 - l
-			b = t
 			bd = d
 			m = 1
 		} else {
-			c = subShifted(c, b, coef, m)
+			for k := m; k < n; k++ {
+				c[k] = Sub(c[k], Mul(coef, b[k-m]))
+			}
 			m++
 		}
 	}
 	return c.trim()
-}
-
-// subShifted returns c - coef * x^shift * b.
-func subShifted(c, b Poly, coef Elem, shift int) Poly {
-	n := len(b) + shift
-	if len(c) > n {
-		n = len(c)
-	}
-	out := make(Poly, n)
-	copy(out, c)
-	for i, bi := range b {
-		if bi == 0 {
-			continue
-		}
-		out[i+shift] = Sub(out[i+shift], Mul(coef, bi))
-	}
-	return out
 }
 
 // SolveLinear solves the square system A x = y in place by Gaussian

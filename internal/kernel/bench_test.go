@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -123,6 +124,51 @@ func BenchmarkKernelSyndromeFold(b *testing.B) {
 					vt.syndromeFold(synd, d, a)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/update")
+			})
+		}
+	}
+}
+
+// BenchmarkKernelTables calls each table's entries directly — the scalar
+// reference, every selectable tier and the test-only alternates (on an IFMA
+// machine, the VPMULUDQ AVX-512 table that detection passed over) — and
+// reports ns per key: bucketSign2 on 1 024 keys and polyEvalBatch at
+// k = 2, 4 and 8. Dispatch reaches only the selected table, so this is the
+// one benchmark that sets an IFMA kernel beside the flavor it replaced.
+// Sub-benchmarks are <primitive>/<table>; an alternate's name ends "-alt".
+func BenchmarkKernelTables(b *testing.B) {
+	xs := benchKeys(1024)
+	out := make([]uint64, len(xs))
+	signs := make([]float64, len(xs))
+	coef := benchKeys(8)
+	for i := range coef {
+		coef[i] %= modulus
+	}
+	tables := append([]*table{&scalarTable}, vectorTables()...)
+	label := func(t *table) string {
+		if slices.Contains(testAltTables, t) {
+			return t.name + "-alt"
+		}
+		return t.name
+	}
+	perKey := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/key")
+	}
+	for _, t := range tables {
+		b.Run("bucketSign2/"+label(t), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t.bucketSign2(12345, 678910, 111213, 141516, 4096, xs, out, signs)
+			}
+			perKey(b)
+		})
+	}
+	for _, k := range []int{2, 4, 8} {
+		for _, t := range tables {
+			b.Run(fmt.Sprintf("polyEvalBatch/k=%d/%s", k, label(t)), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					t.polyEvalBatch(coef[:k], xs, out)
+				}
+				perKey(b)
 			})
 		}
 	}

@@ -8,8 +8,11 @@ package kernel
 // additionally requires opmask/ZMM/Hi16-ZMM XSAVE state and the F/CD/DQ/VL
 // feature quartet — the Skylake-SP-and-later baseline these kernels are
 // tested on; the instructions they use are all AVX-512F. When AVX512_IFMA
-// is also present, the two modmul-bound primitives switch to the 52-bit
-// VPMADD52 limb kernels.
+// is also present, the Horner evaluation (polyEvalBatch, polyEvalRows) and
+// the syndrome fold switch to 52-bit VPMADD52 limb kernels, which measured
+// faster there. bucketSign2 keeps the VPMULUDQ kernel: its IFMA twin was
+// measured no faster (medians 2.29 against 2.44 ns/key over 12 alternated
+// process pairs) and was deleted.
 
 //go:noescape
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -39,22 +42,7 @@ func polyEvalRowsIFMA(cs []uint64, k int, xs []uint64, out []uint64, stride int)
 func syndromeFoldIFMA(synd, d, a []uint64)
 
 //go:noescape
-func bucketSign2IFMA(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
-
-//go:noescape
 func cauchyAVX512(u []float64, out []float64)
-
-//go:noescape
-func scatterAddF64PF(cells []float64, idx []uint64, del []float64)
-
-//go:noescape
-func scatterAddI64PF(cells []int64, idx []uint64, del []int64)
-
-//go:noescape
-func scatterAddF64NP(cells []float64, idx []uint64, del []float64)
-
-//go:noescape
-func scatterAddI64NP(cells []int64, idx []uint64, del []int64)
 
 func detect() {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -86,14 +74,13 @@ func detect() {
 	if b7&(1<<21) != 0 { // AVX512_IFMA: 52-bit multiply-add limb kernels
 		avx512Table.polyEvalBatch = avx512PolyEvalBatchIFMA
 		avx512Table.polyEvalRows = avx512PolyEvalRowsIFMA
-		avx512Table.bucketSign2 = avx512BucketSign2IFMA
 		avx512Table.ifma = true
-		// Keep the VPMULUDQ flavor reachable for the differential tests:
-		// an IFMA machine can run both, so both get pinned against scalar.
+		// Keep the VPMULUDQ flavor reachable for the differential tests
+		// and BenchmarkKernelTables: an IFMA machine can run both, so both
+		// get pinned against scalar and timed side by side.
 		alt := avx512Table
 		alt.polyEvalBatch = avx512PolyEvalBatch
 		alt.polyEvalRows = nil
-		alt.bucketSign2 = avx512BucketSign2
 		alt.ifma = false
 		testAltTables = append(testAltTables, &alt)
 	}
@@ -103,33 +90,23 @@ func detect() {
 // avx2Table vectorizes the two field primitives at 4 lanes. The Go wrappers
 // route 4-lane blocks to assembly and delegate tails and degenerate shapes
 // to the scalar reference, so the assembly only ever sees its documented
-// preconditions. The counter scatter is the prefetched scalar-order loop —
-// baseline amd64 instructions, no AVX needed (AVX2 has gathers but no
-// scatter stores, so there is no 4-lane vector fold to have). The Cauchy
-// transform is the scalar reference: its lane form leans on AVX-512's
-// float-to-int64 conversions and opmask selects.
+// preconditions. The Cauchy transform is the scalar reference: its lane form
+// leans on AVX-512's float-to-int64 conversions and opmask selects.
 var avx2Table = table{
 	name:          AVX2,
 	polyEvalBatch: avx2PolyEvalBatch,
 	bucketSign2:   avx2BucketSign2,
-	scatterAddF64: amd64ScatterAddF64,
-	scatterAddI64: amd64ScatterAddI64,
 	cauchy:        scalarCauchy,
 }
 
-// avx512Table widens the modmul-bound primitives to 8 lanes. The counter
-// scatter keeps the prefetched scalar-order loop: a zmm gather+scatter pair
-// costs the same store-port budget as eight scalar read-modify-writes and
-// cannot prefetch ahead. The Cauchy
-// transform runs math.tan's sequence eight lanes at a time
-// (kernel_cauchy_amd64.s). detect() swaps the modmul pair to the IFMA52
-// flavor when the CPU has it.
+// avx512Table widens the modmul-bound primitives to 8 lanes and runs the
+// Cauchy transform as math.tan's sequence eight lanes at a time
+// (kernel_cauchy_amd64.s). detect() swaps the Horner and syndrome-fold
+// kernels to the IFMA52 flavor when the CPU has it.
 var avx512Table = table{
 	name:          AVX512,
 	polyEvalBatch: avx512PolyEvalBatch,
 	bucketSign2:   avx512BucketSign2,
-	scatterAddF64: amd64ScatterAddF64,
-	scatterAddI64: amd64ScatterAddI64,
 	cauchy:        avx512Cauchy,
 }
 
@@ -254,18 +231,6 @@ func avx512SyndromeFoldIFMA(synd, d, a []uint64) {
 	syndromeFoldIFMA(synd, d, a[:len(d)])
 }
 
-func avx512BucketSign2IFMA(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []float64) {
-	buckets = buckets[:len(xs)]
-	signs = signs[:len(xs)]
-	n := len(xs) &^ 7
-	if n > 0 {
-		bucketSign2IFMA(h0, h1, g0, g1, m, xs[:n], buckets[:n], signs[:n])
-	}
-	if n < len(xs) {
-		scalarBucketSign2(h0, h1, g0, g1, m, xs[n:], buckets[n:], signs[n:])
-	}
-}
-
 func avx512Cauchy(u, out []float64) {
 	out = out[:len(u)]
 	n := len(u) &^ 7
@@ -274,59 +239,5 @@ func avx512Cauchy(u, out []float64) {
 	}
 	if n < len(u) {
 		scalarCauchy(u[n:], out[n:])
-	}
-}
-
-// The amd64 scatter fold has two assembly flavors, picked by row width:
-//
-//   - NP (no prefetch): tight unrolled read-modify-write loop for rows up to
-//     scatterNPMaxCells. Those rows live in L1/L2, where a prefetch hits
-//     cache anyway and its address load + PREFETCHT0 are pure port pressure.
-//   - PF (prefetched): issues PREFETCHT0 for the cell line scatterPFDist
-//     elements ahead, for rows that spill L2 and bind on the line fetch.
-//
-// scatterPFMinBatch gates the PF loop: the assembly reads idx up to
-// scatterPFDist+2 elements ahead of the fold cursor inside its main loop, so
-// it needs the batch comfortably longer than the prefetch distance; tiny
-// batches take the compiled reference, which is fine because they are
-// call-overhead-bound anyway.
-const (
-	scatterPFDist     = 40 // must match the offsets in kernel_scatter_amd64.s
-	scatterPFMinBatch = scatterPFDist + 8
-
-	// scatterNPMaxCells = 512 KiB of float64: comfortably inside the >= 1 MiB
-	// L2 of every amd64 target we tune for.
-	scatterNPMaxCells = 64 * 1024
-)
-
-func amd64ScatterAddF64(cells []float64, idx []uint64, del []float64) {
-	del = del[:len(idx)]
-	switch {
-	case len(cells) <= scatterNPMaxCells:
-		if len(idx) < 4 { // NP main loop folds 4 at a time
-			scalarScatterAddF64(cells, idx, del)
-			return
-		}
-		scatterAddF64NP(cells, idx, del)
-	case len(idx) < scatterPFMinBatch:
-		scalarScatterAddF64(cells, idx, del)
-	default:
-		scatterAddF64PF(cells, idx, del)
-	}
-}
-
-func amd64ScatterAddI64(cells []int64, idx []uint64, del []int64) {
-	del = del[:len(idx)]
-	switch {
-	case len(cells) <= scatterNPMaxCells:
-		if len(idx) < 4 {
-			scalarScatterAddI64(cells, idx, del)
-			return
-		}
-		scatterAddI64NP(cells, idx, del)
-	case len(idx) < scatterPFMinBatch:
-		scalarScatterAddI64(cells, idx, del)
-	default:
-		scatterAddI64PF(cells, idx, del)
 	}
 }

@@ -22,8 +22,6 @@ var neonTable = table{
 	name:          NEON,
 	polyEvalBatch: neonPolyEvalBatch,
 	bucketSign2:   neonBucketSign2,
-	scatterAddF64: scalarScatterAddF64,
-	scatterAddI64: scalarScatterAddI64,
 	cauchy:        scalarCauchy,
 }
 

@@ -1,12 +1,14 @@
 // Package kernel is the runtime-dispatched vector-kernel layer under the
 // ingest/query hot paths. The primitives that dominate every sketch's
-// cycle budget — k-wise hash evaluation (internal/hash), the syndrome fold
-// of sparse recovery (internal/sparse), the affine maps of the PRG's
-// window tables (internal/prng) and the counter scatter under the count-sketch
-// fold — call through a per-primitive function table selected once at
-// init: the pure-Go scalar reference always exists, and SIMD variants
-// (AVX2 and AVX-512 on amd64, NEON on arm64) replace individual entries
-// when the CPU supports them.
+// cycle budget — k-wise hash evaluation and the count-sketch bucket+sign
+// rows (internal/hash), the syndrome fold of sparse recovery
+// (internal/sparse) and the Cauchy variates of the norm sketches — call
+// through a per-primitive function table selected once at init: the pure-Go
+// scalar reference always exists, and SIMD variants (AVX2 and AVX-512 on
+// amd64, NEON on arm64) replace individual entries when the CPU supports
+// them. A variant stays only where it measured a win; the counter scatter
+// under the count-sketch fold, where the amd64 assembly won no benchmark
+// workload, is one Go loop everywhere (scatter.go).
 //
 // All kernels operate on raw uint64 values carrying elements of GF(2^61-1)
 // in canonical form [0, Modulus) — the same representation as
@@ -91,14 +93,6 @@ type table struct {
 	// low bit of g1·x+g0.
 	bucketSign2 func(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []float64)
 
-	// scatterAddF64 folds cells[idx[t]] += del[t] for t ascending — the
-	// count-sketch counter scatter. Per-cell accumulation order is batch
-	// order, so float64 results are bit-identical across variants.
-	scatterAddF64 func(cells []float64, idx []uint64, del []float64)
-
-	// scatterAddI64 is the integer twin, kept for integer counter cells.
-	scatterAddI64 func(cells []int64, idx []uint64, del []int64)
-
 	// cauchy writes out[t] = math.Tan(math.Pi*(u[t]-0.5)) for u[t] in [0, 1],
 	// bit for bit: the p = 1 stable variate of the norm sketches.
 	cauchy func(u, out []float64)
@@ -113,10 +107,11 @@ var (
 	// wired by the per-arch init in cpu_*.go. Empty means scalar only.
 	available []*table
 
-	// testAltTables lists extra tables reachable only from the differential
-	// tests: flavors detection skipped in favor of a better one but that
-	// this CPU can still execute (the VPMULUDQ AVX-512 modmul on an IFMA
-	// machine). Never selectable; swept by kernel_test.go.
+	// testAltTables lists extra tables reachable only from the tests:
+	// flavors detection skipped in favor of a better one but that this CPU
+	// can still execute (the VPMULUDQ AVX-512 Horner kernels on an IFMA
+	// machine). Never selectable; swept by kernel_test.go and timed beside
+	// the selectable tables by BenchmarkKernelTables.
 	testAltTables []*table
 )
 

@@ -9,7 +9,7 @@
 //
 //   MODMULC512 / MODMUL512   four 32x32 VPMULUDQ limb products, the AVX2
 //                            scheme widened to 8 lanes (AVX-512F only).
-//   MODMULC512I / MODMUL512I AVX512_IFMA: split operands into 52+9-bit
+//   MODMUL512I               AVX512_IFMA: split operands into 52+9-bit
 //                            limbs (a = aL + 2^52·aH) and assemble the
 //                            122-bit product from seven VPMADD52{L,H}UQ
 //                            accumulations:
@@ -154,13 +154,6 @@ GLOBL mask52v<>(SB), RODATA|NOPTR, $8
 	VPSLLQ       $32, hi, lo \
 	VPSRLQ       $32, lo, lo \
 	VPSRLQ       $32, hi, hi
-
-// BROADCAST_SPLIT52(arg, lo, hi, mask): broadcast a uint64 stack argument
-// split into its 52-bit low and 9-bit high IFMA limbs.
-#define BROADCAST_SPLIT52(arg, lo, hi, mask) \
-	VPBROADCASTQ arg, hi \
-	VPANDQ       mask, hi, lo \
-	VPSRLQ       $52, hi, hi
 
 // MODMUL512I(aL, aH, bL, bH, r, mm, hh, t, k): IFMA52 modular product of
 // pre-split operands; aL/aH/bL/bH preserved. See file header for limb
@@ -484,53 +477,6 @@ keyloop:
 	VPSLLQ    $63, Z3, Z3
 	VPXORQ    Z21, Z3, Z3
 	VMOVDQU64 Z3, (R9)
-
-	ADDQ $64, DI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	SUBQ $8, CX
-	JNZ  keyloop
-	VZEROUPPER
-	RET
-
-// func bucketSign2IFMA(h0, h1, g0, g1, m uint64, xs []uint64, buckets []uint64, signs []float64)
-// Same contract as bucketSign2AVX512; IFMA52 flavor.
-TEXT ·bucketSign2IFMA(SB), NOSPLIT, $0-112
-	MOVQ         xs_base+40(FP), DI
-	MOVQ         xs_len+48(FP), CX
-	MOVQ         buckets_base+64(FP), R8
-	MOVQ         signs_base+88(FP), R9
-	VPBROADCASTQ modP512<>(SB), ZP
-	VPBROADCASTQ mask52v<>(SB), Z30
-	BROADCAST_SPLIT52(h1+8(FP), Z29, Z28, Z30)
-	BROADCAST_SPLIT52(g1+24(FP), Z27, Z26, Z30)
-	BROADCAST_SPLIT512(m+32(FP), Z25, Z24)
-	VPBROADCASTQ h0+0(FP), Z23
-	VPBROADCASTQ g0+16(FP), Z22
-	VPBROADCASTQ one512<>(SB), Z20
-	VPBROADCASTQ plus1d512<>(SB), Z19
-
-keyloop:
-	VMOVDQU64 (DI), Z0
-	REDUCE512(Z0, Z1, Z2, K1)                       // Z1 = xe
-	VPANDQ    Z30, Z1, Z9                           // xeL
-	VPSRLQ    $52, Z1, Z10                          // xeH
-
-	// Bucket chain: Lemire(h1*xe + h0, m).
-	MODMUL512I(Z9, Z10, Z29, Z28, Z4, Z5, Z6, Z7, K1)
-	MODADD512(Z4, Z23, Z4, K1)
-	VPSLLQ    $3, Z4, Z4
-	MULHIC512(Z4, Z25, Z24, Z8, Z5, Z6, Z7)
-	VMOVDQU64 Z8, (R8)
-
-	// Sign chain: ±1.0 from the low bit of g1*xe + g0.
-	MODMUL512I(Z9, Z10, Z27, Z26, Z4, Z5, Z6, Z7, K1)
-	MODADD512(Z4, Z22, Z4, K1)
-	VPANDQ    Z20, Z4, Z5
-	VPSUBQ    Z20, Z5, Z5
-	VPSLLQ    $63, Z5, Z5
-	VPXORQ    Z19, Z5, Z5
-	VMOVDQU64 Z5, (R9)
 
 	ADDQ $64, DI
 	ADDQ $64, R8

@@ -18,8 +18,6 @@ var scalarTable = table{
 	name:          Scalar,
 	polyEvalBatch: scalarPolyEvalBatch,
 	bucketSign2:   scalarBucketSign2,
-	scatterAddF64: scalarScatterAddF64,
-	scatterAddI64: scalarScatterAddI64,
 	cauchy:        scalarCauchy,
 }
 
@@ -118,20 +116,6 @@ func scalarBucketSign2(h0, h1, g0, g1, m uint64, xs, buckets []uint64, signs []f
 		xe := reduce(x)
 		buckets[t] = lemire(modAdd(modMul(h1, xe), h0), m)
 		signs[t] = signFloat(modAdd(modMul(g1, xe), g0))
-	}
-}
-
-func scalarScatterAddF64(cells []float64, idx []uint64, del []float64) {
-	del = del[:len(idx)]
-	for t, b := range idx {
-		cells[b] += del[t]
-	}
-}
-
-func scalarScatterAddI64(cells []int64, idx []uint64, del []int64) {
-	del = del[:len(idx)]
-	for t, b := range idx {
-		cells[b] += del[t]
 	}
 }
 

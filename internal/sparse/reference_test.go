@@ -141,6 +141,17 @@ func TestRecoverMemoization(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("cached Recover allocates %v times per call, want 0", allocs)
 	}
+	// A dirty re-decode reuses the warm decode scratch: a canceling pair
+	// re-dirties the sketch without changing it.
+	if allocs := testing.AllocsPerRun(10, func() {
+		rc.add(0, 1)
+		rc.add(0, -1)
+		if rec, ok := rc.Recover(); !ok || len(rec) != 2 {
+			t.Errorf("dirty re-decode: %v %v", rec, ok)
+		}
+	}); allocs != 0 {
+		t.Errorf("dirty Recover allocates %v times per call, want 0", allocs)
+	}
 	// Add invalidates: the next decode must see the new coordinate.
 	rc.add(30, 7)
 	rec, ok = rc.Recover()

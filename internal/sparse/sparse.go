@@ -65,9 +65,10 @@ import (
 // The query side is memoized: Recover caches its decode and a dirty bit —
 // set by Process/ProcessBatch/Merge/RestoreState, cleared on decode —
 // short-circuits repeated queries on an unchanged sketch. All decode
-// scratch (the reversed locator, the root finder's and the Vandermonde
-// solver's state, the support and value buffers) lives on the Recoverer and
-// is reused, so steady-state Recover calls allocate nothing.
+// scratch (Berlekamp-Massey's polynomials, the reversed locator, the root
+// finder's and the Vandermonde solver's state, the support and value
+// buffers) lives on the Recoverer and is reused, so steady-state Recover
+// calls allocate nothing, dirty or not.
 type Recoverer struct {
 	n      int
 	s      int
@@ -80,6 +81,7 @@ type Recoverer struct {
 	dirty    bool          // measurements changed since the last decode
 	decoded  map[int]int64 // cached decode result (reused across decodes)
 	decodeOK bool          // cached DENSE/sparse verdict
+	bm       []field.Elem  // Berlekamp-Massey's two working polynomials
 	rev      field.Poly    // reversed locator buffer
 	split    field.SplitTester
 	pts      []field.Elem // the locator's roots: support points a_t = pos_t + 1
@@ -291,7 +293,7 @@ func (rc *Recoverer) decode() bool {
 // in rc.rev — monic, nonzero constant term, degree e in [1, s] — or nil when
 // Berlekamp-Massey's locator has a degree no s-sparse vector produces.
 func (rc *Recoverer) locator() field.Poly {
-	loc := field.BerlekampMassey(rc.synd)
+	loc := field.BerlekampMasseyBuf(rc.synd, &rc.bm)
 	e := loc.Degree()
 	if e < 1 || e > rc.s {
 		return nil
