@@ -4,7 +4,7 @@
 // by sketch linearity) and answers sample queries.
 //
 //	sketchd -addr :8080 -data /var/lib/sketchd
-//	sketchd -addr 127.0.0.1:0 -data ./state -shards 8 -fanin 128
+//	sketchd -addr 127.0.0.1:0 -data ./state -fanin 128
 //
 // The first stdout line is "sketchd: listening on ADDR" with the bound
 // address — scripts and the e2e harness parse it, so with -addr :0 the
@@ -40,7 +40,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7931", "listen address (host:port; :0 picks a free port)")
 	data := flag.String("data", "", "durable state directory (empty = in-memory only, no crash recovery)")
-	shards := flag.Int("shards", 0, "engine shards per sketch (0 = default 4)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "raw updates between durable generations per sketch (0 = default 65536)")
 	uploadEvery := flag.Int("upload-checkpoint-every", 0, "sketch uploads between durable seals per sketch (0 = default 64)")
 	fanIn := flag.Int("fanin", 0, "merge-tree leaf fan-in (0 = default 64)")
@@ -54,7 +53,6 @@ func main() {
 	}
 	if err := run(*addr, sketchd.RegistryConfig{
 		Dir:                   *data,
-		Shards:                *shards,
 		CheckpointEvery:       *ckptEvery,
 		UploadCheckpointEvery: *uploadEvery,
 		FanIn:                 *fanIn,

@@ -16,7 +16,7 @@
 //     paper's linearity enables — this is the default and the mode that
 //     exercises the hierarchical merge tree).
 //   - -mode raw: each exporter streams its slice as codec update frames
-//     (exercising the server's sharded engine hot path).
+//     (exercising the server's engine and write-ahead journal hot path).
 //
 // Exporters run on a bounded worker pool (-concurrency) so 10k exporters
 // do not mean 10k OS-level connections at once — like real fleets, many

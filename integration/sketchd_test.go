@@ -134,7 +134,7 @@ func TestSketchdKillRestartDurability(t *testing.T) {
 	sketchdBin := buildBinary(t, dir, "sketchd")
 	dataDir := filepath.Join(dir, "state")
 
-	addr, server := startSketchd(t, sketchdBin, "-data", dataDir, "-checkpoint-every", "512", "-shards", "2")
+	addr, server := startSketchd(t, sketchdBin, "-data", dataDir, "-checkpoint-every", "512")
 	defer stopProcess(server)
 
 	const n, seed = 2048, 13
@@ -209,7 +209,7 @@ func TestSketchdKillRestartDurability(t *testing.T) {
 	}
 
 	// Restart on the same directory: recovery must serve exactly that state.
-	addr2, server2 := startSketchd(t, sketchdBin, "-data", dataDir, "-checkpoint-every", "512", "-shards", "2")
+	addr2, server2 := startSketchd(t, sketchdBin, "-data", dataDir, "-checkpoint-every", "512")
 	defer stopProcess(server2)
 	client2 := sketchd.NewClient(addr2)
 	got, err := client2.Bytes(ctx, "t", "s")

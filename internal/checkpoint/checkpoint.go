@@ -186,9 +186,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir reports the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Generation reports the newest generation number written (0 = none yet).
 func (s *Store) Generation() uint64 { return s.gen }
 
@@ -730,15 +727,6 @@ func (s *Store) Close() error {
 	if s.journal != nil {
 		err := s.journal.Close()
 		s.journal = nil
-		return err
-	}
-	return nil
-}
-
-// RemoveAll deletes the store's directory tree — test and tooling helper.
-func (s *Store) RemoveAll() error {
-	s.Close()
-	if err := os.RemoveAll(s.dir); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return nil

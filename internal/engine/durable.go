@@ -75,7 +75,8 @@ func (e *Engine[T]) CheckpointTo(store *checkpoint.Store, marshal func(T) ([]byt
 	default:
 		// The store holds data it cannot recover (all generations torn, or a
 		// journal gap). Refuse to bind rather than silently discard it; the
-		// caller can inspect and RemoveAll if starting over is intended.
+		// caller can inspect the directory, and delete it if starting over
+		// is intended.
 		e.durable = durableState[T]{}
 		return fmt.Errorf("engine: recovering checkpoint store state: %w", err)
 	}

@@ -70,7 +70,6 @@ func runServerChaos(t *testing.T, seed uint64, rate float64) string {
 	inj := faultinject.New(seed, rate)
 	cfg := RegistryConfig{
 		Dir:                   dir,
-		Shards:                2,
 		CheckpointEvery:       500, // force the periodic checkpoint path under fire
 		UploadCheckpointEvery: 2,   // and the upload-seal path
 		FanIn:                 1,   // every upload is a leaf-to-root fold

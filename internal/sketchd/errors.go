@@ -20,7 +20,7 @@ var (
 	// ErrExists means Create hit an already-registered {tenant, name}.
 	ErrExists = errors.New("sketchd: sketch already exists")
 	// ErrPartialResult is the client-side identity for a server answer
-	// degraded by quarantined engine shards (the wire projection of
+	// degraded by a quarantined engine replica (the wire projection of
 	// engine.PartialResultError). Retryable: the server heals itself from
 	// its checkpoint store at the next quiesce barrier.
 	ErrPartialResult = errors.New("sketchd: partial result (server lost replicas and has not yet recovered)")

@@ -44,17 +44,16 @@ func validName(s string) bool {
 }
 
 // RegistryConfig tunes the registry and the per-sketch engines under it.
-// The zero value selects production defaults.
+// The zero value selects production defaults. Every sketch's engine runs one
+// shard (one replica, one worker) with the engine's default batch size and
+// queue depth: a served sketch is a few KiB, a registry hosts many, and even
+// a single hot sketch ingests faster into one replica than into several that
+// Merged must fold back together.
 type RegistryConfig struct {
 	// Dir is the durable root; "" disables persistence entirely (tests,
 	// ephemeral tiers): engines run without a checkpoint store and restarts
 	// start empty.
 	Dir string
-	// Shards is every sketch's ingestion engine width (default 4 — a serving
-	// tier hosts many sketches, so per-sketch engines stay narrow by default;
-	// raise it for a single-hot-sketch deployment). The engines take their
-	// default batch size and queue depth.
-	Shards int
 	// CheckpointEvery is the engine's periodic durable-generation interval
 	// in accepted raw updates (default 1<<16).
 	CheckpointEvery int
@@ -75,9 +74,6 @@ type RegistryConfig struct {
 const mergeLeaves = 8
 
 func (c RegistryConfig) withDefaults() RegistryConfig {
-	if c.Shards < 1 {
-		c.Shards = 4
-	}
 	if c.CheckpointEvery < 1 {
 		c.CheckpointEvery = 1 << 16
 	}
@@ -108,7 +104,7 @@ type Registry struct {
 	quarantined   atomic.Int64
 }
 
-// entry is one registered sketch: a sharded ingestion engine for raw
+// entry is one registered sketch: a one-shard ingestion engine for raw
 // updates (durably checkpointed), a hierarchical merge tree plus
 // authoritative accumulator for pre-sketched uploads (sealed into its own
 // generation store), and the spec that reconstructs zero-state replicas.
@@ -258,7 +254,7 @@ func (r *Registry) newEntry(tenant, name string, spec Spec, zero streamsample.Sk
 		spec:      spec,
 		specBytes: specBytes,
 		eng: engine.New(engine.Config{
-			Shards:          r.cfg.Shards,
+			Shards:          1,
 			CheckpointEvery: r.cfg.CheckpointEvery,
 			Injector:        r.cfg.Injector,
 		}, factory, mergeSketch),
@@ -278,7 +274,8 @@ func (r *Registry) newEntry(tenant, name string, spec Spec, zero streamsample.Sk
 	}
 	// CheckpointTo adopts any pre-existing store state (last good generation
 	// + journal tail) before sealing a fresh generation — this is the whole
-	// crash-recovery path for raw updates.
+	// crash-recovery path for raw updates. A generation of several blobs
+	// (written by a wider engine) folds every blob into the one replica.
 	if err := e.eng.CheckpointTo(engSt, marshalSketch, restoreSketch); err != nil {
 		e.eng.Close()
 		engSt.Close()
@@ -495,9 +492,9 @@ func marshalSketch(s streamsample.Sketch) ([]byte, error) {
 }
 func restoreSketch(s streamsample.Sketch, b []byte) error { return s.UnmarshalBinary(b) }
 
-// IngestRaw feeds one validated update batch through the sketch's sharded
-// engine (journaled write-ahead when durable). If journaling broke, the
-// entry tries to heal itself with an immediate checkpoint — a fresh sealed
+// IngestRaw feeds one validated update batch through the sketch's engine
+// (journaled write-ahead when durable). If journaling broke, the entry
+// tries to heal itself with an immediate checkpoint — a fresh sealed
 // generation re-establishes durability — and reports ErrNotDurable only
 // when that fails; the in-memory state is exact either way.
 func (e *entry) IngestRaw(batch []stream.Update) error {
@@ -619,7 +616,7 @@ func (e *entry) drain() error {
 }
 
 // Merged materializes the sketch of everything ingested so far: the
-// engine's replicas are snapshotted (a quiesce barrier, ingestion
+// engine's one replica is snapshotted (a quiesce barrier, ingestion
 // continues afterwards), loaded and folded together with the authoritative
 // upload fold. The result is a detached sketch the caller owns.
 func (e *entry) Merged() (streamsample.Sketch, error) {
@@ -635,15 +632,6 @@ func (e *entry) Merged() (streamsample.Sketch, error) {
 	merged, err := streamsample.Load(blobs[0])
 	if err != nil {
 		return nil, err
-	}
-	for _, blob := range blobs[1:] {
-		s, err := streamsample.Load(blob)
-		if err != nil {
-			return nil, err
-		}
-		if err := merged.Merge(s); err != nil {
-			return nil, err
-		}
 	}
 	flushed, err := e.tree.FlushInto(e.folded)
 	if err != nil {

@@ -5,14 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	streamsample "repro"
+	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/stream"
 )
 
@@ -366,5 +371,160 @@ func TestStatszRawUpdatesConsistentOnFrameError(t *testing.T) {
 	}
 	if perSketch != 3 {
 		t.Fatalf("accepted updates = %d, want the 3 from the good frame", perSketch)
+	}
+}
+
+// TestRegistryFootprint bounds what one served sketch costs the process: 64
+// L0 sketches at n = 2^16, each fed 8 frames of 256 updates and queried
+// once, must add exactly one goroutine apiece (the engine's one worker) and
+// stay under a heap budget per sketch. Not parallel: it reads process-wide
+// counters.
+func TestRegistryFootprint(t *testing.T) {
+	const sketches, frames, frameLen, n = 64, 8, 256, 1 << 16
+	const heapPerSketch = 150 << 10
+	reg, err := OpenRegistry(RegistryConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Drain() //nolint:errcheck // teardown
+	st := testStream(n, frames*frameLen, 3)
+
+	// Earlier tests' connections wind down asynchronously; start from a
+	// goroutine count that has stopped moving.
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		now := runtime.NumGoroutine()
+		if now == before {
+			break
+		}
+		before = now
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	heapBefore := ms.HeapInuse
+
+	for i := 0; i < sketches; i++ {
+		name := fmt.Sprintf("s%d", i)
+		if err := reg.Create("t", name, Spec{Kind: "l0", N: n, Delta: 0.2, Seed: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		e, err := reg.Get("t", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < frames; f++ {
+			if err := e.IngestRaw(st[f*frameLen : (f+1)*frameLen]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Merged(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	goroutines := runtime.NumGoroutine() - before
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := (int64(ms.HeapInuse) - int64(heapBefore)) / sketches
+	t.Logf("per sketch: %.2f goroutines, %.1f KiB HeapInuse", float64(goroutines)/sketches, float64(per)/1024)
+	if goroutines != sketches {
+		t.Errorf("%d sketches added %d goroutines, want one each", sketches, goroutines)
+	}
+	if per > heapPerSketch {
+		t.Errorf("HeapInuse grew %d KiB per sketch, want at most %d KiB", per>>10, heapPerSketch>>10)
+	}
+}
+
+// TestRegistryRecoversWiderEngineState: a data directory whose engine store
+// holds generations of four blobs (an engine run with four shards) plus a
+// journal tail reopens into the registry's one-shard engine and answers
+// byte-identically to serial ingestion of the same stream.
+func TestRegistryRecoversWiderEngineState(t *testing.T) {
+	const n, seed, length, split = 1024, 8, 6000, 4500
+	dir := t.TempDir()
+	spec := Spec{Kind: "l0", N: n, Seed: seed}
+	st := testStream(n, length, seed)
+
+	zero, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specBytes, err := zero.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func(int) streamsample.Sketch {
+		s, err := streamsample.Load(specBytes)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+	entryDir := filepath.Join(dir, "tenants", "t", "s")
+	store, err := checkpoint.Open(filepath.Join(entryDir, "engine"), checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := engine.New(engine.Config{Shards: 4, CheckpointEvery: 1000}, factory, mergeSketch)
+	if err := wide.CheckpointTo(store, marshalSketch, restoreSketch); err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < split; lo += 256 {
+		wide.ProcessBatch(st[lo:min(lo+256, split)])
+	}
+	wide.Close() // a crash: no final generation, the journal keeps the tail
+	store.Close()
+	meta, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(entryDir, "meta.json"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err = checkpoint.Open(filepath.Join(entryDir, "engine"), checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := store.Latest()
+	store.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.States) != 4 || rec.TailUpdates == 0 {
+		t.Fatalf("fixture has %d blobs and a %d-update tail, want 4 blobs and a non-empty tail",
+			len(rec.States), rec.TailUpdates)
+	}
+
+	reg, err := OpenRegistry(RegistryConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Drain() //nolint:errcheck // teardown
+	e, err := reg.Get("t", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestRaw(st[split:]); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := e.Merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := merged.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := streamsample.NewL0Sampler(n, streamsample.WithSeed(seed))
+	serial.ProcessBatch(st)
+	want, err := serial.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("registry recovered from a four-shard store differs from serial ingestion")
 	}
 }

@@ -61,10 +61,6 @@ func NewServer(reg *Registry) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Registry exposes the underlying registry (cmd/sketchd drains it on
-// SIGTERM).
-func (s *Server) Registry() *Registry { return s.reg }
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -130,7 +130,7 @@ func TestServerIngestAgreement(t *testing.T) {
 			// Fan-in 2 over the 8 merge-tree leaves: the 10 uploads of the
 			// "sketch" mode fill two leaves, which fold into the root, and
 			// leave six partial leaves for the flush.
-			_, c := newTestServer(t, RegistryConfig{Shards: 3, FanIn: 2})
+			_, c := newTestServer(t, RegistryConfig{FanIn: 2})
 			ctx := context.Background()
 			if err := c.Create(ctx, "t", "s", Spec{Kind: "l0", N: n, Seed: seed}); err != nil {
 				t.Fatal(err)
@@ -407,7 +407,7 @@ func TestServerRejectsHostileFrames(t *testing.T) {
 }
 
 func TestServerStatsz(t *testing.T) {
-	_, c := newTestServer(t, RegistryConfig{Shards: 2})
+	_, c := newTestServer(t, RegistryConfig{})
 	ctx := context.Background()
 	if err := c.Create(ctx, "t", "s", Spec{Kind: "l0", N: 64, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestServerStatsz(t *testing.T) {
 		t.Fatalf("per-sketch stats count = %d", len(st.Sketches))
 	}
 	s := st.Sketches[0]
-	if s.Engine.Routed != 2 || s.Engine.Shards != 2 || s.MergeTree.Uploads != 1 {
+	if s.Engine.Routed != 2 || s.Engine.Shards != 1 || s.MergeTree.Uploads != 1 {
 		t.Fatalf("sketch stats = %+v", s)
 	}
 }
@@ -445,7 +445,7 @@ func TestServerDurableRecovery(t *testing.T) {
 	const n, seed = 512, 6
 	st := testStream(n, 5000, seed)
 	ctx := context.Background()
-	cfg := RegistryConfig{Dir: dir, Shards: 2, UploadCheckpointEvery: 1 << 30}
+	cfg := RegistryConfig{Dir: dir, UploadCheckpointEvery: 1 << 30}
 
 	reg1, err := OpenRegistry(cfg)
 	if err != nil {
@@ -508,7 +508,7 @@ func TestServerDurableRecovery(t *testing.T) {
 // sketch must be clean and must all return the same answer.
 func TestServerConcurrentSamples(t *testing.T) {
 	const n = 2048
-	_, c := newTestServer(t, RegistryConfig{Shards: 2})
+	_, c := newTestServer(t, RegistryConfig{})
 	ctx := context.Background()
 	for name, spec := range map[string]Spec{
 		"lp": {Kind: "lp", N: n, P: 1, Eps: 0.3, Delta: 0.3, Seed: 5},

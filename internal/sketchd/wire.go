@@ -1,7 +1,7 @@
 // Package sketchd is the sketch-serving network tier: a stdlib-only HTTP
 // server exposing a multi-tenant registry of the repository's linear
 // sketches — create / ingest / merge / query / delete by {tenant, name} —
-// where every registered sketch is backed by the sharded ingestion engine
+// where every registered sketch is backed by a one-shard ingestion engine
 // (internal/engine, so raw-update ingest rides the kernel-dispatched hot
 // paths) and persisted through the durable checkpoint store
 // (internal/checkpoint, so SIGTERM drains and SIGKILL restarts recover the
@@ -15,7 +15,7 @@
 //
 //   - Raw update batches: streamed, length-prefixed internal/codec frames
 //     (POST .../updates). Each frame is one batch of (index, delta) pairs
-//     fed straight into the sketch's sharded engine, journaled write-ahead.
+//     fed straight into the sketch's engine, journaled write-ahead.
 //   - Pre-sketched bytes: a whole serialized sketch (POST .../sketches),
 //     validated and folded through a hierarchical merge tree — leaf
 //     aggregators absorb uploads under per-leaf locks and only detached,

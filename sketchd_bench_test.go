@@ -1,7 +1,7 @@
 // Serving-tier benchmarks: the two ingest paths of the sketchd network
 // tier, measured end-to-end through real HTTP — client framing, wire
-// transfer, server-side decode/validation, and the sharded engine or merge
-// tree behind the handler. Both are in the bench-gate set (see
+// transfer, server-side decode/validation, and the sketch's one-shard engine
+// or merge tree behind the handler. Both are in the bench-gate set (see
 // cmd/benchgate), so regressions in the serving hot path fail CI like any
 // kernel regression.
 package streamsample_test
@@ -44,7 +44,7 @@ func benchServe(b *testing.B, cfg sketchd.RegistryConfig, spec sketchd.Spec) *sk
 // the engine's write-ahead journal.
 func BenchmarkServeIngestRaw(b *testing.B) {
 	const n, seed, length = 1 << 14, 11, 60000
-	c := benchServe(b, sketchd.RegistryConfig{Shards: 4}, sketchd.Spec{Kind: "l0", N: n, Seed: seed})
+	c := benchServe(b, sketchd.RegistryConfig{}, sketchd.Spec{Kind: "l0", N: n, Seed: seed})
 	st := stream.RandomTurnstile(n, length, 100, rand.New(rand.NewPCG(seed, seed)))
 	ctx := context.Background()
 	b.SetBytes(int64(len(st)) * 16) // wire bytes per iteration: 16 per update record
